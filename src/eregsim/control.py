@@ -14,9 +14,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import ControllerError
-from .fluids import ValveModel, cv_of_angle
+from .fluids import ValveModel
 
 FULL_TRAVEL = 90.0  # degrees, hard stops at both ends
+
+# Pressure the injector feedforward subtracts from the tank pressure to get
+# the drop across the valve: the injector setpoint or the tank setpoint.
+DROP_REFERENCES = ("injector_setpoint", "tank_setpoint")
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -74,7 +78,7 @@ class FeedforwardParams:
     alpha: float = 0.0  # m2 per degree, shared with the valve model
     theta_zero: float = 0.0  # degrees
     min_drop: float = 1.0e4  # Pa, floor below which the valve goes fully open
-    drop_reference: str = "injector_setpoint"  # or "tank_setpoint"
+    drop_reference: str = "injector_setpoint"  # one of DROP_REFERENCES
 
 
 def ff_tank(ff: FeedforwardParams, tank_setpoint: float, supply_pressure: float) -> float:
@@ -125,15 +129,7 @@ class PidController:
         self.integral_limits = integral_limits
         self.derivative_filter_periods = derivative_filter_periods
         self.integral = 0.0
-        self.previous_error = 0.0
         self._filtered_measurement: float | None = None
-        self.last_output = 0.0
-
-    def reset(self) -> None:
-        self.integral = 0.0
-        self.previous_error = 0.0
-        self._filtered_measurement = None
-        self.last_output = 0.0
 
     def step(
         self,
@@ -169,9 +165,6 @@ class PidController:
             output = g.kp * error + candidate + g.kd * derivative
         self.integral = candidate
         output = min(max(output, lo), hi)
-
-        self.previous_error = error
-        self.last_output = output
         _require_finite("output", output)
         return output
 
@@ -327,6 +320,3 @@ class EregController:
         self.u2 = self.secondary.step(self.u1, self.actuator.measured_angle(), dt)
         self._tick += 1
         return self.u2
-
-    def valve_cv(self) -> float:
-        return cv_of_angle(self.valve, self.actuator.valve_angle)

@@ -8,6 +8,26 @@ Tank states advance with classical fourth-order Runge-Kutta at the
 physics step; the algebraic flow laws are evaluated inside the stage
 functions. Controllers tick on their own (slower or equal) periods, so
 a run is a deterministic interleaving fully determined by the scenario.
+
+The plant keeps one flat float state: the supply gas mass with its
+stored pressure and temperature, and per side the ullage gas mass,
+ullage volume, liquid volume, stored ullage pressure and a depletion
+flag. Everything that depends only on the scenario is computed once per
+run, and everything that depends only on the valve angles once per
+physics step (again if the oracle moves the valves before the step), so
+a stage is plain float arithmetic plus the chamber back-pressure
+root-find.
+
+Each physics step solves the flow network five times: once on the
+stored state for telemetry, sensors and the oracle (the snapshot), and
+once in each of the four RK4 stages. The snapshot is not merged with the
+first stage although both see the same masses and angles: the snapshot
+reads the stored pressures (the ullage one from the integrated ullage
+volume) while a stage recomputes them from the masses, on
+V_total - V_liquid for the ullage. The two differ in the last bits, and
+the difference grows through the closed loop to more than 1e-12
+relative in the telemetry within the first 0.2 s of the baseline static
+fire.
 """
 
 from __future__ import annotations
@@ -18,17 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import Actuator, EregController, RampSchedule
-from .errors import EregSimError
+from .errors import EregSimError, ModelError
 from .fluids import (
     GasTankState,
-    PropellantTankState,
-    branch_flow,
     chamber_state,
-    cv_of_angle,
-    gas_valve_mass_flow,
     choked_flow_fade,
-    step_gas_tank,
-    step_propellant_tank,
+    cv_of_angle,
 )
 from .scenario import EREG_NAMES, TANK_EREGS, ScenarioConfig, setpoints_at
 from .telemetry import EregFrame, TelemetryFrame, regulation_metrics, RegulationMetrics
@@ -36,12 +51,20 @@ from .telemetry import EregFrame, TelemetryFrame, regulation_metrics, Regulation
 EVENT_ABORT = "abort_overpressure"
 EVENT_SUPPLY_DEPLETED = "supply_gas_depleted"
 
+SIDES = ("ox", "fuel")  # index 0 and 1 of every per-side plant field
+
 
 def depletion_event(side: str) -> str:
     return f"{side}_liquid_depleted"
 
 
 ADIABATIC_GAMMA = 1.4  # nitrogen, used only in the adiabatic supply mode
+
+# Chamber back-pressure root-find: converged when the residual is below
+# ROOT_TOLERANCE_PA; a solve that has not converged after
+# ROOT_MAX_ITERATIONS Newton/bisection iterations is a model failure.
+ROOT_TOLERANCE_PA = 0.5
+ROOT_MAX_ITERATIONS = 60
 
 
 @dataclass
@@ -56,85 +79,123 @@ class NetworkFlows:
     thrust: float
 
 
+def _gas_flow(kcv: float, p_up: float, p_down: float) -> float:
+    """Gas valve mass flow k*Cv*p_up with the near-equalized fade (fluids.gas_valve_mass_flow)."""
+    return kcv * p_up * choked_flow_fade(p_down / p_up) if p_up > 0.0 else 0.0
+
+
+def _residual(pc: float, gain: float, branches: list) -> tuple[float, float]:
+    """pc - gain * sum(beta * sqrt(p_tank - pc)) and its derivative in pc."""
+    total = 0.0
+    slope = 1.0
+    for p_t, beta, gain_beta in branches:
+        drop = p_t - pc
+        if drop > 0.0:
+            root = math.sqrt(drop)
+            total += beta * root
+            slope += gain_beta / (2.0 * root)
+    return pc - gain * total, slope
+
+
 class _Plant:
-    """Mutable plant state plus the network solver with a warm-started Pc."""
+    """Flat plant state plus the network solver with a warm-started Pc.
+
+    Per-side fields are two-element lists indexed like SIDES. Call
+    set_angles before snapshot or step, and again whenever the angles
+    change.
+    """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.supply = GasTankState.from_pressure(
-            config.supply_pressure,
-            config.supply_volume,
-            config.gas_temperature,
-            config.gas_constant,
-        )
-        self.tanks: dict[str, PropellantTankState] = {}
-        for side in ("ox", "fuel"):
+        r, temperature = config.gas_constant, config.gas_temperature
+        self._rt = r * temperature
+        self.supply_mass = config.supply_pressure * config.supply_volume / self._rt
+        self.supply_pressure = config.supply_pressure
+        self.supply_temperature = temperature
+        self.supply_depleted = False
+
+        self.ullage_mass: list[float] = []
+        self.ullage_volume: list[float] = []
+        self.liquid_volume: list[float] = []
+        self.ullage_pressure: list[float] = []
+        self.depleted = [False, False]
+        for side in SIDES:
             t = config.tanks[side]
             liquid = t.total_volume * (1.0 - t.initial_ullage_fraction)
-            ullage = GasTankState.from_pressure(
-                t.initial_pressure,
-                t.total_volume - liquid,
-                config.gas_temperature,
-                config.gas_constant,
-            )
-            self.tanks[side] = PropellantTankState(
-                total_volume=t.total_volume,
-                liquid_volume=liquid,
-                liquid_density=t.liquid_density,
-                ullage=ullage,
-            )
-        self._pc_guess = config.ambient_pressure
+            ullage = t.total_volume - liquid
+            self.ullage_mass.append(t.initial_pressure * ullage / self._rt)
+            self.ullage_volume.append(ullage)
+            self.liquid_volume.append(liquid)
+            self.ullage_pressure.append(t.initial_pressure)
+
+        # Per-run constants.
+        self._r = r
+        self._temperature = temperature
+        self._supply_volume = config.supply_volume
         self._supply_exponent = ADIABATIC_GAMMA if config.adiabatic_supply else None
+        self._total_volume = tuple(config.tanks[s].total_volume for s in SIDES)
+        self._rho = tuple(config.tanks[s].liquid_density for s in SIDES)
+        self._line = tuple(config.lines[s].loss_coefficient for s in SIDES)
+        self._orifice = tuple(config.injectors[s].coeff for s in SIDES)
+        chamber = config.chamber
+        self._gain = (
+            chamber.characteristic_velocity / chamber.throat_area if chamber is not None else None
+        )
+        self._ambient = config.ambient_pressure
+        self._collapse = config.ullage_collapse_coeff
+        self._pc_guess = config.ambient_pressure
+
+        # Per-angle constants, filled by set_angles.
+        self._kcv = (0.0, 0.0)
+        self._branch: tuple = (None, None)
+
+    def set_angles(self, angles: dict[str, float]) -> None:
+        """Precompute everything that depends only on the valve angles.
+
+        Gas valves: k * Cv. Liquid branches: None while the valve is shut,
+        else (beta, gain * beta, rho * c) with c = c_line + 1/Cv^2 +
+        c_orifice the series coefficient and beta = sqrt(rho / c).
+        """
+        valves = self.config.valves
+        kcv = []
+        branch = []
+        for i, side in enumerate(SIDES):
+            valve = valves[side + "_tank"]
+            kcv.append(valve.choked_constant * cv_of_angle(valve, angles[side + "_tank"]))
+            cv = cv_of_angle(valves[side + "_inj"], angles[side + "_inj"])
+            if cv <= 0.0:
+                branch.append(None)
+                continue
+            coeff = self._line[i] + 1.0 / cv**2 + self._orifice[i]
+            beta = math.sqrt(self._rho[i] / coeff)
+            gain_beta = self._gain * beta if self._gain is not None else 0.0
+            branch.append((beta, gain_beta, self._rho[i] * coeff))
+        self._kcv = tuple(kcv)
+        self._branch = tuple(branch)
 
     # -- algebraic network -------------------------------------------------
 
-    def _solve_back_pressure(self, p_tank: dict[str, float], cv: dict[str, float],
-                             has_liquid: dict[str, bool]) -> float:
-        """Chamber pressure consistent with both branch flows.
+    def _back_pressure(self, branches: list) -> float:
+        """Chamber pressure consistent with the flows of the open branches.
 
         Monotone scalar root-find (Newton with bisection safeguard) of
         pc = (cstar/At) * sum_i mdot_i(pc); floored at ambient.
         """
-        config = self.config
-        chamber = config.chamber
-        if chamber is None:
-            return config.ambient_pressure
-        gain = chamber.characteristic_velocity / chamber.throat_area
-
-        branches = []
-        for side in ("ox", "fuel"):
-            if not has_liquid[side] or cv[side] <= 0.0:
-                continue
-            rho = config.tanks[side].liquid_density
-            coeff = (
-                config.lines[side].loss_coefficient
-                + 1.0 / cv[side] ** 2
-                + config.injectors[side].coeff
-            )
-            branches.append((p_tank[side], math.sqrt(rho / coeff)))
-        if not branches:
-            return config.ambient_pressure
-
-        def residual(pc: float) -> tuple[float, float]:
-            total = 0.0
-            slope = 1.0
-            for p_t, beta in branches:
-                drop = p_t - pc
-                if drop > 0.0:
-                    root = math.sqrt(drop)
-                    total += beta * root
-                    slope += gain * beta / (2.0 * root)
-            return pc - gain * total, slope
-
-        lo = config.ambient_pressure
-        hi = max(max(p for p, _ in branches), lo)
-        f_lo, _ = residual(lo)
-        if f_lo >= 0.0:
+        gain = self._gain
+        lo = self._ambient
+        if gain is None or not branches:
+            return lo
+        f, _ = _residual(lo, gain, branches)
+        if f >= 0.0:
             return lo  # weak flow: chamber stays at ambient
+        hi = lo
+        for p_t, _, _ in branches:
+            if p_t > hi:
+                hi = p_t
         pc = min(max(self._pc_guess, lo), hi)
-        for _ in range(60):
-            f, slope = residual(pc)
-            if abs(f) < 0.5:
+        for _ in range(ROOT_MAX_ITERATIONS):
+            f, slope = _residual(pc, gain, branches)
+            if abs(f) < ROOT_TOLERANCE_PA:
                 break
             if f > 0.0:
                 hi = pc
@@ -142,156 +203,173 @@ class _Plant:
                 lo = pc
             step = pc - f / slope
             pc = step if lo < step < hi else 0.5 * (lo + hi)
+        else:
+            raise ModelError(
+                f"chamber pressure root-find did not converge in {ROOT_MAX_ITERATIONS} "
+                f"iterations (residual {f:.3g} Pa)"
+            )
         self._pc_guess = pc
         return pc
 
-    def network_flows(self, supply_p: float, tank_state: dict[str, tuple[float, float]],
-                      angles: dict[str, float]) -> NetworkFlows:
-        """Flows for given pressures/volumes and valve angles.
+    def _liquid(self, p_tank: tuple, wet: tuple) -> list[tuple[float, float]]:
+        """Per-side (Q, p_injector) of the liquid branches.
 
-        tank_state maps side -> (ullage_pressure, liquid_volume).
+        Line + valve + injector orifice in series against the back
+        pressure, as fluids.branch_flow; a dry tank passes nothing.
         """
-        config = self.config
+        branch = self._branch
+        back = self._back_pressure(
+            [(p, c[0], c[1]) for p, w, c in zip(p_tank, wet, branch) if w and c is not None]
+        )
+        flows = []
+        for i in (0, 1):
+            c = branch[i]
+            if not wet[i] or c is None:
+                flows.append((0.0, back))
+                continue
+            dp = p_tank[i] - back
+            if dp <= 0.0:
+                flows.append((0.0, p_tank[i]))
+                continue
+            q = math.sqrt(dp / c[2])
+            flows.append((q, back + self._rho[i] * q**2 * self._orifice[i]))
+        return flows
+
+    def snapshot(self) -> NetworkFlows:
+        """Flows on the stored state, for telemetry, sensors and the oracle."""
+        p_sup = self.supply_pressure
+        p_tank = tuple(self.ullage_pressure)
+        liquid = self._liquid(p_tank, tuple(v > 0.0 for v in self.liquid_volume))
         mdot_gas = {}
-        for side in ("ox", "fuel"):
-            valve = config.valves[side + "_tank"]
-            p_t = tank_state[side][0]
-            mdot_gas[side] = gas_valve_mass_flow(valve, angles[side + "_tank"], supply_p, p_t)
-
-        cv = {}
-        has_liquid = {}
-        p_tank = {}
-        for side in ("ox", "fuel"):
-            valve = config.valves[side + "_inj"]
-            cv[side] = cv_of_angle(valve, angles[side + "_inj"])
-            p_tank[side] = tank_state[side][0]
-            has_liquid[side] = tank_state[side][1] > 0.0
-
-        back = self._solve_back_pressure(p_tank, cv, has_liquid)
-
         q_liquid = {}
         mdot_liquid = {}
         p_injector = {}
-        for side in ("ox", "fuel"):
-            rho = config.tanks[side].liquid_density
-            if not has_liquid[side]:
-                q_liquid[side] = 0.0
-                p_injector[side] = back
-            else:
-                q, p_i = branch_flow(
-                    p_tank[side],
-                    back,
-                    rho,
-                    cv[side],
-                    config.lines[side].loss_coefficient,
-                    config.injectors[side].coeff,
-                )
-                q_liquid[side] = q
-                p_injector[side] = p_i
-            mdot_liquid[side] = q_liquid[side] * rho
-
+        for i, side in enumerate(SIDES):
+            mdot_gas[side] = _gas_flow(self._kcv[i], p_sup, p_tank[i])
+            q_liquid[side], p_injector[side] = liquid[i]
+            mdot_liquid[side] = q_liquid[side] * self._rho[i]
         total = mdot_liquid["ox"] + mdot_liquid["fuel"]
-        if config.chamber is not None:
-            pc, thrust = chamber_state(total, config.chamber)
+        if self.config.chamber is not None:
+            pc, thrust = chamber_state(total, self.config.chamber)
         else:
-            pc, thrust = config.ambient_pressure, 0.0
+            pc, thrust = self._ambient, 0.0
         return NetworkFlows(mdot_gas, q_liquid, mdot_liquid, p_injector, pc, thrust)
 
     # -- integration -------------------------------------------------------
 
-    def _derivative(self, y: tuple, angles: dict[str, float]):
+    def _rates(self, y) -> tuple[float, float, float, float, float]:
         """State derivative at y = (m_sup, m_ull_ox, V_liq_ox, m_ull_fuel, V_liq_fuel)."""
-        config = self.config
         m_sup, m_ox, v_ox, m_fuel, v_fuel = y
-        rt = config.gas_constant * config.gas_temperature
+        rt = self._rt
         if self._supply_exponent is None:
-            p_sup = m_sup * rt / config.supply_volume if m_sup > 0.0 else 0.0
+            p_sup = m_sup * rt / self._supply_volume if m_sup > 0.0 else 0.0
         else:
-            ref = self.supply
             p_sup = (
-                ref.pressure * (max(m_sup, 0.0) / ref.gas_mass) ** self._supply_exponent
-                if ref.gas_mass > 0.0
+                self.supply_pressure
+                * (max(m_sup, 0.0) / self.supply_mass) ** self._supply_exponent
+                if self.supply_mass > 0.0
                 else 0.0
             )
-        state = {}
-        for side, m_ull, v_liq in (("ox", m_ox, v_ox), ("fuel", m_fuel, v_fuel)):
-            v_ull = config.tanks[side].total_volume - max(v_liq, 0.0)
-            state[side] = (m_ull * rt / v_ull, max(v_liq, 0.0))
-        flows = self.network_flows(p_sup, state, angles)
-        sink_ox = config.ullage_collapse_coeff * m_ox
-        sink_fuel = config.ullage_collapse_coeff * m_fuel
-        dy = (
-            -(flows.mdot_gas["ox"] + flows.mdot_gas["fuel"]),
-            flows.mdot_gas["ox"] - sink_ox,
-            -flows.q_liquid["ox"],
-            flows.mdot_gas["fuel"] - sink_fuel,
-            -flows.q_liquid["fuel"],
+        v_ox = max(v_ox, 0.0)
+        v_fuel = max(v_fuel, 0.0)
+        p_ox = m_ox * rt / (self._total_volume[0] - v_ox)
+        p_fuel = m_fuel * rt / (self._total_volume[1] - v_fuel)
+        gas_ox = _gas_flow(self._kcv[0], p_sup, p_ox)
+        gas_fuel = _gas_flow(self._kcv[1], p_sup, p_fuel)
+        (q_ox, _), (q_fuel, _) = self._liquid((p_ox, p_fuel), (v_ox > 0.0, v_fuel > 0.0))
+        collapse = self._collapse
+        return (
+            -(gas_ox + gas_fuel),
+            gas_ox - collapse * m_ox,
+            -q_ox,
+            gas_fuel - collapse * m_fuel,
+            -q_fuel,
         )
-        return dy, flows
 
-    def step(self, angles: dict[str, float], dt: float) -> list[str]:
+    def step(self, dt: float) -> list[str]:
         """Advance tanks one physics step (RK4); returns new event names."""
         y0 = (
-            self.supply.gas_mass,
-            self.tanks["ox"].ullage.gas_mass,
-            self.tanks["ox"].liquid_volume,
-            self.tanks["fuel"].ullage.gas_mass,
-            self.tanks["fuel"].liquid_volume,
+            self.supply_mass,
+            self.ullage_mass[0],
+            self.liquid_volume[0],
+            self.ullage_mass[1],
+            self.liquid_volume[1],
         )
-        k1, _ = self._derivative(y0, angles)
-        k2, _ = self._derivative(tuple(y + 0.5 * dt * k for y, k in zip(y0, k1)), angles)
-        k3, _ = self._derivative(tuple(y + 0.5 * dt * k for y, k in zip(y0, k2)), angles)
-        k4, _ = self._derivative(tuple(y + dt * k for y, k in zip(y0, k3)), angles)
-
-        def combined(i: int) -> float:
-            return (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) / 6.0
+        half = 0.5 * dt
+        k1 = self._rates(y0)
+        k2 = self._rates([y + half * k for y, k in zip(y0, k1)])
+        k3 = self._rates([y + half * k for y, k in zip(y0, k2)])
+        k4 = self._rates([y + dt * k for y, k in zip(y0, k3)])
+        rate = [(a + 2.0 * b + 2.0 * c + d) / 6.0 for a, b, c, d in zip(k1, k2, k3, k4)]
 
         # Effective transfer rates over the step. The same gas rate feeds the
         # supply drain and the ullage fill, so total gas mass is conserved
         # exactly even at the depletion clamp.
-        gas_in = {"ox": combined(1), "fuel": combined(3)}
-        collapse = self.config.ullage_collapse_coeff
+        collapse = self._collapse
+        gas_in = [rate[1], rate[3]]
         if collapse > 0.0:
             # Split the ullage net rate back into valve inflow and sink.
-            gas_in = {
-                "ox": combined(1) + collapse * self.tanks["ox"].ullage.gas_mass,
-                "fuel": combined(3) + collapse * self.tanks["fuel"].ullage.gas_mass,
-            }
-        total_out = gas_in["ox"] + gas_in["fuel"]
+            gas_in = [g + collapse * m for g, m in zip(gas_in, self.ullage_mass)]
+        total_out = gas_in[0] + gas_in[1]
+        if total_out * dt > self.supply_mass:
+            scale = self.supply_mass / (total_out * dt)
+            gas_in = [g * scale for g in gas_in]
+            total_out = gas_in[0] + gas_in[1]
 
         events: list[str] = []
-        if total_out * dt > self.supply.gas_mass:
-            scale = self.supply.gas_mass / (total_out * dt)
-            gas_in = {side: rate * scale for side, rate in gas_in.items()}
-            total_out = gas_in["ox"] + gas_in["fuel"]
+        mass = self.supply_mass - total_out * dt
+        volume = self._supply_volume
+        if mass <= 0.0:
+            mass = pressure = 0.0
+            if not self.supply_depleted:
+                self.supply_depleted = True
+                events.append(EVENT_SUPPLY_DEPLETED)
+        elif self._supply_exponent is None:
+            pressure = mass * self._r * self.supply_temperature / volume
+        else:
+            density_ratio = (mass / volume) / (self.supply_mass / volume)
+            pressure = self.supply_pressure * density_ratio**self._supply_exponent
+            self.supply_temperature = pressure * volume / (mass * self._r)
+        self.supply_mass = mass
+        self.supply_pressure = pressure
 
-        was_depleted = {side: self.tanks[side].depleted for side in ("ox", "fuel")}
-        supply_was_depleted = self.supply.depleted
-
-        self.supply = step_gas_tank(
-            self.supply, 0.0, total_out, 0.0, dt, isentropic_exponent=self._supply_exponent
-        )
-        for side, q_index in (("ox", 2), ("fuel", 4)):
-            sink = collapse * self.tanks[side].ullage.gas_mass if collapse > 0.0 else 0.0
-            self.tanks[side] = step_propellant_tank(
-                self.tanks[side],
-                gas_in[side] - sink,
-                -combined(q_index),
-                dt,
-            )
-        if self.supply.depleted and not supply_was_depleted:
-            events.append(EVENT_SUPPLY_DEPLETED)
-        for side in ("ox", "fuel"):
-            if self.tanks[side].depleted and not was_depleted[side]:
-                events.append(depletion_event(side))
+        for i, side in enumerate(SIDES):
+            # Liquid drains at most what is left; the ullage grows by the
+            # volume drained, integrated separately from V_total - V_liquid.
+            sink = collapse * self.ullage_mass[i] if collapse > 0.0 else 0.0
+            vdot = min(-rate[2 + 2 * i], self.liquid_volume[i] / dt)
+            liquid = self.liquid_volume[i] - vdot * dt
+            if liquid <= 0.0:
+                liquid = 0.0
+                if not self.depleted[i]:
+                    self.depleted[i] = True
+                    events.append(depletion_event(side))
+            volume = self.ullage_volume[i] + vdot * dt
+            if volume <= 0.0:
+                raise ModelError(f"gas volume driven nonpositive ({volume})")
+            mass = self.ullage_mass[i] + (gas_in[i] - sink) * dt
+            if mass <= 0.0:
+                mass = pressure = 0.0
+            else:
+                pressure = mass * self._r * self._temperature / volume
+            self.liquid_volume[i] = liquid
+            self.ullage_volume[i] = volume
+            self.ullage_mass[i] = mass
+            self.ullage_pressure[i] = pressure
         return events
 
-    def snapshot_flows(self, angles: dict[str, float]) -> NetworkFlows:
-        state = {
-            side: (self.tanks[side].ullage.pressure, self.tanks[side].liquid_volume)
-            for side in ("ox", "fuel")
-        }
-        return self.network_flows(self.supply.pressure, state, angles)
+    def gas_states(self) -> tuple[GasTankState, GasTankState, GasTankState]:
+        """Supply, ox ullage and fuel ullage as stored, for invariant checks."""
+        r = self._r
+        return (
+            GasTankState(self.supply_pressure, self._supply_volume, self.supply_mass,
+                         self.supply_temperature, r),
+            *(
+                GasTankState(self.ullage_pressure[i], self.ullage_volume[i], self.ullage_mass[i],
+                             self._temperature, r)
+                for i in (0, 1)
+            ),
+        )
 
 
 def _build_controllers(config: ScenarioConfig) -> dict[str, EregController | None]:
@@ -341,12 +419,13 @@ def _oracle_angles(config: ScenarioConfig, plant: _Plant, flows: NetworkFlows,
     """
     angles = {}
     rt = config.gas_constant * config.gas_temperature
-    for side in ("ox", "fuel"):
+    p_sup = plant.supply_pressure
+    for i, side in enumerate(SIDES):
         valve = config.valves[side + "_tank"]
-        p_sup = plant.supply.pressure
         setpoint = config.tank_setpoint(side)
         demand = setpoint * flows.q_liquid[side] / rt
-        fade = choked_flow_fade(plant.tanks[side].ullage.pressure / p_sup) if p_sup > 0 else 0.0
+        p_tank = plant.ullage_pressure[i]
+        fade = choked_flow_fade(p_tank / p_sup) if p_sup > 0 else 0.0
         if p_sup <= 0.0 or fade <= 0.0 or demand <= 0.0:
             theta = 0.0
         else:
@@ -362,7 +441,6 @@ def _oracle_angles(config: ScenarioConfig, plant: _Plant, flows: NetworkFlows,
         if s_i > back:
             orifice = config.injectors[side]
             q_req = orifice.cd * orifice.area * math.sqrt(2.0 * (s_i - back) / rho)
-        p_tank = plant.tanks[side].ullage.pressure
         dp_valve = p_tank - s_i - rho * q_req**2 * config.lines[side].loss_coefficient
         if q_req <= 0.0:
             theta = 0.0
@@ -384,11 +462,8 @@ class RunAudit:
     max_mass_drift: float = 0.0  # relative, vents closed
 
     def record(self, plant: "_Plant") -> None:
-        total = (
-            plant.supply.gas_mass
-            + plant.tanks["ox"].ullage.gas_mass
-            + plant.tanks["fuel"].ullage.gas_mass
-        )
+        supply, ox, fuel = plant.gas_states()
+        total = supply.gas_mass + ox.gas_mass + fuel.gas_mass
         if self.initial_gas_mass == 0.0:
             self.initial_gas_mass = total
         self.max_mass_drift = max(
@@ -396,9 +471,9 @@ class RunAudit:
         )
         self.max_gas_law_residual = max(
             self.max_gas_law_residual,
-            plant.supply.gas_law_residual(),
-            plant.tanks["ox"].ullage.gas_law_residual(),
-            plant.tanks["fuel"].ullage.gas_law_residual(),
+            supply.gas_law_residual(),
+            ox.gas_law_residual(),
+            fuel.gas_law_residual(),
         )
 
 
@@ -432,22 +507,32 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
     measured_supply = config.supply_pressure
     setpoints = setpoints_at(config.schedule, 0.0)
     aborted = False
+    # Over-pressure abort: valves must never see more than the configured
+    # fraction of their rated pressure upstream.
+    supply_limit = config.abort_pressure_factor * min(
+        config.valves[n].rated_pressure for n in TANK_EREGS
+    )
+    tank_limits = [
+        config.abort_pressure_factor * config.valves[side + "_inj"].rated_pressure
+        for side in SIDES
+    ]
 
     for k in range(n_steps):
         t = k * config.dt_phys
-        flows = plant.snapshot_flows(angles)
+        plant.set_angles(angles)
+        flows = plant.snapshot()
 
         if k % phys_per_primary == 0:
             setpoints = setpoints_at(config.schedule, t)
             # Sensor sampling happens at the primary rate; optional zero-mean
             # Gaussian noise is drawn in a fixed order for determinism.
             truth = {
-                "ox_tank": plant.tanks["ox"].ullage.pressure,
-                "fuel_tank": plant.tanks["fuel"].ullage.pressure,
+                "ox_tank": plant.ullage_pressure[0],
+                "fuel_tank": plant.ullage_pressure[1],
                 "ox_inj": flows.p_injector["ox"],
                 "fuel_inj": flows.p_injector["fuel"],
             }
-            measured_supply = plant.supply.pressure
+            measured_supply = plant.supply_pressure
             if rng is not None:
                 measured_supply += config.noise_sigma * rng.standard_normal()
                 for name in EREG_NAMES:
@@ -461,6 +546,7 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
                     locked = config.controllers[name].locked_angle
                     if locked is not None:
                         angles[name] = locked
+                plant.set_angles(angles)
         elif k % phys_per_secondary == 0:
             for name in EREG_NAMES:
                 ctrl = controllers[name]
@@ -479,14 +565,9 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
             frames.append(_make_frame(t, config, plant, flows, controllers, angles,
                                       measured, measured_supply, setpoints, events_active))
 
-        # Over-pressure abort: valves must never see more than the configured
-        # fraction of their rated pressure upstream.
-        abort = plant.supply.pressure > config.abort_pressure_factor * min(
-            config.valves[n].rated_pressure for n in TANK_EREGS
-        )
-        for side in ("ox", "fuel"):
-            rating = config.valves[side + "_inj"].rated_pressure
-            if plant.tanks[side].ullage.pressure > config.abort_pressure_factor * rating:
+        abort = plant.supply_pressure > supply_limit
+        for p_tank, limit in zip(plant.ullage_pressure, tank_limits):
+            if p_tank > limit:
                 abort = True
         if abort:
             if EVENT_ABORT not in events_active:
@@ -500,7 +581,7 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
             aborted = True
             break
 
-        new_events = plant.step(angles, config.dt_phys)
+        new_events = plant.step(config.dt_phys)
         if audit is not None:
             audit.record(plant)
         for event in new_events:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import yaml
 
-from .control import FeedforwardParams, PidGains
+from .control import DROP_REFERENCES, FeedforwardParams, PidGains
 from .errors import ConfigError, InfeasibleThrottleError, UndefinedRatioError
 from .fluids import (
     AMBIENT_PRESSURE,
@@ -381,6 +381,17 @@ def validate_config(config: ScenarioConfig) -> None:
         config.valves[name].validate()
         if name not in config.controllers:
             raise ConfigError(f"missing controller settings for {name}")
+        settings = config.controllers[name]
+        theta_max = config.valves[name].theta_max
+        if settings.locked_angle is not None and not 0.0 <= settings.locked_angle <= theta_max:
+            raise ConfigError(
+                f"{name} locked_angle_deg {settings.locked_angle} outside [0, {theta_max:g}]"
+            )
+        if settings.feedforward.drop_reference not in DROP_REFERENCES:
+            raise ConfigError(
+                f"{name} feedforward drop_reference {settings.feedforward.drop_reference!r} "
+                f"not one of {', '.join(DROP_REFERENCES)}"
+            )
 
     # Pressure ratings: the supply feeds the tank valves, the propellant
     # tanks feed the injector valves.
@@ -706,8 +717,11 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         target_of=target_of,
     )
 
-    # Resolve gamma = auto now that the schedule (and with it the liquid
-    # demand) is fixed: gamma maps a pressure ratio of one to the angle
+    validate_config(config)
+
+    # Resolve gamma = auto now that the config is valid (a locked angle is
+    # within the valve travel) and the schedule, and with it the liquid
+    # demand, is fixed: gamma maps a pressure ratio of one to the angle
     # that supplies the ullage exactly at the reference outflow. The
     # reference is the throttle start fraction, where the ullage is
     # smallest and feedforward accuracy matters most; the PID absorbs the
@@ -729,8 +743,6 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         config.controllers[name_] = dc_replace(
             old, feedforward=dc_replace(old.feedforward, gamma=gamma)
         )
-
-    validate_config(config)
     return config
 
 

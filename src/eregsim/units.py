@@ -16,7 +16,3 @@ CV_US_GPM_TO_SI = 2.4027e-5
 
 def bar_to_pa(p_bar: float) -> float:
     return p_bar * BAR
-
-
-def pa_to_bar(p_pa: float) -> float:
-    return p_pa / BAR

@@ -1,0 +1,117 @@
+"""Record the golden telemetry that tests/test_golden.py compares against.
+
+Each case is one short run: every shipped scenario under every controller
+variant (duration capped at CAP_S), plus the small test scenario with the
+adiabatic supply and with the ullage-collapse sink, the two plant modes
+no shipped scenario turns on. The file holds, per case, every numeric
+telemetry field of every frame and the frame at which each event first
+appears.
+
+Re-record only when a change is meant to alter the telemetry:
+
+    PYTHONPATH=src python -m tests.record_golden
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+
+from eregsim.engine import run_scenario
+from eregsim.scenario import EREG_NAMES, VARIANTS, load_scenario
+from eregsim.telemetry import EREG_FIELDS, SCALAR_FIELDS
+from tests.conftest import SCENARIO_DIR, build_small_scenario
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden.npz"
+CAP_S = 2.0
+
+SHIPPED = (
+    "staticfire_baseline",
+    "staticfire_nominal_hold",
+    "coldflow_nominal_hold",
+    "coldflow_mock_injector",
+    "waterflow_blowdown",
+)
+
+# Small scenario with gas and liquid moving on both sides, so both plant
+# options act on every state variable; both tanks run dry within the run.
+_DRAIN = dict(
+    supply={"volume_m3": 0.004, "initial_pressure_bar": 310.0},
+    tanks={
+        side: {
+            "total_volume_m3": 0.002,
+            "initial_ullage_fraction": 0.3,
+            "liquid_density_kg_m3": 998.0,
+            "initial_pressure_bar": 42.0,
+        }
+        for side in ("ox", "fuel")
+    },
+    controllers={
+        "ox_tank": {"locked_angle_deg": 30.0},
+        "fuel_tank": {"locked_angle_deg": 20.0},
+        "ox_inj": {"locked_angle_deg": 40.0},
+        "fuel_inj": {"locked_angle_deg": 35.0},
+    },
+)
+SMALL = {
+    "small_adiabatic": dict(options={"adiabatic_supply": True}, **_DRAIN),
+    "small_collapse": dict(options={"ullage_collapse_coeff": 0.05}, **_DRAIN),
+}
+
+
+def case_names() -> list[str]:
+    names = [f"{stem}.{variant}" for stem in SHIPPED for variant in VARIANTS]
+    return names + list(SMALL)
+
+
+def case_config(name: str):
+    if name in SMALL:
+        return build_small_scenario(**SMALL[name])
+    stem, variant = name.rsplit(".", 1)
+    config = load_scenario(SCENARIO_DIR / f"{stem}.yaml")
+    return config.replace(variant=variant, duration=min(config.duration, CAP_S))
+
+
+def frames_to_fields(frames) -> np.ndarray:
+    """Every numeric telemetry field, one row per frame, in CSV column order."""
+    rows = []
+    for f in frames:
+        row = [f.time_s]
+        for ereg in EREG_NAMES:
+            sub = f.ereg(ereg)
+            row.extend(getattr(sub, k) for k in EREG_FIELDS)
+        row.extend(getattr(f, k) for k in SCALAR_FIELDS)
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)
+
+
+def event_onsets(frames) -> list[str]:
+    """"<frame index>:<event>" for the first frame each event appears in."""
+    seen, onsets = set(), []
+    for i, f in enumerate(frames):
+        for event in f.events:
+            if event not in seen:
+                seen.add(event)
+                onsets.append(f"{i}:{event}")
+    return onsets
+
+
+def run_case(name: str) -> tuple[np.ndarray, list[str]]:
+    frames = run_scenario(case_config(name))
+    return frames_to_fields(frames), event_onsets(frames)
+
+
+def main() -> None:
+    arrays = {}
+    for name in case_names():
+        fields, onsets = run_case(name)
+        arrays[name] = fields
+        arrays[name + ".events"] = np.array(onsets, dtype=str)
+    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
+    np.savez_compressed(GOLDEN_PATH, **arrays)
+    print(f"wrote {len(case_names())} cases to {GOLDEN_PATH} ({GOLDEN_PATH.stat().st_size} bytes)")
+
+
+if __name__ == "__main__":
+    main()

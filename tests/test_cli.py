@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
+
+import eregsim
 
 from eregsim.cli import EXIT_ABORT, EXIT_ERROR, EXIT_OK, main
 from eregsim.telemetry import read_telemetry
@@ -66,6 +72,36 @@ class TestRun:
         assert payload["error"] == "abort"
         frames = read_telemetry(out)  # telemetry still written for analysis
         assert "abort_overpressure" in frames[-1].events
+
+
+class TestRejectedScenarioProcess:
+    """A scenario rejected at load, seen from outside: `eregsim run` in its own
+    process prints exactly one JSON line on stderr and exits 2."""
+
+    @pytest.mark.parametrize(
+        "controller",
+        [
+            {"locked_angle_deg": 120.0},
+            {"feedforward": {"drop_reference": "injector_setpiont"}},
+        ],
+        ids=["locked_angle", "drop_reference"],
+    )
+    def test_one_json_line_and_exit_2(self, tmp_path, controller):
+        data = small_scenario_dict(duration_s=0.1)
+        data["controllers"]["ox_tank"] = controller
+        scenario = write_scenario(tmp_path, data)
+        src = str(Path(eregsim.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "eregsim.cli", "run", "--scenario", str(scenario),
+             "--out", str(tmp_path / "x.csv")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == EXIT_ERROR
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "ConfigError"
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestMetrics:

@@ -250,10 +250,10 @@ class TestBlowdownOracle:
             timing={"dt_phys_s": 0.001, "dt_secondary_s": 0.001, "dt_primary_s": 0.01},
         )
         plant = _Plant(config)
-        angles = {"ox_tank": angle, "fuel_tank": 0.0, "ox_inj": 0.0, "fuel_inj": 0.0}
+        plant.set_angles({"ox_tank": angle, "fuel_tank": 0.0, "ox_inj": 0.0, "fuel_inj": 0.0})
         for _ in range(3000):
-            plant.step(angles, 0.001)
-        production_final = plant.supply.pressure
+            plant.step(0.001)
+        production_final = plant.supply_pressure
 
         # Independent fine-step integration of the same physical laws.
         rt = 296.8 * 293.0

@@ -1,0 +1,25 @@
+"""Telemetry must stay bit-identical to the recorded golden runs.
+
+See tests/record_golden.py for the cases and how to re-record them.
+"""
+
+import numpy as np
+import pytest
+
+from tests.record_golden import GOLDEN_PATH, case_names, run_case
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with np.load(GOLDEN_PATH) as data:
+        return {key: data[key] for key in data.files}
+
+
+@pytest.mark.parametrize("name", case_names())
+def test_telemetry_bit_identical(golden, name):
+    fields, onsets = run_case(name)
+    assert onsets == list(golden[name + ".events"])
+    ref = golden[name]
+    assert fields.shape == ref.shape
+    # Compare the bit patterns so that even a sign-of-zero change shows.
+    np.testing.assert_array_equal(fields.view(np.int64), ref.view(np.int64))

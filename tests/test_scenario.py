@@ -251,6 +251,25 @@ class TestConfigValidation:
         with pytest.raises(InfeasibleThrottleError):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("name", ["ox_tank", "fuel_inj"])
+    @pytest.mark.parametrize("angle", [120.0, -5.0, math.nan])
+    def test_locked_angle_outside_valve_travel_rejected(self, name, angle):
+        data = small_scenario_dict()
+        data["controllers"][name] = {"locked_angle_deg": angle}
+        with pytest.raises(ConfigError, match="locked_angle_deg"):
+            scenario_from_dict(data)
+
+    def test_unknown_drop_reference_rejected(self):
+        data = small_scenario_dict()
+        data["controllers"]["ox_inj"] = {
+            "primary": {"kp": 0.5, "ki": 8.0, "kd": 0.01},
+            "feedforward": {"drop_reference": "tank_setpiont"},
+        }
+        with pytest.raises(ConfigError, match="drop_reference"):
+            scenario_from_dict(data)
+        data["controllers"]["ox_inj"]["feedforward"]["drop_reference"] = "tank_setpoint"
+        scenario_from_dict(data)
+
     def test_unknown_variant_rejected(self):
         data = small_scenario_dict()
         data["variant"] = "bang-bang"

@@ -2,13 +2,14 @@ import math
 
 import pytest
 
+from eregsim import engine
 from eregsim.engine import (
     EVENT_ABORT,
     RunAudit,
     compare_controllers,
     run_scenario,
 )
-from eregsim.errors import EregSimError
+from eregsim.errors import EregSimError, ModelError
 from eregsim.scenario import EREG_NAMES
 from eregsim.telemetry import (
     EregFrame,
@@ -317,3 +318,22 @@ class TestAudit:
         assert audit.initial_gas_mass > 0.0
         assert audit.max_gas_law_residual < 1e-9
         assert audit.max_mass_drift < 1e-6
+
+
+class TestChamberRootFind:
+    ANGLES = {"ox_tank": 0.0, "fuel_tank": 0.0, "ox_inj": 60.0, "fuel_inj": 60.0}
+
+    def test_converged_back_pressure_closes_the_chamber_balance(self, baseline_config):
+        plant = engine._Plant(baseline_config)
+        plant.set_angles(self.ANGLES)
+        flows = plant.snapshot()
+        # chamber_state(total mdot) reproduces the solved back pressure
+        assert flows.chamber_pressure > baseline_config.ambient_pressure
+        assert abs(flows.chamber_pressure - plant._pc_guess) < engine.ROOT_TOLERANCE_PA
+
+    def test_unconverged_solve_raises(self, baseline_config, monkeypatch):
+        monkeypatch.setattr(engine, "ROOT_MAX_ITERATIONS", 1)
+        plant = engine._Plant(baseline_config)
+        plant.set_angles(self.ANGLES)
+        with pytest.raises(ModelError, match="did not converge"):
+            plant.snapshot()
