@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import ControllerError
-from .fluids import ValveModel
 
 FULL_TRAVEL = 90.0  # degrees, hard stops at both ends
 
@@ -241,7 +240,6 @@ class EregController:
     def __init__(
         self,
         kind: str,
-        valve: ValveModel,
         primary_gains: PidGains,
         secondary_gains: PidGains,
         feedforward: FeedforwardParams,
@@ -264,7 +262,6 @@ class EregController:
             raise ValueError("primary period must be an integer multiple of secondary period")
         ramp.validate()
         self.kind = kind
-        self.valve = valve
         self.primary_base_gains = primary_gains
         self.ramp = ramp
         self.feedforward = feedforward

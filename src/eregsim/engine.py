@@ -45,13 +45,11 @@ from .fluids import (
     choked_flow_fade,
     cv_of_angle,
 )
-from .scenario import EREG_NAMES, TANK_EREGS, ScenarioConfig, setpoints_at
+from .scenario import EREG_NAMES, SIDES, TANK_EREGS, ScenarioConfig, setpoints_at
 from .telemetry import EregFrame, TelemetryFrame, regulation_metrics, RegulationMetrics
 
 EVENT_ABORT = "abort_overpressure"
 EVENT_SUPPLY_DEPLETED = "supply_gas_depleted"
-
-SIDES = ("ox", "fuel")  # index 0 and 1 of every per-side plant field
 
 
 def depletion_event(side: str) -> str:
@@ -250,7 +248,7 @@ class _Plant:
             mdot_liquid[side] = q_liquid[side] * self._rho[i]
         total = mdot_liquid["ox"] + mdot_liquid["fuel"]
         if self.config.chamber is not None:
-            pc, thrust = chamber_state(total, self.config.chamber)
+            pc, thrust = chamber_state(total, self.config.chamber, self._ambient)
         else:
             pc, thrust = self._ambient, 0.0
         return NetworkFlows(mdot_gas, q_liquid, mdot_liquid, p_injector, pc, thrust)
@@ -388,7 +386,6 @@ def _build_controllers(config: ScenarioConfig) -> dict[str, EregController | Non
             gains = gains.scaled(0.0)  # feedback disabled, feedforward only
         controllers[name] = EregController(
             kind="tank" if name in TANK_EREGS else "injector",
-            valve=config.valves[name],
             primary_gains=gains,
             secondary_gains=settings.secondary_gains,
             feedforward=settings.feedforward,

@@ -8,8 +8,8 @@ The valve flow coefficient is carried in SI flow-factor form,
 
     Q = Cv * sqrt(dp / rho)        [m3/s]
 
-which gives Cv units of m2 (an effective area). Conversion from catalog
-US-gpm units happens at config ingestion (see units.CV_US_GPM_TO_SI).
+which gives Cv units of m2 (an effective area); scenario files give the
+slope of that curve in the same units (alpha_si_per_deg).
 """
 
 from __future__ import annotations
@@ -129,20 +129,6 @@ class ValveModel:
     choked_constant: float = 0.0  # kg/s per (Pa * m2), gas valves only
     theta_max: float = 90.0  # degrees, full throw of the ball valve
 
-    def validate(self) -> None:
-        if self.alpha <= 0.0:
-            raise ModelError("valve alpha must be positive")
-        if not 0.0 <= self.theta_zero < self.theta_max:
-            raise ModelError(
-                f"theta_zero {self.theta_zero} outside [0, {self.theta_max})"
-            )
-        if self.rated_pressure <= 0.0:
-            raise ModelError("valve rated pressure must be positive")
-
-    @property
-    def cv_max(self) -> float:
-        return self.alpha * (self.theta_max - self.theta_zero)
-
 
 @dataclass(frozen=True)
 class LineModel:
@@ -169,12 +155,6 @@ class ChamberModel:
     throat_area: float  # m2
     characteristic_velocity: float  # m/s
     thrust_coefficient: float
-    ambient_pressure: float = AMBIENT_PRESSURE
-
-    def validate(self) -> None:
-        for name in ("throat_area", "characteristic_velocity", "thrust_coefficient", "ambient_pressure"):
-            if getattr(self, name) <= 0.0:
-                raise ModelError(f"chamber {name} must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +313,19 @@ def step_propellant_tank(
 # Chamber and feed branch
 
 
-def chamber_state(mdot_total: float, chamber: ChamberModel) -> tuple[float, float]:
+def chamber_state(
+    mdot_total: float, chamber: ChamberModel, ambient: float
+) -> tuple[float, float]:
     """Chamber pressure and thrust at total propellant flow mdot_total.
 
-    Both are linear in the flow; the reported pressure is floored at
-    ambient (an unlit chamber reads atmospheric).
+    Both are linear in the flow; the reported pressure is floored at the
+    ambient pressure (an unlit chamber reads atmospheric).
     """
     if mdot_total < 0.0:
         raise ValueError("mass flow must be nonnegative")
     pc_raw = mdot_total * chamber.characteristic_velocity / chamber.throat_area
     thrust = chamber.thrust_coefficient * pc_raw * chamber.throat_area
-    return max(pc_raw, chamber.ambient_pressure), thrust
+    return max(pc_raw, ambient), thrust
 
 
 def branch_flow(

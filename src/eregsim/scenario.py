@@ -1,20 +1,23 @@
 """Declarative run descriptions: throttle profiles, plant constants and
-configuration loading/validation.
+configuration loading.
 
 Scenario files are YAML with pressures in bar, times in seconds and
 angles in degrees; everything is converted to SI at load. A
-schema_version field is mandatory. See docs/scenario_schema.md.
+schema_version field is mandatory. Loading is a single pass: each key is
+read in one place, checked there, and a key that nothing reads is
+rejected. See docs/scenario_schema.md.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
 
 import yaml
 
-from .control import DROP_REFERENCES, FeedforwardParams, PidGains
+from .control import DROP_REFERENCES, FULL_TRAVEL, FeedforwardParams, PidGains
 from .errors import ConfigError, InfeasibleThrottleError, UndefinedRatioError
 from .fluids import (
     AMBIENT_PRESSURE,
@@ -25,19 +28,15 @@ from .fluids import (
     chamber_state,
     cv_of_angle,
 )
-from .units import CV_US_GPM_TO_SI, bar_to_pa
+from .units import bar_to_pa
 
 SCHEMA_VERSION = 1
 
+SIDES = ("ox", "fuel")
 EREG_NAMES = ("ox_tank", "fuel_tank", "ox_inj", "fuel_inj")
 TANK_EREGS = ("ox_tank", "fuel_tank")
-INJECTOR_EREGS = ("ox_inj", "fuel_inj")
 MODES = ("waterflow", "coldflow", "staticfire")
 VARIANTS = ("ff+dyn", "pid", "ff", "oracle")
-
-# Convergence tolerance for the chamber-pressure fixed point used when
-# pairing injector setpoints to an OF target.
-PC_ITERATION_TOLERANCE = 10.0  # Pa
 
 
 # ---------------------------------------------------------------------------
@@ -62,19 +61,6 @@ class ThrottleProfile:
 
     start_pressure: float  # Pa
     segments: tuple[ProfileSegment, ...]
-
-    def validate(self, ambient: float = AMBIENT_PRESSURE) -> None:
-        if self.start_pressure <= ambient:
-            raise ConfigError("profile start pressure must exceed ambient")
-        if not self.segments:
-            raise ConfigError("profile needs at least one segment")
-        for seg in self.segments:
-            if seg.target_pressure <= ambient:
-                raise ConfigError("profile target pressure must exceed ambient")
-            if seg.hold_duration < 0.0:
-                raise ConfigError("hold duration must be nonnegative")
-            if seg.ramp_rate <= 0.0:
-                raise ConfigError("ramp rate must be positive")
 
     def max_pressure(self) -> float:
         return max(self.start_pressure, *(s.target_pressure for s in self.segments))
@@ -163,6 +149,10 @@ class InjectorOrifice:
     def coeff(self) -> float:
         """c such that dp = c * rho * Q^2 for volumetric flow Q."""
         return 1.0 / (2.0 * (self.cd * self.area) ** 2)
+
+    def inlet_pressure(self, mdot: float, rho: float, downstream: float) -> float:
+        """Pressure upstream of the orifice that passes mdot into downstream."""
+        return downstream + (mdot / (self.cd * self.area)) ** 2 / (2.0 * rho)
 
 
 def size_mock_injector(
@@ -258,48 +248,33 @@ class ScenarioConfig:
 
 
 def paired_setpoints_for_of(
-    target_of: float, thrust_fraction: float, config: ScenarioConfig
+    target_of: float,
+    thrust_fraction: float,
+    nominal_mdot: dict[str, float],
+    tanks: dict[str, TankSettings],
+    injectors: dict[str, InjectorOrifice],
+    chamber: ChamberModel | None,
+    ambient: float,
 ) -> tuple[float, float]:
     """Injector setpoints that hit the OF target at a thrust fraction.
 
     Inverts the injector orifice law at the mass flows implied by the
-    fraction of the nominal operating point, with the chamber backpressure
-    solved by fixed-point iteration (converged below 10 Pa). Raises if a
-    required setpoint exceeds what the tank pressure can drive.
+    fraction of the nominal operating point, against the chamber pressure
+    those flows give (ambient without a chamber). Whether the tanks can
+    drive these setpoints is checked when a scenario is loaded.
     """
     if not 0.0 < thrust_fraction <= 1.0:
         raise InfeasibleThrottleError(f"thrust fraction {thrust_fraction} outside (0, 1]")
     if target_of <= 0.0:
         raise ConfigError("target OF must be positive")
-    mdot_total = thrust_fraction * (config.nominal_mdot["ox"] + config.nominal_mdot["fuel"])
+    mdot_total = thrust_fraction * (nominal_mdot["ox"] + nominal_mdot["fuel"])
     mdot_ox = mdot_total * target_of / (1.0 + target_of)
     mdot_fuel = mdot_total / (1.0 + target_of)
-
-    pc = config.ambient_pressure
-    for _ in range(100):
-        if config.chamber is None:
-            pc_new = config.ambient_pressure
-        else:
-            pc_new, _ = chamber_state(mdot_total, config.chamber)
-        if abs(pc_new - pc) < PC_ITERATION_TOLERANCE:
-            pc = pc_new
-            break
-        pc = pc_new
-
-    setpoints = {}
-    for side, mdot in (("ox", mdot_ox), ("fuel", mdot_fuel)):
-        orifice = config.injectors[side]
-        rho = config.tanks[side].liquid_density
-        dp = (mdot / (orifice.cd * orifice.area)) ** 2 / (2.0 * rho)
-        required = pc + dp
-        margin = config.controllers[side + "_inj"].feedforward.min_drop
-        if required > config.tank_setpoint(side) - margin:
-            raise InfeasibleThrottleError(
-                f"{side} injector setpoint {required / 1e5:.2f} bar exceeds tank "
-                f"setpoint {config.tank_setpoint(side) / 1e5:.2f} bar minus margin"
-            )
-        setpoints[side] = required
-    return setpoints["ox"], setpoints["fuel"]
+    pc = ambient if chamber is None else chamber_state(mdot_total, chamber, ambient)[0]
+    return (
+        injectors["ox"].inlet_pressure(mdot_ox, tanks["ox"].liquid_density, pc),
+        injectors["fuel"].inlet_pressure(mdot_fuel, tanks["fuel"].liquid_density, pc),
+    )
 
 
 @dataclass(frozen=True)
@@ -311,10 +286,6 @@ class OperatingPoint:
     ox_inj_pressure: float
     fuel_inj_pressure: float
 
-    @property
-    def of(self) -> float:
-        return of_ratio(self.mdot_ox, self.mdot_fuel)
-
 
 def steady_operating_point(config: ScenarioConfig, thrust_fraction: float = 1.0) -> OperatingPoint:
     """Closed-form steady state at a thrust fraction of the nominal point."""
@@ -324,123 +295,15 @@ def steady_operating_point(config: ScenarioConfig, thrust_fraction: float = 1.0)
     if config.chamber is None:
         pc, thrust = config.ambient_pressure, 0.0
     else:
-        pc, thrust = chamber_state(total, config.chamber)
-    pressures = {}
-    for side, mdot in (("ox", mdot_ox), ("fuel", mdot_fuel)):
-        orifice = config.injectors[side]
-        rho = config.tanks[side].liquid_density
-        pressures[side] = pc + (mdot / (orifice.cd * orifice.area)) ** 2 / (2.0 * rho)
-    return OperatingPoint(mdot_ox, mdot_fuel, pc, thrust, pressures["ox"], pressures["fuel"])
-
-
-def steady_branch_flow(config: ScenarioConfig, side: str, valve_angle: float, p_back: float) -> float:
-    """Steady liquid volumetric flow through one branch at a fixed angle."""
-    valve = config.valves[side + "_inj"]
-    cv = cv_of_angle(valve, valve_angle)
-    q, _ = branch_flow(
-        config.tank_setpoint(side),
-        p_back,
-        config.tanks[side].liquid_density,
-        cv,
-        config.lines[side].loss_coefficient,
-        config.injectors[side].coeff,
+        pc, thrust = chamber_state(total, config.chamber, config.ambient_pressure)
+    return OperatingPoint(
+        mdot_ox,
+        mdot_fuel,
+        pc,
+        thrust,
+        config.injectors["ox"].inlet_pressure(mdot_ox, config.tanks["ox"].liquid_density, pc),
+        config.injectors["fuel"].inlet_pressure(mdot_fuel, config.tanks["fuel"].liquid_density, pc),
     )
-    return q
-
-
-# ---------------------------------------------------------------------------
-# Validation
-
-
-def validate_config(config: ScenarioConfig) -> None:
-    if config.mode not in MODES:
-        raise ConfigError(f"unknown mode {config.mode!r}")
-    if config.variant not in VARIANTS:
-        raise ConfigError(f"unknown controller variant {config.variant!r}")
-    if config.mode == "staticfire" and config.chamber is None:
-        raise ConfigError("staticfire mode requires a chamber model")
-    if config.mode != "staticfire" and config.chamber is not None:
-        raise ConfigError(f"{config.mode} mode must not define a chamber")
-    if config.duration <= 0.0:
-        raise ConfigError("duration must be positive")
-
-    # Tick periods must nest evenly or the loop loses determinism.
-    for name, fast, slow in (
-        ("dt_secondary/dt_phys", config.dt_phys, config.dt_secondary),
-        ("dt_primary/dt_secondary", config.dt_secondary, config.dt_primary),
-    ):
-        if fast <= 0.0 or slow <= 0.0:
-            raise ConfigError("tick periods must be positive")
-        ratio = slow / fast
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise ConfigError(f"tick periods must divide evenly: {name} = {ratio}")
-
-    for name in EREG_NAMES:
-        if name not in config.valves:
-            raise ConfigError(f"missing valve model for {name}")
-        config.valves[name].validate()
-        if name not in config.controllers:
-            raise ConfigError(f"missing controller settings for {name}")
-        settings = config.controllers[name]
-        theta_max = config.valves[name].theta_max
-        if settings.locked_angle is not None and not 0.0 <= settings.locked_angle <= theta_max:
-            raise ConfigError(
-                f"{name} locked_angle_deg {settings.locked_angle} outside [0, {theta_max:g}]"
-            )
-        if settings.feedforward.drop_reference not in DROP_REFERENCES:
-            raise ConfigError(
-                f"{name} feedforward drop_reference {settings.feedforward.drop_reference!r} "
-                f"not one of {', '.join(DROP_REFERENCES)}"
-            )
-
-    # Pressure ratings: the supply feeds the tank valves, the propellant
-    # tanks feed the injector valves.
-    for name in TANK_EREGS:
-        if config.supply_pressure > config.valves[name].rated_pressure:
-            raise ConfigError(
-                f"supply pressure {config.supply_pressure / 1e5:.0f} bar exceeds "
-                f"{name} valve rating {config.valves[name].rated_pressure / 1e5:.0f} bar"
-            )
-    for side in ("ox", "fuel"):
-        valve = config.valves[side + "_inj"]
-        if config.tank_setpoint(side) > valve.rated_pressure:
-            raise ConfigError(
-                f"{side} tank setpoint {config.tank_setpoint(side) / 1e5:.0f} bar exceeds "
-                f"injector valve rating {valve.rated_pressure / 1e5:.0f} bar"
-            )
-        if config.valves[side + "_tank"].choked_constant <= 0.0:
-            raise ConfigError(f"{side}_tank valve needs a positive choked constant")
-
-    for side in ("ox", "fuel"):
-        tank = config.tanks[side]
-        if not 0.0 < tank.initial_ullage_fraction < 1.0:
-            raise ConfigError("initial ullage fraction must be in (0, 1)")
-        if tank.initial_pressure <= config.ambient_pressure:
-            raise ConfigError("tank initial pressure must exceed ambient")
-        if tank.total_volume <= 0.0 or tank.liquid_density <= 0.0:
-            raise ConfigError("tank volume and density must be positive")
-
-    if config.supply_pressure <= config.ambient_pressure or config.supply_volume <= 0.0:
-        raise ConfigError("supply must be pressurized and have positive volume")
-    if config.chamber is not None:
-        config.chamber.validate()
-
-    for side in ("ox", "fuel"):
-        profile = getattr(config.schedule, side + "_inj")
-        profile.validate(config.ambient_pressure)
-        controller = config.controllers[side + "_inj"]
-        if controller.locked_angle is None:
-            headroom = config.tank_setpoint(side) - controller.feedforward.min_drop
-            if profile.max_pressure() > headroom:
-                raise InfeasibleThrottleError(
-                    f"{side} injector profile peaks at {profile.max_pressure() / 1e5:.2f} bar, "
-                    f"above the feasible {headroom / 1e5:.2f} bar"
-                )
-
-    if config.telemetry_decimation < 1:
-        raise ConfigError("telemetry decimation must be >= 1")
-    if config.noise_sigma < 0.0:
-        raise ConfigError("sensor noise sigma must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -448,132 +311,218 @@ def validate_config(config: ScenarioConfig) -> None:
 
 _REQUIRED = object()
 
+_BOUNDS = (
+    ("above", operator.gt),
+    ("at least", operator.ge),
+    ("below", operator.lt),
+    ("at most", operator.le),
+)
 
-def _section(data: dict, key: str, default=_REQUIRED):
-    if key not in data:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required scenario key {key!r}")
-        return default
-    return data[key]
 
-
-def _parse_profile(raw: dict, label: str) -> ThrottleProfile:
+def _as_number(value, key: str) -> float:
+    """value as a finite float; strings count because PyYAML reads 1e-3 as one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
     try:
-        start = bar_to_pa(float(raw["start_bar"]))
-        segments = tuple(
-            ProfileSegment(
-                target_pressure=bar_to_pa(float(seg["target_bar"])),
-                hold_duration=float(seg.get("hold_s", 0.0)),
-                ramp_rate=bar_to_pa(float(seg.get("ramp_rate_bar_s", 2.0))),
+        number = float(value)
+    except ValueError:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return number
+
+
+class _Section:
+    """One mapping of a scenario file, read key by key.
+
+    Each reader checks the value it returns and names the full key path
+    when the value is missing or bad. A missing or null key takes the
+    reader's default; a section given `defaults` (a regulator under
+    controllers.defaults) first falls back to that section. check_unread
+    rejects the keys nothing read, here and in every section read from here.
+    """
+
+    def __init__(self, data, path: str, defaults: _Section | None = None):
+        if not isinstance(data, dict):
+            raise ConfigError(
+                f"{path or 'scenario file'} must be a mapping, got {type(data).__name__}"
             )
-            for seg in raw["segments"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {label} profile: {exc}") from exc
-    return ThrottleProfile(start, segments)
+        self._data = data
+        self._path = path
+        self._defaults = defaults
+        self._read: set = set()
+        self._sections: dict[str, _Section | None] = {}
 
+    def _key(self, key: str) -> str:
+        return f"{self._path}.{key}" if self._path else key
 
-def _parse_valve(raw: dict, name: str) -> ValveModel:
-    alpha = raw.get("alpha_si_per_deg")
-    if alpha is None:
-        if "alpha_us_gpm_per_deg" not in raw:
-            raise ConfigError(f"valve {name} needs alpha_si_per_deg or alpha_us_gpm_per_deg")
-        alpha = float(raw["alpha_us_gpm_per_deg"]) * CV_US_GPM_TO_SI
-    return ValveModel(
-        alpha=float(alpha),
-        theta_zero=float(raw.get("theta_zero_deg", 0.0)),
-        rated_pressure=bar_to_pa(float(raw["rated_pressure_bar"])),
-        choked_constant=float(raw.get("choked_constant", 0.0)),
-    )
+    def lookup(self, key: str, default):
+        """(value, key path); the value comes from here, the defaults section or default."""
+        self._read.add(key)
+        value = self._data.get(key)
+        if self._defaults is not None:
+            inherited = self._defaults.lookup(key, default)  # marks the key read there too
+            if value is None:
+                return inherited
+        if value is not None:
+            return value, self._key(key)
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key {self._key(key)}")
+        return default, self._key(key)
 
+    def number(self, key: str, default=_REQUIRED, *, above=None, at_least=None,
+               below=None, at_most=None) -> float:
+        value, path = self.lookup(key, default)
+        if value is default:
+            return value
+        number = _as_number(value, path)
+        for (text, holds), bound in zip(_BOUNDS, (above, at_least, below, at_most)):
+            if bound is not None and not holds(number, bound):
+                raise ConfigError(f"{path} must be {text} {bound:g}, got {value!r}")
+        return number
 
-def _parse_gains(raw: dict, pressure_loop: bool) -> PidGains:
-    # Primary gains are written in degrees per bar in scenario files.
-    scale = 1.0 / bar_to_pa(1.0) if pressure_loop else 1.0
-    return PidGains(
-        kp=float(raw.get("kp", 0.0)) * scale,
-        ki=float(raw.get("ki", 0.0)) * scale,
-        kd=float(raw.get("kd", 0.0)) * scale,
-    )
+    def integer(self, key: str, default: int, *, at_least: int) -> int:
+        value, path = self.lookup(key, default)
+        if isinstance(value, bool) or not isinstance(value, int) or value < at_least:
+            raise ConfigError(f"{path} must be an integer >= {at_least}, got {value!r}")
+        return value
+
+    def flag(self, key: str, default: bool) -> bool:
+        value, path = self.lookup(key, default)
+        if not isinstance(value, bool):
+            raise ConfigError(f"{path} must be true or false, got {value!r}")
+        return value
+
+    def choice(self, key: str, options: tuple, default=_REQUIRED):
+        value, path = self.lookup(key, default)
+        if value not in options:
+            raise ConfigError(
+                f"{path} must be one of {', '.join(map(str, options))}, got {value!r}"
+            )
+        return value
+
+    def limits(self, key: str, default: tuple[float, float]) -> tuple[float, float]:
+        """A [lo, hi] pair with lo <= hi."""
+        value, path = self.lookup(key, default)
+        if value is default:
+            return value
+        if not isinstance(value, list) or len(value) != 2:
+            raise ConfigError(f"{path} must be a [lo, hi] pair, got {value!r}")
+        lo, hi = (_as_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+        if lo > hi:
+            raise ConfigError(f"{path} must have lo <= hi, got {value!r}")
+        return lo, hi
+
+    def section(self, key: str, default=_REQUIRED, defaults: _Section | None = None):
+        """The mapping under key; None when the default is None and it is not given."""
+        if self._defaults is not None and self._data.get(key) is None:
+            self._read.add(key)
+            return self._defaults.section(key, default)  # one section for every regulator
+        if key not in self._sections:
+            value, path = self.lookup(key, default)
+            self._sections[key] = None if value is None else _Section(value, path, defaults)
+        return self._sections[key]
+
+    def sections(self, key: str) -> list[_Section]:
+        """The non-empty list of mappings under key."""
+        value, path = self.lookup(key, _REQUIRED)
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path} must be a non-empty list, got {value!r}")
+        items = []
+        for i, item in enumerate(value):
+            items.append(_Section(item, f"{path}[{i}]"))
+            self._sections[f"{key}[{i}]"] = items[-1]
+        return items
+
+    def check_unread(self) -> None:
+        unread = [self._key(str(k)) for k in self._data if k not in self._read]
+        if unread:
+            raise ConfigError(f"unknown scenario key{'s' if len(unread) > 1 else ''}: "
+                              f"{', '.join(unread)}")
+        for section in self._sections.values():
+            if section is not None:
+                section.check_unread()
 
 
 def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("scenario file must contain a mapping")
-    version = _section(data, "schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+    root = _Section(data, "")
+    root.choice("schema_version", (SCHEMA_VERSION,))
+    mode = root.choice("mode", MODES)
+    duration = root.number("duration_s", above=0.0)
 
-    mode = _section(data, "mode")
-    timing = _section(data, "timing")
-    ambient = bar_to_pa(float(data.get("ambient_pressure_bar", AMBIENT_PRESSURE / 1e5)))
-    pressurant = data.get("pressurant", {})
-    gas_constant = float(pressurant.get("specific_gas_constant", 296.8))
-    gas_temperature = float(pressurant.get("temperature_k", 293.0))
+    timing = root.section("timing")
+    dt_phys = timing.number("dt_phys_s", above=0.0)
+    dt_secondary = timing.number("dt_secondary_s", above=0.0)
+    dt_primary = timing.number("dt_primary_s", above=0.0)
+    # Tick periods must nest evenly or the loop loses determinism.
+    for label, fast, slow in (
+        ("dt_secondary_s/dt_phys_s", dt_phys, dt_secondary),
+        ("dt_primary_s/dt_secondary_s", dt_secondary, dt_primary),
+    ):
+        ratio = slow / fast
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+            raise ConfigError(f"tick periods must divide evenly: timing.{label} = {ratio}")
 
-    supply = _section(data, "supply")
-    supply_volume = float(supply["volume_m3"])
-    supply_pressure = bar_to_pa(float(supply["initial_pressure_bar"]))
+    ambient_bar = root.number("ambient_pressure_bar", AMBIENT_PRESSURE / 1e5, above=0.0)
+    ambient = bar_to_pa(ambient_bar)
+    pressurant = root.section("pressurant", {})
+    gas_constant = pressurant.number("specific_gas_constant", 296.8, above=0.0)
+    gas_temperature = pressurant.number("temperature_k", 293.0, above=0.0)
 
-    tanks = {}
-    for side in ("ox", "fuel"):
-        raw = _section(_section(data, "tanks"), side)
+    supply = root.section("supply")
+    supply_volume = supply.number("volume_m3", above=0.0)
+    supply_bar = supply.number("initial_pressure_bar", above=ambient_bar)
+
+    tanks, lines = {}, {}
+    for side in SIDES:
+        tank = root.section("tanks").section(side)
         tanks[side] = TankSettings(
-            total_volume=float(raw["total_volume_m3"]),
-            initial_ullage_fraction=float(raw["initial_ullage_fraction"]),
-            liquid_density=float(raw["liquid_density_kg_m3"]),
-            initial_pressure=bar_to_pa(float(raw["initial_pressure_bar"])),
+            total_volume=tank.number("total_volume_m3", above=0.0),
+            initial_ullage_fraction=tank.number("initial_ullage_fraction", above=0.0, below=1.0),
+            liquid_density=tank.number("liquid_density_kg_m3", above=0.0),
+            initial_pressure=bar_to_pa(tank.number("initial_pressure_bar", above=ambient_bar)),
         )
-
-    lines = {}
-    for side in ("ox", "fuel"):
-        raw = _section(_section(data, "lines"), side)
+        line = root.section("lines").section(side)
         lines[side] = LineModel(
-            friction_factor=float(raw["friction_factor"]),
-            length=float(raw["length_m"]),
-            diameter=float(raw["diameter_m"]),
+            friction_factor=line.number("friction_factor", above=0.0),
+            length=line.number("length_m", at_least=0.0),
+            diameter=line.number("diameter_m", above=0.0),
         )
-
-    valves = {}
-    for name_ in EREG_NAMES:
-        valves[name_] = _parse_valve(_section(_section(data, "valves"), name_), name_)
 
     chamber = None
-    if data.get("chamber") is not None:
-        raw = data["chamber"]
+    raw_chamber = root.section("chamber", _REQUIRED if mode == "staticfire" else None)
+    if raw_chamber is not None:
+        if mode != "staticfire":
+            raise ConfigError(f"{mode} mode must not define a chamber")
         chamber = ChamberModel(
-            throat_area=float(raw["throat_area_m2"]),
-            characteristic_velocity=float(raw["characteristic_velocity_m_s"]),
-            thrust_coefficient=float(raw["thrust_coefficient"]),
-            ambient_pressure=ambient,
+            throat_area=raw_chamber.number("throat_area_m2", above=0.0),
+            characteristic_velocity=raw_chamber.number("characteristic_velocity_m_s", above=0.0),
+            thrust_coefficient=raw_chamber.number("thrust_coefficient", above=0.0),
         )
 
-    nominal = _section(data, "nominal_flows")
-    nominal_mdot = {"ox": float(nominal["ox_kg_s"]), "fuel": float(nominal["fuel_kg_s"])}
+    nominal = root.section("nominal_flows")
+    nominal_mdot = {side: nominal.number(f"{side}_kg_s", above=0.0) for side in SIDES}
 
-    setpoints_raw = _section(data, "setpoints")
-    tank_bar = _section(setpoints_raw, "tank_bar")
-    tank_setpoints = {
-        "ox": bar_to_pa(float(tank_bar["ox"])),
-        "fuel": bar_to_pa(float(tank_bar["fuel"])),
-    }
+    setpoints = root.section("setpoints")
+    tank_bar = {side: setpoints.section("tank_bar").number(side, above=0.0) for side in SIDES}
+    tank_setpoints = {side: bar_to_pa(tank_bar[side]) for side in SIDES}
 
-    injector_raw = _section(data, "injector")
-    injector_kind = injector_raw.get("kind", "hotfire")
+    injector = root.section("injector")
     injectors = {}
-    if injector_kind == "hotfire":
-        for side in ("ox", "fuel"):
-            raw = _section(injector_raw, side)
-            injectors[side] = InjectorOrifice(cd=float(raw["cd"]), area=float(raw["area_m2"]))
-    elif injector_kind == "mock":
+    if injector.choice("kind", ("hotfire", "mock"), "hotfire") == "hotfire":
+        for side in SIDES:
+            orifice = injector.section(side)
+            injectors[side] = InjectorOrifice(
+                cd=orifice.number("cd", above=0.0, at_most=1.0),
+                area=orifice.number("area_m2", above=0.0),
+            )
+    else:
         # Mock elements are sized at load so nominal pressures give nominal
         # flows when discharging to atmosphere.
-        cd = float(injector_raw.get("cd", 0.7))
-        for side in ("ox", "fuel"):
-            upstream_bar = injector_raw.get("upstream_bar")
-            upstream = (
-                bar_to_pa(float(upstream_bar)) if upstream_bar is not None else tank_setpoints[side]
-            )
+        cd = injector.number("cd", 0.7, above=0.0, at_most=1.0)
+        upstream_bar = injector.number("upstream_bar", None)
+        for side in SIDES:
+            upstream = bar_to_pa(upstream_bar) if upstream_bar is not None else tank_setpoints[side]
             area = size_mock_injector(
                 target_mdot=nominal_mdot[side],
                 rho=tanks[side].liquid_density,
@@ -582,76 +531,174 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
                 cd=cd,
             )
             injectors[side] = InjectorOrifice(cd=cd, area=area)
-    else:
-        raise ConfigError(f"unknown injector kind {injector_kind!r}")
 
-    # Controllers: per-regulator sections merged over shared defaults.
-    controllers_raw = _section(data, "controllers")
-    defaults = controllers_raw.get("defaults", {})
-    actuators_raw = data.get("actuators", {})
-    shared_actuator = ActuatorSettings(
-        time_constant=float(actuators_raw.get("time_constant_s", 0.020)),
-        rate_max=float(actuators_raw.get("rate_max_deg_s", 180.0)),
-        backlash=float(actuators_raw.get("backlash_deg", 0.0)),
-        encoder_counts_per_degree=float(actuators_raw.get("encoder_counts_per_degree", 0.0)),
+    valves = {}
+    for reg in EREG_NAMES:
+        valve = root.section("valves").section(reg)
+        # The supply feeds the tank (gas) valves, whose choked flow law needs
+        # k; the propellant tanks feed the injector valves.
+        if reg in TANK_EREGS:
+            upstream_bar = supply_bar
+            choked_constant = valve.number("choked_constant", above=0.0)
+        else:
+            upstream_bar = tank_bar[reg.split("_")[0]]
+            choked_constant = valve.number("choked_constant", 0.0, at_least=0.0)
+        valves[reg] = ValveModel(
+            alpha=valve.number("alpha_si_per_deg", above=0.0),
+            theta_zero=valve.number("theta_zero_deg", 0.0, at_least=0.0, below=FULL_TRAVEL),
+            rated_pressure=bar_to_pa(valve.number("rated_pressure_bar", at_least=upstream_bar)),
+            choked_constant=choked_constant,
+        )
+
+    raw_actuators = root.section("actuators", {})
+    actuator = ActuatorSettings(
+        time_constant=raw_actuators.number("time_constant_s", 0.020, above=0.0),
+        rate_max=raw_actuators.number("rate_max_deg_s", 180.0, above=0.0),
+        backlash=raw_actuators.number("backlash_deg", 0.0, at_least=0.0),
+        encoder_counts_per_degree=raw_actuators.number(
+            "encoder_counts_per_degree", 0.0, at_least=0.0
+        ),
     )
-
-    controllers: dict[str, ControllerSettings] = {}
-    actuators: dict[str, ActuatorSettings] = {}
-    gamma_auto: list[str] = []
-    for name_ in EREG_NAMES:
-        raw = dict(defaults)
-        raw.update(controllers_raw.get(name_, {}))
-        side = name_.split("_")[0]
-        kind = "tank" if name_ in TANK_EREGS else "injector"
-        valve = valves[name_]
-        ff_raw = raw.get("feedforward", {})
-        locked = raw.get("locked_angle_deg")
-        rho = tanks[side].liquid_density
-        nominal_flow = float(ff_raw.get("nominal_flow_m3_s", nominal_mdot[side] / rho))
-        gamma = ff_raw.get("gamma_deg", "auto")
-        if kind == "tank" and gamma == "auto":
-            gamma_auto.append(name_)
-            gamma = 0.0  # resolved after the schedule is known
-        ff = FeedforwardParams(
-            gamma=float(gamma) if kind == "tank" else 0.0,
-            nominal_flow=nominal_flow if kind == "injector" else 0.0,
-            fluid_density=rho if kind == "injector" else 0.0,
-            alpha=valve.alpha,
-            theta_zero=valve.theta_zero,
-            min_drop=bar_to_pa(float(ff_raw.get("min_drop_bar", 0.1))),
-            drop_reference=ff_raw.get("drop_reference", "injector_setpoint"),
-        )
-        primary = _parse_gains(raw.get("primary", {}), pressure_loop=True)
-        secondary = _parse_gains(raw.get("secondary", {"kp": 0.5, "ki": 1.0, "kd": 0.01}), False)
-        controllers[name_] = ControllerSettings(
-            primary_gains=primary,
-            secondary_gains=secondary,
-            ramp_time=float(raw.get("ramp_time_s", 4.0)),
-            feedforward=ff,
-            integral_limits=tuple(raw.get("integral_limits_deg", (-45.0, 45.0))),
-            secondary_integral_limits=tuple(raw.get("secondary_integral_limits", (-0.5, 0.5))),
-            locked_angle=float(locked) if locked is not None else None,
-        )
-        actuators[name_] = shared_actuator
 
     # Throttle: either thrust fractions paired to an OF target, or explicit
     # per-injector pressure profiles.
-    throttle = _section(setpoints_raw, "throttle")
-    throttle_kind = throttle.get("kind", "thrust_fraction")
+    throttle = setpoints.section("throttle")
     target_of = None
-    half_config = ScenarioConfig(
+    profiles = {}
+    if throttle.choice("kind", ("thrust_fraction", "pressure"), "thrust_fraction") == "pressure":
+        demand_scale = 1.0
+        for side in SIDES:
+            raw = throttle.section(side)
+            start = bar_to_pa(raw.number("start_bar", above=ambient_bar))
+            segments = tuple(
+                ProfileSegment(
+                    target_pressure=bar_to_pa(seg.number("target_bar", above=ambient_bar)),
+                    hold_duration=seg.number("hold_s", 0.0, at_least=0.0),
+                    ramp_rate=bar_to_pa(seg.number("ramp_rate_bar_s", 2.0, above=0.0)),
+                )
+                for seg in raw.sections("segments")
+            )
+            profiles[side] = ThrottleProfile(start, segments)
+    else:
+        target_of = throttle.number(
+            "target_of", nominal_mdot["ox"] / nominal_mdot["fuel"], above=0.0
+        )
+
+        def paired(fraction: float) -> tuple[float, float]:
+            return paired_setpoints_for_of(
+                target_of, fraction, nominal_mdot, tanks, injectors, chamber, ambient
+            )
+
+        demand_scale = throttle.number("start_fraction", above=0.0, at_most=1.0)
+        starts = paired(demand_scale)
+        segments = []
+        for seg in throttle.sections("segments"):
+            targets = paired(seg.number("target_fraction", above=0.0, at_most=1.0))
+            rate = bar_to_pa(seg.number("ramp_rate_bar_s", 2.0, above=0.0))
+            hold = seg.number("hold_s", 0.0, at_least=0.0)
+            segments.append([ProfileSegment(target, hold, rate) for target in targets])
+        for i, side in enumerate(SIDES):
+            profiles[side] = ThrottleProfile(starts[i], tuple(pair[i] for pair in segments))
+
+    # Regulators read their own section merged over controllers.defaults.
+    # Injectors come first: gamma_deg: auto on a tank regulator depends on
+    # whether the injector on its side is locked.
+    raw_controllers = root.section("controllers")
+    defaults = raw_controllers.section("defaults", {})
+    controllers = {}
+    for reg in reversed(EREG_NAMES):
+        raw = raw_controllers.section(reg, {}, defaults=defaults)
+        side = reg.split("_")[0]
+        valve = valves[reg]
+        rho = tanks[side].liquid_density
+        raw_ff = raw.section("feedforward", {})
+        if reg in TANK_EREGS:
+            gamma, path = raw_ff.lookup("gamma_deg", "auto")
+            if gamma != "auto":
+                gamma = _as_number(gamma, path)
+            else:
+                # gamma maps a pressure ratio of one to the angle that
+                # supplies the ullage exactly at the reference outflow: the
+                # locked injector's steady flow to ambient, or the nominal
+                # flow at the throttle start fraction, where the ullage is
+                # smallest and feedforward accuracy matters most; the PID
+                # absorbs the deficit later in the burn when the plant is
+                # far less sensitive.
+                locked = controllers[side + "_inj"].locked_angle
+                if locked is not None:
+                    q_nominal, _ = branch_flow(
+                        tank_setpoints[side],
+                        ambient,
+                        rho,
+                        cv_of_angle(valves[side + "_inj"], locked),
+                        lines[side].loss_coefficient,
+                        injectors[side].coeff,
+                    )
+                else:
+                    q_nominal = demand_scale * nominal_mdot[side] / rho
+                gamma = q_nominal / (
+                    gas_constant * gas_temperature * valve.choked_constant * valve.alpha
+                )
+            feedforward = FeedforwardParams(
+                gamma=gamma, alpha=valve.alpha, theta_zero=valve.theta_zero
+            )
+        else:
+            feedforward = FeedforwardParams(
+                nominal_flow=raw_ff.number(
+                    "nominal_flow_m3_s", nominal_mdot[side] / rho, above=0.0
+                ),
+                fluid_density=rho,
+                alpha=valve.alpha,
+                theta_zero=valve.theta_zero,
+                min_drop=bar_to_pa(raw_ff.number("min_drop_bar", 0.1, at_least=0.0)),
+                drop_reference=raw_ff.choice(
+                    "drop_reference", DROP_REFERENCES, "injector_setpoint"
+                ),
+            )
+        # Primary gains are written in degrees per bar in scenario files.
+        primary = raw.section("primary", {})
+        scale = 1.0 / bar_to_pa(1.0)
+        secondary = raw.section("secondary", {"kp": 0.5, "ki": 1.0, "kd": 0.01})
+        controllers[reg] = ControllerSettings(
+            primary_gains=PidGains(
+                *(primary.number(k, 0.0, at_least=0.0) * scale for k in ("kp", "ki", "kd"))
+            ),
+            secondary_gains=PidGains(
+                *(secondary.number(k, 0.0, at_least=0.0) for k in ("kp", "ki", "kd"))
+            ),
+            ramp_time=raw.number("ramp_time_s", 4.0, above=0.0),
+            feedforward=feedforward,
+            integral_limits=raw.limits("integral_limits_deg", (-45.0, 45.0)),
+            secondary_integral_limits=raw.limits("secondary_integral_limits", (-0.5, 0.5)),
+            locked_angle=raw.number(
+                "locked_angle_deg", None, at_least=0.0, at_most=valve.theta_max
+            ),
+        )
+
+    for side in SIDES:
+        settings = controllers[side + "_inj"]
+        headroom = tank_setpoints[side] - settings.feedforward.min_drop
+        if settings.locked_angle is None and profiles[side].max_pressure() > headroom:
+            raise InfeasibleThrottleError(
+                f"{side} injector profile peaks at {profiles[side].max_pressure() / 1e5:.2f} "
+                f"bar, above the feasible {headroom / 1e5:.2f} bar"
+            )
+
+    sensors = root.section("sensors", {})
+    options = root.section("options", {})
+    metrics = root.section("metrics", {})
+    config = ScenarioConfig(
         name=name,
         mode=mode,
-        duration=float(_section(data, "duration_s")),
-        dt_phys=float(timing["dt_phys_s"]),
-        dt_secondary=float(timing["dt_secondary_s"]),
-        dt_primary=float(timing["dt_primary_s"]),
+        duration=duration,
+        dt_phys=dt_phys,
+        dt_secondary=dt_secondary,
+        dt_primary=dt_primary,
         ambient_pressure=ambient,
         gas_constant=gas_constant,
         gas_temperature=gas_temperature,
         supply_volume=supply_volume,
-        supply_pressure=supply_pressure,
+        supply_pressure=bar_to_pa(supply_bar),
         tanks=tanks,
         lines=lines,
         valves=valves,
@@ -659,90 +706,26 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         chamber=chamber,
         nominal_mdot=nominal_mdot,
         schedule=SetpointSchedule(
-            tank_setpoints["ox"],
-            tank_setpoints["fuel"],
-            ThrottleProfile(tank_setpoints["ox"], (ProfileSegment(tank_setpoints["ox"], 0.0, 1.0),)),
-            ThrottleProfile(tank_setpoints["fuel"], (ProfileSegment(tank_setpoints["fuel"], 0.0, 1.0),)),
+            tank_setpoints["ox"], tank_setpoints["fuel"], profiles["ox"], profiles["fuel"]
         ),
-        controllers=controllers,
-        actuators=actuators,
-    )
-
-    if throttle_kind == "thrust_fraction":
-        target_of = float(throttle.get("target_of", nominal_mdot["ox"] / nominal_mdot["fuel"]))
-        start_ox, start_fuel = paired_setpoints_for_of(
-            target_of, float(throttle["start_fraction"]), half_config
-        )
-        segs_ox, segs_fuel = [], []
-        for seg in throttle["segments"]:
-            s_ox, s_fuel = paired_setpoints_for_of(
-                target_of, float(seg["target_fraction"]), half_config
-            )
-            rate = bar_to_pa(float(seg.get("ramp_rate_bar_s", 2.0)))
-            hold = float(seg.get("hold_s", 0.0))
-            segs_ox.append(ProfileSegment(s_ox, hold, rate))
-            segs_fuel.append(ProfileSegment(s_fuel, hold, rate))
-        ox_profile = ThrottleProfile(start_ox, tuple(segs_ox))
-        fuel_profile = ThrottleProfile(start_fuel, tuple(segs_fuel))
-    elif throttle_kind == "pressure":
-        ox_profile = _parse_profile(_section(throttle, "ox"), "ox")
-        fuel_profile = _parse_profile(_section(throttle, "fuel"), "fuel")
-    else:
-        raise ConfigError(f"unknown throttle kind {throttle_kind!r}")
-
-    schedule = SetpointSchedule(
-        tank_setpoints["ox"], tank_setpoints["fuel"], ox_profile, fuel_profile
-    )
-
-    sensors = data.get("sensors", {})
-    options = data.get("options", {})
-    metrics_raw = data.get("metrics", {})
-    metrics = MetricsSettings(
-        startup_window=float(metrics_raw.get("startup_window_s", 1.0)),
-        early_window=float(metrics_raw.get("early_window_s", 2.0)),
-        settle_threshold=bar_to_pa(float(metrics_raw.get("settle_threshold_bar", 0.5))),
-        exclude_after_depletion=bool(metrics_raw.get("exclude_after_depletion", True)),
-    )
-
-    config = half_config.replace(
-        schedule=schedule,
-        variant=data.get("variant", "ff+dyn"),
-        noise_sigma=bar_to_pa(float(sensors.get("noise_sigma_bar", 0.0))),
-        noise_seed=int(sensors.get("seed", 0)),
-        adiabatic_supply=bool(options.get("adiabatic_supply", False)),
-        ullage_collapse_coeff=float(options.get("ullage_collapse_coeff", 0.0)),
-        abort_pressure_factor=float(options.get("abort_pressure_factor", 1.10)),
-        telemetry_decimation=int(data.get("telemetry", {}).get("decimation", 1)),
-        metrics=metrics,
+        controllers={reg: controllers[reg] for reg in EREG_NAMES},
+        actuators={reg: actuator for reg in EREG_NAMES},
+        variant=root.choice("variant", VARIANTS, "ff+dyn"),
+        noise_sigma=bar_to_pa(sensors.number("noise_sigma_bar", 0.0, at_least=0.0)),
+        noise_seed=sensors.integer("seed", 0, at_least=0),
+        adiabatic_supply=options.flag("adiabatic_supply", False),
+        ullage_collapse_coeff=options.number("ullage_collapse_coeff", 0.0, at_least=0.0),
+        abort_pressure_factor=options.number("abort_pressure_factor", 1.10, above=0.0),
+        telemetry_decimation=root.section("telemetry", {}).integer("decimation", 1, at_least=1),
+        metrics=MetricsSettings(
+            startup_window=metrics.number("startup_window_s", 1.0, at_least=0.0),
+            early_window=metrics.number("early_window_s", 2.0, at_least=0.0),
+            settle_threshold=bar_to_pa(metrics.number("settle_threshold_bar", 0.5, at_least=0.0)),
+            exclude_after_depletion=metrics.flag("exclude_after_depletion", True),
+        ),
         target_of=target_of,
     )
-
-    validate_config(config)
-
-    # Resolve gamma = auto now that the config is valid (a locked angle is
-    # within the valve travel) and the schedule, and with it the liquid
-    # demand, is fixed: gamma maps a pressure ratio of one to the angle
-    # that supplies the ullage exactly at the reference outflow. The
-    # reference is the throttle start fraction, where the ullage is
-    # smallest and feedforward accuracy matters most; the PID absorbs the
-    # deficit later in the burn when the plant is far less sensitive.
-    demand_scale = (
-        float(throttle["start_fraction"]) if throttle_kind == "thrust_fraction" else 1.0
-    )
-    for name_ in gamma_auto:
-        side = name_.split("_")[0]
-        controller = config.controllers[side + "_inj"]
-        if controller.locked_angle is not None:
-            back = config.ambient_pressure
-            q_nominal = steady_branch_flow(config, side, controller.locked_angle, back)
-        else:
-            q_nominal = demand_scale * nominal_mdot[side] / tanks[side].liquid_density
-        valve = valves[name_]
-        gamma = q_nominal / (gas_constant * gas_temperature * valve.choked_constant * valve.alpha)
-        old = config.controllers[name_]
-        config.controllers[name_] = dc_replace(
-            old, feedforward=dc_replace(old.feedforward, gamma=gamma)
-        )
+    root.check_unread()
     return config
 
 

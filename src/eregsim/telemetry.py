@@ -105,24 +105,31 @@ def emit_telemetry(frames: list[TelemetryFrame], destination: str | Path) -> Non
 
 def read_telemetry(path: str | Path) -> list[TelemetryFrame]:
     path = Path(path)
-    expected = csv_header()
     frames: list[TelemetryFrame] = []
+    width = len(EREG_FIELDS)
+    ereg_starts = range(1, 1 + width * len(EREG_NAMES), width)
+    scalar_start = ereg_starts[-1] + width
     try:
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != expected:
+            if next(reader, None) != csv_header():
                 raise EregSimError(f"unexpected telemetry header in {path}")
-            for row in reader:
-                values = iter(row)
-                time_s = float(next(values))
-                eregs = {}
-                for name in EREG_NAMES:
-                    eregs[name] = EregFrame(*(float(next(values)) for _ in EREG_FIELDS))
-                scalars = [float(next(values)) for _ in SCALAR_FIELDS]
-                events_raw = next(values)
-                events = tuple(events_raw.split(";")) if events_raw else ()
-                frames.append(TelemetryFrame(time_s, *(eregs[n] for n in EREG_NAMES), *scalars, events))
+            # A row of the wrong length fails to unpack into the frame
+            # (TypeError), a missing or non-numeric field fails to convert
+            # (IndexError, ValueError).
+            try:
+                for row in reader:
+                    values = [float(v) for v in row[:-1]]
+                    frames.append(TelemetryFrame(
+                        values[0],
+                        *(EregFrame(*values[i:i + width]) for i in ereg_starts),
+                        *values[scalar_start:],
+                        events=tuple(row[-1].split(";")) if row[-1] else (),
+                    ))
+            except (IndexError, TypeError, ValueError) as exc:
+                raise EregSimError(
+                    f"malformed telemetry row in {path} at line {reader.line_num}: {exc}"
+                ) from exc
     except OSError as exc:
         raise EregSimError(f"cannot read telemetry from {path}: {exc}") from exc
     return frames

@@ -108,6 +108,22 @@ def small_scenario_dict(**overrides) -> dict:
     return data
 
 
+DROP = object()  # set_key value that deletes the key
+
+
+def set_key(data: dict, path: str, value) -> dict:
+    """Set the key at a dotted path such as "lines.ox.diameter_m"; returns data."""
+    *parents, leaf = path.split(".")
+    node = data
+    for key in parents:
+        node = node[key]
+    if value is DROP:
+        del node[leaf]
+    else:
+        node[leaf] = value
+    return data
+
+
 def build_small_scenario(**overrides):
     return scenario_from_dict(small_scenario_dict(**overrides), name="small")
 

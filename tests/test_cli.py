@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import eregsim
 
 from eregsim.cli import EXIT_ABORT, EXIT_ERROR, EXIT_OK, main
 from eregsim.telemetry import read_telemetry
-from tests.conftest import SCENARIO_DIR, small_scenario_dict
+from tests.conftest import DROP, SCENARIO_DIR, set_key, small_scenario_dict
 
 BASELINE = str(SCENARIO_DIR / "staticfire_baseline.yaml")
 BLOWDOWN = str(SCENARIO_DIR / "waterflow_blowdown.yaml")
@@ -79,16 +80,20 @@ class TestRejectedScenarioProcess:
     process prints exactly one JSON line on stderr and exits 2."""
 
     @pytest.mark.parametrize(
-        "controller",
+        "path, value",
         [
-            {"locked_angle_deg": 120.0},
-            {"feedforward": {"drop_reference": "injector_setpiont"}},
+            ("controllers.ox_tank", {"locked_angle_deg": 120.0}),
+            ("controllers.ox_tank", {"feedforward": {"drop_reference": "injector_setpiont"}}),
+            ("supply.volume_m3", DROP),
+            ("duration_s", math.nan),
+            ("lines.ox.diameter_m", 0.0),
+            ("sensrs", {"seed": 3}),
         ],
-        ids=["locked_angle", "drop_reference"],
+        ids=["locked_angle", "drop_reference", "missing_key", "nan", "zero_diameter",
+             "unknown_key"],
     )
-    def test_one_json_line_and_exit_2(self, tmp_path, controller):
-        data = small_scenario_dict(duration_s=0.1)
-        data["controllers"]["ox_tank"] = controller
+    def test_one_json_line_and_exit_2(self, tmp_path, path, value):
+        data = set_key(small_scenario_dict(duration_s=0.1), path, value)
         scenario = write_scenario(tmp_path, data)
         src = str(Path(eregsim.__file__).resolve().parent.parent)
         proc = subprocess.run(
@@ -100,7 +105,9 @@ class TestRejectedScenarioProcess:
         assert proc.returncode == EXIT_ERROR
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
-        assert json.loads(lines[0])["error"] == "ConfigError"
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ConfigError"
+        assert path in payload["message"]
         assert not (tmp_path / "x.csv").exists()
 
 
@@ -117,6 +124,19 @@ class TestMetrics:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ox_tank"]["max_abs_error"] < 0.5
         assert payload["ox_inj"]["max_abs_error"] < 1.0
+
+
+    def test_malformed_telemetry_exits_2_with_one_json_line(self, baseline_csv, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        header, first, second = baseline_csv.read_text().splitlines()[:3]
+        bad.write_text("\n".join([header, first, second.rsplit(",", 4)[0]]) + "\n")
+        code = main(["metrics", "--telemetry", str(bad), "--scenario", BASELINE])
+        assert code == EXIT_ERROR
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "EregSimError"
+        assert f"{bad} at line 3" in payload["message"]
 
 
 class TestCompare:

@@ -217,7 +217,6 @@ def make_ereg(kind="tank", use_ff=True, use_ramp=True, primary=PidGains(4.0e-5, 
     )
     return EregController(
         kind=kind,
-        valve=valve,
         primary_gains=primary,
         secondary_gains=PidGains(0.5, 1.0, 0.01),
         feedforward=ff,
@@ -287,7 +286,7 @@ class TestEregController:
             theta_zero=valve.theta_zero, min_drop=1e4, drop_reference="tank_setpoint",
         )
         ctrl = EregController(
-            kind="injector", valve=valve, primary_gains=PidGains(0.0, 0.0, 0.0),
+            kind="injector", primary_gains=PidGains(0.0, 0.0, 0.0),
             secondary_gains=PidGains(0.5, 1.0, 0.01), feedforward=ff,
             ramp=RampSchedule(2.0), actuator=Actuator(), primary_period=0.01,
             secondary_period=0.001, tank_setpoint_for_ff=42e5,

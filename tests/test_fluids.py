@@ -212,18 +212,18 @@ class TestChamber:
     )
 
     def test_zero_flow_reads_ambient_no_thrust(self):
-        pc, thrust = chamber_state(0.0, self.CHAMBER)
+        pc, thrust = chamber_state(0.0, self.CHAMBER, AMBIENT_PRESSURE)
         assert pc == AMBIENT_PRESSURE
         assert thrust == 0.0
 
     def test_calibrated_nominal_point(self):
-        pc, thrust = chamber_state(1.63, self.CHAMBER)
+        pc, thrust = chamber_state(1.63, self.CHAMBER, AMBIENT_PRESSURE)
         assert pc == pytest.approx(24e5, rel=1e-4)
         assert thrust == pytest.approx(3000.0, rel=1e-4)
 
     def test_linearity(self):
-        pc_full, f_full = chamber_state(1.63, self.CHAMBER)
-        pc_half, f_half = chamber_state(0.815, self.CHAMBER)
+        pc_full, f_full = chamber_state(1.63, self.CHAMBER, AMBIENT_PRESSURE)
+        pc_half, f_half = chamber_state(0.815, self.CHAMBER, AMBIENT_PRESSURE)
         assert pc_half == pytest.approx(pc_full / 2.0, rel=1e-12)
         assert f_half == pytest.approx(f_full / 2.0, rel=1e-12)
 

@@ -1,10 +1,16 @@
+import copy
 import math
-from dataclasses import replace
+import re
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eregsim.engine import RunAudit, run_scenario
 from eregsim.errors import ConfigError, InfeasibleThrottleError, UndefinedRatioError
-from eregsim.fluids import orifice_mass_flow
+from eregsim.fluids import branch_flow, cv_of_angle, orifice_mass_flow
 from eregsim.scenario import (
     ProfileSegment,
     SetpointSchedule,
@@ -17,9 +23,16 @@ from eregsim.scenario import (
     size_mock_injector,
     steady_operating_point,
 )
-from tests.conftest import SCENARIO_DIR, small_scenario_dict
+from tests.conftest import DROP, SCENARIO_DIR, load_yaml, set_key, small_scenario_dict
 
 BAR = 1e5
+
+
+def paired(config, target_of, fraction):
+    return paired_setpoints_for_of(
+        target_of, fraction, config.nominal_mdot, config.tanks, config.injectors,
+        config.chamber, config.ambient_pressure,
+    )
 
 
 def three_segment_profile():
@@ -68,12 +81,17 @@ class TestThrottleProfile:
         assert max_slope == pytest.approx(5 * BAR, rel=1e-6)  # and it is reached
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            ThrottleProfile(0.5 * BAR, (ProfileSegment(24 * BAR, 1.0, BAR),)).validate()
-        with pytest.raises(ConfigError):
-            ThrottleProfile(24 * BAR, (ProfileSegment(24 * BAR, -1.0, BAR),)).validate()
-        with pytest.raises(ConfigError):
-            ThrottleProfile(24 * BAR, ()).validate()
+        """Profiles are checked where the loader reads them."""
+        for key, start, segments in (
+            ("start_bar", 0.5, [{"target_bar": 24.0, "hold_s": 1.0}]),
+            ("segments[0].hold_s", 24.0, [{"target_bar": 24.0, "hold_s": -1.0}]),
+            ("segments", 24.0, []),
+        ):
+            profile = {"start_bar": start, "segments": segments}
+            data = small_scenario_dict()
+            data["setpoints"]["throttle"]["ox"] = profile
+            with pytest.raises(ConfigError, match=re.escape(f"setpoints.throttle.ox.{key} ")):
+                scenario_from_dict(data)
 
 
 class TestSetpointsAt:
@@ -115,7 +133,7 @@ class TestPairedSetpoints:
         back the OF target within 1e-6 (same model both directions)."""
         target_of = 1.14 / 0.49
         for fraction in (1.0, 0.85, 0.7, 0.3):
-            s_ox, s_fuel = paired_setpoints_for_of(target_of, fraction, baseline_config)
+            s_ox, s_fuel = paired(baseline_config, target_of, fraction)
             # independent fixed point: flows from the orifice law at the
             # setpoints, chamber pressure from the flows
             chamber = baseline_config.chamber
@@ -145,7 +163,7 @@ class TestPairedSetpoints:
             assert mdots["ox"] / mdots["fuel"] == pytest.approx(target_of, rel=1e-6)
 
     def test_seventy_percent_thrust(self, baseline_config):
-        s_ox, s_fuel = paired_setpoints_for_of(1.14 / 0.49, 0.70, baseline_config)
+        s_ox, s_fuel = paired(baseline_config, 1.14 / 0.49, 0.70)
         op = steady_operating_point(baseline_config, 0.70)
         assert op.thrust == pytest.approx(2100.0, abs=1.0)
         assert s_ox == pytest.approx(op.ox_inj_pressure, rel=1e-9)
@@ -157,20 +175,20 @@ class TestPairedSetpoints:
             tanks={"ox": cfg.tanks["ox"], "fuel": cfg.tanks["ox"]},
             nominal_mdot={"ox": 1.0, "fuel": 1.0},
         )
-        s_ox, s_fuel = paired_setpoints_for_of(1.0, 0.8, sym)
+        s_ox, s_fuel = paired(sym, 1.0, 0.8)
         assert s_ox == pytest.approx(s_fuel, rel=1e-12)
 
-    def test_infeasible_throttle_fails_loudly(self, baseline_config):
-        schedule = replace(baseline_config.schedule, ox_tank=30e5, fuel_tank=30e5)
-        starved = baseline_config.replace(schedule=schedule)
-        with pytest.raises(InfeasibleThrottleError):
-            paired_setpoints_for_of(1.14 / 0.49, 1.0, starved)
+    def test_infeasible_throttle_fails_loudly(self):
+        data = load_yaml(SCENARIO_DIR / "staticfire_baseline.yaml")
+        data["setpoints"]["tank_bar"] = {"ox": 30.0, "fuel": 30.0}
+        with pytest.raises(InfeasibleThrottleError, match="ox injector profile"):
+            scenario_from_dict(data)
 
     def test_fraction_domain(self, baseline_config):
         with pytest.raises(InfeasibleThrottleError):
-            paired_setpoints_for_of(2.3, 0.0, baseline_config)
+            paired(baseline_config, 2.3, 0.0)
         with pytest.raises(InfeasibleThrottleError):
-            paired_setpoints_for_of(2.3, 1.2, baseline_config)
+            paired(baseline_config, 2.3, 1.2)
 
 
 class TestSizeMockInjector:
@@ -270,6 +288,22 @@ class TestConfigValidation:
         data["controllers"]["ox_inj"]["feedforward"]["drop_reference"] = "tank_setpoint"
         scenario_from_dict(data)
 
+    def test_controller_defaults_are_shared_and_checked(self):
+        data = small_scenario_dict()
+        data["controllers"]["defaults"] = {
+            "feedforward": {"gamma_deg": 70.0, "min_drop_bar": 0.2},  # tank key, injector key
+            "ramp_time_s": 3.0,
+        }
+        data["controllers"]["ox_inj"]["ramp_time_s"] = 5.0
+        config = scenario_from_dict(data)
+        assert config.controllers["fuel_tank"].feedforward.gamma == 70.0
+        assert config.controllers["fuel_inj"].feedforward.min_drop == pytest.approx(0.2 * BAR)
+        assert config.controllers["ox_tank"].ramp_time == 3.0
+        assert config.controllers["ox_inj"].ramp_time == 5.0
+        data["controllers"]["defaults"]["feedforward"]["gama_deg"] = 70.0
+        with pytest.raises(ConfigError, match="controllers.defaults.feedforward.gama_deg"):
+            scenario_from_dict(data)
+
     def test_unknown_variant_rejected(self):
         data = small_scenario_dict()
         data["variant"] = "bang-bang"
@@ -277,8 +311,6 @@ class TestConfigValidation:
             scenario_from_dict(data)
 
     def test_nominal_hold_twins_differ_only_in_mode_and_chamber(self):
-        from tests.conftest import load_yaml
-
         hot = load_yaml(SCENARIO_DIR / "staticfire_nominal_hold.yaml")
         cold = load_yaml(SCENARIO_DIR / "coldflow_nominal_hold.yaml")
         assert hot.pop("mode") == "staticfire" and cold.pop("mode") == "coldflow"
@@ -289,10 +321,134 @@ class TestConfigValidation:
 class TestGammaAuto:
     def test_blowdown_gamma_matches_locked_drain_demand(self, blowdown_config):
         """gamma = Q_drain / (R T k alpha) for the locked-drain scenario."""
-        from eregsim.scenario import steady_branch_flow
-
         cfg = blowdown_config
-        q = steady_branch_flow(cfg, "ox", 90.0, cfg.ambient_pressure)
+        q, _ = branch_flow(
+            cfg.tank_setpoint("ox"), cfg.ambient_pressure, cfg.tanks["ox"].liquid_density,
+            cv_of_angle(cfg.valves["ox_inj"], 90.0), cfg.lines["ox"].loss_coefficient,
+            cfg.injectors["ox"].coeff,
+        )
         valve = cfg.valves["ox_tank"]
         expected = q / (cfg.gas_constant * cfg.gas_temperature * valve.choked_constant * valve.alpha)
         assert cfg.controllers["ox_tank"].feedforward.gamma == pytest.approx(expected, rel=1e-12)
+
+
+# Malformed inputs that escaped as raw Python exceptions, failed only
+# mid-run, or were silently accepted before the loader checked every key:
+# (edits to the small scenario, key path the error must name).
+PROBES = {
+    "missing_supply_volume": ({"supply.volume_m3": DROP}, "supply.volume_m3"),
+    "missing_dt_phys": ({"timing.dt_phys_s": DROP}, "timing.dt_phys_s"),
+    "nan_duration": ({"duration_s": math.nan}, "duration_s"),
+    "zero_line_diameter": ({"lines.ox.diameter_m": 0}, "lines.ox.diameter_m"),
+    "zero_injector_area": ({"injector.ox.area_m2": 0}, "injector.ox.area_m2"),
+    "negative_temperature": ({"pressurant.temperature_k": -10}, "pressurant.temperature_k"),
+    "negative_friction": ({"lines.fuel.friction_factor": -0.02}, "lines.fuel.friction_factor"),
+    "cd_above_one": ({"injector.fuel.cd": 5}, "injector.fuel.cd"),
+    "misspelt_top_level_key": ({"sensrs": {"noise_sigma_bar": 0.02}}, "sensrs"),
+    "fractional_seed": ({"sensors": {"noise_sigma_bar": 0.02, "seed": 1.7}}, "sensors.seed"),
+    "negative_rate_max_active": (
+        {"controllers.ox_tank": {"primary": {"kp": 4.0}}, "actuators": {"rate_max_deg_s": -1}},
+        "actuators.rate_max_deg_s",
+    ),
+    "string_dt_phys": ({"timing.dt_phys_s": "fast"}, "timing.dt_phys_s"),
+    "scalar_integral_limits": (
+        {"controllers.ox_tank.integral_limits_deg": 25.0}, "controllers.ox_tank.integral_limits_deg"
+    ),
+    "tanks_as_list": ({"tanks": [{"total_volume_m3": 0.02}]}, "tanks"),
+    "nan_tank_volume": ({"tanks.fuel.total_volume_m3": math.nan}, "tanks.fuel.total_volume_m3"),
+    "negative_kp": ({"controllers.ox_tank.primary": {"kp": -0.5}}, "controllers.ox_tank.primary.kp"),
+    "zero_ramp_time": ({"controllers.defaults": {"ramp_time_s": 0}}, "controllers.defaults.ramp_time_s"),
+}
+
+
+@pytest.mark.parametrize("edits, key", PROBES.values(), ids=PROBES.keys())
+def test_malformed_scenario_rejected_at_load(edits, key):
+    data = small_scenario_dict()
+    for path, value in edits.items():
+        set_key(data, path, value)
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        scenario_from_dict(data)
+
+
+def _key_paths(node, prefix=()):
+    """Every dict key and list index path in a scenario dict."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _key_paths(value, prefix + (key,))
+
+
+def _node(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+FUZZ_BASE = small_scenario_dict(duration_s=0.2)
+FUZZ_PATHS = list(_key_paths(FUZZ_BASE))
+FUZZ_MAPPINGS = [()] + [p for p in FUZZ_PATHS if isinstance(_node(FUZZ_BASE, p), dict)]
+_DROP_KEY, _ADD_KEY = "drop", "add unknown key"
+MUTATIONS = st.one_of(
+    st.tuples(st.just(_DROP_KEY), st.sampled_from(FUZZ_PATHS)),
+    st.tuples(st.sampled_from([math.nan, math.inf, -math.inf, 0, -1.5, "x"]), st.sampled_from(FUZZ_PATHS)),
+    st.tuples(st.just(_ADD_KEY), st.sampled_from(FUZZ_MAPPINGS)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(MUTATIONS, min_size=1, max_size=3))
+def test_mutated_scenario_runs_or_is_rejected(mutations):
+    """A mutated scenario either raises ConfigError at load or finishes a
+    0.2 s run with the gas bookkeeping intact."""
+    data = copy.deepcopy(FUZZ_BASE)
+    for change, path in mutations:
+        try:
+            parent = _node(data, path[:-1]) if path else data
+            if change == _ADD_KEY:
+                _node(data, path)["zz_unknown"] = 1.0
+            elif change == _DROP_KEY:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = change
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed or replaced the path
+    try:
+        config = scenario_from_dict(data)
+    except ConfigError:
+        return
+    audit = RunAudit()
+    frames = run_scenario(config, audit=audit)
+    assert len(frames) == 20  # one per 0.01 s primary tick: the run was not cut short
+    assert audit.max_gas_law_residual < 1e-9
+    assert audit.max_mass_drift < 1e-6
+
+
+SCHEMA_DOC = Path(__file__).resolve().parent.parent / "docs" / "scenario_schema.md"
+# The doc spells out the ox side and ox regulators; fuel takes the same keys.
+_DOC_ALIASES = {"fuel": "ox", "fuel_tank": "ox_tank", "fuel_inj": "ox_inj"}
+
+
+def _doc_blocks() -> list[dict]:
+    return [yaml.safe_load(b) for b in re.findall(r"```yaml\n(.*?)```", SCHEMA_DOC.read_text(), re.S)]
+
+
+def _documented_form(path) -> str:
+    return ".".join("[]" if isinstance(k, int) else _DOC_ALIASES.get(k, k) for k in path)
+
+
+class TestSchemaDoc:
+    def test_doc_examples_load(self):
+        """The first block is a complete scenario; each later block replaces
+        the top-level sections it names. Unknown keys are rejected, so every
+        key the doc shows is one the loader reads."""
+        example, *variants = _doc_blocks()
+        scenario_from_dict(example)
+        assert variants
+        for variant in variants:
+            scenario_from_dict({**example, **variant})
+
+    def test_doc_shows_every_shipped_key(self):
+        documented = {_documented_form(p) for block in _doc_blocks() for p in _key_paths(block)}
+        for path in sorted(SCENARIO_DIR.glob("*.yaml")):
+            used = {_documented_form(p) for p in _key_paths(load_yaml(path))}
+            assert used <= documented, (path.name, sorted(used - documented))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -220,6 +221,24 @@ class TestTelemetryCsv:
         emit_telemetry(frames, path)
         rows = path.read_text().strip().splitlines()
         assert len(rows) == 1 + 1400
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda row: row[:-5],
+            lambda row: row[:3] + ["abc"] + row[4:],
+            lambda row: row + ["1.0"],
+            lambda row: row[:3] + ["1.0"] + row[3:],
+        ],
+        ids=["short_row", "non_numeric_field", "extra_field", "extra_field_inside"],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, edit):
+        path = tmp_path / "bad.csv"
+        emit_telemetry([make_frame(0.0), make_frame(0.01, events=("abort_overpressure",))], path)
+        header, first, second = path.read_text().splitlines()
+        path.write_text("\n".join([header, first, ",".join(edit(second.split(",")))]) + "\n")
+        with pytest.raises(EregSimError, match=re.escape(f"{path} at line 3")):
+            read_telemetry(path)
 
     def test_non_finite_frame_rejected(self):
         bad = make_frame(0.0, {"ox_tank": flat_ereg(30.0, math.nan)})
