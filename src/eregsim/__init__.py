@@ -27,16 +27,12 @@ from .fluids import (
     ChamberModel,
     GasTankState,
     LineModel,
-    PropellantTankState,
     ValveModel,
     chamber_state,
-    choked_gas_mass_flow,
     cv_of_angle,
     darcy_weisbach_dp,
     liquid_volumetric_flow,
     orifice_mass_flow,
-    step_gas_tank,
-    step_propellant_tank,
 )
 from .scenario import (
     ScenarioConfig,

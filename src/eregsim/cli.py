@@ -13,7 +13,7 @@ import sys
 
 from . import calibration
 from .engine import EVENT_ABORT, compare_controllers, run_scenario
-from .errors import EregSimError
+from .errors import ConfigError, EregSimError
 from .scenario import EREG_NAMES, load_scenario, size_mock_injector
 from .telemetry import emit_telemetry, read_telemetry, regulation_metrics
 from .units import bar_to_pa
@@ -47,6 +47,8 @@ def _cmd_run(args) -> int:
     if args.controller:
         config = config.replace(variant=args.controller)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
         config = config.replace(noise_seed=args.seed)
     frames = run_scenario(config)
     emit_telemetry(frames, args.out)
@@ -154,8 +156,11 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_size_injector(args) -> int:
     config = load_scenario(args.scenario)
-    upstream = bar_to_pa(args.upstream_bar) if args.upstream_bar else config.tank_setpoint(args.side)
-    downstream = bar_to_pa(args.downstream_bar) if args.downstream_bar else config.ambient_pressure
+    upstream, downstream = config.tank_setpoint(args.side), config.ambient_pressure
+    if args.upstream_bar is not None:
+        upstream = bar_to_pa(args.upstream_bar)
+    if args.downstream_bar is not None:
+        downstream = bar_to_pa(args.downstream_bar)
     area = size_mock_injector(
         target_mdot=args.target_mdot,
         rho=config.tanks[args.side].liquid_density,

@@ -17,6 +17,9 @@ from .errors import ControllerError
 
 FULL_TRAVEL = 90.0  # degrees, hard stops at both ends
 
+# Time constant of the PID derivative's measurement filter, in sample periods.
+DERIVATIVE_FILTER_PERIODS = 4.0
+
 # Pressure the injector feedforward subtracts from the tank pressure to get
 # the drop across the valve: the injector setpoint or the tank setpoint.
 DROP_REFERENCES = ("injector_setpoint", "tank_setpoint")
@@ -109,10 +112,10 @@ class PidController:
     units (ki * e * dt per step), which keeps gain ramping bumpless and
     makes the integral limits meaningful as output authority. The
     derivative acts on a first-order filtered measurement (time constant
-    4 sample periods) so setpoint steps produce no impulse and sensor
-    noise is not amplified. Anti-windup is conditional: the integrator is
-    frozen whenever the output is saturated in the same direction as the
-    error pushes.
+    DERIVATIVE_FILTER_PERIODS sample periods) so setpoint steps produce
+    no impulse and sensor noise is not amplified. Anti-windup is
+    conditional: the integrator is frozen whenever the output is saturated
+    in the same direction as the error pushes.
     """
 
     def __init__(
@@ -120,13 +123,11 @@ class PidController:
         gains: PidGains,
         output_limits: tuple[float, float],
         integral_limits: tuple[float, float],
-        derivative_filter_periods: float = 4.0,
     ):
         gains.validate()
         self.gains = gains
         self.output_limits = output_limits
         self.integral_limits = integral_limits
-        self.derivative_filter_periods = derivative_filter_periods
         self.integral = 0.0
         self._filtered_measurement: float | None = None
 
@@ -146,7 +147,7 @@ class PidController:
 
         # Derivative on the low-pass filtered measurement, negated so that a
         # rising measurement opposes the output (no setpoint kick).
-        tau = self.derivative_filter_periods * dt
+        tau = DERIVATIVE_FILTER_PERIODS * dt
         if self._filtered_measurement is None:
             self._filtered_measurement = measurement
         previous_filtered = self._filtered_measurement

@@ -1,7 +1,7 @@
 """Physical models of the pressure-fed feed system.
 
-Valve flow laws, isothermal tank thermodynamics, feed line losses,
-injector orifices and a lumped thrust chamber. All quantities are SI
+Valve flow laws, the ideal-gas state record, feed line losses, injector
+orifices and a lumped thrust chamber. All quantities are SI
 (Pa, kg, m3, K, s); valve angles are degrees.
 
 The valve flow coefficient is carried in SI flow-factor form,
@@ -15,9 +15,7 @@ slope of that curve in the same units (alpha_si_per_deg).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-from .errors import ModelError
+from dataclasses import dataclass
 
 AMBIENT_PRESSURE = 101325.0  # Pa
 R_NITROGEN = 296.8  # J/(kg K)
@@ -35,11 +33,10 @@ CHOKED_PRESSURE_RATIO = 0.528
 
 @dataclass(frozen=True)
 class GasTankState:
-    """A fixed- or variable-volume lump of ideal gas.
+    """A lump of ideal gas, for invariant checks on the plant state.
 
-    pressure, volume, gas_mass and temperature are always consistent with
-    p * V = m * R * T; `pressure` is recomputed from the other three on
-    every update rather than integrated separately.
+    pressure, volume, gas_mass and temperature should satisfy
+    p * V = m * R * T; gas_law_residual measures how far they are off.
     """
 
     pressure: float  # Pa
@@ -47,7 +44,6 @@ class GasTankState:
     gas_mass: float  # kg
     temperature: float  # K
     specific_gas_constant: float = R_NITROGEN  # J/(kg K)
-    depleted: bool = False
 
     @classmethod
     def from_pressure(
@@ -66,53 +62,6 @@ class GasTankState:
         if pv == 0.0:
             return 0.0
         return abs(pv - self.gas_mass * self.specific_gas_constant * self.temperature) / pv
-
-    def validate(self, ambient: float = AMBIENT_PRESSURE) -> None:
-        for name in ("pressure", "volume", "gas_mass", "temperature"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise ModelError(f"gas tank {name} must be finite and positive, got {value}")
-        if self.pressure < ambient:
-            raise ModelError(
-                f"gas tank pressure {self.pressure:.0f} Pa below ambient {ambient:.0f} Pa"
-            )
-        if self.gas_law_residual() > 1e-9:
-            raise ModelError("gas tank state violates the ideal gas law")
-
-
-@dataclass(frozen=True)
-class PropellantTankState:
-    """Liquid inventory plus the ullage gas above it.
-
-    The ullage volume is always total_volume - liquid_volume; pushing
-    liquid out grows the ullage by the same rate.
-    """
-
-    total_volume: float  # m3
-    liquid_volume: float  # m3
-    liquid_density: float  # kg/m3
-    ullage: GasTankState
-    depleted: bool = False
-
-    @property
-    def ullage_fraction(self) -> float:
-        return 1.0 - self.liquid_volume / self.total_volume
-
-    @property
-    def pressure(self) -> float:
-        return self.ullage.pressure
-
-    def validate(self) -> None:
-        if not 0.0 <= self.liquid_volume <= self.total_volume:
-            raise ModelError(
-                f"liquid volume {self.liquid_volume} outside [0, {self.total_volume}]"
-            )
-        if self.liquid_density <= 0.0:
-            raise ModelError("liquid density must be positive")
-        expected_ullage = self.total_volume - self.liquid_volume
-        if abs(self.ullage.volume - expected_ullage) > 1e-12 * max(self.total_volume, 1.0):
-            raise ModelError("ullage volume inconsistent with liquid volume")
-        self.ullage.validate()
 
 
 @dataclass(frozen=True)
@@ -168,15 +117,6 @@ def cv_of_angle(valve: ValveModel, theta: float) -> float:
     return max(0.0, valve.alpha * (theta - valve.theta_zero))
 
 
-def choked_gas_mass_flow(valve: ValveModel, theta: float, p_up: float) -> float:
-    """Choked gas mass flow k * Cv(theta) * p_up.
-
-    Valid when the downstream/upstream ratio is below CHOKED_PRESSURE_RATIO;
-    use gas_valve_mass_flow for the faded near-equalized regime.
-    """
-    return valve.choked_constant * cv_of_angle(valve, theta) * p_up
-
-
 def choked_flow_fade(pressure_ratio: float) -> float:
     """Fraction of the choked flow still passing at ratio p_down/p_up.
 
@@ -190,10 +130,13 @@ def choked_flow_fade(pressure_ratio: float) -> float:
 
 
 def gas_valve_mass_flow(valve: ValveModel, theta: float, p_up: float, p_down: float) -> float:
-    """Gas mass flow including the near-equalized fade; zero for adverse drops."""
+    """Gas mass flow k * Cv(theta) * p_up, choked below CHOKED_PRESSURE_RATIO
+    and faded to zero near equalization; zero for adverse drops."""
     if p_up <= 0.0:
         return 0.0
-    return choked_gas_mass_flow(valve, theta, p_up) * choked_flow_fade(p_down / p_up)
+    return (
+        valve.choked_constant * cv_of_angle(valve, theta) * p_up * choked_flow_fade(p_down / p_up)
+    )
 
 
 def liquid_volumetric_flow(valve: ValveModel, theta: float, dp: float, rho: float) -> float:
@@ -227,86 +170,6 @@ def darcy_weisbach_dp(
     if velocity < 0.0:
         raise ValueError("velocity must be nonnegative")
     return friction_factor * (length / diameter) * rho * velocity**2 / 2.0
-
-
-# ---------------------------------------------------------------------------
-# Tank updates
-
-
-def step_gas_tank(
-    state: GasTankState,
-    mdot_in: float,
-    mdot_out: float,
-    dvolume_dt: float,
-    dt: float,
-    isentropic_exponent: float | None = None,
-) -> GasTankState:
-    """Advance a gas lump by dt with constant in/out flows and volume rate.
-
-    Isothermal by default (temperature held, pressure from the gas law).
-    With isentropic_exponent set, pressure follows p ~ (m/V)^gamma and the
-    temperature is recomputed to keep the gas law exact (adiabatic supply
-    stress-test mode). Mass is clamped at zero and flagged as depleted.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    new_volume = state.volume + dvolume_dt * dt
-    if new_volume <= 0.0:
-        raise ModelError(f"gas volume driven nonpositive ({new_volume})")
-    new_mass = state.gas_mass + (mdot_in - mdot_out) * dt
-    depleted = state.depleted
-    if new_mass <= 0.0:
-        new_mass = 0.0
-        depleted = True
-
-    if new_mass == 0.0:
-        pressure = 0.0
-        temperature = state.temperature
-    elif isentropic_exponent is None:
-        temperature = state.temperature
-        pressure = new_mass * state.specific_gas_constant * temperature / new_volume
-    else:
-        density_ratio = (new_mass / new_volume) / (state.gas_mass / state.volume)
-        pressure = state.pressure * density_ratio**isentropic_exponent
-        temperature = pressure * new_volume / (new_mass * state.specific_gas_constant)
-
-    return replace(
-        state,
-        pressure=pressure,
-        volume=new_volume,
-        gas_mass=new_mass,
-        temperature=temperature,
-        depleted=depleted,
-    )
-
-
-def step_propellant_tank(
-    state: PropellantTankState,
-    pressurant_mdot_in: float,
-    liquid_vdot_out: float,
-    dt: float,
-) -> PropellantTankState:
-    """Drain liquid and grow the ullage by the same volume rate.
-
-    The outflow is capped at the remaining liquid; hitting empty flags the
-    tank as depleted but the simulation may continue (pressures decay).
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    available_rate = state.liquid_volume / dt
-    vdot = min(liquid_vdot_out, available_rate)
-    new_liquid = state.liquid_volume - vdot * dt
-    depleted = state.depleted
-    if new_liquid <= 0.0:
-        new_liquid = 0.0
-        depleted = True
-    ullage = step_gas_tank(state.ullage, pressurant_mdot_in, 0.0, vdot, dt)
-    return replace(
-        state,
-        liquid_volume=new_liquid,
-        ullage=ullage,
-        depleted=depleted,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -238,7 +238,6 @@ class ScenarioConfig:
     abort_pressure_factor: float = 1.10
     telemetry_decimation: int = 1
     metrics: MetricsSettings = field(default_factory=MetricsSettings)
-    target_of: float | None = None
 
     def tank_setpoint(self, side: str) -> float:
         return self.schedule.ox_tank if side == "ox" else self.schedule.fuel_tank
@@ -563,7 +562,6 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     # Throttle: either thrust fractions paired to an OF target, or explicit
     # per-injector pressure profiles.
     throttle = setpoints.section("throttle")
-    target_of = None
     profiles = {}
     if throttle.choice("kind", ("thrust_fraction", "pressure"), "thrust_fraction") == "pressure":
         demand_scale = 1.0
@@ -723,7 +721,6 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
             settle_threshold=bar_to_pa(metrics.number("settle_threshold_bar", 0.5, at_least=0.0)),
             exclude_after_depletion=metrics.flag("exclude_after_depletion", True),
         ),
-        target_of=target_of,
     )
     root.check_unread()
     return config

@@ -16,8 +16,6 @@ from pathlib import Path
 from .errors import EregSimError
 from .scenario import EREG_NAMES, ScenarioConfig, setpoints_at
 
-TELEMETRY_SCHEMA_VERSION = 1
-
 EREG_FIELDS = ("setpoint_bar", "pressure_bar", "valve_angle_deg", "feedforward_deg", "u1_deg", "u2")
 SCALAR_FIELDS = (
     "supply_pressure_bar",

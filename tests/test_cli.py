@@ -11,6 +11,7 @@ import yaml
 import eregsim
 
 from eregsim.cli import EXIT_ABORT, EXIT_ERROR, EXIT_OK, main
+from eregsim.scenario import load_scenario, size_mock_injector
 from eregsim.telemetry import read_telemetry
 from tests.conftest import DROP, SCENARIO_DIR, set_key, small_scenario_dict
 
@@ -62,6 +63,19 @@ class TestRun:
         payload = json.loads(err)
         assert payload["error"] == "ConfigError"
         assert "schema_version" in payload["message"]
+
+    def test_negative_seed_exits_2_with_one_json_line(self, tmp_path, capsys):
+        data = small_scenario_dict(duration_s=0.1, sensors={"noise_sigma_bar": 0.02})
+        scenario = write_scenario(tmp_path, data)
+        out = tmp_path / "x.csv"
+        code = main(["run", "--scenario", str(scenario), "--out", str(out), "--seed", "-1"])
+        assert code == EXIT_ERROR
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ConfigError"
+        assert "--seed" in payload["message"]
+        assert not out.exists()
 
     def test_abort_run_exits_with_abort_code(self, tmp_path, capsys):
         data = small_scenario_dict(options={"abort_pressure_factor": 0.5})
@@ -206,3 +220,29 @@ class TestSizeInjector:
         assert "mock injector area" in out
         area = float(out.split(":")[1].split("m2")[0])
         assert area == pytest.approx(1.684e-5, rel=0.01)  # 42 bar to ambient
+
+    def test_zero_downstream_pressure_is_used(self, capsys):
+        code = main([
+            "size-injector", "--scenario", BASELINE, "--target-mdot", "1.14",
+            "--side", "ox", "--cd", "0.7", "--downstream-bar", "0",
+        ])
+        assert code == EXIT_OK
+        config = load_scenario(BASELINE)
+        expected = size_mock_injector(
+            target_mdot=1.14,
+            rho=config.tanks["ox"].liquid_density,
+            upstream=config.tank_setpoint("ox"),
+            downstream=0.0,
+            cd=0.7,
+        )
+        assert capsys.readouterr().out.strip() == f"ox mock injector area: {expected:.6e} m2"
+
+    def test_zero_upstream_pressure_exits_2_with_one_json_line(self, capsys):
+        code = main([
+            "size-injector", "--scenario", BASELINE, "--target-mdot", "1.14",
+            "--side", "ox", "--upstream-bar", "0",
+        ])
+        assert code == EXIT_ERROR
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "InfeasibleThrottleError"

@@ -2,24 +2,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eregsim.engine import RunAudit, _Plant
 from eregsim.errors import ModelError
 from eregsim.fluids import (
     AMBIENT_PRESSURE,
     ChamberModel,
-    GasTankState,
     LineModel,
-    PropellantTankState,
     ValveModel,
     chamber_state,
-    choked_gas_mass_flow,
     cv_of_angle,
     darcy_weisbach_dp,
     gas_valve_mass_flow,
     liquid_volumetric_flow,
     orifice_mass_flow,
-    step_gas_tank,
-    step_propellant_tank,
 )
+from eregsim.scenario import scenario_from_dict
+from tests.conftest import build_small_scenario, set_key, small_scenario_dict
 
 VALVE = ValveModel(alpha=0.5, theta_zero=10.0, rated_pressure=415e5, choked_constant=1.0)
 
@@ -50,27 +48,29 @@ class TestCvOfAngle:
 
 
 class TestChokedGasFlow:
+    """Gas valve flow into vacuum (p_down = 0), where the fade is 1."""
+
     def test_closed_valve_flows_nothing(self):
-        assert choked_gas_mass_flow(VALVE, 10.0, 3.1e7) == 0.0
-        assert choked_gas_mass_flow(VALVE, 0.0, 3.1e7) == 0.0
+        assert gas_valve_mass_flow(VALVE, 10.0, 3.1e7, 0.0) == 0.0
+        assert gas_valve_mass_flow(VALVE, 0.0, 3.1e7, 0.0) == 0.0
 
     @given(st.floats(1e4, 4e7), st.floats(10.0, 90.0))
     def test_linear_in_upstream_pressure(self, p, theta):
-        assert choked_gas_mass_flow(VALVE, theta, 2.0 * p) == pytest.approx(
-            2.0 * choked_gas_mass_flow(VALVE, theta, p), rel=1e-12
+        assert gas_valve_mass_flow(VALVE, theta, 2.0 * p, 0.0) == pytest.approx(
+            2.0 * gas_valve_mass_flow(VALVE, theta, p, 0.0), rel=1e-12
         )
 
     def test_hand_evaluated_point(self):
         # Cv = 2.0 at theta = 14 deg for this valve; k * Cv * p = k0 * 4e7.
         k0 = 1.6774194e-3
         valve = ValveModel(alpha=0.5, theta_zero=10.0, rated_pressure=415e5, choked_constant=k0)
-        assert choked_gas_mass_flow(valve, 14.0, 2.0e7) == pytest.approx(4.0e7 * k0, rel=1e-12)
+        assert gas_valve_mass_flow(valve, 14.0, 2.0e7, 0.0) == pytest.approx(4.0e7 * k0, rel=1e-12)
 
     def test_fade_blocks_equalized_flow(self):
         assert gas_valve_mass_flow(VALVE, 30.0, 1e6, 1e6) == 0.0
         assert gas_valve_mass_flow(VALVE, 30.0, 1e6, 2e6) == 0.0
         choked = gas_valve_mass_flow(VALVE, 30.0, 1e6, 0.5e6)
-        assert choked == pytest.approx(choked_gas_mass_flow(VALVE, 30.0, 1e6))
+        assert choked == gas_valve_mass_flow(VALVE, 30.0, 1e6, 0.0)
         faded = gas_valve_mass_flow(VALVE, 30.0, 1e6, 0.8e6)
         assert 0.0 < faded < choked
 
@@ -135,75 +135,74 @@ class TestDarcyWeisbach:
         assert line.loss_coefficient * 1141.0 * q**2 == pytest.approx(direct, rel=1e-12)
 
 
-class TestGasTankStep:
-    def setup_method(self):
-        self.state = GasTankState.from_pressure(310e5, 0.05, 293.0, 296.8)
+SHUT = {"ox_tank": 0.0, "fuel_tank": 0.0, "ox_inj": 0.0, "fuel_inj": 0.0}
 
-    def test_balanced_flows_leave_state_unchanged(self):
-        out = step_gas_tank(self.state, 0.1, 0.1, 0.0, 1.0)
-        assert out.pressure == pytest.approx(self.state.pressure, rel=1e-12)
-        assert out.gas_mass == self.state.gas_mass
 
-    def test_boyle_volume_doubling_halves_pressure(self):
-        out = step_gas_tank(self.state, 0.0, 0.0, 0.05, 1.0)
-        assert out.volume == pytest.approx(0.10)
-        assert out.pressure == pytest.approx(self.state.pressure / 2.0, rel=1e-12)
+def make_plant(angles: dict, *keys) -> _Plant:
+    """Plant of the small scenario with (key path, value) overrides, valves at angles."""
+    data = small_scenario_dict()
+    for path, value in keys:
+        set_key(data, path, value)
+    plant = _Plant(scenario_from_dict(data, name="plant"))
+    plant.set_angles({**SHUT, **angles})
+    return plant
 
-    def test_hand_evaluated_vent(self):
-        out = step_gas_tank(self.state, 0.0, 0.39, 0.0, 1.0)
-        drop = self.state.pressure - out.pressure
-        assert drop == pytest.approx(6.7831e5, rel=1e-4)
 
-    def test_mass_clamped_with_depletion_flag(self):
-        out = step_gas_tank(self.state, 0.0, 1e9, 0.0, 1.0)
-        assert out.gas_mass == 0.0
-        assert out.depleted
+class TestPlantStep:
+    def test_shut_valves_leave_state_unchanged(self):
+        plant = make_plant({})
+        supply, ullage = plant.supply_pressure, list(plant.ullage_pressure)
+        assert plant.step(0.01) == []
+        assert plant.supply_pressure == supply
+        assert plant.ullage_pressure == ullage
 
-    def test_nonpositive_volume_is_fatal(self):
+    def test_liquid_drain_clamped_at_remaining_liquid(self):
+        plant = make_plant({"ox_inj": 60.0}, ("tanks.ox.total_volume_m3", 0.002))
+        total = 0.002
+        p0, v0 = plant.ullage_pressure[0], plant.ullage_volume[0]
+        events, steps = [], 0
+        while not events and steps < 1000:
+            events = plant.step(0.01)
+            steps += 1
+            assert plant.ullage_volume[0] + plant.liquid_volume[0] == pytest.approx(total)
+        assert events == ["ox_liquid_depleted"]
+        assert 150 < steps < 190
+        assert plant.liquid_volume[0] == 0.0
+        # The last step drained only what was left: the ullage fills the tank.
+        assert plant.ullage_volume[0] == pytest.approx(total)
+        # No pressurant came in, so the ullage expanded at constant p * V.
+        assert plant.ullage_pressure[0] < p0
+        assert plant.ullage_pressure[0] * plant.ullage_volume[0] == pytest.approx(p0 * v0)
+        assert plant.step(0.01) == []  # the event is raised once
+
+    def test_supply_mass_clamped_and_conserved(self):
+        plant = make_plant({"ox_tank": 90.0, "fuel_tank": 90.0}, ("supply.volume_m3", 0.0005))
+        audit = RunAudit()
+        audit.record(plant)
+        assert plant.step(1.0) == ["supply_gas_depleted"]
+        audit.record(plant)
+        assert plant.supply_mass == 0.0
+        assert plant.supply_pressure == 0.0
+        assert audit.max_mass_drift == 0.0
+        assert audit.max_gas_law_residual < 1e-9
+
+    def test_adiabatic_supply_drops_faster_than_isothermal(self):
+        keys = [("supply.volume_m3", 0.002)]
+        iso = make_plant({"ox_tank": 60.0}, *keys)
+        adi = make_plant({"ox_tank": 60.0}, *keys, ("options", {"adiabatic_supply": True}))
+        for _ in range(50):
+            iso.step(0.01)
+            adi.step(0.01)
+        assert adi.supply_pressure < iso.supply_pressure
+        assert adi.supply_temperature < iso.supply_temperature == 293.0
+        for plant in (iso, adi):
+            assert max(g.gas_law_residual() for g in plant.gas_states()) < 1e-9
+
+    def test_nonpositive_gas_volume_is_fatal(self):
+        plant = make_plant({})
+        plant.ullage_volume[0] = 0.0
         with pytest.raises(ModelError):
-            step_gas_tank(self.state, 0.0, 0.0, -1.0, 1.0)
-
-    def test_gas_law_holds_after_random_walk(self):
-        state = self.state
-        for i in range(200):
-            state = step_gas_tank(state, 0.01 * (i % 3), 0.008 * ((i + 1) % 4), 1e-4 * ((i % 5) - 2), 0.01)
-            assert state.gas_law_residual() < 1e-9
-
-    def test_adiabatic_blowdown_drops_pressure_faster(self):
-        iso = step_gas_tank(self.state, 0.0, 1.0, 0.0, 1.0)
-        adi = step_gas_tank(self.state, 0.0, 1.0, 0.0, 1.0, isentropic_exponent=1.4)
-        assert adi.pressure < iso.pressure
-        assert adi.temperature < self.state.temperature
-        assert adi.gas_law_residual() < 1e-9
-
-
-class TestPropellantTankStep:
-    def setup_method(self):
-        ullage = GasTankState.from_pressure(42e5, 0.002, 293.0, 296.8)
-        self.state = PropellantTankState(
-            total_volume=0.014, liquid_volume=0.012, liquid_density=1141.0, ullage=ullage
-        )
-
-    def test_zero_flows_unchanged(self):
-        out = step_propellant_tank(self.state, 0.0, 0.0, 0.5)
-        assert out.liquid_volume == self.state.liquid_volume
-        assert out.ullage.pressure == pytest.approx(self.state.ullage.pressure, rel=1e-12)
-
-    def test_outflow_without_pressurant_drops_ullage_pressure(self):
-        out = step_propellant_tank(self.state, 0.0, 1e-3, 0.5)
-        assert out.ullage.pressure < self.state.ullage.pressure
-        assert out.ullage.volume == pytest.approx(self.state.ullage.volume + 0.5e-3)
-
-    def test_ullage_volume_tracks_liquid(self):
-        out = step_propellant_tank(self.state, 0.01, 2e-3, 1.0)
-        assert out.ullage.volume == pytest.approx(out.total_volume - out.liquid_volume, rel=1e-12)
-
-    def test_depletion_flag_and_clamp(self):
-        out = step_propellant_tank(self.state, 0.0, 1.0, 1.0)
-        assert out.liquid_volume == 0.0
-        assert out.depleted
-        # outflow capped at the available liquid: ullage grew by exactly that
-        assert out.ullage.volume == pytest.approx(self.state.total_volume, rel=1e-12)
+            plant.step(0.01)
 
 
 class TestChamber:
@@ -233,9 +232,6 @@ class TestBlowdownOracle:
         """Supply blowing down through a fixed gas valve into a closed tank:
         brute-force forward Euler at dt = 1e-5 vs the engine's RK4 at
         dt = 1e-3, within 0.5 percent in final supply pressure."""
-        from eregsim.engine import _Plant
-        from tests.conftest import build_small_scenario
-
         angle = 25.0
         controllers = {
             "ox_tank": {"locked_angle_deg": angle},
