@@ -156,25 +156,6 @@ class TestPlantStep:
         assert plant.supply_pressure == supply
         assert plant.ullage_pressure == ullage
 
-    def test_liquid_drain_clamped_at_remaining_liquid(self):
-        plant = make_plant({"ox_inj": 60.0}, ("tanks.ox.total_volume_m3", 0.002))
-        total = 0.002
-        p0, v0 = plant.ullage_pressure[0], plant.ullage_volume[0]
-        events, steps = [], 0
-        while not events and steps < 1000:
-            events = plant.step(0.01)
-            steps += 1
-            assert plant.ullage_volume[0] + plant.liquid_volume[0] == pytest.approx(total)
-        assert events == ["ox_liquid_depleted"]
-        assert 150 < steps < 190
-        assert plant.liquid_volume[0] == 0.0
-        # The last step drained only what was left: the ullage fills the tank.
-        assert plant.ullage_volume[0] == pytest.approx(total)
-        # No pressurant came in, so the ullage expanded at constant p * V.
-        assert plant.ullage_pressure[0] < p0
-        assert plant.ullage_pressure[0] * plant.ullage_volume[0] == pytest.approx(p0 * v0)
-        assert plant.step(0.01) == []  # the event is raised once
-
     def test_supply_mass_clamped_and_conserved(self):
         plant = make_plant({"ox_tank": 90.0, "fuel_tank": 90.0}, ("supply.volume_m3", 0.0005))
         audit = RunAudit()
@@ -186,7 +167,51 @@ class TestPlantStep:
         assert audit.max_mass_drift == 0.0
         assert audit.max_gas_law_residual < 1e-9
 
-    def test_adiabatic_supply_drops_faster_than_isothermal(self):
+    def test_nonpositive_gas_volume_is_fatal(self):
+        plant = make_plant({})
+        plant.ullage_volume[0] = 0.0
+        with pytest.raises(ModelError):
+            plant.step(0.01)
+
+
+def drain_ox_dry(plant: _Plant, dt: float = 0.01) -> tuple[list[str], int]:
+    """Step until the first event; returns it and the number of steps."""
+    events, steps = [], 0
+    while not events and steps < 1000:
+        events = plant.step(dt)
+        steps += 1
+    return events, steps
+
+
+class TestGasTankStep:
+    """The plant's gas lumps: the supply bottle and the two ullages."""
+
+    def test_boyle_volume_doubling_halves_pressure(self):
+        # Half the tank is ullage; draining it dry with no pressurant
+        # doubles the ullage volume at constant mass and temperature.
+        plant = make_plant(
+            {"ox_inj": 60.0},
+            ("tanks.ox.total_volume_m3", 0.002),
+            ("tanks.ox.initial_ullage_fraction", 0.5),
+        )
+        p0, v0 = plant.ullage_pressure[0], plant.ullage_volume[0]
+        assert drain_ox_dry(plant)[0] == ["ox_liquid_depleted"]
+        assert plant.ullage_volume[0] == pytest.approx(2.0 * v0, rel=1e-12)
+        assert plant.ullage_pressure[0] == pytest.approx(p0 / 2.0, rel=1e-12)
+
+    def test_gas_law_holds_after_random_walk(self):
+        plant = make_plant({}, ("supply.volume_m3", 0.002))
+        for i in range(200):
+            plant.set_angles({
+                "ox_tank": 30.0 * (i % 3),
+                "fuel_tank": 20.0 * ((i + 1) % 4),
+                "ox_inj": 15.0 * (i % 5),
+                "fuel_inj": 45.0 * (i % 2),
+            })
+            plant.step(0.01)
+            assert max(g.gas_law_residual() for g in plant.gas_states()) < 1e-9
+
+    def test_adiabatic_blowdown_drops_pressure_faster(self):
         keys = [("supply.volume_m3", 0.002)]
         iso = make_plant({"ox_tank": 60.0}, *keys)
         adi = make_plant({"ox_tank": 60.0}, *keys, ("options", {"adiabatic_supply": True}))
@@ -198,11 +223,42 @@ class TestPlantStep:
         for plant in (iso, adi):
             assert max(g.gas_law_residual() for g in plant.gas_states()) < 1e-9
 
-    def test_nonpositive_gas_volume_is_fatal(self):
-        plant = make_plant({})
-        plant.ullage_volume[0] = 0.0
-        with pytest.raises(ModelError):
+
+class TestPropellantTankStep:
+    """The plant's liquid volumes and the ullages above them."""
+
+    def test_outflow_without_pressurant_drops_ullage_pressure(self):
+        plant = make_plant({"ox_inj": 60.0})
+        p0, v0, liquid0 = plant.ullage_pressure[0], plant.ullage_volume[0], plant.liquid_volume[0]
+        for _ in range(10):
+            assert plant.step(0.01) == []
+        drained = liquid0 - plant.liquid_volume[0]
+        assert drained > 0.0
+        assert plant.ullage_pressure[0] < p0
+        assert plant.ullage_volume[0] == pytest.approx(v0 + drained, rel=1e-12)
+        assert plant.ullage_pressure[0] * plant.ullage_volume[0] == pytest.approx(p0 * v0)
+
+    def test_ullage_volume_tracks_liquid(self):
+        # Pressurant in and liquid out on both sides.
+        plant = make_plant({"ox_tank": 60.0, "fuel_tank": 60.0, "ox_inj": 60.0, "fuel_inj": 60.0})
+        total = [u + v for u, v in zip(plant.ullage_volume, plant.liquid_volume)]
+        for _ in range(100):
             plant.step(0.01)
+            for i in (0, 1):
+                assert plant.ullage_volume[i] == pytest.approx(
+                    total[i] - plant.liquid_volume[i], rel=1e-12
+                )
+
+    def test_depletion_flag_and_clamp(self):
+        plant = make_plant({"ox_inj": 60.0}, ("tanks.ox.total_volume_m3", 0.002))
+        events, steps = drain_ox_dry(plant)
+        assert events == ["ox_liquid_depleted"]
+        assert 150 < steps < 190
+        assert plant.depleted == [True, False]
+        assert plant.liquid_volume[0] == 0.0
+        # The last step drained only what was left: the ullage fills the tank.
+        assert plant.ullage_volume[0] == pytest.approx(0.002, rel=1e-12)
+        assert plant.step(0.01) == []  # the event is raised once
 
 
 class TestChamber:
