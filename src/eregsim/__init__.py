@@ -4,11 +4,12 @@ scenario tooling, calibration fits and a command-line runner."""
 
 from .control import (
     Actuator,
+    ActuatorSettings,
+    ControllerSettings,
     EregController,
     FeedforwardParams,
     PidController,
     PidGains,
-    RampSchedule,
     dynamic_gains,
     ff_injector,
     ff_tank,
@@ -21,7 +22,6 @@ from .errors import (
     EregSimError,
     InfeasibleThrottleError,
     ModelError,
-    UndefinedRatioError,
 )
 from .fluids import (
     ChamberModel,
@@ -30,16 +30,13 @@ from .fluids import (
     ValveModel,
     chamber_state,
     cv_of_angle,
-    darcy_weisbach_dp,
     liquid_volumetric_flow,
-    orifice_mass_flow,
 )
 from .scenario import (
     ScenarioConfig,
     SetpointSchedule,
     ThrottleProfile,
     load_scenario,
-    of_ratio,
     paired_setpoints_for_of,
     setpoints_at,
     size_mock_injector,

@@ -74,27 +74,6 @@ def cv_from_sample(sample: FlowSample, choked_constant: float = 0.0) -> float:
     return sample.flow / (choked_constant * sample.upstream_pressure)
 
 
-def cv_fit_objective(samples: list[tuple[float, float]], alpha: float, theta_zero: float) -> float:
-    """Sum of squared residuals of Cv_i against max(0, alpha*(theta_i - theta_zero))."""
-    total = 0.0
-    for theta, cv in samples:
-        predicted = max(0.0, alpha * (theta - theta_zero))
-        total += (cv - predicted) ** 2
-    return total
-
-
-def cv_fit_objective_grad_alpha(
-    samples: list[tuple[float, float]], alpha: float, theta_zero: float
-) -> float:
-    """Analytic d/d(alpha) of cv_fit_objective (dead-band points contribute 0)."""
-    grad = 0.0
-    for theta, cv in samples:
-        x = theta - theta_zero
-        if x > 0.0 and alpha * x > 0.0:
-            grad += -2.0 * (cv - alpha * x) * x
-    return grad
-
-
 def fit_cv_curve(samples: list[tuple[float, float]]) -> CvFit:
     """Least-squares fit of the piecewise-linear Cv curve.
 
@@ -155,22 +134,30 @@ def fit_gamma(records: list[tuple[float, float, float]], theta_zero: float) -> f
     return num / den
 
 
+def choked_samples(samples: list[FlowSample]) -> list[FlowSample]:
+    """The gas samples in the choked regime (downstream/upstream below the
+    critical ratio), the only ones the choked-constant fit uses."""
+    chosen = []
+    for sample in samples:
+        sample.validate()
+        if (
+            sample.phase == "gas"
+            and sample.downstream_pressure / sample.upstream_pressure < CHOKED_PRESSURE_RATIO
+        ):
+            chosen.append(sample)
+    return chosen
+
+
 def fit_choked_constant(
     samples: list[FlowSample], alpha: float, theta_zero: float
 ) -> float:
     """Least-squares slope of gas mass flow against Cv * p_up through the origin.
 
-    Only samples in the choked regime (downstream/upstream below the
-    critical ratio) are used; the valve curve (alpha, theta_zero) supplies
-    the Cv of each sample from its angle.
+    Only choked_samples(samples) are used; the valve curve (alpha,
+    theta_zero) supplies the Cv of each sample from its angle.
     """
     xs, ys = [], []
-    for sample in samples:
-        sample.validate()
-        if sample.phase != "gas":
-            continue
-        if sample.downstream_pressure / sample.upstream_pressure >= CHOKED_PRESSURE_RATIO:
-            continue
+    for sample in choked_samples(samples):
         cv = max(0.0, alpha * (sample.valve_angle - theta_zero))
         xs.append(cv * sample.upstream_pressure)
         ys.append(sample.flow)

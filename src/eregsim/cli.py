@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import calibration
 from .engine import EVENT_ABORT, compare_controllers, run_scenario
 from .errors import ConfigError, EregSimError
-from .scenario import EREG_NAMES, load_scenario, size_mock_injector
+from .scenario import EREG_NAMES, VARIANTS, load_scenario, size_mock_injector
 from .telemetry import emit_telemetry, read_telemetry, regulation_metrics
 from .units import bar_to_pa
 
@@ -68,10 +69,12 @@ def _cmd_metrics(args) -> int:
     frames = read_telemetry(args.telemetry)
     metrics = regulation_metrics(frames, config)
     if args.json:
+        # JSON has no infinity: a regulator that never settles gets null.
         payload = {
-            name: vars(metrics[name]) for name in EREG_NAMES
+            name: {k: v if math.isfinite(v) else None for k, v in vars(metrics[name]).items()}
+            for name in EREG_NAMES
         }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         print("\n".join(_metrics_lines(metrics)))
     return EXIT_OK
@@ -135,7 +138,9 @@ def _cmd_calibrate(args) -> int:
             },
         )
     else:  # choked
-        samples = calibration.gas_samples_from_telemetry(frames, args.side)
+        samples = calibration.choked_samples(
+            calibration.gas_samples_from_telemetry(frames, args.side)
+        )
         k = calibration.fit_choked_constant(samples, args.alpha, args.theta_zero)
         residuals = [
             s.flow - k * max(0.0, args.alpha * (s.valve_angle - args.theta_zero)) * s.upstream_pressure
@@ -179,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario and write telemetry CSV")
     p_run.add_argument("--scenario", required=True)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--controller", choices=["pid", "ff", "ff+dyn", "oracle"])
+    p_run.add_argument("--controller", choices=VARIANTS)
     p_run.add_argument("--seed", type=int)
     p_run.set_defaults(func=_cmd_run)
 
@@ -192,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare = sub.add_parser("compare", help="run controller variants side by side")
     p_compare.add_argument("--scenario", required=True)
     p_compare.add_argument("--variants", nargs="+", required=True,
-                           choices=["pid", "ff", "ff+dyn", "oracle"])
+                           choices=VARIANTS)
     p_compare.set_defaults(func=_cmd_compare)
 
     p_cal = sub.add_parser("calibrate", help="fit model parameters from telemetry")

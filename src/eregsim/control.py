@@ -24,6 +24,9 @@ DERIVATIVE_FILTER_PERIODS = 4.0
 # the drop across the valve: the injector setpoint or the tank setpoint.
 DROP_REFERENCES = ("injector_setpoint", "tank_setpoint")
 
+# Closed-loop controller variants; see EregController.
+CONTROLLER_VARIANTS = ("ff+dyn", "pid", "ff")
+
 
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
@@ -44,25 +47,11 @@ class PidGains:
         return PidGains(self.kp * factor, self.ki * factor, self.kd * factor)
 
 
-@dataclass(frozen=True)
-class RampSchedule:
-    """Linear gain ramp: factor(t) = min(1, t / ramp_time)."""
-
-    ramp_time: float  # s
-
-    def validate(self) -> None:
-        if self.ramp_time <= 0.0:
-            raise ControllerError("ramp_time must be positive")
-
-    def factor(self, t: float) -> float:
-        return min(1.0, t / self.ramp_time)
-
-
-def dynamic_gains(base: PidGains, t: float, ramp: RampSchedule) -> PidGains:
+def dynamic_gains(base: PidGains, t: float, ramp_time: float) -> PidGains:
     """Scale all three gains by the ramp factor min(1, t/T)."""
     if t < 0.0:
         raise ValueError("time must be nonnegative")
-    return base.scaled(ramp.factor(t))
+    return base.scaled(min(1.0, t / ramp_time))
 
 
 @dataclass(frozen=True)
@@ -81,6 +70,27 @@ class FeedforwardParams:
     theta_zero: float = 0.0  # degrees
     min_drop: float = 1.0e4  # Pa, floor below which the valve goes fully open
     drop_reference: str = "injector_setpoint"  # one of DROP_REFERENCES
+
+
+@dataclass(frozen=True)
+class ControllerSettings:
+    """One regulator as the scenario configures it."""
+
+    primary_gains: PidGains  # degrees per Pa, Pa*s, Pa/s
+    secondary_gains: PidGains
+    ramp_time: float  # s
+    feedforward: FeedforwardParams
+    integral_limits: tuple[float, float]  # degrees
+    secondary_integral_limits: tuple[float, float]
+    locked_angle: float | None  # fixed valve angle, bypasses the loops
+
+
+@dataclass(frozen=True)
+class ActuatorSettings:
+    time_constant: float  # s
+    rate_max: float  # degrees/s
+    backlash: float  # degrees of lost motion
+    encoder_counts_per_degree: float  # 0 disables quantization
 
 
 def ff_tank(ff: FeedforwardParams, tank_setpoint: float, supply_pressure: float) -> float:
@@ -178,24 +188,17 @@ class Actuator:
     between the motor shaft (where the encoder sits) and the ball valve.
     """
 
-    def __init__(
-        self,
-        time_constant: float = 0.020,  # s
-        rate_max: float = 180.0,  # degrees/s
-        initial_angle: float = 0.0,
-        backlash: float = 0.0,  # degrees of lost motion
-        encoder_counts_per_degree: float = 0.0,  # 0 disables quantization
-    ):
-        if time_constant <= 0.0 or rate_max <= 0.0:
+    def __init__(self, settings: ActuatorSettings):
+        if settings.time_constant <= 0.0 or settings.rate_max <= 0.0:
             raise ValueError("actuator time constant and rate limit must be positive")
-        self.time_constant = time_constant
-        self.rate_max = rate_max
-        self.angle = initial_angle  # motor-side angle, degrees
-        self.valve_angle = initial_angle  # downstream of any backlash
+        self.time_constant = settings.time_constant
+        self.rate_max = settings.rate_max
+        self.angle = 0.0  # motor-side angle, degrees
+        self.valve_angle = 0.0  # downstream of any backlash
         self.rate = 0.0
         self.command = 0.0
-        self.backlash = backlash
-        self.encoder_counts_per_degree = encoder_counts_per_degree
+        self.backlash = settings.backlash
+        self.encoder_counts_per_degree = settings.encoder_counts_per_degree
 
     def measured_angle(self) -> float:
         """Encoder reading (motor shaft), optionally quantized."""
@@ -236,45 +239,45 @@ class EregController:
     Feedforward and PID output are summed and the sum is clamped to the
     valve travel; the primary anti-windup saturates against that same
     clamp so the integrator cannot wind while the valve is pinned.
+
+    variant is one of CONTROLLER_VARIANTS: "ff+dyn" runs the feedforward
+    with ramped gains, "pid" the feedback alone at constant gains, and
+    "ff" the feedforward alone (feedback gains zero). tank_setpoint is
+    the drop reference of an injector feedforward configured with
+    drop_reference "tank_setpoint".
     """
 
     def __init__(
         self,
         kind: str,
-        primary_gains: PidGains,
-        secondary_gains: PidGains,
-        feedforward: FeedforwardParams,
-        ramp: RampSchedule,
+        settings: ControllerSettings,
         actuator: Actuator,
         primary_period: float,
         secondary_period: float,
-        use_feedforward: bool = True,
-        use_gain_ramp: bool = True,
-        integral_limits: tuple[float, float] = (-45.0, 45.0),
-        secondary_integral_limits: tuple[float, float] = (-0.5, 0.5),
-        tank_setpoint_for_ff: float = 0.0,
+        variant: str,
+        tank_setpoint: float,
     ):
         if kind not in ("tank", "injector"):
             raise ValueError(f"unknown regulator kind {kind!r}")
+        if variant not in CONTROLLER_VARIANTS:
+            raise ValueError(f"unknown controller variant {variant!r}")
         if secondary_period > primary_period:
             raise ValueError("secondary period must not exceed primary period")
         ratio = primary_period / secondary_period
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("primary period must be an integer multiple of secondary period")
-        ramp.validate()
+        gains = settings.primary_gains
+        if variant == "ff":
+            gains = gains.scaled(0.0)  # feedback disabled, feedforward only
         self.kind = kind
-        self.primary_base_gains = primary_gains
-        self.ramp = ramp
-        self.feedforward = feedforward
+        self.ramp_time = settings.ramp_time if variant == "ff+dyn" else None
+        self.feedforward = None if variant == "pid" else settings.feedforward
+        self.tank_setpoint = tank_setpoint
         self.actuator = actuator
         self.primary_period = primary_period
-        self.secondary_period = secondary_period
-        self.use_feedforward = use_feedforward
-        self.use_gain_ramp = use_gain_ramp
-        self.tank_setpoint_for_ff = tank_setpoint_for_ff
-        self.primary = PidController(primary_gains, (0.0, FULL_TRAVEL), integral_limits)
+        self.primary = PidController(gains, (0.0, FULL_TRAVEL), settings.integral_limits)
         self.secondary = PidController(
-            secondary_gains, (-1.0, 1.0), secondary_integral_limits
+            settings.secondary_gains, (-1.0, 1.0), settings.secondary_integral_limits
         )
         self._ticks_per_primary = int(round(ratio))
         self._tick = 0
@@ -283,11 +286,14 @@ class EregController:
         self.last_feedforward = 0.0
 
     def feedforward_angle(self, upstream_pressure: float, setpoint: float) -> float:
+        """The feedforward angle; 0 when the variant runs without one."""
+        if self.feedforward is None:
+            return 0.0
         if self.kind == "tank":
             return ff_tank(self.feedforward, setpoint, upstream_pressure)
         drop_setpoint = setpoint
         if self.feedforward.drop_reference == "tank_setpoint":
-            drop_setpoint = self.tank_setpoint_for_ff
+            drop_setpoint = self.tank_setpoint
         return ff_injector(self.feedforward, upstream_pressure, drop_setpoint)
 
     def step(
@@ -303,12 +309,10 @@ class EregController:
         _require_finite("upstream_pressure", upstream_pressure)
         _require_finite("setpoint", setpoint)
         if self._tick % self._ticks_per_primary == 0:
-            ff_angle = 0.0
-            if self.use_feedforward:
-                ff_angle = self.feedforward_angle(upstream_pressure, setpoint)
-            gains = self.primary_base_gains
-            if self.use_gain_ramp:
-                gains = dynamic_gains(gains, t, self.ramp)
+            ff_angle = self.feedforward_angle(upstream_pressure, setpoint)
+            gains = self.primary.gains
+            if self.ramp_time is not None:
+                gains = dynamic_gains(gains, t, self.ramp_time)
             # Saturate the PID against the travel limits shifted by the
             # feedforward so the summed command clamps exactly at [0, 90].
             self.primary.output_limits = (-ff_angle, FULL_TRAVEL - ff_angle)

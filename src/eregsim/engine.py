@@ -37,15 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import Actuator, EregController, RampSchedule
-from .errors import EregSimError, ModelError
+from .control import Actuator, EregController
+from .errors import ConfigError, EregSimError, ModelError
 from .fluids import (
     GasTankState,
     chamber_state,
     choked_flow_fade,
     cv_of_angle,
 )
-from .scenario import EREG_NAMES, SIDES, TANK_EREGS, ScenarioConfig, setpoints_at
+from .scenario import EREG_NAMES, SIDES, TANK_EREGS, VARIANTS, ScenarioConfig, setpoints_at
 from .telemetry import EregFrame, TelemetryFrame, regulation_metrics, RegulationMetrics
 
 EVENT_ABORT = "abort_overpressure"
@@ -370,41 +370,23 @@ class _Plant:
         )
 
 
-def _build_controllers(config: ScenarioConfig) -> dict[str, EregController | None]:
-    controllers: dict[str, EregController | None] = {}
-    use_ff = config.variant in ("ff+dyn", "ff")
-    use_ramp = config.variant == "ff+dyn"
-    for name in EREG_NAMES:
-        settings = config.controllers[name]
-        if settings.locked_angle is not None or config.variant == "oracle":
-            controllers[name] = None
-            continue
-        side = name.split("_")[0]
-        act = config.actuators[name]
-        gains = settings.primary_gains
-        if config.variant == "ff":
-            gains = gains.scaled(0.0)  # feedback disabled, feedforward only
-        controllers[name] = EregController(
-            kind="tank" if name in TANK_EREGS else "injector",
-            primary_gains=gains,
-            secondary_gains=settings.secondary_gains,
-            feedforward=settings.feedforward,
-            ramp=RampSchedule(settings.ramp_time),
-            actuator=Actuator(
-                time_constant=act.time_constant,
-                rate_max=act.rate_max,
-                backlash=act.backlash,
-                encoder_counts_per_degree=act.encoder_counts_per_degree,
-            ),
-            primary_period=config.dt_primary,
-            secondary_period=config.dt_secondary,
-            use_feedforward=use_ff,
-            use_gain_ramp=use_ramp,
-            integral_limits=settings.integral_limits,
-            secondary_integral_limits=settings.secondary_integral_limits,
-            tank_setpoint_for_ff=config.tank_setpoint(side),
+def _build_controllers(config: ScenarioConfig) -> dict[str, EregController]:
+    """The closed-loop regulators by name: none for the oracle or a locked valve."""
+    if config.variant == "oracle":
+        return {}
+    return {
+        name: EregController(
+            "tank" if name in TANK_EREGS else "injector",
+            settings,
+            Actuator(config.actuator),
+            config.dt_primary,
+            config.dt_secondary,
+            config.variant,
+            config.tank_setpoint(name.split("_")[0]),
         )
-    return controllers
+        for name, settings in config.controllers.items()
+        if settings.locked_angle is None
+    }
 
 
 def _oracle_angles(config: ScenarioConfig, plant: _Plant, flows: NetworkFlows,
@@ -481,6 +463,10 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
     (110 percent of a valve rating upstream of it by default), whichever
     comes first. Output is bit-identical for identical configs.
     """
+    if config.variant not in VARIANTS:
+        raise ConfigError(
+            f"variant must be one of {', '.join(VARIANTS)}, got {config.variant!r}"
+        )
     plant = _Plant(config)
     if audit is not None:
         audit.record(plant)
@@ -490,13 +476,10 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
     n_steps = int(round(config.duration / config.dt_phys))
     rng = np.random.default_rng(config.noise_seed) if config.noise_sigma > 0.0 else None
 
-    angles = {}
-    for name in EREG_NAMES:
-        locked = config.controllers[name].locked_angle
-        ctrl = controllers[name]
-        angles[name] = locked if locked is not None else (
-            ctrl.actuator.valve_angle if ctrl is not None else 0.0
-        )
+    angles = {
+        name: 0.0 if settings.locked_angle is None else settings.locked_angle
+        for name, settings in config.controllers.items()
+    }
 
     frames: list[TelemetryFrame] = []
     events_active: list[str] = []
@@ -545,10 +528,7 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
                         angles[name] = locked
                 plant.set_angles(angles)
         elif k % phys_per_secondary == 0:
-            for name in EREG_NAMES:
-                ctrl = controllers[name]
-                if ctrl is None:
-                    continue
+            for name, ctrl in controllers.items():
                 upstream = measured_supply if name in TANK_EREGS else measured[name.split("_")[0] + "_tank"]
                 ctrl.step(
                     measured[name],
@@ -585,10 +565,7 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
             if event not in events_active:
                 events_active.append(event)
 
-        for name in EREG_NAMES:
-            ctrl = controllers[name]
-            if ctrl is None:
-                continue
+        for name, ctrl in controllers.items():
             ctrl.actuator.step(ctrl.u2, config.dt_phys)
             angles[name] = ctrl.actuator.valve_angle
 
@@ -601,7 +578,7 @@ def _make_frame(t, config, plant, flows, controllers, angles, measured,
                 measured_supply, setpoints, events_active) -> TelemetryFrame:
     eregs = {}
     for name in EREG_NAMES:
-        ctrl = controllers[name]
+        ctrl = controllers.get(name)
         eregs[name] = EregFrame(
             setpoint_bar=setpoints.for_ereg(name) / 1e5,
             pressure_bar=measured[name] / 1e5,

@@ -24,6 +24,3 @@ class ControllerError(EregSimError):
 class DegenerateFitError(EregSimError):
     """A calibration fit has too little information to be solvable."""
 
-
-class UndefinedRatioError(EregSimError):
-    """OF ratio is undefined because the fuel mass flow is zero."""

@@ -148,30 +148,6 @@ def liquid_volumetric_flow(valve: ValveModel, theta: float, dp: float, rho: floa
     return cv_of_angle(valve, theta) * math.sqrt(dp / rho)
 
 
-def orifice_mass_flow(cd: float, area: float, rho: float, dp: float) -> float:
-    """Incompressible orifice law mdot = Cd * A * sqrt(2 * rho * dp)."""
-    if not 0.0 < cd <= 1.0:
-        raise ValueError(f"discharge coefficient {cd} outside (0, 1]")
-    if area <= 0.0:
-        raise ValueError("orifice area must be positive")
-    if rho <= 0.0:
-        raise ValueError("density must be positive")
-    if dp <= 0.0:
-        return 0.0
-    return cd * area * math.sqrt(2.0 * rho * dp)
-
-
-def darcy_weisbach_dp(
-    friction_factor: float, length: float, diameter: float, rho: float, velocity: float
-) -> float:
-    """Friction loss f * (L/D) * rho * v^2 / 2 along a straight line."""
-    if friction_factor <= 0.0 or length <= 0.0 or diameter <= 0.0 or rho <= 0.0:
-        raise ValueError("line parameters must be positive")
-    if velocity < 0.0:
-        raise ValueError("velocity must be nonnegative")
-    return friction_factor * (length / diameter) * rho * velocity**2 / 2.0
-
-
 # ---------------------------------------------------------------------------
 # Chamber and feed branch
 

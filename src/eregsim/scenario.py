@@ -12,13 +12,21 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
 
 import yaml
 
-from .control import DROP_REFERENCES, FULL_TRAVEL, FeedforwardParams, PidGains
-from .errors import ConfigError, InfeasibleThrottleError, UndefinedRatioError
+from .control import (
+    CONTROLLER_VARIANTS,
+    DROP_REFERENCES,
+    FULL_TRAVEL,
+    ActuatorSettings,
+    ControllerSettings,
+    FeedforwardParams,
+    PidGains,
+)
+from .errors import ConfigError, InfeasibleThrottleError
 from .fluids import (
     AMBIENT_PRESSURE,
     ChamberModel,
@@ -36,7 +44,7 @@ SIDES = ("ox", "fuel")
 EREG_NAMES = ("ox_tank", "fuel_tank", "ox_inj", "fuel_inj")
 TANK_EREGS = ("ox_tank", "fuel_tank")
 MODES = ("waterflow", "coldflow", "staticfire")
-VARIANTS = ("ff+dyn", "pid", "ff", "oracle")
+VARIANTS = CONTROLLER_VARIANTS + ("oracle",)
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +141,6 @@ def setpoints_at(schedule: SetpointSchedule, t: float) -> Setpoints:
 # Operating-point helpers
 
 
-def of_ratio(mdot_ox: float, mdot_fuel: float) -> float:
-    """Oxidizer-to-fuel mass flow ratio."""
-    if mdot_fuel <= 0.0:
-        raise UndefinedRatioError("OF ratio undefined at zero fuel flow")
-    return mdot_ox / mdot_fuel
-
-
 @dataclass(frozen=True)
 class InjectorOrifice:
     cd: float
@@ -182,30 +183,11 @@ class TankSettings:
 
 
 @dataclass(frozen=True)
-class ActuatorSettings:
-    time_constant: float = 0.020  # s
-    rate_max: float = 180.0  # degrees/s
-    backlash: float = 0.0  # degrees
-    encoder_counts_per_degree: float = 0.0  # 0 disables quantization
-
-
-@dataclass(frozen=True)
-class ControllerSettings:
-    primary_gains: PidGains  # degrees per Pa, Pa*s, Pa/s
-    secondary_gains: PidGains
-    ramp_time: float  # s
-    feedforward: FeedforwardParams
-    integral_limits: tuple[float, float] = (-45.0, 45.0)
-    secondary_integral_limits: tuple[float, float] = (-0.5, 0.5)
-    locked_angle: float | None = None  # fixed valve angle, bypasses the loops
-
-
-@dataclass(frozen=True)
 class MetricsSettings:
-    startup_window: float = 1.0  # s excluded from error metrics
-    early_window: float = 2.0  # s over which oscillation amplitude is taken
-    settle_threshold: float = 0.5e5  # Pa
-    exclude_after_depletion: bool = True
+    startup_window: float  # s excluded from error metrics
+    early_window: float  # s over which oscillation amplitude is taken
+    settle_threshold: float  # Pa
+    exclude_after_depletion: bool
 
 
 @dataclass(frozen=True)
@@ -229,15 +211,15 @@ class ScenarioConfig:
     nominal_mdot: dict[str, float]
     schedule: SetpointSchedule
     controllers: dict[str, ControllerSettings]
-    actuators: dict[str, ActuatorSettings]
-    variant: str = "ff+dyn"
-    noise_sigma: float = 0.0  # Pa, per pressure sensor
-    noise_seed: int = 0
-    adiabatic_supply: bool = False
-    ullage_collapse_coeff: float = 0.0  # 1/s mass-sink on the ullages
-    abort_pressure_factor: float = 1.10
-    telemetry_decimation: int = 1
-    metrics: MetricsSettings = field(default_factory=MetricsSettings)
+    actuator: ActuatorSettings  # shared by the four regulators
+    variant: str  # one of VARIANTS
+    noise_sigma: float  # Pa, per pressure sensor
+    noise_seed: int
+    adiabatic_supply: bool
+    ullage_collapse_coeff: float  # 1/s mass-sink on the ullages
+    abort_pressure_factor: float
+    telemetry_decimation: int
+    metrics: MetricsSettings
 
     def tank_setpoint(self, side: str) -> float:
         return self.schedule.ox_tank if side == "ox" else self.schedule.fuel_tank
@@ -273,35 +255,6 @@ def paired_setpoints_for_of(
     return (
         injectors["ox"].inlet_pressure(mdot_ox, tanks["ox"].liquid_density, pc),
         injectors["fuel"].inlet_pressure(mdot_fuel, tanks["fuel"].liquid_density, pc),
-    )
-
-
-@dataclass(frozen=True)
-class OperatingPoint:
-    mdot_ox: float
-    mdot_fuel: float
-    chamber_pressure: float
-    thrust: float
-    ox_inj_pressure: float
-    fuel_inj_pressure: float
-
-
-def steady_operating_point(config: ScenarioConfig, thrust_fraction: float = 1.0) -> OperatingPoint:
-    """Closed-form steady state at a thrust fraction of the nominal point."""
-    mdot_ox = thrust_fraction * config.nominal_mdot["ox"]
-    mdot_fuel = thrust_fraction * config.nominal_mdot["fuel"]
-    total = mdot_ox + mdot_fuel
-    if config.chamber is None:
-        pc, thrust = config.ambient_pressure, 0.0
-    else:
-        pc, thrust = chamber_state(total, config.chamber, config.ambient_pressure)
-    return OperatingPoint(
-        mdot_ox,
-        mdot_fuel,
-        pc,
-        thrust,
-        config.injectors["ox"].inlet_pressure(mdot_ox, config.tanks["ox"].liquid_density, pc),
-        config.injectors["fuel"].inlet_pressure(mdot_fuel, config.tanks["fuel"].liquid_density, pc),
     )
 
 
@@ -707,7 +660,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
             tank_setpoints["ox"], tank_setpoints["fuel"], profiles["ox"], profiles["fuel"]
         ),
         controllers={reg: controllers[reg] for reg in EREG_NAMES},
-        actuators={reg: actuator for reg in EREG_NAMES},
+        actuator=actuator,
         variant=root.choice("variant", VARIANTS, "ff+dyn"),
         noise_sigma=bar_to_pa(sensors.number("noise_sigma_bar", 0.0, at_least=0.0)),
         noise_seed=sensors.integer("seed", 0, at_least=0),

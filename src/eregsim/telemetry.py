@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import EregSimError
-from .scenario import EREG_NAMES, ScenarioConfig, setpoints_at
+from .scenario import EREG_NAMES, ScenarioConfig
 
 EREG_FIELDS = ("setpoint_bar", "pressure_bar", "valve_angle_deg", "feedforward_deg", "u1_deg", "u2")
 SCALAR_FIELDS = (
@@ -218,14 +218,3 @@ def regulation_metrics(frames: list[TelemetryFrame], config: ScenarioConfig) -> 
             peak_oscillation_amplitude=oscillation,
         )
     return RegulationMetrics(per_ereg)
-
-
-def scheduled_setpoints_check(frames: list[TelemetryFrame], config: ScenarioConfig) -> float:
-    """Worst mismatch (bar) between logged and scheduled setpoints."""
-    worst = 0.0
-    for frame in frames:
-        scheduled = setpoints_at(config.schedule, frame.time_s)
-        for name in EREG_NAMES:
-            logged = frame.ereg(name).setpoint_bar
-            worst = max(worst, abs(logged - scheduled.for_ereg(name) / 1e5))
-    return worst

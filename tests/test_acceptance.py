@@ -11,8 +11,8 @@ from eregsim.calibration import fit_choked_constant, fit_cv_curve, fit_gamma, Fl
 from eregsim.control import FeedforwardParams, ff_tank
 from eregsim.engine import RunAudit, run_scenario
 from eregsim.fluids import ValveModel, cv_of_angle
-from eregsim.scenario import steady_operating_point
 from eregsim.telemetry import regulation_metrics
+from tests.oracles import steady_operating_point
 
 
 def hold_window(config, which):

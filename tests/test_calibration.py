@@ -4,8 +4,7 @@ import yaml
 
 from eregsim.calibration import (
     FlowSample,
-    cv_fit_objective,
-    cv_fit_objective_grad_alpha,
+    choked_samples,
     cv_from_sample,
     fit_choked_constant,
     fit_cv_curve,
@@ -19,6 +18,7 @@ from eregsim.control import ff_tank, FeedforwardParams
 from eregsim.engine import run_scenario
 from eregsim.errors import DegenerateFitError
 from eregsim.fluids import ValveModel, cv_of_angle, liquid_volumetric_flow
+from tests.oracles import cv_fit_objective
 
 
 def synthetic_cv_samples(alpha, theta_zero, angles, noise=0.0, rng=None):
@@ -113,21 +113,6 @@ class TestFitCvCurve:
                 samples, 4.0e-6, 12.0
             ) + 1e-30
 
-    def test_gradient_matches_central_differences(self):
-        rng = np.random.default_rng(42)
-        angles = np.linspace(0.0, 90.0, 50)
-        samples = synthetic_cv_samples(4.0e-6, 12.0, angles, noise=3e-6, rng=rng)
-        for _ in range(10):
-            alpha = float(rng.uniform(1e-6, 8e-6))
-            theta_zero = float(rng.uniform(0.0, 30.0))
-            h = alpha * 1e-5
-            numeric = (
-                cv_fit_objective(samples, alpha + h, theta_zero)
-                - cv_fit_objective(samples, alpha - h, theta_zero)
-            ) / (2.0 * h)
-            analytic = cv_fit_objective_grad_alpha(samples, alpha, theta_zero)
-            assert analytic == pytest.approx(numeric, rel=1e-6)
-
 
 class TestFitGamma:
     def test_exact_on_ff_generated_records(self):
@@ -179,7 +164,11 @@ class TestFitChokedConstant:
     def test_unchoked_samples_filtered_out(self):
         k = 1.6774194e-3
         base = self.make_samples(k, 9.375e-8, 10.0, [15, 25], [310e5, 250e5])
-        bogus = [FlowSample(40.0, 100e5, 90e5, 99.0, 0.0, "gas")]  # ratio 0.9
+        bogus = [
+            FlowSample(40.0, 100e5, 90e5, 99.0, 0.0, "gas"),  # ratio 0.9
+            FlowSample(40.0, 100e5, 10e5, 99.0, 1141.0, "liquid"),
+        ]
+        assert choked_samples(bogus + base) == base
         assert fit_choked_constant(base + bogus, 9.375e-8, 10.0) == pytest.approx(
             fit_choked_constant(base, 9.375e-8, 10.0), rel=1e-12
         )

@@ -11,6 +11,7 @@ import yaml
 import eregsim
 
 from eregsim.cli import EXIT_ABORT, EXIT_ERROR, EXIT_OK, main
+from eregsim.fluids import CHOKED_PRESSURE_RATIO
 from eregsim.scenario import load_scenario, size_mock_injector
 from eregsim.telemetry import read_telemetry
 from tests.conftest import DROP, SCENARIO_DIR, set_key, small_scenario_dict
@@ -24,6 +25,13 @@ def baseline_csv(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "baseline.csv"
     code = main(["run", "--scenario", BASELINE, "--out", str(out)])
     assert code == EXIT_OK
+    return out
+
+
+@pytest.fixture(scope="module")
+def blowdown_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli") / "blowdown.csv"
+    assert main(["run", "--scenario", BLOWDOWN, "--out", str(out)]) == EXIT_OK
     return out
 
 
@@ -139,6 +147,17 @@ class TestMetrics:
         assert payload["ox_tank"]["max_abs_error"] < 0.5
         assert payload["ox_inj"]["max_abs_error"] < 1.0
 
+    def test_metrics_json_is_strict_json(self, blowdown_csv, capsys):
+        # No blowdown regulator settles, so every settle time is infinite.
+        code = main(["metrics", "--telemetry", str(blowdown_csv), "--scenario", BLOWDOWN, "--json"])
+        assert code == EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert [payload[name]["settle_time"] for name in payload] == [None] * 4
+
 
     def test_malformed_telemetry_exits_2_with_one_json_line(self, baseline_csv, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -182,12 +201,10 @@ class TestCalibrate:
         ])
         assert code == EXIT_ERROR
 
-    def test_calibrate_gamma(self, tmp_path):
-        csv_path = tmp_path / "blowdown.csv"
-        assert main(["run", "--scenario", BLOWDOWN, "--out", str(csv_path)]) == EXIT_OK
+    def test_calibrate_gamma(self, blowdown_csv, tmp_path):
         out = tmp_path / "gamma.yaml"
         code = main([
-            "calibrate", "gamma", "--data", str(csv_path), "--out", str(out),
+            "calibrate", "gamma", "--data", str(blowdown_csv), "--out", str(out),
             "--side", "ox", "--theta-zero", "10.0",
         ])
         assert code == EXIT_OK
@@ -195,18 +212,23 @@ class TestCalibrate:
         assert fit["fit"] == "gamma"
         assert 70.0 < fit["gamma_deg"] < 90.0
 
-    def test_calibrate_choked(self, tmp_path):
-        csv_path = tmp_path / "blowdown.csv"
-        assert main(["run", "--scenario", BLOWDOWN, "--out", str(csv_path)]) == EXIT_OK
+    def test_calibrate_choked(self, blowdown_csv, tmp_path):
         out = tmp_path / "k.yaml"
         code = main([
-            "calibrate", "choked", "--data", str(csv_path), "--out", str(out),
+            "calibrate", "choked", "--data", str(blowdown_csv), "--out", str(out),
             "--side", "ox", "--alpha", "9.375e-8", "--theta-zero", "10.0",
         ])
         assert code == EXIT_OK
         fit = yaml.safe_load(out.read_text())
         # blowdown telemetry lumps both (identical) tank valves: expect ~2k
         assert fit["choked_constant"] == pytest.approx(2 * 1.6774194e-3, rel=0.05)
+        # The report covers the rows the fit used: the choked ones only.
+        rows = read_telemetry(blowdown_csv)
+        choked = [
+            f for f in rows if f.ox_tank.pressure_bar / f.supply_pressure_bar < CHOKED_PRESSURE_RATIO
+        ]
+        assert 0 < fit["sample_count"] == len(choked) < len(rows)
+        assert fit["residual_rms"] < 1e-6
 
 
 class TestSizeInjector:

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from eregsim.control import (
     Actuator,
+    ActuatorSettings,
+    ControllerSettings,
     EregController,
     FeedforwardParams,
     PidController,
     PidGains,
-    RampSchedule,
     dynamic_gains,
     ff_injector,
     ff_tank,
@@ -81,7 +82,7 @@ class TestPid:
 
 class TestDynamicGains:
     BASE = PidGains(4.0, 6.0, 0.1)
-    RAMP = RampSchedule(2.0)
+    RAMP = 2.0  # s
 
     def test_zero_at_start(self):
         g = dynamic_gains(self.BASE, 0.0, self.RAMP)
@@ -145,15 +146,19 @@ class TestFeedforwardInjector:
         assert ff_injector(self.FF, 42e5, 35e5) == pytest.approx(20.0933, rel=1e-4)
 
 
+def make_actuator(time_constant=0.020, rate_max=180.0, backlash=0.0, encoder_counts_per_degree=0.0):
+    return Actuator(ActuatorSettings(time_constant, rate_max, backlash, encoder_counts_per_degree))
+
+
 class TestActuator:
     def test_no_command_from_rest(self):
-        act = Actuator(time_constant=0.02, rate_max=180.0)
+        act = make_actuator(time_constant=0.02, rate_max=180.0)
         for _ in range(100):
             act.step(0.0, 0.001)
         assert act.angle == 0.0
 
     def test_full_command_reaches_and_holds_stop(self):
-        act = Actuator(time_constant=0.02, rate_max=180.0)
+        act = make_actuator(time_constant=0.02, rate_max=180.0)
         for _ in range(2000):
             act.step(1.0, 0.001)
         assert act.angle == 90.0
@@ -165,25 +170,25 @@ class TestActuator:
         closed = rate_max * (t_end - tau * (1.0 - math.exp(-t_end / tau)))
         assert closed == pytest.approx(14.4243, abs=1e-3)
 
-        fine = Actuator(time_constant=tau, rate_max=rate_max)
+        fine = make_actuator(time_constant=tau, rate_max=rate_max)
         for _ in range(10_000):
             fine.step(1.0, 1e-5)
         assert fine.angle == pytest.approx(closed, abs=0.01)
 
-        production = Actuator(time_constant=tau, rate_max=rate_max)
+        production = make_actuator(time_constant=tau, rate_max=rate_max)
         for _ in range(100):
             production.step(1.0, 1e-3)
         assert production.angle == pytest.approx(closed, rel=5e-3)
 
     def test_command_clamped(self):
-        act = Actuator()
+        act = make_actuator()
         act.step(7.0, 0.001)
         assert act.command == 1.0
         act.step(-7.0, 0.001)
         assert act.command == -1.0
 
     def test_backlash_lost_motion(self):
-        act = Actuator(backlash=1.0)
+        act = make_actuator(backlash=1.0)
         for _ in range(200):
             act.step(1.0, 0.001)
         assert act.valve_angle == pytest.approx(act.angle - 1.0, rel=1e-9)
@@ -200,12 +205,24 @@ class TestActuator:
         assert act.valve_angle == pytest.approx(act.angle, rel=1e-9)  # lash taken up
 
     def test_encoder_quantization(self):
-        act = Actuator(encoder_counts_per_degree=10.0)
+        act = make_actuator(encoder_counts_per_degree=10.0)
         act.angle = 12.3456
         assert act.measured_angle() == pytest.approx(12.3)
 
 
-def make_ereg(kind="tank", use_ff=True, use_ramp=True, primary=PidGains(4.0e-5, 6.0e-5, 0.0)):
+def controller_settings(ff, primary):
+    return ControllerSettings(
+        primary_gains=primary,
+        secondary_gains=PidGains(0.5, 1.0, 0.01),
+        ramp_time=2.0,
+        feedforward=ff,
+        integral_limits=(-45.0, 45.0),
+        secondary_integral_limits=(-0.5, 0.5),
+        locked_angle=None,
+    )
+
+
+def make_ereg(kind="tank", variant="ff+dyn", primary=PidGains(4.0e-5, 6.0e-5, 0.0)):
     valve = GAS_VALVE if kind == "tank" else LIQ_VALVE
     ff = FeedforwardParams(
         gamma=73.0,
@@ -217,15 +234,12 @@ def make_ereg(kind="tank", use_ff=True, use_ramp=True, primary=PidGains(4.0e-5, 
     )
     return EregController(
         kind=kind,
-        primary_gains=primary,
-        secondary_gains=PidGains(0.5, 1.0, 0.01),
-        feedforward=ff,
-        ramp=RampSchedule(2.0),
-        actuator=Actuator(),
+        settings=controller_settings(ff, primary),
+        actuator=make_actuator(),
         primary_period=0.01,
         secondary_period=0.001,
-        use_feedforward=use_ff,
-        use_gain_ramp=use_ramp,
+        variant=variant,
+        tank_setpoint=42e5,
     )
 
 
@@ -286,11 +300,22 @@ class TestEregController:
             theta_zero=valve.theta_zero, min_drop=1e4, drop_reference="tank_setpoint",
         )
         ctrl = EregController(
-            kind="injector", primary_gains=PidGains(0.0, 0.0, 0.0),
-            secondary_gains=PidGains(0.5, 1.0, 0.01), feedforward=ff,
-            ramp=RampSchedule(2.0), actuator=Actuator(), primary_period=0.01,
-            secondary_period=0.001, tank_setpoint_for_ff=42e5,
+            kind="injector", settings=controller_settings(ff, PidGains(0.0, 0.0, 0.0)),
+            actuator=make_actuator(), primary_period=0.01, secondary_period=0.001,
+            variant="ff+dyn", tank_setpoint=42e5,
         )
         ctrl.step(34e5, 41.8e5, 34.26e5, 0.0, 0.001)
         expected = ff_injector(ff, 41.8e5, 42e5)  # drop measured against the tank setpoint
         assert ctrl.u1 == pytest.approx(expected, rel=1e-12)
+
+    def test_variants_select_feedforward_and_ramp(self):
+        # 1 bar below the setpoint at t = 1 s, halfway up the 2 s gain ramp.
+        primary = PidGains(4.0e-5, 0.0, 0.0)  # 4 degrees for the 1 bar error
+        ff_angle = ff_tank(make_ereg().feedforward, 42e5, 310e5)
+        expected = {"ff+dyn": ff_angle + 2.0, "pid": 4.0, "ff": ff_angle}
+        for variant, u1 in expected.items():
+            ctrl = make_ereg(variant=variant, primary=primary)
+            ctrl.step(41e5, 310e5, 42e5, 1.0, 0.001)
+            assert ctrl.u1 == pytest.approx(u1, rel=1e-12), variant
+        with pytest.raises(ValueError, match="bogus"):
+            make_ereg(variant="bogus")

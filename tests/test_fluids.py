@@ -11,13 +11,12 @@ from eregsim.fluids import (
     ValveModel,
     chamber_state,
     cv_of_angle,
-    darcy_weisbach_dp,
     gas_valve_mass_flow,
     liquid_volumetric_flow,
-    orifice_mass_flow,
 )
 from eregsim.scenario import scenario_from_dict
 from tests.conftest import build_small_scenario, set_key, small_scenario_dict
+from tests.oracles import darcy_weisbach_dp, orifice_mass_flow
 
 VALVE = ValveModel(alpha=0.5, theta_zero=10.0, rated_pressure=415e5, choked_constant=1.0)
 

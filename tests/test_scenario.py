@@ -9,21 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eregsim.engine import RunAudit, run_scenario
-from eregsim.errors import ConfigError, InfeasibleThrottleError, UndefinedRatioError
-from eregsim.fluids import branch_flow, cv_of_angle, orifice_mass_flow
+from eregsim.errors import ConfigError, InfeasibleThrottleError
+from eregsim.fluids import branch_flow, cv_of_angle
 from eregsim.scenario import (
     ProfileSegment,
     SetpointSchedule,
     ThrottleProfile,
     load_scenario,
-    of_ratio,
     paired_setpoints_for_of,
     scenario_from_dict,
     setpoints_at,
     size_mock_injector,
-    steady_operating_point,
 )
 from tests.conftest import DROP, SCENARIO_DIR, load_yaml, set_key, small_scenario_dict
+from tests.oracles import orifice_mass_flow, steady_operating_point
 
 BAR = 1e5
 
@@ -104,21 +103,6 @@ class TestSetpointsAt:
             assert sp.ox_tank == 42 * BAR
             assert sp.fuel_tank == 41 * BAR
             assert sp.ox_inj == three_segment_profile().value(t)
-
-
-class TestOfRatio:
-    def test_equal_flows(self):
-        assert of_ratio(0.8, 0.8) == 1.0
-
-    def test_nominal_point(self):
-        assert of_ratio(1.14, 0.49) == pytest.approx(2.327, abs=5e-4)
-
-    def test_zero_ox(self):
-        assert of_ratio(0.0, 0.49) == 0.0
-
-    def test_zero_fuel_is_undefined_signal(self):
-        with pytest.raises(UndefinedRatioError):
-            of_ratio(1.14, 0.0)
 
 
 class TestPairedSetpoints:

@@ -10,7 +10,7 @@ from eregsim.engine import (
     compare_controllers,
     run_scenario,
 )
-from eregsim.errors import EregSimError, ModelError
+from eregsim.errors import ConfigError, EregSimError, ModelError
 from eregsim.scenario import EREG_NAMES
 from eregsim.telemetry import (
     EregFrame,
@@ -19,9 +19,9 @@ from eregsim.telemetry import (
     emit_telemetry,
     read_telemetry,
     regulation_metrics,
-    scheduled_setpoints_check,
 )
 from tests.conftest import build_small_scenario
+from tests.oracles import scheduled_setpoints_check
 
 
 def flat_ereg(setpoint=30.0, pressure=30.0):
@@ -270,6 +270,13 @@ class TestCompareControllers:
         assert report.result("ff+dyn").error is None
         assert "run failed" in report.to_text()
 
+    def test_unknown_variant_is_rejected(self):
+        config = build_small_scenario(duration_s=1.0)
+        with pytest.raises(ConfigError, match="bogus"):
+            run_scenario(config.replace(variant="bogus"))
+        report = compare_controllers(config, ["bogus"])
+        assert "bogus" in report.result("bogus").error
+
     def test_report_text_contains_all_variants(self):
         config = build_small_scenario(duration_s=2.0)
         report = compare_controllers(config, ["ff", "oracle"])
@@ -396,6 +403,19 @@ class TestBenchmarkFacingNames:
             for theta, p in ((20.0, 310e5), (40.0, 200e5))
         ]
         assert isinstance(calibration.fit_choked_constant(samples, 1.0, 10.0), float)
+
+    def test_loaded_config_fields(self, baseline_config):
+        config = baseline_config
+        assert config.controllers["ox_tank"].feedforward.gamma > 0.0
+        for name in ("ox_inj", "ox_tank"):
+            valve = config.valves[name]
+            assert valve.alpha > 0.0 and valve.rated_pressure > 0.0
+        assert config.valves["ox_tank"].choked_constant > 0.0
+        assert config.tanks["ox"].liquid_density > 0.0
+        assert config.supply_pressure > config.tank_setpoint("ox") > 0.0
+        assert config.duration > 0.0
+        start, end, pressure = config.schedule.ox_inj.hold_intervals()[0]
+        assert 0.0 <= start < end and pressure > 0.0
 
     def test_engine_imports_traced_by_name(self):
         state = engine.GasTankState.from_pressure(1e5, 1.0, 293.0, 296.8)
