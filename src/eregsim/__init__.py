@@ -10,7 +10,6 @@ from .control import (
     FeedforwardParams,
     PidController,
     PidGains,
-    dynamic_gains,
     ff_injector,
     ff_tank,
 )

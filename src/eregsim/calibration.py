@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import DegenerateFitError
+from .errors import DegenerateFitError, EregSimError
 from .fluids import CHOKED_PRESSURE_RATIO
 from .telemetry import TelemetryFrame
 
@@ -253,4 +253,7 @@ def write_fit_result(path: str | Path, kind: str, parameters: dict) -> None:
     """Write a fit result as structured text (kind, parameters, residuals)."""
     payload = {"fit": kind}
     payload.update(parameters)
-    Path(path).write_text(yaml.safe_dump(payload, sort_keys=False))
+    try:
+        Path(path).write_text(yaml.safe_dump(payload, sort_keys=False))
+    except OSError as exc:
+        raise EregSimError(f"cannot write fit result to {path}: {exc}") from exc

@@ -13,9 +13,10 @@ import math
 import sys
 
 from . import calibration
+from .control import FULL_TRAVEL
 from .engine import EVENT_ABORT, compare_controllers, run_scenario
 from .errors import ConfigError, EregSimError
-from .scenario import EREG_NAMES, VARIANTS, load_scenario, size_mock_injector
+from .scenario import EREG_NAMES, VARIANTS, checked_number, load_scenario, size_mock_injector
 from .telemetry import emit_telemetry, read_telemetry, regulation_metrics
 from .units import bar_to_pa
 
@@ -27,6 +28,14 @@ EXIT_ABORT = 3
 def _fail(code: str, message: str) -> int:
     print(json.dumps({"error": code, "message": message}), file=sys.stderr)
     return EXIT_ERROR
+
+
+def _check_flag(args, dest: str, **bounds) -> None:
+    """Reject a non-finite or out-of-bounds numeric flag with one JSON error
+    line (an argparse type error would print a usage block instead)."""
+    value = getattr(args, dest)
+    if value is not None:
+        checked_number(value, "--" + dest.replace("_", "-"), **bounds)
 
 
 def _metrics_lines(metrics) -> list[str]:
@@ -91,6 +100,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    for dest in ("density", "choked_constant", "alpha"):
+        _check_flag(args, dest, above=0.0)
+    _check_flag(args, "theta_zero", at_least=0.0, below=FULL_TRAVEL)
     frames = read_telemetry(args.data)
     if args.kind == "cv":
         if args.phase == "liquid":
@@ -138,6 +150,8 @@ def _cmd_calibrate(args) -> int:
             },
         )
     else:  # choked
+        if args.alpha is None:
+            return _fail("calibrate", "choked-constant calibration needs --alpha")
         samples = calibration.choked_samples(
             calibration.gas_samples_from_telemetry(frames, args.side)
         )
@@ -160,6 +174,9 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_size_injector(args) -> int:
+    _check_flag(args, "target_mdot", above=0.0)
+    for dest in ("upstream_bar", "downstream_bar", "cd"):
+        _check_flag(args, dest)
     config = load_scenario(args.scenario)
     upstream, downstream = config.tank_setpoint(args.side), config.ambient_pressure
     if args.upstream_bar is not None:
@@ -208,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--phase", choices=["liquid", "gas"], default="liquid")
     p_cal.add_argument("--density", type=float)
     p_cal.add_argument("--choked-constant", type=float)
-    p_cal.add_argument("--alpha", type=float, default=0.0)
+    p_cal.add_argument("--alpha", type=float)
     p_cal.add_argument("--theta-zero", type=float, default=0.0)
     p_cal.set_defaults(func=_cmd_calibrate)
 

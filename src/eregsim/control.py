@@ -20,10 +20,6 @@ FULL_TRAVEL = 90.0  # degrees, hard stops at both ends
 # Time constant of the PID derivative's measurement filter, in sample periods.
 DERIVATIVE_FILTER_PERIODS = 4.0
 
-# Pressure the injector feedforward subtracts from the tank pressure to get
-# the drop across the valve: the injector setpoint or the tank setpoint.
-DROP_REFERENCES = ("injector_setpoint", "tank_setpoint")
-
 # Closed-loop controller variants; see EregController.
 CONTROLLER_VARIANTS = ("ff+dyn", "pid", "ff")
 
@@ -43,16 +39,6 @@ class PidGains:
         if self.kp < 0.0 or self.ki < 0.0 or self.kd < 0.0:
             raise ControllerError("PID gains must be nonnegative")
 
-    def scaled(self, factor: float) -> "PidGains":
-        return PidGains(self.kp * factor, self.ki * factor, self.kd * factor)
-
-
-def dynamic_gains(base: PidGains, t: float, ramp_time: float) -> PidGains:
-    """Scale all three gains by the ramp factor min(1, t/T)."""
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
-    return base.scaled(min(1.0, t / ramp_time))
-
 
 @dataclass(frozen=True)
 class FeedforwardParams:
@@ -69,7 +55,6 @@ class FeedforwardParams:
     alpha: float = 0.0  # m2 per degree, shared with the valve model
     theta_zero: float = 0.0  # degrees
     min_drop: float = 1.0e4  # Pa, floor below which the valve goes fully open
-    drop_reference: str = "injector_setpoint"  # one of DROP_REFERENCES
 
 
 @dataclass(frozen=True)
@@ -101,7 +86,7 @@ def ff_tank(ff: FeedforwardParams, tank_setpoint: float, supply_pressure: float)
     return min(max(angle, 0.0), FULL_TRAVEL)
 
 
-def ff_injector(ff: FeedforwardParams, tank_pressure: float, injector_setpoint: float) -> float:
+def ff_injector(ff: FeedforwardParams, injector_setpoint: float, tank_pressure: float) -> float:
     """Injector-regulator feedforward angle.
 
     When the available drop tank_pressure - setpoint falls below the
@@ -125,7 +110,8 @@ class PidController:
     DERIVATIVE_FILTER_PERIODS sample periods) so setpoint steps produce
     no impulse and sensor noise is not amplified. Anti-windup is
     conditional: the integrator is frozen whenever the output is saturated
-    in the same direction as the error pushes.
+    in the same direction as the error pushes. step() multiplies all three
+    gains by scale, which is how a caller schedules them.
     """
 
     def __init__(
@@ -146,13 +132,13 @@ class PidController:
         setpoint: float,
         measurement: float,
         dt: float,
-        gains: PidGains | None = None,
+        scale: float = 1.0,
     ) -> float:
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         _require_finite("setpoint", setpoint)
         _require_finite("measurement", measurement)
-        g = self.gains if gains is None else gains
+        kp, ki, kd = self.gains.kp * scale, self.gains.ki * scale, self.gains.kd * scale
         error = setpoint - measurement
 
         # Derivative on the low-pass filtered measurement, negated so that a
@@ -165,14 +151,14 @@ class PidController:
         derivative = -(self._filtered_measurement - previous_filtered) / dt
 
         lo_i, hi_i = self.integral_limits
-        candidate = min(max(self.integral + g.ki * error * dt, lo_i), hi_i)
+        candidate = min(max(self.integral + ki * error * dt, lo_i), hi_i)
         lo, hi = self.output_limits
-        output = g.kp * error + candidate + g.kd * derivative
+        output = kp * error + candidate + kd * derivative
         if (output > hi and error > 0.0) or (output < lo and error < 0.0):
             # Saturated in the direction the error is pushing: keep the old
             # integral instead of winding it further.
             candidate = self.integral
-            output = g.kp * error + candidate + g.kd * derivative
+            output = kp * error + candidate + kd * derivative
         self.integral = candidate
         output = min(max(output, lo), hi)
         _require_finite("output", output)
@@ -241,10 +227,9 @@ class EregController:
     clamp so the integrator cannot wind while the valve is pinned.
 
     variant is one of CONTROLLER_VARIANTS: "ff+dyn" runs the feedforward
-    with ramped gains, "pid" the feedback alone at constant gains, and
-    "ff" the feedforward alone (feedback gains zero). tank_setpoint is
-    the drop reference of an injector feedforward configured with
-    drop_reference "tank_setpoint".
+    with the primary gains scaled by the ramp min(1, t/ramp_time), "pid"
+    the feedback alone at scale 1, and "ff" the feedforward alone at
+    scale 0.
     """
 
     def __init__(
@@ -255,7 +240,6 @@ class EregController:
         primary_period: float,
         secondary_period: float,
         variant: str,
-        tank_setpoint: float,
     ):
         if kind not in ("tank", "injector"):
             raise ValueError(f"unknown regulator kind {kind!r}")
@@ -266,16 +250,15 @@ class EregController:
         ratio = primary_period / secondary_period
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("primary period must be an integer multiple of secondary period")
-        gains = settings.primary_gains
-        if variant == "ff":
-            gains = gains.scaled(0.0)  # feedback disabled, feedforward only
-        self.kind = kind
-        self.ramp_time = settings.ramp_time if variant == "ff+dyn" else None
         self.feedforward = None if variant == "pid" else settings.feedforward
-        self.tank_setpoint = tank_setpoint
+        self._ff_angle = ff_tank if kind == "tank" else ff_injector
+        self.ramp_time = settings.ramp_time if variant == "ff+dyn" else None
+        self.gain_scale = 0.0 if variant == "ff" else 1.0  # when there is no ramp
         self.actuator = actuator
         self.primary_period = primary_period
-        self.primary = PidController(gains, (0.0, FULL_TRAVEL), settings.integral_limits)
+        self.primary = PidController(
+            settings.primary_gains, (0.0, FULL_TRAVEL), settings.integral_limits
+        )
         self.secondary = PidController(
             settings.secondary_gains, (-1.0, 1.0), settings.secondary_integral_limits
         )
@@ -284,17 +267,6 @@ class EregController:
         self.u1 = 0.0  # valve angle setpoint, degrees
         self.u2 = 0.0  # motor command
         self.last_feedforward = 0.0
-
-    def feedforward_angle(self, upstream_pressure: float, setpoint: float) -> float:
-        """The feedforward angle; 0 when the variant runs without one."""
-        if self.feedforward is None:
-            return 0.0
-        if self.kind == "tank":
-            return ff_tank(self.feedforward, setpoint, upstream_pressure)
-        drop_setpoint = setpoint
-        if self.feedforward.drop_reference == "tank_setpoint":
-            drop_setpoint = self.tank_setpoint
-        return ff_injector(self.feedforward, upstream_pressure, drop_setpoint)
 
     def step(
         self,
@@ -309,14 +281,14 @@ class EregController:
         _require_finite("upstream_pressure", upstream_pressure)
         _require_finite("setpoint", setpoint)
         if self._tick % self._ticks_per_primary == 0:
-            ff_angle = self.feedforward_angle(upstream_pressure, setpoint)
-            gains = self.primary.gains
-            if self.ramp_time is not None:
-                gains = dynamic_gains(gains, t, self.ramp_time)
+            ff_angle = 0.0
+            if self.feedforward is not None:
+                ff_angle = self._ff_angle(self.feedforward, setpoint, upstream_pressure)
+            scale = self.gain_scale if self.ramp_time is None else min(1.0, t / self.ramp_time)
             # Saturate the PID against the travel limits shifted by the
             # feedforward so the summed command clamps exactly at [0, 90].
             self.primary.output_limits = (-ff_angle, FULL_TRAVEL - ff_angle)
-            pid_out = self.primary.step(setpoint, downstream_pressure, self.primary_period, gains)
+            pid_out = self.primary.step(setpoint, downstream_pressure, self.primary_period, scale)
             self.u1 = min(max(ff_angle + pid_out, 0.0), FULL_TRAVEL)
             self.last_feedforward = ff_angle
         self.u2 = self.secondary.step(self.u1, self.actuator.measured_angle(), dt)

@@ -67,19 +67,17 @@ ROOT_MAX_ITERATIONS = 60
 
 @dataclass
 class NetworkFlows:
-    """Algebraic flow solution at one instant (fixed angles and tank states)."""
+    """Algebraic flow solution at one instant (fixed angles and tank states).
 
-    mdot_gas: dict[str, float]  # per side, supply -> ullage
-    q_liquid: dict[str, float]  # per side, m3/s out of the tank
-    mdot_liquid: dict[str, float]
-    p_injector: dict[str, float]
+    Per-side fields are pairs indexed like SIDES.
+    """
+
+    mdot_gas: tuple[float, float]  # supply -> ullage
+    q_liquid: tuple[float, float]  # m3/s out of the tank
+    mdot_liquid: tuple[float, float]
+    p_injector: tuple[float, float]
     chamber_pressure: float
     thrust: float
-
-
-def _gas_flow(kcv: float, p_up: float, p_down: float) -> float:
-    """Gas valve mass flow k*Cv*p_up with the near-equalized fade (fluids.gas_valve_mass_flow)."""
-    return kcv * p_up * choked_flow_fade(p_down / p_up) if p_up > 0.0 else 0.0
 
 
 def _residual(pc: float, gain: float, branches: list) -> tuple[float, float]:
@@ -209,11 +207,13 @@ class _Plant:
         self._pc_guess = pc
         return pc
 
-    def _liquid(self, p_tank: tuple, wet: tuple) -> list[tuple[float, float]]:
-        """Per-side (Q, p_injector) of the liquid branches.
+    def _network(self, p_sup: float, p_tank, wet) -> list[tuple[float, float, float]]:
+        """Per-side (gas inflow, liquid Q, p_injector) at the given pressures.
 
-        Line + valve + injector orifice in series against the back
-        pressure, as fluids.branch_flow; a dry tank passes nothing.
+        Gas valves pass k*Cv*p_sup with the near-equalized fade, as
+        fluids.gas_valve_mass_flow. Liquid branches are line + valve +
+        injector orifice in series against the back pressure, as
+        fluids.branch_flow; a dry tank passes nothing.
         """
         branch = self._branch
         back = self._back_pressure(
@@ -221,37 +221,35 @@ class _Plant:
         )
         flows = []
         for i in (0, 1):
+            gas = (
+                self._kcv[i] * p_sup * choked_flow_fade(p_tank[i] / p_sup) if p_sup > 0.0 else 0.0
+            )
             c = branch[i]
             if not wet[i] or c is None:
-                flows.append((0.0, back))
+                flows.append((gas, 0.0, back))
                 continue
             dp = p_tank[i] - back
             if dp <= 0.0:
-                flows.append((0.0, p_tank[i]))
+                flows.append((gas, 0.0, p_tank[i]))
                 continue
             q = math.sqrt(dp / c[2])
-            flows.append((q, back + self._rho[i] * q**2 * self._orifice[i]))
+            flows.append((gas, q, back + self._rho[i] * q**2 * self._orifice[i]))
         return flows
 
     def snapshot(self) -> NetworkFlows:
         """Flows on the stored state, for telemetry, sensors and the oracle."""
-        p_sup = self.supply_pressure
-        p_tank = tuple(self.ullage_pressure)
-        liquid = self._liquid(p_tank, tuple(v > 0.0 for v in self.liquid_volume))
-        mdot_gas = {}
-        q_liquid = {}
-        mdot_liquid = {}
-        p_injector = {}
-        for i, side in enumerate(SIDES):
-            mdot_gas[side] = _gas_flow(self._kcv[i], p_sup, p_tank[i])
-            q_liquid[side], p_injector[side] = liquid[i]
-            mdot_liquid[side] = q_liquid[side] * self._rho[i]
-        total = mdot_liquid["ox"] + mdot_liquid["fuel"]
+        flows = self._network(
+            self.supply_pressure, self.ullage_pressure, [v > 0.0 for v in self.liquid_volume]
+        )
+        gas, q, p_injector = zip(*flows)
+        mdot_liquid = (q[0] * self._rho[0], q[1] * self._rho[1])
         if self.config.chamber is not None:
-            pc, thrust = chamber_state(total, self.config.chamber, self._ambient)
+            pc, thrust = chamber_state(
+                mdot_liquid[0] + mdot_liquid[1], self.config.chamber, self._ambient
+            )
         else:
             pc, thrust = self._ambient, 0.0
-        return NetworkFlows(mdot_gas, q_liquid, mdot_liquid, p_injector, pc, thrust)
+        return NetworkFlows(gas, q, mdot_liquid, p_injector, pc, thrust)
 
     # -- integration -------------------------------------------------------
 
@@ -272,9 +270,9 @@ class _Plant:
         v_fuel = max(v_fuel, 0.0)
         p_ox = m_ox * rt / (self._total_volume[0] - v_ox)
         p_fuel = m_fuel * rt / (self._total_volume[1] - v_fuel)
-        gas_ox = _gas_flow(self._kcv[0], p_sup, p_ox)
-        gas_fuel = _gas_flow(self._kcv[1], p_sup, p_fuel)
-        (q_ox, _), (q_fuel, _) = self._liquid((p_ox, p_fuel), (v_ox > 0.0, v_fuel > 0.0))
+        (gas_ox, q_ox, _), (gas_fuel, q_fuel, _) = self._network(
+            p_sup, (p_ox, p_fuel), (v_ox > 0.0, v_fuel > 0.0)
+        )
         collapse = self._collapse
         return (
             -(gas_ox + gas_fuel),
@@ -382,7 +380,6 @@ def _build_controllers(config: ScenarioConfig) -> dict[str, EregController]:
             config.dt_primary,
             config.dt_secondary,
             config.variant,
-            config.tank_setpoint(name.split("_")[0]),
         )
         for name, settings in config.controllers.items()
         if settings.locked_angle is None
@@ -390,7 +387,7 @@ def _build_controllers(config: ScenarioConfig) -> dict[str, EregController]:
 
 
 def _oracle_angles(config: ScenarioConfig, plant: _Plant, flows: NetworkFlows,
-                   setpoints) -> dict[str, float]:
+                   setpoints: dict[str, float]) -> dict[str, float]:
     """Valve angles that satisfy the setpoints exactly at the current state.
 
     Used as a controller-error floor: with these angles the only remaining
@@ -402,7 +399,7 @@ def _oracle_angles(config: ScenarioConfig, plant: _Plant, flows: NetworkFlows,
     for i, side in enumerate(SIDES):
         valve = config.valves[side + "_tank"]
         setpoint = config.tank_setpoint(side)
-        demand = setpoint * flows.q_liquid[side] / rt
+        demand = setpoint * flows.q_liquid[i] / rt
         p_tank = plant.ullage_pressure[i]
         fade = choked_flow_fade(p_tank / p_sup) if p_sup > 0 else 0.0
         if p_sup <= 0.0 or fade <= 0.0 or demand <= 0.0:
@@ -414,7 +411,7 @@ def _oracle_angles(config: ScenarioConfig, plant: _Plant, flows: NetworkFlows,
 
         ivalve = config.valves[side + "_inj"]
         rho = config.tanks[side].liquid_density
-        s_i = getattr(setpoints, side + "_inj")
+        s_i = setpoints[side + "_inj"]
         back = flows.chamber_pressure if config.chamber is not None else config.ambient_pressure
         q_req = 0.0
         if s_i > back:
@@ -509,8 +506,8 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
             truth = {
                 "ox_tank": plant.ullage_pressure[0],
                 "fuel_tank": plant.ullage_pressure[1],
-                "ox_inj": flows.p_injector["ox"],
-                "fuel_inj": flows.p_injector["fuel"],
+                "ox_inj": flows.p_injector[0],
+                "fuel_inj": flows.p_injector[1],
             }
             measured_supply = plant.supply_pressure
             if rng is not None:
@@ -533,7 +530,7 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
                 ctrl.step(
                     measured[name],
                     upstream,
-                    setpoints.for_ereg(name),
+                    setpoints[name],
                     t,
                     config.dt_secondary,
                 )
@@ -580,14 +577,14 @@ def _make_frame(t, config, plant, flows, controllers, angles, measured,
     for name in EREG_NAMES:
         ctrl = controllers.get(name)
         eregs[name] = EregFrame(
-            setpoint_bar=setpoints.for_ereg(name) / 1e5,
+            setpoint_bar=setpoints[name] / 1e5,
             pressure_bar=measured[name] / 1e5,
             valve_angle_deg=angles[name],
             feedforward_deg=ctrl.last_feedforward if ctrl is not None else 0.0,
             u1_deg=ctrl.u1 if ctrl is not None else angles[name],
             u2=ctrl.u2 if ctrl is not None else 0.0,
         )
-    mdot_fuel = flows.mdot_liquid["fuel"]
+    mdot_ox, mdot_fuel = flows.mdot_liquid
     frame = TelemetryFrame(
         time_s=t,
         ox_tank=eregs["ox_tank"],
@@ -595,12 +592,12 @@ def _make_frame(t, config, plant, flows, controllers, angles, measured,
         ox_inj=eregs["ox_inj"],
         fuel_inj=eregs["fuel_inj"],
         supply_pressure_bar=measured_supply / 1e5,
-        mdot_ox_kg_s=flows.mdot_liquid["ox"],
+        mdot_ox_kg_s=mdot_ox,
         mdot_fuel_kg_s=mdot_fuel,
-        mdot_gas_kg_s=flows.mdot_gas["ox"] + flows.mdot_gas["fuel"],
+        mdot_gas_kg_s=flows.mdot_gas[0] + flows.mdot_gas[1],
         chamber_pressure_bar=flows.chamber_pressure / 1e5,
         thrust_n=flows.thrust,
-        of_ratio=(flows.mdot_liquid["ox"] / mdot_fuel) if mdot_fuel > 0.0 else 0.0,
+        of_ratio=(mdot_ox / mdot_fuel) if mdot_fuel > 0.0 else 0.0,
         events=tuple(events_active),
     )
     frame.validate()
@@ -615,7 +612,6 @@ def _make_frame(t, config, plant, flows, controllers, angles, measured,
 class VariantResult:
     variant: str
     metrics: RegulationMetrics | None
-    events: tuple[str, ...]
     error: str | None = None
 
 
@@ -657,9 +653,7 @@ def compare_controllers(config: ScenarioConfig, variants: list[str]) -> Comparis
             run_config = config.replace(variant=variant)
             frames = run_scenario(run_config)
             metrics = regulation_metrics(frames, run_config)
-            results.append(
-                VariantResult(variant, metrics, frames[-1].events if frames else ())
-            )
+            results.append(VariantResult(variant, metrics))
         except EregSimError as exc:
-            results.append(VariantResult(variant, None, (), error=str(exc)))
+            results.append(VariantResult(variant, None, error=str(exc)))
     return ComparisonReport(config.name, tuple(results))

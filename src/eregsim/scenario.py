@@ -19,7 +19,6 @@ import yaml
 
 from .control import (
     CONTROLLER_VARIANTS,
-    DROP_REFERENCES,
     FULL_TRAVEL,
     ActuatorSettings,
     ControllerSettings,
@@ -107,17 +106,6 @@ class ThrottleProfile:
 
 
 @dataclass(frozen=True)
-class Setpoints:
-    ox_tank: float
-    fuel_tank: float
-    ox_inj: float
-    fuel_inj: float
-
-    def for_ereg(self, name: str) -> float:
-        return getattr(self, name)
-
-
-@dataclass(frozen=True)
 class SetpointSchedule:
     """Constant tank setpoints plus one throttle profile per injector."""
 
@@ -127,14 +115,14 @@ class SetpointSchedule:
     fuel_inj: ThrottleProfile
 
 
-def setpoints_at(schedule: SetpointSchedule, t: float) -> Setpoints:
-    """Scheduled setpoints for all four regulators at time t."""
-    return Setpoints(
-        ox_tank=schedule.ox_tank,
-        fuel_tank=schedule.fuel_tank,
-        ox_inj=schedule.ox_inj.value(t),
-        fuel_inj=schedule.fuel_inj.value(t),
-    )
+def setpoints_at(schedule: SetpointSchedule, t: float) -> dict[str, float]:
+    """Scheduled setpoints of the four regulators at time t, by name."""
+    return {
+        "ox_tank": schedule.ox_tank,
+        "fuel_tank": schedule.fuel_tank,
+        "ox_inj": schedule.ox_inj.value(t),
+        "fuel_inj": schedule.fuel_inj.value(t),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +259,12 @@ _BOUNDS = (
 )
 
 
-def _as_number(value, key: str) -> float:
-    """value as a finite float; strings count because PyYAML reads 1e-3 as one."""
+def checked_number(value, key: str, *, above=None, at_least=None, below=None,
+                   at_most=None) -> float:
+    """value as a finite float within the given bounds; errors name it key.
+
+    Strings count because PyYAML reads 1e-3 as one.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     try:
@@ -281,6 +273,9 @@ def _as_number(value, key: str) -> float:
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
     if not math.isfinite(number):
         raise ConfigError(f"{key} must be finite, got {value!r}")
+    for (text, holds), bound in zip(_BOUNDS, (above, at_least, below, at_most)):
+        if bound is not None and not holds(number, bound):
+            raise ConfigError(f"{key} must be {text} {bound:g}, got {value!r}")
     return number
 
 
@@ -322,16 +317,9 @@ class _Section:
             raise ConfigError(f"missing required key {self._key(key)}")
         return default, self._key(key)
 
-    def number(self, key: str, default=_REQUIRED, *, above=None, at_least=None,
-               below=None, at_most=None) -> float:
+    def number(self, key: str, default=_REQUIRED, **bounds) -> float:
         value, path = self.lookup(key, default)
-        if value is default:
-            return value
-        number = _as_number(value, path)
-        for (text, holds), bound in zip(_BOUNDS, (above, at_least, below, at_most)):
-            if bound is not None and not holds(number, bound):
-                raise ConfigError(f"{path} must be {text} {bound:g}, got {value!r}")
-        return number
+        return value if value is default else checked_number(value, path, **bounds)
 
     def integer(self, key: str, default: int, *, at_least: int) -> int:
         value, path = self.lookup(key, default)
@@ -360,7 +348,7 @@ class _Section:
             return value
         if not isinstance(value, list) or len(value) != 2:
             raise ConfigError(f"{path} must be a [lo, hi] pair, got {value!r}")
-        lo, hi = (_as_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+        lo, hi = (checked_number(v, f"{path}[{i}]") for i, v in enumerate(value))
         if lo > hi:
             raise ConfigError(f"{path} must have lo <= hi, got {value!r}")
         return lo, hi
@@ -489,17 +477,13 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         valve = root.section("valves").section(reg)
         # The supply feeds the tank (gas) valves, whose choked flow law needs
         # k; the propellant tanks feed the injector valves.
-        if reg in TANK_EREGS:
-            upstream_bar = supply_bar
-            choked_constant = valve.number("choked_constant", above=0.0)
-        else:
-            upstream_bar = tank_bar[reg.split("_")[0]]
-            choked_constant = valve.number("choked_constant", 0.0, at_least=0.0)
+        gas = reg in TANK_EREGS
+        upstream_bar = supply_bar if gas else tank_bar[reg.split("_")[0]]
         valves[reg] = ValveModel(
             alpha=valve.number("alpha_si_per_deg", above=0.0),
             theta_zero=valve.number("theta_zero_deg", 0.0, at_least=0.0, below=FULL_TRAVEL),
             rated_pressure=bar_to_pa(valve.number("rated_pressure_bar", at_least=upstream_bar)),
-            choked_constant=choked_constant,
+            choked_constant=valve.number("choked_constant", above=0.0) if gas else 0.0,
         )
 
     raw_actuators = root.section("actuators", {})
@@ -566,7 +550,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         if reg in TANK_EREGS:
             gamma, path = raw_ff.lookup("gamma_deg", "auto")
             if gamma != "auto":
-                gamma = _as_number(gamma, path)
+                gamma = checked_number(gamma, path)
             else:
                 # gamma maps a pressure ratio of one to the angle that
                 # supplies the ullage exactly at the reference outflow: the
@@ -602,9 +586,6 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
                 alpha=valve.alpha,
                 theta_zero=valve.theta_zero,
                 min_drop=bar_to_pa(raw_ff.number("min_drop_bar", 0.1, at_least=0.0)),
-                drop_reference=raw_ff.choice(
-                    "drop_reference", DROP_REFERENCES, "injector_setpoint"
-                ),
             )
         # Primary gains are written in degrees per bar in scenario files.
         primary = raw.section("primary", {})

@@ -87,7 +87,7 @@ def small_scenario_dict(**overrides) -> dict:
                 "alpha_si_per_deg": 9.375e-8 if name.endswith("tank") else 4.0e-6,
                 "theta_zero_deg": 10.0,
                 "rated_pressure_bar": 415.0 if name.endswith("tank") else 78.0,
-                "choked_constant": 1.6774194e-3 if name.endswith("tank") else 0.0,
+                **({"choked_constant": 1.6774194e-3} if name.endswith("tank") else {}),
             }
             for name in ("ox_tank", "fuel_tank", "ox_inj", "fuel_inj")
         },

@@ -56,7 +56,7 @@ def scheduled_setpoints_check(frames: list[TelemetryFrame], config: ScenarioConf
         scheduled = setpoints_at(config.schedule, frame.time_s)
         for name in EREG_NAMES:
             logged = frame.ereg(name).setpoint_bar
-            worst = max(worst, abs(logged - scheduled.for_ereg(name) / 1e5))
+            worst = max(worst, abs(logged - scheduled[name] / 1e5))
     return worst
 
 

@@ -231,6 +231,53 @@ class TestCalibrate:
         assert fit["residual_rms"] < 1e-6
 
 
+    def test_unwritable_fit_file_exits_2_with_one_json_line(self, blowdown_csv, tmp_path, capsys):
+        code = main([
+            "calibrate", "gamma", "--data", str(blowdown_csv),
+            "--out", str(tmp_path / "missing" / "gamma.yaml"), "--theta-zero", "10.0",
+        ])
+        assert code == EXIT_ERROR
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "EregSimError"
+        assert "cannot write fit result" in payload["message"]
+
+
+class TestNumericFlags:
+    """A bad number on the command line: one JSON line naming the flag, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["calibrate", "cv", "--density", "0"], "--density"),
+            (["calibrate", "cv", "--density", "nan"], "--density"),
+            (["calibrate", "cv", "--phase", "gas", "--choked-constant", "inf"],
+             "--choked-constant"),
+            (["calibrate", "choked", "--alpha", "0", "--theta-zero", "10"], "--alpha"),
+            (["calibrate", "gamma", "--theta-zero", "nan"], "--theta-zero"),
+            (["calibrate", "gamma", "--theta-zero", "90"], "--theta-zero"),
+            (["size-injector", "--target-mdot", "nan"], "--target-mdot"),
+            (["size-injector", "--target-mdot", "1.14", "--upstream-bar", "inf"],
+             "--upstream-bar"),
+        ],
+        ids=["density_zero", "density_nan", "choked_constant_inf", "alpha_zero",
+             "theta_zero_nan", "theta_zero_90", "target_mdot_nan", "upstream_bar_inf"],
+    )
+    def test_one_json_line_naming_the_flag(self, blowdown_csv, tmp_path, capsys, argv, flag):
+        if argv[0] == "calibrate":
+            argv = argv + ["--data", str(blowdown_csv), "--out", str(tmp_path / "fit.yaml")]
+        else:
+            argv = argv + ["--scenario", BASELINE]
+        assert main(argv) == EXIT_ERROR
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith(flag + " must be")
+        assert not (tmp_path / "fit.yaml").exists()
+
+
 class TestSizeInjector:
     def test_size_injector_prints_area(self, capsys):
         code = main([

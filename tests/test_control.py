@@ -12,7 +12,6 @@ from eregsim.control import (
     FeedforwardParams,
     PidController,
     PidGains,
-    dynamic_gains,
     ff_injector,
     ff_tank,
 )
@@ -81,29 +80,30 @@ class TestPid:
 
 
 class TestDynamicGains:
-    BASE = PidGains(4.0, 6.0, 0.1)
-    RAMP = 2.0  # s
+    """The ff+dyn primary gains scale by min(1, t/T), T = 2 s in make_ereg."""
+
+    PRIMARY = PidGains(4.0e-5, 6.0e-5, 0.0)  # degrees per Pa, per Pa*s
+    FULL = 4.0 + 0.06  # kp*e + ki*e*dt_primary for a 1 bar error
+
+    def feedback(self, t):
+        """Primary PID output of a fresh ff+dyn regulator 1 bar low at time t."""
+        ctrl = make_ereg(primary=self.PRIMARY)
+        ctrl.step(41e5, 310e5, 42e5, t, 0.001)
+        return ctrl.u1 - ctrl.last_feedforward
 
     def test_zero_at_start(self):
-        g = dynamic_gains(self.BASE, 0.0, self.RAMP)
-        assert (g.kp, g.ki, g.kd) == (0.0, 0.0, 0.0)
+        assert self.feedback(0.0) == 0.0
 
     def test_saturates_at_base(self):
         for t in (2.0, 5.0, 100.0):
-            g = dynamic_gains(self.BASE, t, self.RAMP)
-            assert (g.kp, g.ki, g.kd) == (4.0, 6.0, 0.1)
+            assert self.feedback(t) == pytest.approx(self.FULL, rel=1e-12)
 
     def test_half_at_half_ramp(self):
-        g = dynamic_gains(self.BASE, 1.0, self.RAMP)
-        assert g.kp == pytest.approx(2.0)
-        assert g.ki == pytest.approx(3.0)
-        assert g.kd == pytest.approx(0.05)
+        assert self.feedback(1.0) == pytest.approx(0.5 * self.FULL, rel=1e-12)
 
     @given(st.floats(0.0, 2.0), st.floats(0.0, 2.0))
     def test_exactly_linear_on_ramp(self, a, b):
-        ga = dynamic_gains(self.BASE, a, self.RAMP)
-        gb = dynamic_gains(self.BASE, b, self.RAMP)
-        assert ga.kp * b == pytest.approx(gb.kp * a, abs=1e-9)
+        assert self.feedback(a) * b == pytest.approx(self.feedback(b) * a, abs=1e-9)
 
 
 class TestFeedforwardTank:
@@ -136,14 +136,14 @@ class TestFeedforwardInjector:
     )
 
     def test_large_drop_approaches_dead_band(self):
-        assert ff_injector(self.FF, 1e9, 1e5) == pytest.approx(10.0, abs=0.5)
+        assert ff_injector(self.FF, 1e5, 1e9) == pytest.approx(10.0, abs=0.5)
 
     def test_singular_branch_goes_fully_open(self):
         assert ff_injector(self.FF, 42e5, 42e5) == 90.0
-        assert ff_injector(self.FF, 42e5, 41.95e5) == 90.0  # drop below the floor
+        assert ff_injector(self.FF, 41.95e5, 42e5) == 90.0  # drop below the floor
 
     def test_hand_evaluated_point(self):
-        assert ff_injector(self.FF, 42e5, 35e5) == pytest.approx(20.0933, rel=1e-4)
+        assert ff_injector(self.FF, 35e5, 42e5) == pytest.approx(20.0933, rel=1e-4)
 
 
 def make_actuator(time_constant=0.020, rate_max=180.0, backlash=0.0, encoder_counts_per_degree=0.0):
@@ -239,7 +239,6 @@ def make_ereg(kind="tank", variant="ff+dyn", primary=PidGains(4.0e-5, 6.0e-5, 0.
         primary_period=0.01,
         secondary_period=0.001,
         variant=variant,
-        tank_setpoint=42e5,
     )
 
 
@@ -292,21 +291,6 @@ class TestEregController:
             assert ctrl.u1 == u1_first
         ctrl.step(30e5, 310e5, 42e5, 0.010, 0.001)
         assert ctrl.u1 != u1_first
-
-    def test_injector_drop_reference_selects_tank_setpoint(self):
-        valve = LIQ_VALVE
-        ff = FeedforwardParams(
-            nominal_flow=1e-3, fluid_density=1141.0, alpha=valve.alpha,
-            theta_zero=valve.theta_zero, min_drop=1e4, drop_reference="tank_setpoint",
-        )
-        ctrl = EregController(
-            kind="injector", settings=controller_settings(ff, PidGains(0.0, 0.0, 0.0)),
-            actuator=make_actuator(), primary_period=0.01, secondary_period=0.001,
-            variant="ff+dyn", tank_setpoint=42e5,
-        )
-        ctrl.step(34e5, 41.8e5, 34.26e5, 0.0, 0.001)
-        expected = ff_injector(ff, 41.8e5, 42e5)  # drop measured against the tank setpoint
-        assert ctrl.u1 == pytest.approx(expected, rel=1e-12)
 
     def test_variants_select_feedforward_and_ramp(self):
         # 1 bar below the setpoint at t = 1 s, halfway up the 2 s gain ramp.

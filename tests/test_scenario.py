@@ -100,9 +100,9 @@ class TestSetpointsAt:
         )
         for t in (0.0, 3.3, 8.0, 50.0):
             sp = setpoints_at(schedule, t)
-            assert sp.ox_tank == 42 * BAR
-            assert sp.fuel_tank == 41 * BAR
-            assert sp.ox_inj == three_segment_profile().value(t)
+            assert sp["ox_tank"] == 42 * BAR
+            assert sp["fuel_tank"] == 41 * BAR
+            assert sp["ox_inj"] == three_segment_profile().value(t)
 
 
 class TestPairedSetpoints:
@@ -265,12 +265,11 @@ class TestConfigValidation:
         data = small_scenario_dict()
         data["controllers"]["ox_inj"] = {
             "primary": {"kp": 0.5, "ki": 8.0, "kd": 0.01},
-            "feedforward": {"drop_reference": "tank_setpiont"},
+            "feedforward": {"drop_reference": "injector_setpoint"},
         }
-        with pytest.raises(ConfigError, match="drop_reference"):
+        key = "controllers.ox_inj.feedforward.drop_reference"
+        with pytest.raises(ConfigError, match=re.escape(f"unknown scenario key: {key}")):
             scenario_from_dict(data)
-        data["controllers"]["ox_inj"]["feedforward"]["drop_reference"] = "tank_setpoint"
-        scenario_from_dict(data)
 
     def test_controller_defaults_are_shared_and_checked(self):
         data = small_scenario_dict()
@@ -342,6 +341,9 @@ PROBES = {
     "nan_tank_volume": ({"tanks.fuel.total_volume_m3": math.nan}, "tanks.fuel.total_volume_m3"),
     "negative_kp": ({"controllers.ox_tank.primary": {"kp": -0.5}}, "controllers.ox_tank.primary.kp"),
     "zero_ramp_time": ({"controllers.defaults": {"ramp_time_s": 0}}, "controllers.defaults.ramp_time_s"),
+    "injector_choked_constant": (
+        {"valves.ox_inj.choked_constant": 0.0}, "valves.ox_inj.choked_constant"
+    ),
 }
 
 

@@ -422,3 +422,8 @@ class TestBenchmarkFacingNames:
         assert state.pressure == 1e5
         assert state.gas_law_residual() < 1e-12
         assert engine.chamber_state is fluids.chamber_state
+        # perfbench counts scenario.setpoints_calls, control.ereg_ticks and
+        # control.actuator_steps through these names; a dropped import reads 0.
+        assert engine.setpoints_at is scenario.setpoints_at
+        assert engine.EregController is control.EregController
+        assert engine.Actuator is control.Actuator
