@@ -74,6 +74,9 @@ def cv_from_sample(sample: FlowSample, choked_constant: float = 0.0) -> float:
     return sample.flow / (choked_constant * sample.upstream_pressure)
 
 
+# Overflow gives a non-finite fit, which write_fit_result rejects; numpy
+# need not warn about it on stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def fit_cv_curve(samples: list[tuple[float, float]]) -> CvFit:
     """Least-squares fit of the piecewise-linear Cv curve.
 
@@ -136,12 +139,14 @@ def fit_gamma(records: list[tuple[float, float, float]], theta_zero: float) -> f
 
 def choked_samples(samples: list[FlowSample]) -> list[FlowSample]:
     """The gas samples in the choked regime (downstream/upstream below the
-    critical ratio), the only ones the choked-constant fit uses."""
+    critical ratio), the only ones the choked-constant fit uses. A sample
+    with no upstream pressure, as a depleted supply logs, is not choked."""
     chosen = []
     for sample in samples:
         sample.validate()
         if (
             sample.phase == "gas"
+            and sample.upstream_pressure > 0.0
             and sample.downstream_pressure / sample.upstream_pressure < CHOKED_PRESSURE_RATIO
         ):
             chosen.append(sample)
@@ -180,14 +185,15 @@ def steady_records(
     """Extract (angle, setpoint, supply_pressure) rows in steady regulation.
 
     A frame counts as steady once the regulation error has stayed below
-    the threshold for the sustain period.
+    the threshold for the sustain period. A frame with the supply at 0 bar
+    (depleted) is not steady: the feedforward ratio is undefined there.
     """
     records = []
     streak_start = None
     for frame in frames:
         sub = frame.ereg(ereg_name)
         error = abs(sub.pressure_bar - sub.setpoint_bar) * 1e5
-        if error < error_threshold:
+        if error < error_threshold and frame.supply_pressure_bar > 0.0:
             if streak_start is None:
                 streak_start = frame.time_s
             if frame.time_s - streak_start >= sustain:
@@ -250,7 +256,11 @@ def gas_samples_from_telemetry(frames: list[TelemetryFrame], side: str) -> list[
 
 
 def write_fit_result(path: str | Path, kind: str, parameters: dict) -> None:
-    """Write a fit result as structured text (kind, parameters, residuals)."""
+    """Write a fit result as structured text (kind, parameters, residuals);
+    a non-finite parameter is an error and no file is written."""
+    for key, value in parameters.items():
+        if not math.isfinite(value):
+            raise EregSimError(f"fit result {key} is not finite ({value}); nothing written")
     payload = {"fit": kind}
     payload.update(parameters)
     try:

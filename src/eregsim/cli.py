@@ -2,7 +2,7 @@
 
 Subcommands: run, metrics, compare, calibrate (cv|gamma|choked),
 size-injector. Exit code 0 on success; nonzero on validation failure or
-an aborted run, with a machine-readable JSON error line on stderr.
+an over-pressure abort, with a machine-readable JSON error line on stderr.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import math
 import sys
 
 from . import calibration
-from .control import FULL_TRAVEL
 from .engine import EVENT_ABORT, compare_controllers, run_scenario
 from .errors import ConfigError, EregSimError
+from .fluids import FULL_TRAVEL
 from .scenario import EREG_NAMES, VARIANTS, checked_number, load_scenario, size_mock_injector
 from .telemetry import emit_telemetry, read_telemetry, regulation_metrics
 from .units import bar_to_pa
@@ -62,9 +62,8 @@ def _cmd_run(args) -> int:
         config = config.replace(noise_seed=args.seed)
     frames = run_scenario(config)
     emit_telemetry(frames, args.out)
-    aborted = frames and EVENT_ABORT in frames[-1].events
     print(f"wrote {len(frames)} frames to {args.out}")
-    if aborted:
+    if frames and EVENT_ABORT in frames[-1].events:
         print(
             json.dumps({"error": "abort", "message": "run ended in over-pressure abort"}),
             file=sys.stderr,

@@ -3,9 +3,9 @@
 Each regulator is a cascade: a primary pressure loop computes a valve
 angle setpoint from the downstream pressure error (plus a model-based
 feedforward term and time-ramped gains), and a secondary position loop
-drives the motor command to reach that angle. The secondary loop runs at
-least as fast as the primary; both periods are integer multiples of the
-physics step.
+drives the motor command to reach that angle. Each part is built with its
+fixed sample period and computes its discrete coefficients once; the
+engine owns the clock and says when a primary tick is due.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ControllerError
-
-FULL_TRAVEL = 90.0  # degrees, hard stops at both ends
+from .fluids import FULL_TRAVEL
 
 # Time constant of the PID derivative's measurement filter, in sample periods.
 DERIVATIVE_FILTER_PERIODS = 4.0
@@ -119,35 +118,32 @@ class PidController:
         gains: PidGains,
         output_limits: tuple[float, float],
         integral_limits: tuple[float, float],
+        dt: float,
     ):
+        if not dt > 0.0:
+            raise ValueError("dt must be positive")
         gains.validate()
         self.gains = gains
         self.output_limits = output_limits
         self.integral_limits = integral_limits
+        self.dt = dt
+        self._filter_gain = dt / (DERIVATIVE_FILTER_PERIODS * dt + dt)
         self.integral = 0.0
         self._filtered_measurement: float | None = None
 
-    def step(
-        self,
-        setpoint: float,
-        measurement: float,
-        dt: float,
-        scale: float = 1.0,
-    ) -> float:
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
+    def step(self, setpoint: float, measurement: float, scale: float = 1.0) -> float:
         _require_finite("setpoint", setpoint)
         _require_finite("measurement", measurement)
+        dt = self.dt
         kp, ki, kd = self.gains.kp * scale, self.gains.ki * scale, self.gains.kd * scale
         error = setpoint - measurement
 
         # Derivative on the low-pass filtered measurement, negated so that a
         # rising measurement opposes the output (no setpoint kick).
-        tau = DERIVATIVE_FILTER_PERIODS * dt
         if self._filtered_measurement is None:
             self._filtered_measurement = measurement
         previous_filtered = self._filtered_measurement
-        self._filtered_measurement += (dt / (tau + dt)) * (measurement - previous_filtered)
+        self._filtered_measurement += self._filter_gain * (measurement - previous_filtered)
         derivative = -(self._filtered_measurement - previous_filtered) / dt
 
         lo_i, hi_i = self.integral_limits
@@ -174,9 +170,15 @@ class Actuator:
     between the motor shaft (where the encoder sits) and the ball valve.
     """
 
-    def __init__(self, settings: ActuatorSettings):
+    def __init__(self, settings: ActuatorSettings, dt: float):
         if settings.time_constant <= 0.0 or settings.rate_max <= 0.0:
             raise ValueError("actuator time constant and rate limit must be positive")
+        if not dt > 0.0:
+            raise ValueError("dt must be positive")
+        self.dt = dt
+        # Exact zero-order-hold discretization of the rate lag and its
+        # integral: no step-size error for a command held across the step.
+        self._decay = math.exp(-dt / settings.time_constant)
         self.time_constant = settings.time_constant
         self.rate_max = settings.rate_max
         self.angle = 0.0  # motor-side angle, degrees
@@ -193,16 +195,12 @@ class Actuator:
             return counts / self.encoder_counts_per_degree
         return self.angle
 
-    def step(self, command: float, dt: float) -> None:
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
+    def step(self, command: float) -> None:
         _require_finite("command", command)
         self.command = min(max(command, -1.0), 1.0)
         target_rate = self.command * self.rate_max
-        # Exact zero-order-hold discretization of the rate lag and its
-        # integral: no step-size error for a command held across the step.
-        decay = math.exp(-dt / self.time_constant)
-        self.angle += target_rate * dt + (self.rate - target_rate) * self.time_constant * (
+        decay = self._decay
+        self.angle += target_rate * self.dt + (self.rate - target_rate) * self.time_constant * (
             1.0 - decay
         )
         self.rate = target_rate + (self.rate - target_rate) * decay
@@ -219,9 +217,9 @@ class Actuator:
 class EregController:
     """One regulator: primary pressure loop cascaded into a motor loop.
 
-    kind selects the feedforward formula ("tank" or "injector"). The
-    primary loop refreshes its angle setpoint every primary_period; the
-    secondary loop recomputes the motor command every call to step().
+    kind selects the feedforward formula ("tank" or "injector"). Each call
+    to step() is one secondary tick and recomputes the motor command; a
+    call with primary set also refreshes the angle setpoint u1 first.
     Feedforward and PID output are summed and the sum is clamped to the
     valve travel; the primary anti-windup saturates against that same
     clamp so the integrator cannot wind while the valve is pinned.
@@ -245,25 +243,18 @@ class EregController:
             raise ValueError(f"unknown regulator kind {kind!r}")
         if variant not in CONTROLLER_VARIANTS:
             raise ValueError(f"unknown controller variant {variant!r}")
-        if secondary_period > primary_period:
-            raise ValueError("secondary period must not exceed primary period")
-        ratio = primary_period / secondary_period
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("primary period must be an integer multiple of secondary period")
         self.feedforward = None if variant == "pid" else settings.feedforward
         self._ff_angle = ff_tank if kind == "tank" else ff_injector
         self.ramp_time = settings.ramp_time if variant == "ff+dyn" else None
         self.gain_scale = 0.0 if variant == "ff" else 1.0  # when there is no ramp
         self.actuator = actuator
-        self.primary_period = primary_period
         self.primary = PidController(
-            settings.primary_gains, (0.0, FULL_TRAVEL), settings.integral_limits
+            settings.primary_gains, (0.0, FULL_TRAVEL), settings.integral_limits, primary_period
         )
         self.secondary = PidController(
-            settings.secondary_gains, (-1.0, 1.0), settings.secondary_integral_limits
+            settings.secondary_gains, (-1.0, 1.0), settings.secondary_integral_limits,
+            secondary_period,
         )
-        self._ticks_per_primary = int(round(ratio))
-        self._tick = 0
         self.u1 = 0.0  # valve angle setpoint, degrees
         self.u2 = 0.0  # motor command
         self.last_feedforward = 0.0
@@ -274,13 +265,13 @@ class EregController:
         upstream_pressure: float,
         setpoint: float,
         t: float,
-        dt: float,
+        primary: bool,
     ) -> float:
         """Advance the cascade one secondary tick; returns the motor command."""
         _require_finite("downstream_pressure", downstream_pressure)
         _require_finite("upstream_pressure", upstream_pressure)
         _require_finite("setpoint", setpoint)
-        if self._tick % self._ticks_per_primary == 0:
+        if primary:
             ff_angle = 0.0
             if self.feedforward is not None:
                 ff_angle = self._ff_angle(self.feedforward, setpoint, upstream_pressure)
@@ -288,9 +279,8 @@ class EregController:
             # Saturate the PID against the travel limits shifted by the
             # feedforward so the summed command clamps exactly at [0, 90].
             self.primary.output_limits = (-ff_angle, FULL_TRAVEL - ff_angle)
-            pid_out = self.primary.step(setpoint, downstream_pressure, self.primary_period, scale)
+            pid_out = self.primary.step(setpoint, downstream_pressure, scale)
             self.u1 = min(max(ff_angle + pid_out, 0.0), FULL_TRAVEL)
             self.last_feedforward = ff_angle
-        self.u2 = self.secondary.step(self.u1, self.actuator.measured_angle(), dt)
-        self._tick += 1
+        self.u2 = self.secondary.step(self.u1, self.actuator.measured_angle())
         return self.u2

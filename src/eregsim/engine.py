@@ -6,8 +6,10 @@ orifices -> thrust chamber (or atmosphere when no chamber is fitted).
 
 Tank states advance with classical fourth-order Runge-Kutta at the
 physics step; the algebraic flow laws are evaluated inside the stage
-functions. Controllers tick on their own (slower or equal) periods, so
-a run is a deterministic interleaving fully determined by the scenario.
+functions. The engine alone keeps the multi-rate clock: it counts
+physics steps and, on each secondary tick, tells every cascade whether
+the primary loop is due too, so a run is a deterministic interleaving
+fully determined by the scenario.
 
 The plant keeps one flat float state: the supply gas mass with its
 stored pressure and temperature, and per side the ullage gas mass,
@@ -40,6 +42,7 @@ import numpy as np
 from .control import Actuator, EregController
 from .errors import ConfigError, EregSimError, ModelError
 from .fluids import (
+    FULL_TRAVEL,
     GasTankState,
     chamber_state,
     choked_flow_fade,
@@ -376,7 +379,7 @@ def _build_controllers(config: ScenarioConfig) -> dict[str, EregController]:
         name: EregController(
             "tank" if name in TANK_EREGS else "injector",
             settings,
-            Actuator(config.actuator),
+            Actuator(config.actuator, config.dt_phys),
             config.dt_primary,
             config.dt_secondary,
             config.variant,
@@ -407,7 +410,7 @@ def _oracle_angles(config: ScenarioConfig, plant: _Plant, flows: NetworkFlows,
         else:
             cv = demand / (valve.choked_constant * p_sup * fade)
             theta = valve.theta_zero + cv / valve.alpha
-        angles[side + "_tank"] = min(max(theta, 0.0), 90.0)
+        angles[side + "_tank"] = min(max(theta, 0.0), FULL_TRAVEL)
 
         ivalve = config.valves[side + "_inj"]
         rho = config.tanks[side].liquid_density
@@ -421,11 +424,11 @@ def _oracle_angles(config: ScenarioConfig, plant: _Plant, flows: NetworkFlows,
         if q_req <= 0.0:
             theta = 0.0
         elif dp_valve <= 0.0:
-            theta = 90.0
+            theta = FULL_TRAVEL
         else:
             cv = q_req / math.sqrt(dp_valve / rho)
             theta = ivalve.theta_zero + cv / ivalve.alpha
-        angles[side + "_inj"] = min(max(theta, 0.0), 90.0)
+        angles[side + "_inj"] = min(max(theta, 0.0), FULL_TRAVEL)
     return angles
 
 
@@ -458,7 +461,8 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
 
     The run ends at the configured duration or at an over-pressure abort
     (110 percent of a valve rating upstream of it by default), whichever
-    comes first. Output is bit-identical for identical configs.
+    comes first; the aborting step emits a last frame that carries the
+    abort event. Output is bit-identical for identical configs.
     """
     if config.variant not in VARIANTS:
         raise ConfigError(
@@ -483,7 +487,6 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
     measured = {name: 0.0 for name in EREG_NAMES}
     measured_supply = config.supply_pressure
     setpoints = setpoints_at(config.schedule, 0.0)
-    aborted = False
     # Over-pressure abort: valves must never see more than the configured
     # fraction of their rated pressure upstream.
     supply_limit = config.abort_pressure_factor * min(
@@ -498,8 +501,9 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
         t = k * config.dt_phys
         plant.set_angles(angles)
         flows = plant.snapshot()
+        primary = k % phys_per_primary == 0
 
-        if k % phys_per_primary == 0:
+        if primary:
             setpoints = setpoints_at(config.schedule, t)
             # Sensor sampling happens at the primary rate; optional zero-mean
             # Gaussian noise is drawn in a fixed order for determinism.
@@ -517,7 +521,7 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
             measured = truth
 
         if config.variant == "oracle":
-            if k % phys_per_primary == 0:
+            if primary:
                 angles = _oracle_angles(config, plant, flows, setpoints)
                 for name in EREG_NAMES:
                     locked = config.controllers[name].locked_angle
@@ -527,32 +531,18 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
         elif k % phys_per_secondary == 0:
             for name, ctrl in controllers.items():
                 upstream = measured_supply if name in TANK_EREGS else measured[name.split("_")[0] + "_tank"]
-                ctrl.step(
-                    measured[name],
-                    upstream,
-                    setpoints[name],
-                    t,
-                    config.dt_secondary,
-                )
-
-        if k % (phys_per_primary * config.telemetry_decimation) == 0:
-            frames.append(_make_frame(t, config, plant, flows, controllers, angles,
-                                      measured, measured_supply, setpoints, events_active))
+                ctrl.step(measured[name], upstream, setpoints[name], t, primary)
 
         abort = plant.supply_pressure > supply_limit
         for p_tank, limit in zip(plant.ullage_pressure, tank_limits):
             if p_tank > limit:
                 abort = True
         if abort:
-            if EVENT_ABORT not in events_active:
-                events_active.append(EVENT_ABORT)
-            abort_frame = _make_frame(t, config, plant, flows, controllers, angles,
-                                      measured, measured_supply, setpoints, events_active)
-            if frames and frames[-1].time_s == t:
-                frames[-1] = abort_frame
-            else:
-                frames.append(abort_frame)
-            aborted = True
+            events_active.append(EVENT_ABORT)
+        if abort or k % (phys_per_primary * config.telemetry_decimation) == 0:
+            frames.append(_make_frame(t, config, plant, flows, controllers, angles,
+                                      measured, measured_supply, setpoints, events_active))
+        if abort:
             break
 
         new_events = plant.step(config.dt_phys)
@@ -563,10 +553,10 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
                 events_active.append(event)
 
         for name, ctrl in controllers.items():
-            ctrl.actuator.step(ctrl.u2, config.dt_phys)
+            ctrl.actuator.step(ctrl.u2)
             angles[name] = ctrl.actuator.valve_angle
 
-    if not frames and not aborted:
+    if not frames:
         raise EregSimError("run produced no telemetry frames")
     return frames
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 AMBIENT_PRESSURE = 101325.0  # Pa
 R_NITROGEN = 296.8  # J/(kg K)
 DEFAULT_TEMPERATURE = 293.0  # K, isothermal gas assumption
+FULL_TRAVEL = 90.0  # degrees, ball-valve hard stops at 0 and FULL_TRAVEL
 
 # Downstream/upstream pressure ratio below which a gas valve is treated as
 # choked. Above it the flow is faded linearly to zero at ratio 1 so the
@@ -69,14 +70,13 @@ class ValveModel:
     """Motorized ball valve with a piecewise-linear flow coefficient.
 
     Cv(theta) = max(0, alpha * (theta - theta_zero)), zero through the
-    dead band below theta_zero and linear up to the 90 degree hard stop.
+    dead band below theta_zero and linear up to the FULL_TRAVEL hard stop.
     """
 
     alpha: float  # m2 per degree
     theta_zero: float  # degrees
     rated_pressure: float  # Pa
     choked_constant: float = 0.0  # kg/s per (Pa * m2), gas valves only
-    theta_max: float = 90.0  # degrees, full throw of the ball valve
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,8 @@ class ChamberModel:
 
 def cv_of_angle(valve: ValveModel, theta: float) -> float:
     """Flow coefficient at valve angle theta. Exact piecewise-linear, no smoothing."""
-    if not 0.0 <= theta <= valve.theta_max:
-        raise ValueError(f"valve angle {theta} outside [0, {valve.theta_max}] degrees")
+    if not 0.0 <= theta <= FULL_TRAVEL:
+        raise ValueError(f"valve angle {theta} outside [0, {FULL_TRAVEL}] degrees")
     return max(0.0, valve.alpha * (theta - valve.theta_zero))
 
 

@@ -19,7 +19,6 @@ import yaml
 
 from .control import (
     CONTROLLER_VARIANTS,
-    FULL_TRAVEL,
     ActuatorSettings,
     ControllerSettings,
     FeedforwardParams,
@@ -28,6 +27,7 @@ from .control import (
 from .errors import ConfigError, InfeasibleThrottleError
 from .fluids import (
     AMBIENT_PRESSURE,
+    FULL_TRAVEL,
     ChamberModel,
     LineModel,
     ValveModel,
@@ -155,7 +155,11 @@ def size_mock_injector(
         raise InfeasibleThrottleError("mock injector sizing needs a positive pressure drop")
     if target_mdot <= 0.0 or rho <= 0.0:
         raise ConfigError("target flow and density must be positive")
-    return target_mdot / (cd * math.sqrt(2.0 * rho * dp))
+    flux = cd * math.sqrt(2.0 * rho * dp)  # kg/(s m2)
+    area = target_mdot / flux if flux > 0.0 else math.inf
+    if not 0.0 < area < math.inf:
+        raise ConfigError(f"mock injector area {area} m2 out of range (cd {cd}, drop {dp} Pa)")
+    return area
 
 
 # ---------------------------------------------------------------------------
@@ -602,9 +606,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
             feedforward=feedforward,
             integral_limits=raw.limits("integral_limits_deg", (-45.0, 45.0)),
             secondary_integral_limits=raw.limits("secondary_integral_limits", (-0.5, 0.5)),
-            locked_angle=raw.number(
-                "locked_angle_deg", None, at_least=0.0, at_most=valve.theta_max
-            ),
+            locked_angle=raw.number("locked_angle_deg", None, at_least=0.0, at_most=FULL_TRAVEL),
         )
 
     for side in SIDES:

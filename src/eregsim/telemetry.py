@@ -107,17 +107,23 @@ def read_telemetry(path: str | Path) -> list[TelemetryFrame]:
     width = len(EREG_FIELDS)
     ereg_starts = range(1, 1 + width * len(EREG_NAMES), width)
     scalar_start = ereg_starts[-1] + width
+    header = csv_header()
     try:
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
-            if next(reader, None) != csv_header():
+            if next(reader, None) != header:
                 raise EregSimError(f"unexpected telemetry header in {path}")
             # A row of the wrong length fails to unpack into the frame
             # (TypeError), a missing or non-numeric field fails to convert
-            # (IndexError, ValueError).
+            # (IndexError, ValueError). float() takes nan and inf, so a row
+            # whose sum is not finite is scanned for the column to name.
             try:
                 for row in reader:
                     values = [float(v) for v in row[:-1]]
+                    if not math.isfinite(sum(values)):
+                        for column, value in zip(header, values):
+                            if not math.isfinite(value):
+                                raise ValueError(f"column {column} is {value}")
                     frames.append(TelemetryFrame(
                         values[0],
                         *(EregFrame(*values[i:i + width]) for i in ereg_starts),

@@ -1,19 +1,25 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import eregsim
 
 from eregsim.cli import EXIT_ABORT, EXIT_ERROR, EXIT_OK, main
+from eregsim.engine import run_scenario
 from eregsim.fluids import CHOKED_PRESSURE_RATIO
 from eregsim.scenario import load_scenario, size_mock_injector
-from eregsim.telemetry import read_telemetry
+from eregsim.telemetry import emit_telemetry, read_telemetry
 from tests.conftest import DROP, SCENARIO_DIR, set_key, small_scenario_dict
 
 BASELINE = str(SCENARIO_DIR / "staticfire_baseline.yaml")
@@ -33,6 +39,22 @@ def blowdown_csv(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "blowdown.csv"
     assert main(["run", "--scenario", BLOWDOWN, "--out", str(out)]) == EXIT_OK
     return out
+
+
+def with_columns(src, dst, first_row, **values):
+    """Copy the telemetry CSV src to dst, setting the named columns to the
+    given text in every data row from first_row on; returns dst."""
+    header, *rows = src.read_text().splitlines()
+    index = {header.split(",").index(column): text for column, text in values.items()}
+    lines = [header]
+    for n, row in enumerate(rows):
+        cells = row.split(",")
+        if n >= first_row:
+            for i, text in index.items():
+                cells[i] = text
+        lines.append(",".join(cells))
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
 
 
 def write_scenario(tmp_path, data, name="scenario.yaml"):
@@ -160,16 +182,24 @@ class TestMetrics:
 
 
     def test_malformed_telemetry_exits_2_with_one_json_line(self, baseline_csv, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
         header, first, second = baseline_csv.read_text().splitlines()[:3]
-        bad.write_text("\n".join([header, first, second.rsplit(",", 4)[0]]) + "\n")
-        code = main(["metrics", "--telemetry", str(bad), "--scenario", BASELINE])
-        assert code == EXIT_ERROR
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        payload = json.loads(lines[0])
-        assert payload["error"] == "EregSimError"
-        assert f"{bad} at line 3" in payload["message"]
+        column = header.split(",").index("ox_inj_pressure_bar")
+        cells = second.split(",")
+        cells[column] = "nan"
+        bad_rows = {
+            "short": (second.rsplit(",", 4)[0], ""),
+            "nan": (",".join(cells), ": column ox_inj_pressure_bar is nan"),
+        }
+        for name, (row, detail) in bad_rows.items():
+            bad = tmp_path / f"{name}.csv"
+            bad.write_text("\n".join([header, first, row]) + "\n")
+            code = main(["metrics", "--telemetry", str(bad), "--scenario", BASELINE])
+            assert code == EXIT_ERROR, name
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            payload = json.loads(lines[0])
+            assert payload["error"] == "EregSimError"
+            assert f"{bad} at line 3{detail}" in payload["message"]
 
 
 class TestCompare:
@@ -230,6 +260,40 @@ class TestCalibrate:
         assert 0 < fit["sample_count"] == len(choked) < len(rows)
         assert fit["residual_rms"] < 1e-6
 
+
+    def test_depleted_supply_rows_are_not_choked(self, blowdown_csv, tmp_path):
+        # A run that empties the supply logs 0 bar and no gas flow from then on.
+        log = with_columns(blowdown_csv, tmp_path / "depleted.csv", 1000,
+                           supply_pressure_bar="0", mdot_gas_kg_s="0")
+        out = tmp_path / "k.yaml"
+        code = main([
+            "calibrate", "choked", "--data", str(log), "--out", str(out),
+            "--side", "ox", "--alpha", "9.375e-8", "--theta-zero", "10.0",
+        ])
+        assert code == EXIT_OK
+        rows = read_telemetry(log)
+        choked = [
+            f for f in rows
+            if f.supply_pressure_bar > 0.0
+            and f.ox_tank.pressure_bar / f.supply_pressure_bar < CHOKED_PRESSURE_RATIO
+        ]
+        assert yaml.safe_load(out.read_text())["sample_count"] == len(choked) > 0
+
+    @pytest.mark.parametrize("constant", ["1e-320", "1e-300"])
+    def test_non_finite_fit_exits_2_and_writes_nothing(self, blowdown_csv, tmp_path, capsys,
+                                                      constant):
+        out = tmp_path / "cv.yaml"
+        code = main([
+            "calibrate", "cv", "--data", str(blowdown_csv), "--out", str(out),
+            "--phase", "gas", "--choked-constant", constant,
+        ])
+        assert code == EXIT_ERROR
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "EregSimError"
+        assert "is not finite" in payload["message"]
+        assert not out.exists()
 
     def test_unwritable_fit_file_exits_2_with_one_json_line(self, blowdown_csv, tmp_path, capsys):
         code = main([
@@ -315,3 +379,99 @@ class TestSizeInjector:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "InfeasibleThrottleError"
+
+
+# ---------------------------------------------------------------------------
+# Fuzz over the numeric flags
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Small logs for the fuzz: the first 2 s of the baseline static fire, the
+    same with NaN pressures from 1.2 s on, and with the supply depleted (0 bar,
+    no gas flow) from 1.5 s on. Every fit succeeds on the first and the last."""
+    root = tmp_path_factory.mktemp("fuzz")
+    frames = run_scenario(load_scenario(BASELINE).replace(duration=2.0))
+    good = root / "good.csv"
+    emit_telemetry(frames, good)
+    with_columns(good, root / "nan.csv", 120, ox_tank_pressure_bar="nan")
+    with_columns(good, root / "zero_supply.csv", 150, supply_pressure_bar="0", mdot_gas_kg_s="0")
+    (root / "out").mkdir()
+    return root
+
+
+LOGS = ("good.csv", "nan.csv", "zero_supply.csv", "missing.csv")
+OUTS = ("out/fit.yaml", "missing/fit.yaml")
+NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, -5e-324, 1e-310]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(1e-9, 100.0),  # in range for most flags, so that fits run
+)
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for calibrate cv|gamma|choked or size-injector with drawn numbers.
+
+    Log and fit paths are names relative to fuzz_dir; the values use the
+    --flag=value form so that negative numbers parse as values.
+    """
+    command = draw(st.sampled_from(["cv", "gamma", "choked", "size-injector"]))
+    if command == "size-injector":
+        argv = ["size-injector", "--scenario", BASELINE, f"--target-mdot={draw(NUMBERS)!r}"]
+        flags = ("upstream-bar", "downstream-bar", "cd")
+    else:
+        argv = ["calibrate", command, "--data", draw(st.sampled_from(LOGS)),
+                "--out", draw(st.sampled_from(OUTS)),
+                "--phase", draw(st.sampled_from(["liquid", "gas"]))]
+        flags = ("density", "choked-constant", "alpha", "theta-zero")
+    for flag in flags:
+        value = draw(st.none() | NUMBERS)
+        if value is not None:
+            argv.append(f"--{flag}={value!r}")
+    return argv
+
+
+def calibrate(kind, log, *flags):
+    return ["calibrate", kind, "--data", log, "--out", "out/fit.yaml", *flags]
+
+
+class TestCliFuzz:
+    """Any numeric flag value and existing or missing paths: exit 0, 2 or 3;
+    a failure prints exactly one JSON line on stderr (a Python warning
+    would print more) and writes no fit file; a success writes only finite
+    numbers."""
+
+    @given(argv=cli_argv())
+    @example(argv=calibrate("cv", "nan.csv", "--phase", "gas", "--choked-constant=1e-3"))
+    @example(argv=calibrate("choked", "nan.csv", "--alpha=1e-7"))
+    @example(argv=calibrate("choked", "zero_supply.csv", "--alpha=1e-7", "--theta-zero=10"))
+    @example(argv=calibrate("gamma", "zero_supply.csv", "--theta-zero=10"))
+    @example(argv=calibrate("cv", "good.csv", "--density=1141"))
+    @example(argv=calibrate("cv", "zero_supply.csv", "--phase", "gas", "--choked-constant=1e-3"))
+    @example(argv=calibrate("cv", "good.csv", "--phase", "gas", "--choked-constant=1e-320"))
+    @example(argv=calibrate("cv", "good.csv", "--phase", "gas", "--choked-constant=1e-300"))
+    @example(argv=["size-injector", "--scenario", BASELINE, "--target-mdot=1.0", "--cd=5e-324"])
+    @settings(max_examples=200, deadline=None)
+    def test_exit_code_stderr_and_written_numbers(self, fuzz_dir, argv):
+        argv = [str(fuzz_dir / a) if a in LOGS + OUTS else a for a in argv]
+        fit = fuzz_dir / "out" / "fit.yaml"
+        fit.unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (EXIT_OK, EXIT_ERROR, EXIT_ABORT)
+        assert [str(w.message) for w in caught] == []
+        if code != EXIT_OK:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1, err.getvalue()
+            assert set(json.loads(lines[0])) == {"error", "message"}
+            assert not fit.exists()
+        elif argv[0] == "size-injector":
+            assert math.isfinite(float(out.getvalue().split(":")[1].split("m2")[0]))
+        else:
+            written = yaml.safe_load(Path(argv[5]).read_text())
+            numbers = [v for k, v in written.items() if k != "fit"]
+            assert numbers and all(math.isfinite(v) for v in numbers), written

@@ -23,60 +23,65 @@ GAS_VALVE = ValveModel(alpha=9.375e-8, theta_zero=10.0, rated_pressure=415e5,
 LIQ_VALVE = ValveModel(alpha=4.0e-6, theta_zero=10.0, rated_pressure=78e5)
 
 
-def make_pid(kp=1.0, ki=0.0, kd=0.0, out=(-100.0, 100.0), integral=(-50.0, 50.0)):
-    return PidController(PidGains(kp, ki, kd), out, integral)
+def make_pid(kp=1.0, ki=0.0, kd=0.0, out=(-100.0, 100.0), integral=(-50.0, 50.0), dt=0.01):
+    return PidController(PidGains(kp, ki, kd), out, integral, dt)
 
 
 class TestPid:
     def test_zero_error_zero_output(self):
         pid = make_pid(kp=2.0, ki=1.0, kd=0.5)
         for _ in range(20):
-            assert pid.step(5.0, 5.0, 0.01) == 0.0
+            assert pid.step(5.0, 5.0) == 0.0
 
     def test_pure_proportional(self):
         pid = make_pid(kp=3.0)
-        assert pid.step(2.0, 0.0, 0.01) == pytest.approx(6.0, rel=1e-12)
+        assert pid.step(2.0, 0.0) == pytest.approx(6.0, rel=1e-12)
 
     def test_rectangular_integration(self):
-        pid = make_pid(kp=0.0, ki=0.7)
         n, dt, e = 250, 0.01, 1.3
+        pid = make_pid(kp=0.0, ki=0.7, dt=dt)
         out = 0.0
         for _ in range(n):
-            out = pid.step(e, 0.0, dt)
+            out = pid.step(e, 0.0)
         assert out == pytest.approx(0.7 * e * n * dt, rel=1e-12)
 
     def test_non_finite_input_is_fatal(self):
         pid = make_pid()
         with pytest.raises(ControllerError):
-            pid.step(math.nan, 0.0, 0.01)
+            pid.step(math.nan, 0.0)
         with pytest.raises(ControllerError):
-            pid.step(0.0, math.inf, 0.01)
+            pid.step(0.0, math.inf)
 
     def test_anti_windup_freezes_integral_when_saturated(self):
         pid = make_pid(kp=1.0, ki=10.0, out=(-1.0, 1.0))
         previous = pid.integral
         for _ in range(50):
-            pid.step(100.0, 0.0, 0.01)  # output pinned at +1, error positive
+            pid.step(100.0, 0.0)  # output pinned at +1, error positive
             assert pid.integral <= previous + 1e-15
             previous = pid.integral
 
     def test_integral_respects_limits(self):
         pid = make_pid(kp=0.0, ki=10.0, out=(-1e9, 1e9), integral=(-0.5, 0.5))
         for _ in range(1000):
-            pid.step(10.0, 0.0, 0.01)
+            pid.step(10.0, 0.0)
         assert pid.integral == pytest.approx(0.5)
 
     def test_setpoint_step_causes_no_derivative_kick(self):
         pid = make_pid(kp=0.0, ki=0.0, kd=100.0)
-        pid.step(0.0, 3.0, 0.01)
-        out = pid.step(1000.0, 3.0, 0.01)  # setpoint jumps, measurement still
+        pid.step(0.0, 3.0)
+        out = pid.step(1000.0, 3.0)  # setpoint jumps, measurement still
         assert out == 0.0
 
     def test_derivative_opposes_rising_measurement(self):
         pid = make_pid(kp=0.0, ki=0.0, kd=1.0)
-        pid.step(0.0, 0.0, 0.01)
-        out = pid.step(0.0, 1.0, 0.01)
+        pid.step(0.0, 0.0)
+        out = pid.step(0.0, 1.0)
         assert out < 0.0
+
+    def test_sample_period_checked_at_build(self):
+        for dt in (0.0, -0.01, math.nan):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                make_pid(dt=dt)
 
 
 class TestDynamicGains:
@@ -88,7 +93,7 @@ class TestDynamicGains:
     def feedback(self, t):
         """Primary PID output of a fresh ff+dyn regulator 1 bar low at time t."""
         ctrl = make_ereg(primary=self.PRIMARY)
-        ctrl.step(41e5, 310e5, 42e5, t, 0.001)
+        ctrl.step(41e5, 310e5, 42e5, t, True)
         return ctrl.u1 - ctrl.last_feedforward
 
     def test_zero_at_start(self):
@@ -146,21 +151,24 @@ class TestFeedforwardInjector:
         assert ff_injector(self.FF, 35e5, 42e5) == pytest.approx(20.0933, rel=1e-4)
 
 
-def make_actuator(time_constant=0.020, rate_max=180.0, backlash=0.0, encoder_counts_per_degree=0.0):
-    return Actuator(ActuatorSettings(time_constant, rate_max, backlash, encoder_counts_per_degree))
+def make_actuator(time_constant=0.020, rate_max=180.0, backlash=0.0, encoder_counts_per_degree=0.0,
+                  dt=0.001):
+    return Actuator(
+        ActuatorSettings(time_constant, rate_max, backlash, encoder_counts_per_degree), dt
+    )
 
 
 class TestActuator:
     def test_no_command_from_rest(self):
         act = make_actuator(time_constant=0.02, rate_max=180.0)
         for _ in range(100):
-            act.step(0.0, 0.001)
+            act.step(0.0)
         assert act.angle == 0.0
 
     def test_full_command_reaches_and_holds_stop(self):
         act = make_actuator(time_constant=0.02, rate_max=180.0)
         for _ in range(2000):
-            act.step(1.0, 0.001)
+            act.step(1.0)
         assert act.angle == 90.0
         assert act.rate == 0.0
 
@@ -170,39 +178,44 @@ class TestActuator:
         closed = rate_max * (t_end - tau * (1.0 - math.exp(-t_end / tau)))
         assert closed == pytest.approx(14.4243, abs=1e-3)
 
-        fine = make_actuator(time_constant=tau, rate_max=rate_max)
+        fine = make_actuator(time_constant=tau, rate_max=rate_max, dt=1e-5)
         for _ in range(10_000):
-            fine.step(1.0, 1e-5)
+            fine.step(1.0)
         assert fine.angle == pytest.approx(closed, abs=0.01)
 
-        production = make_actuator(time_constant=tau, rate_max=rate_max)
+        production = make_actuator(time_constant=tau, rate_max=rate_max, dt=1e-3)
         for _ in range(100):
-            production.step(1.0, 1e-3)
+            production.step(1.0)
         assert production.angle == pytest.approx(closed, rel=5e-3)
 
     def test_command_clamped(self):
         act = make_actuator()
-        act.step(7.0, 0.001)
+        act.step(7.0)
         assert act.command == 1.0
-        act.step(-7.0, 0.001)
+        act.step(-7.0)
         assert act.command == -1.0
 
     def test_backlash_lost_motion(self):
         act = make_actuator(backlash=1.0)
         for _ in range(200):
-            act.step(1.0, 0.001)
+            act.step(1.0)
         assert act.valve_angle == pytest.approx(act.angle - 1.0, rel=1e-9)
         # Reversing: the valve holds until the motor crosses the lash band.
         peak = max(act.angle, 0.0)
         held = act.valve_angle
         while act.angle > peak - 0.5:
-            act.step(-1.0, 0.001)
+            act.step(-1.0)
             peak = max(peak, act.angle)
             held = max(held, act.valve_angle)
         assert act.valve_angle == held  # motor moved 0.5 deg, valve did not
         while act.angle > peak - 2.0:
-            act.step(-1.0, 0.001)
+            act.step(-1.0)
         assert act.valve_angle == pytest.approx(act.angle, rel=1e-9)  # lash taken up
+
+    def test_sample_period_checked_at_build(self):
+        for dt in (0.0, -0.001, math.nan):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                make_actuator(dt=dt)
 
     def test_encoder_quantization(self):
         act = make_actuator(encoder_counts_per_degree=10.0)
@@ -248,7 +261,7 @@ class TestEregController:
         t = 0.0
         for k in range(500):
             p_sup = 310e5 - 2e7 * t
-            ctrl.step(41.5e5, p_sup, 42e5, t, 0.001)
+            ctrl.step(41.5e5, p_sup, 42e5, t, k % 10 == 0)
             if k % 10 == 0:
                 expected = ff_tank(ctrl.feedforward, 42e5, p_sup)
                 assert ctrl.u1 == expected
@@ -256,7 +269,7 @@ class TestEregController:
 
     def test_zero_error_fresh_state_gives_feedforward(self):
         ctrl = make_ereg()
-        ctrl.step(42e5, 310e5, 42e5, 0.0, 0.001)
+        ctrl.step(42e5, 310e5, 42e5, 0.0, True)
         assert ctrl.u1 == pytest.approx(ff_tank(ctrl.feedforward, 42e5, 310e5), rel=1e-12)
 
     @given(
@@ -265,31 +278,33 @@ class TestEregController:
     )
     def test_outputs_always_in_range(self, downstream, upstream, setpoint, t):
         ctrl = make_ereg(primary=PidGains(1e-3, 1e-3, 1e-5))
-        for _ in range(3):
-            u2 = ctrl.step(downstream, upstream, setpoint, t, 0.001)
+        for k in range(3):
+            u2 = ctrl.step(downstream, upstream, setpoint, t, k == 0)
         assert 0.0 <= ctrl.u1 <= 90.0
         assert abs(u2) <= 1.0
 
     def test_deterministic_twins(self):
         a, b = make_ereg(), make_ereg()
-        inputs = [(41e5 + 1e3 * k, 310e5 - 1e4 * k, 42e5, 0.001 * k) for k in range(1000)]
-        for (d, u, s, t) in inputs:
-            ua = a.step(d, u, s, t, 0.001)
-            ub = b.step(d, u, s, t, 0.001)
+        inputs = [
+            (41e5 + 1e3 * k, 310e5 - 1e4 * k, 42e5, 0.001 * k, k % 10 == 0) for k in range(1000)
+        ]
+        for (d, u, s, t, primary) in inputs:
+            ua = a.step(d, u, s, t, primary)
+            ub = b.step(d, u, s, t, primary)
             assert ua == ub
-            a.actuator.step(ua, 0.001)
-            b.actuator.step(ub, 0.001)
+            a.actuator.step(ua)
+            b.actuator.step(ub)
             assert a.actuator.angle == b.actuator.angle
 
     def test_primary_refresh_period(self):
         ctrl = make_ereg()
-        ctrl.step(40e5, 310e5, 42e5, 0.0, 0.001)
+        ctrl.step(40e5, 310e5, 42e5, 0.0, True)
         u1_first = ctrl.u1
         # Secondary ticks between primary refreshes must not change u1.
         for k in range(1, 10):
-            ctrl.step(30e5, 310e5, 42e5, 0.001 * k, 0.001)
+            ctrl.step(30e5, 310e5, 42e5, 0.001 * k, False)
             assert ctrl.u1 == u1_first
-        ctrl.step(30e5, 310e5, 42e5, 0.010, 0.001)
+        ctrl.step(30e5, 310e5, 42e5, 0.010, True)
         assert ctrl.u1 != u1_first
 
     def test_variants_select_feedforward_and_ramp(self):
@@ -299,7 +314,7 @@ class TestEregController:
         expected = {"ff+dyn": ff_angle + 2.0, "pid": 4.0, "ff": ff_angle}
         for variant, u1 in expected.items():
             ctrl = make_ereg(variant=variant, primary=primary)
-            ctrl.step(41e5, 310e5, 42e5, 1.0, 0.001)
+            ctrl.step(41e5, 310e5, 42e5, 1.0, True)
             assert ctrl.u1 == pytest.approx(u1, rel=1e-12), variant
         with pytest.raises(ValueError, match="bogus"):
             make_ereg(variant="bogus")
