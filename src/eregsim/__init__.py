@@ -13,7 +13,7 @@ from .control import (
     ff_injector,
     ff_tank,
 )
-from .engine import ComparisonReport, compare_controllers, run_scenario
+from .engine import compare_controllers, run_scenario
 from .errors import (
     ConfigError,
     ControllerError,
@@ -41,7 +41,6 @@ from .scenario import (
     size_mock_injector,
 )
 from .telemetry import (
-    RegulationMetrics,
     TelemetryFrame,
     emit_telemetry,
     read_telemetry,

@@ -16,7 +16,7 @@ import numpy as np
 import yaml
 
 from .errors import DegenerateFitError, EregSimError
-from .fluids import CHOKED_PRESSURE_RATIO
+from .fluids import CHOKED_PRESSURE_RATIO, FULL_TRAVEL
 from .telemetry import TelemetryFrame
 
 THETA_GRID_STEP = 0.1  # degrees, breakpoint search resolution
@@ -39,8 +39,8 @@ class FlowSample:
     def validate(self) -> None:
         if self.phase not in ("gas", "liquid"):
             raise ValueError(f"unknown phase {self.phase!r}")
-        if not 0.0 <= self.valve_angle <= 90.0:
-            raise ValueError(f"valve angle {self.valve_angle} outside [0, 90]")
+        if not 0.0 <= self.valve_angle <= FULL_TRAVEL:
+            raise ValueError(f"valve angle {self.valve_angle} outside [0, {FULL_TRAVEL:g}]")
         for name in ("upstream_pressure", "downstream_pressure", "flow", "fluid_density"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"non-finite sample field {name}")
@@ -58,8 +58,9 @@ def cv_from_sample(sample: FlowSample, choked_constant: float = 0.0) -> float:
     """Invert the matching flow law to get the sample's flow coefficient.
 
     Liquid: Cv = Q / sqrt(dp / rho), requires a positive drop.
-    Gas (choked): Cv = Q / (k * p_up), requires the constant k (known or
-    provisional from a previous iteration).
+    Gas (choked): Cv = Q / (k * p_up), requires a positive upstream
+    pressure and the constant k (known or provisional from a previous
+    iteration).
     """
     sample.validate()
     if sample.flow == 0.0:
@@ -71,6 +72,8 @@ def cv_from_sample(sample: FlowSample, choked_constant: float = 0.0) -> float:
         return sample.flow / math.sqrt(dp / sample.fluid_density)
     if choked_constant <= 0.0:
         raise ValueError("gas sample needs a positive choked constant")
+    if sample.upstream_pressure <= 0.0:
+        raise ValueError("gas sample rejected: nonpositive upstream pressure")
     return sample.flow / (choked_constant * sample.upstream_pressure)
 
 
@@ -92,7 +95,7 @@ def fit_cv_curve(samples: list[tuple[float, float]]) -> CvFit:
         raise DegenerateFitError("all samples at one angle: Cv slope unidentifiable")
 
     best = None
-    candidates = np.arange(0.0, 90.0, THETA_GRID_STEP)
+    candidates = np.arange(0.0, FULL_TRAVEL, THETA_GRID_STEP)
     for theta_zero in candidates:
         x = thetas - theta_zero
         active = x > 0.0

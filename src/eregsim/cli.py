@@ -90,9 +90,14 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = load_scenario(args.scenario)
-    report = compare_controllers(config, args.variants)
-    print(report.to_text())
-    failed = [r.variant for r in report.results if r.error is not None]
+    failed = []
+    for variant, result in compare_controllers(config, args.variants):
+        print(f"variant {variant}")
+        if isinstance(result, str):
+            print(f"run failed: {result}")
+            failed.append(variant)
+        else:
+            print("\n".join(_metrics_lines(result)))
     if failed:
         return _fail("compare", f"variants failed: {', '.join(failed)}")
     return EXIT_OK
@@ -108,20 +113,16 @@ def _cmd_calibrate(args) -> int:
             if args.density is None:
                 return _fail("calibrate", "liquid Cv calibration needs --density")
             raw = calibration.liquid_samples_from_telemetry(frames, args.side, args.density)
-            pairs = []
-            for s in raw:
-                try:
-                    pairs.append((s.valve_angle, calibration.cv_from_sample(s)))
-                except ValueError:
-                    continue  # no-drop samples carry no Cv information
         else:
             if args.choked_constant is None:
                 return _fail("calibrate", "gas Cv calibration needs --choked-constant")
             raw = calibration.gas_samples_from_telemetry(frames, args.side)
-            pairs = [
-                (s.valve_angle, calibration.cv_from_sample(s, args.choked_constant))
-                for s in raw
-            ]
+        pairs = []
+        for s in raw:
+            try:
+                pairs.append((s.valve_angle, calibration.cv_from_sample(s, args.choked_constant)))
+            except ValueError:
+                continue  # no pressure drop or no upstream pressure: no Cv information
         fit = calibration.fit_cv_curve(pairs)
         calibration.write_fit_result(
             args.out,
@@ -174,8 +175,9 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_size_injector(args) -> int:
     _check_flag(args, "target_mdot", above=0.0)
-    for dest in ("upstream_bar", "downstream_bar", "cd"):
-        _check_flag(args, dest)
+    for dest in ("upstream_bar", "downstream_bar"):
+        _check_flag(args, dest, at_least=0.0)
+    _check_flag(args, "cd")
     config = load_scenario(args.scenario)
     upstream, downstream = config.tank_setpoint(args.side), config.ambient_pressure
     if args.upstream_bar is not None:

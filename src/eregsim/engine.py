@@ -49,7 +49,7 @@ from .fluids import (
     cv_of_angle,
 )
 from .scenario import EREG_NAMES, SIDES, TANK_EREGS, VARIANTS, ScenarioConfig, setpoints_at
-from .telemetry import EregFrame, TelemetryFrame, regulation_metrics, RegulationMetrics
+from .telemetry import EregMetrics, TelemetryFrame, regulation_metrics
 
 EVENT_ABORT = "abort_overpressure"
 EVENT_SUPPLY_DEPLETED = "supply_gas_depleted"
@@ -540,8 +540,8 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
         if abort:
             events_active.append(EVENT_ABORT)
         if abort or k % (phys_per_primary * config.telemetry_decimation) == 0:
-            frames.append(_make_frame(t, config, plant, flows, controllers, angles,
-                                      measured, measured_supply, setpoints, events_active))
+            frames.append(_make_frame(t, flows, controllers, angles, measured,
+                                      measured_supply, setpoints, events_active))
         if abort:
             break
 
@@ -561,89 +561,52 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
     return frames
 
 
-def _make_frame(t, config, plant, flows, controllers, angles, measured,
-                measured_supply, setpoints, events_active) -> TelemetryFrame:
-    eregs = {}
+def _make_frame(t, flows, controllers, angles, measured, measured_supply, setpoints,
+                events_active) -> TelemetryFrame:
+    """The frame at t, built as one row in CSV column order."""
+    row = [t]
     for name in EREG_NAMES:
         ctrl = controllers.get(name)
-        eregs[name] = EregFrame(
-            setpoint_bar=setpoints[name] / 1e5,
-            pressure_bar=measured[name] / 1e5,
-            valve_angle_deg=angles[name],
-            feedforward_deg=ctrl.last_feedforward if ctrl is not None else 0.0,
-            u1_deg=ctrl.u1 if ctrl is not None else angles[name],
-            u2=ctrl.u2 if ctrl is not None else 0.0,
-        )
+        row += (setpoints[name] / 1e5, measured[name] / 1e5, angles[name])
+        if ctrl is not None:
+            row += (ctrl.last_feedforward, ctrl.u1, ctrl.u2)
+        else:
+            row += (0.0, angles[name], 0.0)
     mdot_ox, mdot_fuel = flows.mdot_liquid
-    frame = TelemetryFrame(
-        time_s=t,
-        ox_tank=eregs["ox_tank"],
-        fuel_tank=eregs["fuel_tank"],
-        ox_inj=eregs["ox_inj"],
-        fuel_inj=eregs["fuel_inj"],
-        supply_pressure_bar=measured_supply / 1e5,
-        mdot_ox_kg_s=mdot_ox,
-        mdot_fuel_kg_s=mdot_fuel,
-        mdot_gas_kg_s=flows.mdot_gas[0] + flows.mdot_gas[1],
-        chamber_pressure_bar=flows.chamber_pressure / 1e5,
-        thrust_n=flows.thrust,
-        of_ratio=(mdot_ox / mdot_fuel) if mdot_fuel > 0.0 else 0.0,
-        events=tuple(events_active),
+    row += (
+        measured_supply / 1e5,
+        mdot_ox,
+        mdot_fuel,
+        flows.mdot_gas[0] + flows.mdot_gas[1],
+        flows.chamber_pressure / 1e5,
+        flows.thrust,
+        (mdot_ox / mdot_fuel) if mdot_fuel > 0.0 else 0.0,
     )
-    frame.validate()
-    return frame
+    try:
+        return TelemetryFrame.from_values(row, events_active)
+    except ValueError as exc:
+        raise EregSimError(f"non-finite telemetry at t={t}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # Controller comparison harness
 
 
-@dataclass(frozen=True)
-class VariantResult:
-    variant: str
-    metrics: RegulationMetrics | None
-    error: str | None = None
+def compare_controllers(
+    config: ScenarioConfig, variants: list[str]
+) -> list[tuple[str, dict[str, EregMetrics] | str]]:
+    """Run each controller variant on the identical plant and seed.
 
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    scenario: str
-    results: tuple[VariantResult, ...]
-
-    def result(self, variant: str) -> VariantResult:
-        for r in self.results:
-            if r.variant == variant:
-                return r
-        raise KeyError(variant)
-
-    def to_text(self) -> str:
-        lines = [f"scenario: {self.scenario}"]
-        header = f"{'variant':<10} {'ereg':<10} {'max|e| bar':>11} {'rms bar':>9} {'early p2p bar':>14}"
-        lines.append(header)
-        for r in self.results:
-            if r.error is not None:
-                lines.append(f"{r.variant:<10} run failed: {r.error}")
-                continue
-            for name in EREG_NAMES:
-                m = r.metrics[name]
-                lines.append(
-                    f"{r.variant:<10} {name:<10} {m.max_abs_error:>11.3f} "
-                    f"{m.rms_error:>9.3f} {m.peak_oscillation_amplitude:>14.3f}"
-                )
-        return "\n".join(lines)
-
-
-def compare_controllers(config: ScenarioConfig, variants: list[str]) -> ComparisonReport:
-    """Run each controller variant on the identical plant and seed."""
+    Returns one (variant, metrics) pair per variant, in order; a variant
+    whose run failed has its error message in place of the metrics.
+    """
     if not variants:
         raise EregSimError("compare needs at least one variant")
     results = []
     for variant in variants:
         try:
             run_config = config.replace(variant=variant)
-            frames = run_scenario(run_config)
-            metrics = regulation_metrics(frames, run_config)
-            results.append(VariantResult(variant, metrics))
+            results.append((variant, regulation_metrics(run_scenario(run_config), run_config)))
         except EregSimError as exc:
-            results.append(VariantResult(variant, None, error=str(exc)))
-    return ComparisonReport(config.name, tuple(results))
+            results.append((variant, str(exc)))
+    return results

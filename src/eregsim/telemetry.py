@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EregSimError
@@ -26,6 +26,10 @@ SCALAR_FIELDS = (
     "thrust_n",
     "of_ratio",
 )
+# Where each regulator's block and the scalar block start in values().
+_WIDTH = len(EREG_FIELDS)
+_EREG_STARTS = range(1, 1 + _WIDTH * len(EREG_NAMES), _WIDTH)
+_SCALAR_START = _EREG_STARTS[-1] + _WIDTH
 
 
 @dataclass(frozen=True)
@@ -57,16 +61,29 @@ class TelemetryFrame:
     def ereg(self, name: str) -> EregFrame:
         return getattr(self, name)
 
-    def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise EregSimError(f"non-finite telemetry field {f.name}={value}")
+    def values(self) -> list[float]:
+        """The numeric fields in CSV column order."""
+        row = [self.time_s]
         for name in EREG_NAMES:
-            sub = self.ereg(name)
-            for f in fields(sub):
-                if not math.isfinite(getattr(sub, f.name)):
-                    raise EregSimError(f"non-finite telemetry field {name}.{f.name}")
+            sub = getattr(self, name)
+            row.extend(getattr(sub, f) for f in EREG_FIELDS)
+        row.extend(getattr(self, f) for f in SCALAR_FIELDS)
+        return row
+
+    @classmethod
+    def from_values(cls, values: list[float], events) -> TelemetryFrame:
+        """The frame whose values() are values; a nan or inf value is a
+        ValueError naming its CSV column."""
+        if not math.isfinite(sum(values)):
+            for column, value in zip(csv_header(), values):
+                if not math.isfinite(value):
+                    raise ValueError(f"column {column} is {value}")
+        return cls(
+            values[0],
+            *(EregFrame(*values[i:i + _WIDTH]) for i in _EREG_STARTS),
+            *values[_SCALAR_START:],
+            events=tuple(events),
+        )
 
 
 def csv_header() -> list[str]:
@@ -90,13 +107,7 @@ def emit_telemetry(frames: list[TelemetryFrame], destination: str | Path) -> Non
             writer = csv.writer(fh)
             writer.writerow(csv_header())
             for frame in frames:
-                row = [_fmt(frame.time_s)]
-                for name in EREG_NAMES:
-                    sub = frame.ereg(name)
-                    row.extend(_fmt(getattr(sub, f)) for f in EREG_FIELDS)
-                row.extend(_fmt(getattr(frame, f)) for f in SCALAR_FIELDS)
-                row.append(";".join(frame.events))
-                writer.writerow(row)
+                writer.writerow([*map(_fmt, frame.values()), ";".join(frame.events)])
     except OSError as exc:
         raise EregSimError(f"cannot write telemetry to {destination}: {exc}") from exc
 
@@ -104,31 +115,19 @@ def emit_telemetry(frames: list[TelemetryFrame], destination: str | Path) -> Non
 def read_telemetry(path: str | Path) -> list[TelemetryFrame]:
     path = Path(path)
     frames: list[TelemetryFrame] = []
-    width = len(EREG_FIELDS)
-    ereg_starts = range(1, 1 + width * len(EREG_NAMES), width)
-    scalar_start = ereg_starts[-1] + width
-    header = csv_header()
     try:
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
-            if next(reader, None) != header:
+            if next(reader, None) != csv_header():
                 raise EregSimError(f"unexpected telemetry header in {path}")
             # A row of the wrong length fails to unpack into the frame
             # (TypeError), a missing or non-numeric field fails to convert
-            # (IndexError, ValueError). float() takes nan and inf, so a row
-            # whose sum is not finite is scanned for the column to name.
+            # (IndexError, ValueError); from_values rejects nan and inf.
             try:
                 for row in reader:
-                    values = [float(v) for v in row[:-1]]
-                    if not math.isfinite(sum(values)):
-                        for column, value in zip(header, values):
-                            if not math.isfinite(value):
-                                raise ValueError(f"column {column} is {value}")
-                    frames.append(TelemetryFrame(
-                        values[0],
-                        *(EregFrame(*values[i:i + width]) for i in ereg_starts),
-                        *values[scalar_start:],
-                        events=tuple(row[-1].split(";")) if row[-1] else (),
+                    frames.append(TelemetryFrame.from_values(
+                        [float(v) for v in row[:-1]],
+                        row[-1].split(";") if row[-1] else (),
                     ))
             except (IndexError, TypeError, ValueError) as exc:
                 raise EregSimError(
@@ -152,14 +151,6 @@ class EregMetrics:
     peak_oscillation_amplitude: float  # bar peak-to-peak in the early window
 
 
-@dataclass(frozen=True)
-class RegulationMetrics:
-    per_ereg: dict[str, EregMetrics] = field(default_factory=dict)
-
-    def __getitem__(self, name: str) -> EregMetrics:
-        return self.per_ereg[name]
-
-
 def _first_depletion_time(frames: list[TelemetryFrame]) -> float:
     for frame in frames:
         if any(e.endswith("liquid_depleted") for e in frame.events):
@@ -167,8 +158,9 @@ def _first_depletion_time(frames: list[TelemetryFrame]) -> float:
     return math.inf
 
 
-def regulation_metrics(frames: list[TelemetryFrame], config: ScenarioConfig) -> RegulationMetrics:
-    """Per-regulator tracking metrics against the scheduled setpoints.
+def regulation_metrics(frames: list[TelemetryFrame],
+                       config: ScenarioConfig) -> dict[str, EregMetrics]:
+    """Per-regulator tracking metrics against the scheduled setpoints, by name.
 
     The startup transient window is excluded from error statistics; the
     oscillation amplitude is the max peak-to-peak error within the early
@@ -223,4 +215,4 @@ def regulation_metrics(frames: list[TelemetryFrame], config: ScenarioConfig) -> 
             overshoot=overshoot,
             peak_oscillation_amplitude=oscillation,
         )
-    return RegulationMetrics(per_ereg)
+    return per_ereg

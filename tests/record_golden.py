@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from eregsim.engine import run_scenario
-from eregsim.scenario import EREG_NAMES, VARIANTS, load_scenario
-from eregsim.telemetry import EREG_FIELDS, SCALAR_FIELDS
+from eregsim.scenario import VARIANTS, load_scenario
 from tests.conftest import SCENARIO_DIR, build_small_scenario
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden.npz"
@@ -75,15 +74,7 @@ def case_config(name: str):
 
 def frames_to_fields(frames) -> np.ndarray:
     """Every numeric telemetry field, one row per frame, in CSV column order."""
-    rows = []
-    for f in frames:
-        row = [f.time_s]
-        for ereg in EREG_NAMES:
-            sub = f.ereg(ereg)
-            row.extend(getattr(sub, k) for k in EREG_FIELDS)
-        row.extend(getattr(f, k) for k in SCALAR_FIELDS)
-        rows.append(row)
-    return np.array(rows, dtype=np.float64)
+    return np.array([f.values() for f in frames], dtype=np.float64)
 
 
 def event_onsets(frames) -> list[str]:

@@ -209,7 +209,26 @@ class TestCompare:
         code = main(["compare", "--scenario", str(scenario), "--variants", "ff", "ff+dyn"])
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert "ff+dyn" in out
+        assert "variant ff\n" in out and "variant ff+dyn\n" in out
+        assert out.count("max|e| bar") == 2
+
+    def test_failed_variant_prints_run_failed_and_exits_2(self, tmp_path, capsys, monkeypatch):
+        import eregsim.engine as engine_module
+
+        real_run = engine_module.run_scenario
+
+        def flaky(cfg, audit=None):
+            if cfg.variant == "pid":
+                raise eregsim.EregSimError("injected failure")
+            return real_run(cfg, audit)
+
+        monkeypatch.setattr(engine_module, "run_scenario", flaky)
+        scenario = write_scenario(tmp_path, small_scenario_dict(duration_s=1.0))
+        code = main(["compare", "--scenario", str(scenario), "--variants", "pid", "ff"])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "variant pid\nrun failed: injected failure\nvariant ff\n" in captured.out
+        assert json.loads(captured.err)["message"] == "variants failed: pid"
 
 
 class TestCalibrate:
@@ -260,6 +279,19 @@ class TestCalibrate:
         assert 0 < fit["sample_count"] == len(choked) < len(rows)
         assert fit["residual_rms"] < 1e-6
 
+
+    def test_gas_cv_skips_rows_without_supply_pressure(self, blowdown_csv, tmp_path):
+        # A 0 bar supply with gas still logged flowing has no choked-flow Cv.
+        log = with_columns(blowdown_csv, tmp_path / "no_supply.csv", 1000, supply_pressure_bar="0")
+        out = tmp_path / "cv.yaml"
+        code = main([
+            "calibrate", "cv", "--data", str(log), "--out", str(out),
+            "--side", "ox", "--phase", "gas", "--choked-constant", "1.6774194e-3",
+        ])
+        assert code == EXIT_OK
+        rows = read_telemetry(log)
+        usable = [f for f in rows if f.supply_pressure_bar > 0.0 or f.mdot_gas_kg_s == 0.0]
+        assert yaml.safe_load(out.read_text())["sample_count"] == len(usable) < len(rows)
 
     def test_depleted_supply_rows_are_not_choked(self, blowdown_csv, tmp_path):
         # A run that empties the supply logs 0 bar and no gas flow from then on.
@@ -324,9 +356,13 @@ class TestNumericFlags:
             (["size-injector", "--target-mdot", "nan"], "--target-mdot"),
             (["size-injector", "--target-mdot", "1.14", "--upstream-bar", "inf"],
              "--upstream-bar"),
+            (["size-injector", "--target-mdot", "1.14", "--downstream-bar=-50"],
+             "--downstream-bar"),
+            (["size-injector", "--target-mdot", "1.14", "--upstream-bar=-5"], "--upstream-bar"),
         ],
         ids=["density_zero", "density_nan", "choked_constant_inf", "alpha_zero",
-             "theta_zero_nan", "theta_zero_90", "target_mdot_nan", "upstream_bar_inf"],
+             "theta_zero_nan", "theta_zero_90", "target_mdot_nan", "upstream_bar_inf",
+             "downstream_bar_negative", "upstream_bar_negative"],
     )
     def test_one_json_line_naming_the_flag(self, blowdown_csv, tmp_path, capsys, argv, flag):
         if argv[0] == "calibrate":

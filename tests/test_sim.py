@@ -241,17 +241,24 @@ class TestTelemetryCsv:
             read_telemetry(path)
 
     def test_non_finite_frame_rejected(self):
-        bad = make_frame(0.0, {"ox_tank": flat_ereg(30.0, math.nan)})
-        with pytest.raises(EregSimError):
-            bad.validate()
+        values = make_frame(0.0).values()
+        values[csv_header().index("ox_tank_pressure_bar")] = math.nan
+        with pytest.raises(ValueError, match="^column ox_tank_pressure_bar is nan$"):
+            TelemetryFrame.from_values(values, ())
+
+    def test_run_refuses_non_finite_frame(self, baseline_config, monkeypatch):
+        monkeypatch.setattr(engine, "chamber_state", lambda *args: (math.nan, math.nan))
+        with pytest.raises(
+            EregSimError, match="^non-finite telemetry at t=0.0: column chamber_pressure_bar is nan$"
+        ):
+            run_scenario(baseline_config.replace(duration=0.1))
 
 
 class TestCompareControllers:
     def test_identical_variants_identical_metrics(self):
         config = build_small_scenario(duration_s=2.0)
-        report = compare_controllers(config, ["ff+dyn", "ff+dyn"])
-        a, b = report.results
-        assert a.metrics == b.metrics
+        (_, a), (_, b) = compare_controllers(config, ["ff+dyn", "ff+dyn"])
+        assert a == b
 
     def test_per_variant_errors_do_not_abort_comparison(self, monkeypatch):
         import eregsim.engine as engine_module
@@ -265,23 +272,24 @@ class TestCompareControllers:
             return real_run(cfg, audit)
 
         monkeypatch.setattr(engine_module, "run_scenario", flaky)
-        report = engine_module.compare_controllers(config, ["pid", "ff+dyn"])
-        assert report.result("pid").error == "injected failure"
-        assert report.result("ff+dyn").error is None
-        assert "run failed" in report.to_text()
+        results = engine_module.compare_controllers(config, ["pid", "ff+dyn"])
+        assert [variant for variant, _ in results] == ["pid", "ff+dyn"]
+        assert results[0][1] == "injected failure"
+        assert list(results[1][1]) == list(EREG_NAMES)
 
     def test_unknown_variant_is_rejected(self):
         config = build_small_scenario(duration_s=1.0)
         with pytest.raises(ConfigError, match="bogus"):
             run_scenario(config.replace(variant="bogus"))
-        report = compare_controllers(config, ["bogus"])
-        assert "bogus" in report.result("bogus").error
+        [(variant, message)] = compare_controllers(config, ["bogus"])
+        assert variant == "bogus" and "bogus" in message
 
     def test_report_text_contains_all_variants(self):
         config = build_small_scenario(duration_s=2.0)
-        report = compare_controllers(config, ["ff", "oracle"])
-        text = report.to_text()
-        assert "ff" in text and "oracle" in text
+        results = compare_controllers(config, ["ff", "oracle"])
+        assert [variant for variant, _ in results] == ["ff", "oracle"]
+        for _, metrics in results:
+            assert list(metrics) == list(EREG_NAMES)
 
 
 class TestModeComparison:
@@ -416,6 +424,23 @@ class TestBenchmarkFacingNames:
         assert config.duration > 0.0
         start, end, pressure = config.schedule.ox_inj.hold_intervals()[0]
         assert 0.0 <= start < end and pressure > 0.0
+
+    def test_positional_frame_round_trips(self, tmp_path):
+        # perfbench builds its calibration logs positionally like this, and
+        # compares what it reads back with ==.
+        idle = telemetry.EregFrame(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        busy = telemetry.EregFrame(42.0, 41.75, 30.5, 0.0, 30.5, 0.0)
+        frame = telemetry.TelemetryFrame(0.25, busy, idle, busy, idle, 300.0, 1.125, 0.0,
+                                         0.0625, 0.0, 0.0, 0.0)
+        path = tmp_path / "log.csv"
+        telemetry.emit_telemetry([frame, frame], path)
+        assert telemetry.read_telemetry(path) == [frame, frame]
+
+    def test_metrics_by_name(self):
+        frames = [make_frame(0.01 * k) for k in range(200)]
+        metrics = telemetry.regulation_metrics(frames, build_small_scenario())
+        for name in EREG_NAMES:
+            assert isinstance(metrics[name].max_abs_error, float)
 
     def test_engine_imports_traced_by_name(self):
         state = engine.GasTankState.from_pressure(1e5, 1.0, 293.0, 296.8)
