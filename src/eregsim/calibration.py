@@ -37,13 +37,14 @@ class FlowSample:
     phase: str  # "gas" or "liquid"
 
     def validate(self) -> None:
+        """A malformed sample is an error, not a row without Cv information."""
         if self.phase not in ("gas", "liquid"):
-            raise ValueError(f"unknown phase {self.phase!r}")
+            raise EregSimError(f"unknown phase {self.phase!r}")
         if not 0.0 <= self.valve_angle <= FULL_TRAVEL:
-            raise ValueError(f"valve angle {self.valve_angle} outside [0, {FULL_TRAVEL:g}]")
+            raise EregSimError(f"valve angle {self.valve_angle} outside [0, {FULL_TRAVEL:g}]")
         for name in ("upstream_pressure", "downstream_pressure", "flow", "fluid_density"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite sample field {name}")
+                raise EregSimError(f"non-finite sample field {name}")
 
 
 @dataclass(frozen=True)
@@ -180,15 +181,12 @@ def fit_choked_constant(
 
 
 def steady_records(
-    frames: list[TelemetryFrame],
-    ereg_name: str,
-    error_threshold: float = STEADY_ERROR_THRESHOLD,
-    sustain: float = STEADY_SUSTAIN,
+    frames: list[TelemetryFrame], ereg_name: str
 ) -> list[tuple[float, float, float]]:
     """Extract (angle, setpoint, supply_pressure) rows in steady regulation.
 
     A frame counts as steady once the regulation error has stayed below
-    the threshold for the sustain period. A frame with the supply at 0 bar
+    STEADY_ERROR_THRESHOLD for STEADY_SUSTAIN. A frame with the supply at 0 bar
     (depleted) is not steady: the feedforward ratio is undefined there.
     """
     records = []
@@ -196,10 +194,10 @@ def steady_records(
     for frame in frames:
         sub = frame.ereg(ereg_name)
         error = abs(sub.pressure_bar - sub.setpoint_bar) * 1e5
-        if error < error_threshold and frame.supply_pressure_bar > 0.0:
+        if error < STEADY_ERROR_THRESHOLD and frame.supply_pressure_bar > 0.0:
             if streak_start is None:
                 streak_start = frame.time_s
-            if frame.time_s - streak_start >= sustain:
+            if frame.time_s - streak_start >= STEADY_SUSTAIN:
                 records.append(
                     (sub.valve_angle_deg, sub.setpoint_bar * 1e5, frame.supply_pressure_bar * 1e5)
                 )

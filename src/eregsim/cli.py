@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: run, metrics, compare, calibrate (cv|gamma|choked),
-size-injector. Exit code 0 on success; nonzero on validation failure or
-an over-pressure abort, with a machine-readable JSON error line on stderr.
+size-injector. Exit code 0 on success; nonzero on a parse or validation failure
+or an over-pressure abort, with a machine-readable JSON error line on stderr.
 """
 
 from __future__ import annotations
@@ -25,17 +25,26 @@ EXIT_ERROR = 2
 EXIT_ABORT = 3
 
 
-def _fail(code: str, message: str) -> int:
+def _fail(code: str, message: str, status: int = EXIT_ERROR) -> int:
     print(json.dumps({"error": code, "message": message}), file=sys.stderr)
-    return EXIT_ERROR
+    return status
 
 
-def _check_flag(args, dest: str, **bounds) -> None:
-    """Reject a non-finite or out-of-bounds numeric flag with one JSON error
-    line (an argparse type error would print a usage block instead)."""
-    value = getattr(args, dest)
-    if value is not None:
-        checked_number(value, "--" + dest.replace("_", "-"), **bounds)
+class _Parser(argparse.ArgumentParser):
+    """Parse errors raise ConfigError, as the flag type functions do: one JSON line."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _number(flag: str, **bounds):
+    return lambda text: checked_number(text, flag, **bounds)
+
+
+def _seed(text: str) -> int:
+    if not text.isdecimal():  # digits only, so never negative
+        raise ConfigError(f"--seed must be a nonnegative integer, got {text}")
+    return int(text)
 
 
 def _metrics_lines(metrics) -> list[str]:
@@ -57,18 +66,12 @@ def _cmd_run(args) -> int:
     if args.controller:
         config = config.replace(variant=args.controller)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
         config = config.replace(noise_seed=args.seed)
     frames = run_scenario(config)
     emit_telemetry(frames, args.out)
     print(f"wrote {len(frames)} frames to {args.out}")
     if frames and EVENT_ABORT in frames[-1].events:
-        print(
-            json.dumps({"error": "abort", "message": "run ended in over-pressure abort"}),
-            file=sys.stderr,
-        )
-        return EXIT_ABORT
+        return _fail("abort", "run ended in over-pressure abort", EXIT_ABORT)
     return EXIT_OK
 
 
@@ -103,10 +106,11 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _rms(residuals: list[float]) -> float:
+    return (sum(r * r for r in residuals) / len(residuals)) ** 0.5
+
+
 def _cmd_calibrate(args) -> int:
-    for dest in ("density", "choked_constant", "alpha"):
-        _check_flag(args, dest, above=0.0)
-    _check_flag(args, "theta_zero", at_least=0.0, below=FULL_TRAVEL)
     frames = read_telemetry(args.data)
     if args.kind == "cv":
         if args.phase == "liquid":
@@ -124,31 +128,23 @@ def _cmd_calibrate(args) -> int:
             except ValueError:
                 continue  # no pressure drop or no upstream pressure: no Cv information
         fit = calibration.fit_cv_curve(pairs)
-        calibration.write_fit_result(
-            args.out,
-            "cv_curve",
-            {
-                "alpha_si_per_deg": fit.alpha,
-                "theta_zero_deg": fit.theta_zero,
-                "residual_rms": fit.residual_rms,
-                "sample_count": fit.sample_count,
-            },
-        )
+        kind, parameters = "cv_curve", {
+            "alpha_si_per_deg": fit.alpha,
+            "theta_zero_deg": fit.theta_zero,
+            "residual_rms": fit.residual_rms,
+            "sample_count": fit.sample_count,
+        }
     elif args.kind == "gamma":
         records = calibration.steady_records(frames, args.side + "_tank")
         gamma = calibration.fit_gamma(records, args.theta_zero)
         residuals = [
             angle - args.theta_zero - gamma * min(1.0, s / p) for angle, s, p in records
         ]
-        calibration.write_fit_result(
-            args.out,
-            "gamma",
-            {
-                "gamma_deg": gamma,
-                "residual_rms": (sum(r * r for r in residuals) / len(residuals)) ** 0.5,
-                "sample_count": len(records),
-            },
-        )
+        kind, parameters = "gamma", {
+            "gamma_deg": gamma,
+            "residual_rms": _rms(residuals),
+            "sample_count": len(records),
+        }
     else:  # choked
         if args.alpha is None:
             return _fail("calibrate", "choked-constant calibration needs --alpha")
@@ -160,24 +156,17 @@ def _cmd_calibrate(args) -> int:
             s.flow - k * max(0.0, args.alpha * (s.valve_angle - args.theta_zero)) * s.upstream_pressure
             for s in samples
         ]
-        calibration.write_fit_result(
-            args.out,
-            "choked_constant",
-            {
-                "choked_constant": k,
-                "residual_rms": (sum(r * r for r in residuals) / len(residuals)) ** 0.5,
-                "sample_count": len(samples),
-            },
-        )
+        kind, parameters = "choked_constant", {
+            "choked_constant": k,
+            "residual_rms": _rms(residuals),
+            "sample_count": len(samples),
+        }
+    calibration.write_fit_result(args.out, kind, parameters)
     print(f"wrote fit result to {args.out}")
     return EXIT_OK
 
 
 def _cmd_size_injector(args) -> int:
-    _check_flag(args, "target_mdot", above=0.0)
-    for dest in ("upstream_bar", "downstream_bar"):
-        _check_flag(args, dest, at_least=0.0)
-    _check_flag(args, "cd")
     config = load_scenario(args.scenario)
     upstream, downstream = config.tank_setpoint(args.side), config.ambient_pressure
     if args.upstream_bar is not None:
@@ -196,14 +185,14 @@ def _cmd_size_injector(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="eregsim", description=__doc__)
+    parser = _Parser(prog="eregsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario and write telemetry CSV")
     p_run.add_argument("--scenario", required=True)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--controller", choices=VARIANTS)
-    p_run.add_argument("--seed", type=int)
+    p_run.add_argument("--seed", type=_seed)
     p_run.set_defaults(func=_cmd_run)
 
     p_metrics = sub.add_parser("metrics", help="regulation metrics from a telemetry CSV")
@@ -224,27 +213,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--out", required=True)
     p_cal.add_argument("--side", choices=["ox", "fuel"], default="ox")
     p_cal.add_argument("--phase", choices=["liquid", "gas"], default="liquid")
-    p_cal.add_argument("--density", type=float)
-    p_cal.add_argument("--choked-constant", type=float)
-    p_cal.add_argument("--alpha", type=float)
-    p_cal.add_argument("--theta-zero", type=float, default=0.0)
+    for flag in ("--density", "--choked-constant", "--alpha"):
+        p_cal.add_argument(flag, type=_number(flag, above=0.0))
+    p_cal.add_argument("--theta-zero", default=0.0,
+                       type=_number("--theta-zero", at_least=0.0, below=FULL_TRAVEL))
     p_cal.set_defaults(func=_cmd_calibrate)
 
     p_size = sub.add_parser("size-injector", help="size a mock injector orifice")
     p_size.add_argument("--scenario", required=True)
-    p_size.add_argument("--target-mdot", type=float, required=True)
+    p_size.add_argument("--target-mdot", type=_number("--target-mdot", above=0.0), required=True)
     p_size.add_argument("--side", choices=["ox", "fuel"], default="ox")
-    p_size.add_argument("--upstream-bar", type=float)
-    p_size.add_argument("--downstream-bar", type=float)
-    p_size.add_argument("--cd", type=float, default=0.7)
+    for flag in ("--upstream-bar", "--downstream-bar"):
+        p_size.add_argument(flag, type=_number(flag, at_least=0.0))
+    p_size.add_argument("--cd", type=_number("--cd"), default=0.7)
     p_size.set_defaults(func=_cmd_size_injector)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except EregSimError as exc:
         return _fail(type(exc).__name__, str(exc))

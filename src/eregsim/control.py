@@ -78,10 +78,10 @@ class ActuatorSettings:
 
 
 def ff_tank(ff: FeedforwardParams, tank_setpoint: float, supply_pressure: float) -> float:
-    """Tank-regulator feedforward angle, clamped to the valve travel."""
-    if supply_pressure <= 0.0:
-        raise ValueError("supply pressure must be positive")
-    angle = ff.gamma * min(1.0, tank_setpoint / supply_pressure) + ff.theta_zero
+    """Tank-regulator feedforward angle, clamped to the valve travel. A supply
+    read at or below 0 (noise on an empty supply) takes the ratio's limit, 1."""
+    ratio = min(1.0, tank_setpoint / supply_pressure) if supply_pressure > 0.0 else 1.0
+    angle = ff.gamma * ratio + ff.theta_zero
     return min(max(angle, 0.0), FULL_TRAVEL)
 
 

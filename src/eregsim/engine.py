@@ -161,11 +161,11 @@ class _Plant:
         for i, side in enumerate(SIDES):
             valve = valves[side + "_tank"]
             kcv.append(valve.choked_constant * cv_of_angle(valve, angles[side + "_tank"]))
-            cv = cv_of_angle(valves[side + "_inj"], angles[side + "_inj"])
-            if cv <= 0.0:
+            cv2 = cv_of_angle(valves[side + "_inj"], angles[side + "_inj"]) ** 2
+            if cv2 == 0.0:  # shut, or so nearly shut that Cv^2 underflows
                 branch.append(None)
                 continue
-            coeff = self._line[i] + 1.0 / cv**2 + self._orifice[i]
+            coeff = self._line[i] + 1.0 / cv2 + self._orifice[i]
             beta = math.sqrt(self._rho[i] / coeff)
             gain_beta = self._gain * beta if self._gain is not None else 0.0
             branch.append((beta, gain_beta, self._rho[i] * coeff))

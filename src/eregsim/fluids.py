@@ -183,7 +183,7 @@ def branch_flow(
     between valve and injector orifice. Zero flow when the valve is shut
     or the drop is adverse.
     """
-    if cv <= 0.0:
+    if cv <= 0.0 or cv**2 == 0.0:  # shut, or so nearly shut that Cv^2 underflows
         return 0.0, p_back
     dp = p_tank - p_back
     if dp <= 0.0:

@@ -283,6 +283,17 @@ def checked_number(value, key: str, *, above=None, at_least=None, below=None,
     return number
 
 
+def _in_range(path: str, what: str, derive) -> float:
+    """derive(), a plant constant built from the keys at path, if it is finite."""
+    try:
+        value = derive()
+    except ArithmeticError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: {what} out of floating-point range")
+    return value
+
+
 class _Section:
     """One mapping of a scenario file, read key by key.
 
@@ -426,12 +437,15 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
             liquid_density=tank.number("liquid_density_kg_m3", above=0.0),
             initial_pressure=bar_to_pa(tank.number("initial_pressure_bar", above=ambient_bar)),
         )
+        if (t := tanks[side]).total_volume * (1.0 - t.initial_ullage_fraction) == t.total_volume:
+            raise ConfigError(f"tanks.{side}: initial ullage volume rounds to 0 m3")
         line = root.section("lines").section(side)
         lines[side] = LineModel(
             friction_factor=line.number("friction_factor", above=0.0),
             length=line.number("length_m", at_least=0.0),
             diameter=line.number("diameter_m", above=0.0),
         )
+        _in_range(f"lines.{side}", "loss coefficient", lambda: lines[side].loss_coefficient)
 
     chamber = None
     raw_chamber = root.section("chamber", _REQUIRED if mode == "staticfire" else None)
@@ -475,6 +489,8 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
                 cd=cd,
             )
             injectors[side] = InjectorOrifice(cd=cd, area=area)
+    for side in SIDES:
+        _in_range(f"injector.{side}", "orifice coefficient", lambda: injectors[side].coeff)
 
     valves = {}
     for reg in EREG_NAMES:
@@ -489,6 +505,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
             rated_pressure=bar_to_pa(valve.number("rated_pressure_bar", at_least=upstream_bar)),
             choked_constant=valve.number("choked_constant", above=0.0) if gas else 0.0,
         )
+        _in_range(f"valves.{reg}", "Cv^2", lambda: cv_of_angle(valves[reg], FULL_TRAVEL) ** 2)
 
     raw_actuators = root.section("actuators", {})
     actuator = ActuatorSettings(
@@ -575,9 +592,9 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
                     )
                 else:
                     q_nominal = demand_scale * nominal_mdot[side] / rho
-                gamma = q_nominal / (
+                gamma = _in_range(f"controllers.{reg}", "auto gamma_deg", lambda: q_nominal / (
                     gas_constant * gas_temperature * valve.choked_constant * valve.alpha
-                )
+                ))
             feedforward = FeedforwardParams(
                 gamma=gamma, alpha=valve.alpha, theta_zero=valve.theta_zero
             )

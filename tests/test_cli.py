@@ -155,6 +155,25 @@ class TestRejectedScenarioProcess:
         assert not (tmp_path / "x.csv").exists()
 
 
+class TestParseErrorProcess:
+    def test_missing_out_flag_prints_one_json_line_and_exits_2(self, tmp_path):
+        scenario = write_scenario(tmp_path, small_scenario_dict(duration_s=0.1))
+        src = str(Path(eregsim.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "eregsim.cli", "run", "--scenario", str(scenario)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == EXIT_ERROR
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0]) == {
+            "error": "ConfigError",
+            "message": "eregsim run: the following arguments are required: --out",
+        }
+        assert proc.stdout == ""
+
+
 class TestMetrics:
     def test_metrics_table(self, baseline_csv, capsys):
         code = main(["metrics", "--telemetry", str(baseline_csv), "--scenario", BASELINE])
@@ -311,6 +330,27 @@ class TestCalibrate:
         ]
         assert yaml.safe_load(out.read_text())["sample_count"] == len(choked) > 0
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["choked", "--alpha", "9.375e-8", "--theta-zero", "10.0"],
+            ["cv", "--phase", "gas", "--choked-constant", "1.6774194e-3"],
+        ],
+        ids=["choked", "cv_gas"],
+    )
+    def test_valve_angle_outside_travel_exits_2_with_one_json_line(self, blowdown_csv, tmp_path,
+                                                                   capsys, flags):
+        log = with_columns(blowdown_csv, tmp_path / "angle.csv", 1000, ox_tank_valve_angle_deg="95")
+        out = tmp_path / "fit.yaml"
+        code = main(["calibrate", flags[0], "--data", str(log), "--out", str(out), *flags[1:]])
+        assert code == EXIT_ERROR
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "EregSimError"
+        assert "valve angle 95.0 outside [0, 90]" in payload["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("constant", ["1e-320", "1e-300"])
     def test_non_finite_fit_exits_2_and_writes_nothing(self, blowdown_csv, tmp_path, capsys,
                                                       constant):
@@ -445,26 +485,47 @@ NUMBERS = st.one_of(
 )
 
 
+NOT_NUMBERS = st.sampled_from(["abc", "", "1e", "0x10", "1,5"])
+# Most argv parse; the rest carry one fault argparse itself reports.
+FAULTS = st.sampled_from([None] * 4 + ["text", "drop", "choice", "unknown"])
+
+
 @st.composite
 def cli_argv(draw):
     """argv for calibrate cv|gamma|choked or size-injector with drawn numbers.
 
     Log and fit paths are names relative to fuzz_dir; the values use the
-    --flag=value form so that negative numbers parse as values.
+    --flag=value form so that negative numbers parse as values. Some argv
+    carry a parse fault: text for a number, a required flag left out, a bad
+    --side or --phase choice, or an unknown flag.
     """
     command = draw(st.sampled_from(["cv", "gamma", "choked", "size-injector"]))
     if command == "size-injector":
         argv = ["size-injector", "--scenario", BASELINE, f"--target-mdot={draw(NUMBERS)!r}"]
-        flags = ("upstream-bar", "downstream-bar", "cd")
+        flags = ("target-mdot", "upstream-bar", "downstream-bar", "cd")
+        required = ("--scenario", "--target-mdot")
+        optional = flags[1:]
     else:
         argv = ["calibrate", command, "--data", draw(st.sampled_from(LOGS)),
                 "--out", draw(st.sampled_from(OUTS)),
                 "--phase", draw(st.sampled_from(["liquid", "gas"]))]
-        flags = ("density", "choked-constant", "alpha", "theta-zero")
-    for flag in flags:
+        flags = optional = ("density", "choked-constant", "alpha", "theta-zero")
+        required = ("--data", "--out")
+    for flag in optional:
         value = draw(st.none() | NUMBERS)
         if value is not None:
             argv.append(f"--{flag}={value!r}")
+    fault = draw(FAULTS)
+    if fault == "text":
+        argv.append(f"--{draw(st.sampled_from(flags))}={draw(NOT_NUMBERS)}")
+    elif fault == "drop":
+        flag = draw(st.sampled_from(required))
+        i = next(i for i, a in enumerate(argv) if a.split("=")[0] == flag)
+        del argv[i:i + (1 if "=" in argv[i] else 2)]
+    elif fault == "choice":
+        argv.append(draw(st.sampled_from(["--side=up", "--phase=solid"])))
+    elif fault == "unknown":
+        argv.append("--frobnicate")
     return argv
 
 
@@ -473,10 +534,10 @@ def calibrate(kind, log, *flags):
 
 
 class TestCliFuzz:
-    """Any numeric flag value and existing or missing paths: exit 0, 2 or 3;
-    a failure prints exactly one JSON line on stderr (a Python warning
-    would print more) and writes no fit file; a success writes only finite
-    numbers."""
+    """Any numeric flag value, existing or missing paths and argv argparse
+    rejects: exit 0, 2 or 3; a failure prints exactly one JSON line on
+    stderr (a Python warning or a usage block would print more) and writes
+    no fit file; a success writes only finite numbers."""
 
     @given(argv=cli_argv())
     @example(argv=calibrate("cv", "nan.csv", "--phase", "gas", "--choked-constant=1e-3"))
@@ -488,6 +549,13 @@ class TestCliFuzz:
     @example(argv=calibrate("cv", "good.csv", "--phase", "gas", "--choked-constant=1e-320"))
     @example(argv=calibrate("cv", "good.csv", "--phase", "gas", "--choked-constant=1e-300"))
     @example(argv=["size-injector", "--scenario", BASELINE, "--target-mdot=1.0", "--cd=5e-324"])
+    @example(argv=calibrate("cv", "good.csv", "--density=abc"))
+    @example(argv=["calibrate", "cv", "--out", "out/fit.yaml", "--density=1141"])
+    @example(argv=["size-injector", "--target-mdot=1.0"])
+    @example(argv=["size-injector", "--scenario", BASELINE])
+    @example(argv=calibrate("gamma", "good.csv", "--side=up"))
+    @example(argv=calibrate("cv", "good.csv", "--phase=solid"))
+    @example(argv=calibrate("gamma", "good.csv", "--frobnicate"))
     @settings(max_examples=200, deadline=None)
     def test_exit_code_stderr_and_written_numbers(self, fuzz_dir, argv):
         argv = [str(fuzz_dir / a) if a in LOGS + OUTS else a for a in argv]
@@ -508,6 +576,6 @@ class TestCliFuzz:
         elif argv[0] == "size-injector":
             assert math.isfinite(float(out.getvalue().split(":")[1].split("m2")[0]))
         else:
-            written = yaml.safe_load(Path(argv[5]).read_text())
+            written = yaml.safe_load(Path(argv[argv.index("--out") + 1]).read_text())
             numbers = [v for k, v in written.items() if k != "fit"]
             assert numbers and all(math.isfinite(v) for v in numbers), written

@@ -134,6 +134,11 @@ class TestFeedforwardTank:
         wide = FeedforwardParams(gamma=200.0, theta_zero=10.0)
         assert ff_tank(wide, 42e5, 42e5) == 90.0
 
+    @pytest.mark.parametrize("supply", [0.0, -0.05e5], ids=["zero", "negative"])
+    def test_empty_supply_reading_takes_the_ratio_limit(self, supply):
+        # min(1, s/p) tends to 1 as p falls to 0; a noisy sensor reads below 0.
+        assert ff_tank(self.FF, 42e5, supply) == ff_tank(self.FF, 42e5, 42e5) == 70.0
+
 
 class TestFeedforwardInjector:
     FF = FeedforwardParams(

@@ -344,7 +344,28 @@ PROBES = {
     "injector_choked_constant": (
         {"valves.ox_inj.choked_constant": 0.0}, "valves.ox_inj.choked_constant"
     ),
+    "tiny_gas_constant": ({"pressurant.specific_gas_constant": 5e-324}, "controllers.fuel_tank"),
+    "tiny_temperature": ({"pressurant.temperature_k": 5e-324}, "controllers.fuel_tank"),
+    "huge_valve_slope": ({"valves.ox_inj.alpha_si_per_deg": 1e200}, "valves.ox_inj"),
 }
+# Finite values whose derived plant constants over- or underflow, per side:
+# (key, values, section the error names): the initial ullage volume rounds
+# to 0, the line and orifice coefficients leave float range, and gamma_deg:
+# auto divides by a product that rounds to 0 (as in the tiny_* entries
+# above; huge_valve_slope overflows a valve's full-travel Cv^2).
+PROBES.update({
+    f"{key.format(side)}={value!r}": ({key.format(side): value}, named.format(side))
+    for key, values, named in (
+        ("tanks.{}.initial_ullage_fraction", (5e-324, 1e-300, 1e-17), "tanks.{}"),
+        ("tanks.{}.total_volume_m3", (5e-324,), "tanks.{}"),
+        ("lines.{}.diameter_m", (5e-324, 1e-300, 1e300), "lines.{}"),
+        ("injector.{}.cd", (5e-324, 1e-300), "injector.{}"),
+        ("injector.{}.area_m2", (5e-324, 1e-300, 1e300), "injector.{}"),
+        ("valves.{}_tank.choked_constant", (5e-324,), "controllers.{}_tank"),
+    )
+    for side in ("ox", "fuel")
+    for value in values
+})
 
 
 @pytest.mark.parametrize("edits, key", PROBES.values(), ids=PROBES.keys())
@@ -354,6 +375,21 @@ def test_malformed_scenario_rejected_at_load(edits, key):
         set_key(data, path, value)
     with pytest.raises(ConfigError, match=re.escape(key)):
         scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("name", ["waterflow_blowdown", "staticfire_baseline"])
+def test_valve_slope_whose_cv_squared_underflows_passes_no_flow(name):
+    # Cv^2 = (1e-200 * (angle - theta_zero))^2 rounds to 0: the valve is shut.
+    # The blowdown locks the valve open and evaluates it at load (gamma_deg:
+    # auto); the static fire's injector controller opens it during the run.
+    data = load_yaml(SCENARIO_DIR / f"{name}.yaml")
+    data["duration_s"] = 0.5
+    data["valves"]["ox_inj"]["alpha_si_per_deg"] = 1e-200
+    frames = run_scenario(scenario_from_dict(data))
+    assert len(frames) == 50
+    assert max(f.ox_inj.valve_angle_deg for f in frames) > 80.0
+    assert all(f.mdot_ox_kg_s == 0.0 for f in frames)
+    assert frames[-1].mdot_fuel_kg_s > 0.0
 
 
 def _key_paths(node, prefix=()):

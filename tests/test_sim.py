@@ -20,7 +20,7 @@ from eregsim.telemetry import (
     read_telemetry,
     regulation_metrics,
 )
-from tests.conftest import build_small_scenario
+from tests.conftest import SCENARIO_DIR, build_small_scenario, load_yaml
 from tests.oracles import scheduled_setpoints_check
 
 
@@ -334,6 +334,16 @@ class TestOptions:
     def test_supply_pressure_monotone_during_blowdown(self, blowdown_frames):
         pressures = [f.supply_pressure_bar for f in blowdown_frames]
         assert all(b <= a + 1e-12 for a, b in zip(pressures, pressures[1:]))
+
+    def test_noisy_reading_of_an_empty_supply_runs_to_the_end(self):
+        # A small bottle empties within 5 s; sensor noise then reads it below 0 bar.
+        data = load_yaml(SCENARIO_DIR / "waterflow_blowdown.yaml")
+        data.update(duration_s=5, sensors={"noise_sigma_bar": 0.05, "seed": 0})
+        data["supply"]["volume_m3"] = 0.0002
+        data["options"]["ullage_collapse_coeff"] = 2.0
+        frames = run_scenario(scenario.scenario_from_dict(data))
+        assert len(frames) == 500
+        assert min(f.supply_pressure_bar for f in frames) < 0.0
 
 
 class TestAudit:
