@@ -18,7 +18,6 @@ from .errors import ConfigError, EregSimError
 from .fluids import FULL_TRAVEL
 from .scenario import EREG_NAMES, VARIANTS, checked_number, load_scenario, size_mock_injector
 from .telemetry import emit_telemetry, read_telemetry, regulation_metrics
-from .units import bar_to_pa
 
 EXIT_OK = 0
 EXIT_ERROR = 2
@@ -170,9 +169,9 @@ def _cmd_size_injector(args) -> int:
     config = load_scenario(args.scenario)
     upstream, downstream = config.tank_setpoint(args.side), config.ambient_pressure
     if args.upstream_bar is not None:
-        upstream = bar_to_pa(args.upstream_bar)
+        upstream = args.upstream_bar * 1e5
     if args.downstream_bar is not None:
-        downstream = bar_to_pa(args.downstream_bar)
+        downstream = args.downstream_bar * 1e5
     area = size_mock_injector(
         target_mdot=args.target_mdot,
         rho=config.tanks[args.side].liquid_density,

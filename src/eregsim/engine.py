@@ -48,7 +48,7 @@ from .fluids import (
     choked_flow_fade,
     cv_of_angle,
 )
-from .scenario import EREG_NAMES, SIDES, TANK_EREGS, VARIANTS, ScenarioConfig, setpoints_at
+from .scenario import EREG_NAMES, SIDES, VARIANTS, ScenarioConfig, setpoints_at
 from .telemetry import EregMetrics, TelemetryFrame, regulation_metrics
 
 EVENT_ABORT = "abort_overpressure"
@@ -99,13 +99,15 @@ def _residual(pc: float, gain: float, branches: list) -> tuple[float, float]:
 class _Plant:
     """Flat plant state plus the network solver with a warm-started Pc.
 
-    Per-side fields are two-element lists indexed like SIDES. Call
-    set_angles before snapshot or step, and again whenever the angles
-    change.
+    Per-side fields are two-element lists indexed like SIDES; valves and
+    angles are in EREG_NAMES order, so side i is fed through valve i and
+    drains through valve 2 + i. Call set_angles before snapshot or step,
+    and again whenever the angles change.
     """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
+        self.valves = tuple(config.valves[name] for name in EREG_NAMES)
         r, temperature = config.gas_constant, config.gas_temperature
         self._rt = r * temperature
         self.supply_mass = config.supply_pressure * config.supply_volume / self._rt
@@ -148,20 +150,20 @@ class _Plant:
         self._kcv = (0.0, 0.0)
         self._branch: tuple = (None, None)
 
-    def set_angles(self, angles: dict[str, float]) -> None:
-        """Precompute everything that depends only on the valve angles.
+    def set_angles(self, angles) -> None:
+        """Precompute everything that depends only on the four valve angles.
 
         Gas valves: k * Cv. Liquid branches: None while the valve is shut,
         else (beta, gain * beta, rho * c) with c = c_line + 1/Cv^2 +
         c_orifice the series coefficient and beta = sqrt(rho / c).
         """
-        valves = self.config.valves
+        valves = self.valves
         kcv = []
         branch = []
-        for i, side in enumerate(SIDES):
-            valve = valves[side + "_tank"]
-            kcv.append(valve.choked_constant * cv_of_angle(valve, angles[side + "_tank"]))
-            cv2 = cv_of_angle(valves[side + "_inj"], angles[side + "_inj"]) ** 2
+        for i in (0, 1):
+            valve = valves[i]
+            kcv.append(valve.choked_constant * cv_of_angle(valve, angles[i]))
+            cv2 = cv_of_angle(valves[2 + i], angles[2 + i]) ** 2
             if cv2 == 0.0:  # shut, or so nearly shut that Cv^2 underflows
                 branch.append(None)
                 continue
@@ -371,38 +373,36 @@ class _Plant:
         )
 
 
-def _build_controllers(config: ScenarioConfig) -> dict[str, EregController]:
-    """The closed-loop regulators by name: none for the oracle or a locked valve."""
-    if config.variant == "oracle":
-        return {}
-    return {
-        name: EregController(
-            "tank" if name in TANK_EREGS else "injector",
+def _build_controllers(config: ScenarioConfig) -> list[EregController | None]:
+    """The closed-loop regulators in EREG_NAMES order: None for the oracle or a locked valve."""
+    return [
+        None if config.variant == "oracle" or settings.locked_angle is not None
+        else EregController(
+            "tank" if j < 2 else "injector",
             settings,
             Actuator(config.actuator, config.dt_phys),
             config.dt_primary,
             config.dt_secondary,
             config.variant,
         )
-        for name, settings in config.controllers.items()
-        if settings.locked_angle is None
-    }
+        for j, settings in enumerate(config.controllers[name] for name in EREG_NAMES)
+    ]
 
 
 def _oracle_angles(config: ScenarioConfig, plant: _Plant, flows: NetworkFlows,
-                   setpoints: dict[str, float]) -> dict[str, float]:
-    """Valve angles that satisfy the setpoints exactly at the current state.
+                   setpoints) -> list[float]:
+    """Valve angles, in EREG_NAMES order, that satisfy the setpoints exactly
+    at the current state.
 
     Used as a controller-error floor: with these angles the only remaining
     tracking error is the plant's own per-tick drift.
     """
-    angles = {}
+    angles = [0.0] * 4
     rt = config.gas_constant * config.gas_temperature
     p_sup = plant.supply_pressure
     for i, side in enumerate(SIDES):
-        valve = config.valves[side + "_tank"]
-        setpoint = config.tank_setpoint(side)
-        demand = setpoint * flows.q_liquid[i] / rt
+        valve = plant.valves[i]
+        demand = setpoints[i] * flows.q_liquid[i] / rt
         p_tank = plant.ullage_pressure[i]
         fade = choked_flow_fade(p_tank / p_sup) if p_sup > 0 else 0.0
         if p_sup <= 0.0 or fade <= 0.0 or demand <= 0.0:
@@ -410,11 +410,11 @@ def _oracle_angles(config: ScenarioConfig, plant: _Plant, flows: NetworkFlows,
         else:
             cv = demand / (valve.choked_constant * p_sup * fade)
             theta = valve.theta_zero + cv / valve.alpha
-        angles[side + "_tank"] = min(max(theta, 0.0), FULL_TRAVEL)
+        angles[i] = min(max(theta, 0.0), FULL_TRAVEL)
 
-        ivalve = config.valves[side + "_inj"]
+        ivalve = plant.valves[2 + i]
         rho = config.tanks[side].liquid_density
-        s_i = setpoints[side + "_inj"]
+        s_i = setpoints[2 + i]
         back = flows.chamber_pressure if config.chamber is not None else config.ambient_pressure
         q_req = 0.0
         if s_i > back:
@@ -428,7 +428,7 @@ def _oracle_angles(config: ScenarioConfig, plant: _Plant, flows: NetworkFlows,
         else:
             cv = q_req / math.sqrt(dp_valve / rho)
             theta = ivalve.theta_zero + cv / ivalve.alpha
-        angles[side + "_inj"] = min(max(theta, 0.0), FULL_TRAVEL)
+        angles[2 + i] = min(max(theta, 0.0), FULL_TRAVEL)
     return angles
 
 
@@ -471,31 +471,27 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
     plant = _Plant(config)
     if audit is not None:
         audit.record(plant)
+    # The four regulators travel in EREG_NAMES order: regulator j is on side
+    # j % 2 and is fed by the supply for j < 2, else by the tank on its side.
     controllers = _build_controllers(config)
+    cascades = [(j, ctrl) for j, ctrl in enumerate(controllers) if ctrl is not None]
+    locked = [config.controllers[name].locked_angle for name in EREG_NAMES]
     phys_per_secondary = int(round(config.dt_secondary / config.dt_phys))
     phys_per_primary = int(round(config.dt_primary / config.dt_phys))
     n_steps = int(round(config.duration / config.dt_phys))
     rng = np.random.default_rng(config.noise_seed) if config.noise_sigma > 0.0 else None
 
-    angles = {
-        name: 0.0 if settings.locked_angle is None else settings.locked_angle
-        for name, settings in config.controllers.items()
-    }
-
+    angles = [0.0 if angle is None else angle for angle in locked]
     frames: list[TelemetryFrame] = []
     events_active: list[str] = []
-    measured = {name: 0.0 for name in EREG_NAMES}
+    measured = [0.0] * 4
     measured_supply = config.supply_pressure
     setpoints = setpoints_at(config.schedule, 0.0)
     # Over-pressure abort: valves must never see more than the configured
     # fraction of their rated pressure upstream.
-    supply_limit = config.abort_pressure_factor * min(
-        config.valves[n].rated_pressure for n in TANK_EREGS
-    )
-    tank_limits = [
-        config.abort_pressure_factor * config.valves[side + "_inj"].rated_pressure
-        for side in SIDES
-    ]
+    factor = config.abort_pressure_factor
+    supply_limit = factor * min(valve.rated_pressure for valve in plant.valves[:2])
+    tank_limits = [factor * valve.rated_pressure for valve in plant.valves[2:]]
 
     for k in range(n_steps):
         t = k * config.dt_phys
@@ -506,32 +502,25 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
         if primary:
             setpoints = setpoints_at(config.schedule, t)
             # Sensor sampling happens at the primary rate; optional zero-mean
-            # Gaussian noise is drawn in a fixed order for determinism.
-            truth = {
-                "ox_tank": plant.ullage_pressure[0],
-                "fuel_tank": plant.ullage_pressure[1],
-                "ox_inj": flows.p_injector[0],
-                "fuel_inj": flows.p_injector[1],
-            }
+            # Gaussian noise is drawn in a fixed order for determinism: the
+            # supply, then the regulators.
+            measured = [*plant.ullage_pressure, *flows.p_injector]
             measured_supply = plant.supply_pressure
             if rng is not None:
                 measured_supply += config.noise_sigma * rng.standard_normal()
-                for name in EREG_NAMES:
-                    truth[name] += config.noise_sigma * rng.standard_normal()
-            measured = truth
+                measured = [p + config.noise_sigma * rng.standard_normal() for p in measured]
 
         if config.variant == "oracle":
             if primary:
                 angles = _oracle_angles(config, plant, flows, setpoints)
-                for name in EREG_NAMES:
-                    locked = config.controllers[name].locked_angle
-                    if locked is not None:
-                        angles[name] = locked
+                for j, angle in enumerate(locked):
+                    if angle is not None:
+                        angles[j] = angle
                 plant.set_angles(angles)
         elif k % phys_per_secondary == 0:
-            for name, ctrl in controllers.items():
-                upstream = measured_supply if name in TANK_EREGS else measured[name.split("_")[0] + "_tank"]
-                ctrl.step(measured[name], upstream, setpoints[name], t, primary)
+            for j, ctrl in cascades:
+                upstream = measured_supply if j < 2 else measured[j - 2]
+                ctrl.step(measured[j], upstream, setpoints[j], t, primary)
 
         abort = plant.supply_pressure > supply_limit
         for p_tank, limit in zip(plant.ullage_pressure, tank_limits):
@@ -552,9 +541,9 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
             if event not in events_active:
                 events_active.append(event)
 
-        for name, ctrl in controllers.items():
+        for j, ctrl in cascades:
             ctrl.actuator.step(ctrl.u2)
-            angles[name] = ctrl.actuator.valve_angle
+            angles[j] = ctrl.actuator.valve_angle
 
     if not frames:
         raise EregSimError("run produced no telemetry frames")
@@ -565,13 +554,12 @@ def _make_frame(t, flows, controllers, angles, measured, measured_supply, setpoi
                 events_active) -> TelemetryFrame:
     """The frame at t, built as one row in CSV column order."""
     row = [t]
-    for name in EREG_NAMES:
-        ctrl = controllers.get(name)
-        row += (setpoints[name] / 1e5, measured[name] / 1e5, angles[name])
+    for ctrl, setpoint, pressure, angle in zip(controllers, setpoints, measured, angles):
+        row += (setpoint / 1e5, pressure / 1e5, angle)
         if ctrl is not None:
             row += (ctrl.last_feedforward, ctrl.u1, ctrl.u2)
         else:
-            row += (0.0, angles[name], 0.0)
+            row += (0.0, angle, 0.0)
     mdot_ox, mdot_fuel = flows.mdot_liquid
     row += (
         measured_supply / 1e5,

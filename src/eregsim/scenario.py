@@ -35,13 +35,11 @@ from .fluids import (
     chamber_state,
     cv_of_angle,
 )
-from .units import bar_to_pa
 
 SCHEMA_VERSION = 1
 
 SIDES = ("ox", "fuel")
 EREG_NAMES = ("ox_tank", "fuel_tank", "ox_inj", "fuel_inj")
-TANK_EREGS = ("ox_tank", "fuel_tank")
 MODES = ("waterflow", "coldflow", "staticfire")
 VARIANTS = CONTROLLER_VARIANTS + ("oracle",)
 
@@ -115,14 +113,10 @@ class SetpointSchedule:
     fuel_inj: ThrottleProfile
 
 
-def setpoints_at(schedule: SetpointSchedule, t: float) -> dict[str, float]:
-    """Scheduled setpoints of the four regulators at time t, by name."""
-    return {
-        "ox_tank": schedule.ox_tank,
-        "fuel_tank": schedule.fuel_tank,
-        "ox_inj": schedule.ox_inj.value(t),
-        "fuel_inj": schedule.fuel_inj.value(t),
-    }
+def setpoints_at(schedule: SetpointSchedule, t: float) -> tuple[float, float, float, float]:
+    """Scheduled setpoints of the four regulators at time t, in EREG_NAMES order."""
+    ox_inj, fuel_inj = schedule.ox_inj.value(t), schedule.fuel_inj.value(t)
+    return schedule.ox_tank, schedule.fuel_tank, ox_inj, fuel_inj
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +277,14 @@ def checked_number(value, key: str, *, above=None, at_least=None, below=None,
     return number
 
 
-def _in_range(path: str, what: str, derive) -> float:
-    """derive(), a plant constant built from the keys at path, if it is finite."""
+def _in_range(path: str, what: str, derive):
+    """derive(), a plant constant (or a tuple of them) built from the keys at
+    path, if it is finite."""
     try:
         value = derive()
     except ArithmeticError:
         value = math.inf
-    if not math.isfinite(value):
+    if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
         raise ConfigError(f"{path}: {what} out of floating-point range")
     return value
 
@@ -419,7 +414,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
             raise ConfigError(f"tick periods must divide evenly: timing.{label} = {ratio}")
 
     ambient_bar = root.number("ambient_pressure_bar", AMBIENT_PRESSURE / 1e5, above=0.0)
-    ambient = bar_to_pa(ambient_bar)
+    ambient = ambient_bar * 1e5
     pressurant = root.section("pressurant", {})
     gas_constant = pressurant.number("specific_gas_constant", 296.8, above=0.0)
     gas_temperature = pressurant.number("temperature_k", 293.0, above=0.0)
@@ -435,7 +430,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
             total_volume=tank.number("total_volume_m3", above=0.0),
             initial_ullage_fraction=tank.number("initial_ullage_fraction", above=0.0, below=1.0),
             liquid_density=tank.number("liquid_density_kg_m3", above=0.0),
-            initial_pressure=bar_to_pa(tank.number("initial_pressure_bar", above=ambient_bar)),
+            initial_pressure=tank.number("initial_pressure_bar", above=ambient_bar) * 1e5,
         )
         if (t := tanks[side]).total_volume * (1.0 - t.initial_ullage_fraction) == t.total_volume:
             raise ConfigError(f"tanks.{side}: initial ullage volume rounds to 0 m3")
@@ -463,7 +458,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
 
     setpoints = root.section("setpoints")
     tank_bar = {side: setpoints.section("tank_bar").number(side, above=0.0) for side in SIDES}
-    tank_setpoints = {side: bar_to_pa(tank_bar[side]) for side in SIDES}
+    tank_setpoints = {side: tank_bar[side] * 1e5 for side in SIDES}
 
     injector = root.section("injector")
     injectors = {}
@@ -480,7 +475,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         cd = injector.number("cd", 0.7, above=0.0, at_most=1.0)
         upstream_bar = injector.number("upstream_bar", None)
         for side in SIDES:
-            upstream = bar_to_pa(upstream_bar) if upstream_bar is not None else tank_setpoints[side]
+            upstream = upstream_bar * 1e5 if upstream_bar is not None else tank_setpoints[side]
             area = size_mock_injector(
                 target_mdot=nominal_mdot[side],
                 rho=tanks[side].liquid_density,
@@ -497,12 +492,13 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         valve = root.section("valves").section(reg)
         # The supply feeds the tank (gas) valves, whose choked flow law needs
         # k; the propellant tanks feed the injector valves.
-        gas = reg in TANK_EREGS
-        upstream_bar = supply_bar if gas else tank_bar[reg.split("_")[0]]
+        side, kind = reg.split("_")
+        gas = kind == "tank"
+        upstream_bar = supply_bar if gas else tank_bar[side]
         valves[reg] = ValveModel(
             alpha=valve.number("alpha_si_per_deg", above=0.0),
             theta_zero=valve.number("theta_zero_deg", 0.0, at_least=0.0, below=FULL_TRAVEL),
-            rated_pressure=bar_to_pa(valve.number("rated_pressure_bar", at_least=upstream_bar)),
+            rated_pressure=valve.number("rated_pressure_bar", at_least=upstream_bar) * 1e5,
             choked_constant=valve.number("choked_constant", above=0.0) if gas else 0.0,
         )
         _in_range(f"valves.{reg}", "Cv^2", lambda: cv_of_angle(valves[reg], FULL_TRAVEL) ** 2)
@@ -525,12 +521,12 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         demand_scale = 1.0
         for side in SIDES:
             raw = throttle.section(side)
-            start = bar_to_pa(raw.number("start_bar", above=ambient_bar))
+            start = raw.number("start_bar", above=ambient_bar) * 1e5
             segments = tuple(
                 ProfileSegment(
-                    target_pressure=bar_to_pa(seg.number("target_bar", above=ambient_bar)),
+                    target_pressure=seg.number("target_bar", above=ambient_bar) * 1e5,
                     hold_duration=seg.number("hold_s", 0.0, at_least=0.0),
-                    ramp_rate=bar_to_pa(seg.number("ramp_rate_bar_s", 2.0, above=0.0)),
+                    ramp_rate=seg.number("ramp_rate_bar_s", 2.0, above=0.0) * 1e5,
                 )
                 for seg in raw.sections("segments")
             )
@@ -541,16 +537,17 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         )
 
         def paired(fraction: float) -> tuple[float, float]:
-            return paired_setpoints_for_of(
-                target_of, fraction, nominal_mdot, tanks, injectors, chamber, ambient
-            )
+            return _in_range("setpoints.throttle", "paired injector setpoints", lambda: (
+                paired_setpoints_for_of(target_of, fraction, nominal_mdot, tanks, injectors,
+                                        chamber, ambient)
+            ))
 
         demand_scale = throttle.number("start_fraction", above=0.0, at_most=1.0)
         starts = paired(demand_scale)
         segments = []
         for seg in throttle.sections("segments"):
             targets = paired(seg.number("target_fraction", above=0.0, at_most=1.0))
-            rate = bar_to_pa(seg.number("ramp_rate_bar_s", 2.0, above=0.0))
+            rate = seg.number("ramp_rate_bar_s", 2.0, above=0.0) * 1e5
             hold = seg.number("hold_s", 0.0, at_least=0.0)
             segments.append([ProfileSegment(target, hold, rate) for target in targets])
         for i, side in enumerate(SIDES):
@@ -564,11 +561,11 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     controllers = {}
     for reg in reversed(EREG_NAMES):
         raw = raw_controllers.section(reg, {}, defaults=defaults)
-        side = reg.split("_")[0]
+        side, kind = reg.split("_")
         valve = valves[reg]
         rho = tanks[side].liquid_density
         raw_ff = raw.section("feedforward", {})
-        if reg in TANK_EREGS:
+        if kind == "tank":
             gamma, path = raw_ff.lookup("gamma_deg", "auto")
             if gamma != "auto":
                 gamma = checked_number(gamma, path)
@@ -606,11 +603,11 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
                 fluid_density=rho,
                 alpha=valve.alpha,
                 theta_zero=valve.theta_zero,
-                min_drop=bar_to_pa(raw_ff.number("min_drop_bar", 0.1, at_least=0.0)),
+                min_drop=raw_ff.number("min_drop_bar", 0.1, at_least=0.0) * 1e5,
             )
         # Primary gains are written in degrees per bar in scenario files.
         primary = raw.section("primary", {})
-        scale = 1.0 / bar_to_pa(1.0)
+        scale = 1.0 / 1e5
         secondary = raw.section("secondary", {"kp": 0.5, "ki": 1.0, "kd": 0.01})
         controllers[reg] = ControllerSettings(
             primary_gains=PidGains(
@@ -626,7 +623,13 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
             locked_angle=raw.number("locked_angle_deg", None, at_least=0.0, at_most=FULL_TRAVEL),
         )
 
+    # The plant starts from the gas masses p * V / (R * T).
+    rt = gas_constant * gas_temperature
+    _in_range("supply", "initial gas mass", lambda: supply_bar * 1e5 * supply_volume / rt)
     for side in SIDES:
+        t = tanks[side]
+        ullage = t.total_volume - t.total_volume * (1.0 - t.initial_ullage_fraction)
+        _in_range(f"tanks.{side}", "initial gas mass", lambda: t.initial_pressure * ullage / rt)
         settings = controllers[side + "_inj"]
         headroom = tank_setpoints[side] - settings.feedforward.min_drop
         if settings.locked_angle is None and profiles[side].max_pressure() > headroom:
@@ -649,7 +652,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         gas_constant=gas_constant,
         gas_temperature=gas_temperature,
         supply_volume=supply_volume,
-        supply_pressure=bar_to_pa(supply_bar),
+        supply_pressure=supply_bar * 1e5,
         tanks=tanks,
         lines=lines,
         valves=valves,
@@ -662,7 +665,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         controllers={reg: controllers[reg] for reg in EREG_NAMES},
         actuator=actuator,
         variant=root.choice("variant", VARIANTS, "ff+dyn"),
-        noise_sigma=bar_to_pa(sensors.number("noise_sigma_bar", 0.0, at_least=0.0)),
+        noise_sigma=sensors.number("noise_sigma_bar", 0.0, at_least=0.0) * 1e5,
         noise_seed=sensors.integer("seed", 0, at_least=0),
         adiabatic_supply=options.flag("adiabatic_supply", False),
         ullage_collapse_coeff=options.number("ullage_collapse_coeff", 0.0, at_least=0.0),
@@ -671,7 +674,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         metrics=MetricsSettings(
             startup_window=metrics.number("startup_window_s", 1.0, at_least=0.0),
             early_window=metrics.number("early_window_s", 2.0, at_least=0.0),
-            settle_threshold=bar_to_pa(metrics.number("settle_threshold_bar", 0.5, at_least=0.0)),
+            settle_threshold=metrics.number("settle_threshold_bar", 0.5, at_least=0.0) * 1e5,
             exclude_after_depletion=metrics.flag("exclude_after_depletion", True),
         ),
     )

@@ -54,9 +54,9 @@ def scheduled_setpoints_check(frames: list[TelemetryFrame], config: ScenarioConf
     worst = 0.0
     for frame in frames:
         scheduled = setpoints_at(config.schedule, frame.time_s)
-        for name in EREG_NAMES:
+        for name, setpoint in zip(EREG_NAMES, scheduled):
             logged = frame.ereg(name).setpoint_bar
-            worst = max(worst, abs(logged - scheduled[name] / 1e5))
+            worst = max(worst, abs(logged - setpoint / 1e5))
     return worst
 
 

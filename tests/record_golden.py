@@ -3,17 +3,21 @@
 Each case is one short run: every shipped scenario under every controller
 variant (duration capped at CAP_S), plus the small test scenario with the
 adiabatic supply and with the ullage-collapse sink, the two plant modes
-no shipped scenario turns on. The file holds, per case, every numeric
-telemetry field of every frame and the frame at which each event first
-appears.
+no shipped scenario turns on. A second file holds noisy cases: the
+baseline static fire and the blowdown under every variant with 0.02 bar
+sensor noise, seed 0, which pin the order in which the sensors draw
+their noise. Each file holds, per case, every numeric telemetry field of
+every frame and the frame at which each event first appears.
 
-Re-record only when a change is meant to alter the telemetry:
+Re-record only when a change is meant to alter the telemetry, naming the
+file to write (golden, noise) or none for both:
 
-    PYTHONPATH=src python -m tests.record_golden
+    PYTHONPATH=src python -m tests.record_golden [golden] [noise]
 """
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +27,9 @@ from eregsim.scenario import VARIANTS, load_scenario
 from tests.conftest import SCENARIO_DIR, build_small_scenario
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden.npz"
+NOISE_PATH = GOLDEN_PATH.with_name("golden_noise.npz")
 CAP_S = 2.0
+NOISE_SIGMA_BAR = 0.02
 
 SHIPPED = (
     "staticfire_baseline",
@@ -32,6 +38,7 @@ SHIPPED = (
     "coldflow_mock_injector",
     "waterflow_blowdown",
 )
+NOISY = ("staticfire_baseline", "waterflow_blowdown")
 
 # Small scenario with gas and liquid moving on both sides, so both plant
 # options act on every state variable; both tanks run dry within the run.
@@ -64,12 +71,19 @@ def case_names() -> list[str]:
     return names + list(SMALL)
 
 
-def case_config(name: str):
+def noise_case_names() -> list[str]:
+    return [f"{stem}.{variant}" for stem in NOISY for variant in VARIANTS]
+
+
+def case_config(name: str, noisy: bool = False):
     if name in SMALL:
         return build_small_scenario(**SMALL[name])
     stem, variant = name.rsplit(".", 1)
     config = load_scenario(SCENARIO_DIR / f"{stem}.yaml")
-    return config.replace(variant=variant, duration=min(config.duration, CAP_S))
+    config = config.replace(variant=variant, duration=min(config.duration, CAP_S))
+    if noisy:
+        config = config.replace(noise_sigma=NOISE_SIGMA_BAR * 1e5, noise_seed=0)
+    return config
 
 
 def frames_to_fields(frames) -> np.ndarray:
@@ -88,21 +102,30 @@ def event_onsets(frames) -> list[str]:
     return onsets
 
 
-def run_case(name: str) -> tuple[np.ndarray, list[str]]:
-    frames = run_scenario(case_config(name))
+def run_case(name: str, noisy: bool = False) -> tuple[np.ndarray, list[str]]:
+    frames = run_scenario(case_config(name, noisy))
     return frames_to_fields(frames), event_onsets(frames)
 
 
-def main() -> None:
-    arrays = {}
-    for name in case_names():
-        fields, onsets = run_case(name)
-        arrays[name] = fields
-        arrays[name + ".events"] = np.array(onsets, dtype=str)
-    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(GOLDEN_PATH, **arrays)
-    print(f"wrote {len(case_names())} cases to {GOLDEN_PATH} ({GOLDEN_PATH.stat().st_size} bytes)")
+# file to write: (path, case names, noisy)
+RECORDINGS = {
+    "golden": (GOLDEN_PATH, case_names, False),
+    "noise": (NOISE_PATH, noise_case_names, True),
+}
+
+
+def main(which: list[str]) -> None:
+    for key in which or RECORDINGS:
+        path, names, noisy = RECORDINGS[key]
+        arrays = {}
+        for name in names():
+            fields, onsets = run_case(name, noisy)
+            arrays[name] = fields
+            arrays[name + ".events"] = np.array(onsets, dtype=str)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        np.savez_compressed(path, **arrays)
+        print(f"wrote {len(names())} cases to {path} ({path.stat().st_size} bytes)")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -1,21 +1,25 @@
+import functools
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eregsim.engine import RunAudit, _Plant
 from eregsim.errors import ModelError
 from eregsim.fluids import (
     AMBIENT_PRESSURE,
+    FULL_TRAVEL,
     ChamberModel,
     LineModel,
     ValveModel,
+    branch_flow,
     chamber_state,
     cv_of_angle,
     gas_valve_mass_flow,
     liquid_volumetric_flow,
 )
-from eregsim.scenario import scenario_from_dict
-from tests.conftest import build_small_scenario, set_key, small_scenario_dict
+from eregsim.scenario import EREG_NAMES, SIDES, load_scenario, scenario_from_dict
+from tests.conftest import SCENARIO_DIR, build_small_scenario, set_key, small_scenario_dict
 from tests.oracles import darcy_weisbach_dp, orifice_mass_flow
 
 VALVE = ValveModel(alpha=0.5, theta_zero=10.0, rated_pressure=415e5, choked_constant=1.0)
@@ -138,12 +142,13 @@ SHUT = {"ox_tank": 0.0, "fuel_tank": 0.0, "ox_inj": 0.0, "fuel_inj": 0.0}
 
 
 def make_plant(angles: dict, *keys) -> _Plant:
-    """Plant of the small scenario with (key path, value) overrides, valves at angles."""
+    """Plant of the small scenario with (key path, value) overrides, the named
+    valves at angles and the others shut."""
     data = small_scenario_dict()
     for path, value in keys:
         set_key(data, path, value)
     plant = _Plant(scenario_from_dict(data, name="plant"))
-    plant.set_angles({**SHUT, **angles})
+    plant.set_angles([{**SHUT, **angles}[name] for name in EREG_NAMES])
     return plant
 
 
@@ -201,12 +206,8 @@ class TestGasTankStep:
     def test_gas_law_holds_after_random_walk(self):
         plant = make_plant({}, ("supply.volume_m3", 0.002))
         for i in range(200):
-            plant.set_angles({
-                "ox_tank": 30.0 * (i % 3),
-                "fuel_tank": 20.0 * ((i + 1) % 4),
-                "ox_inj": 15.0 * (i % 5),
-                "fuel_inj": 45.0 * (i % 2),
-            })
+            # EREG_NAMES order: ox_tank, fuel_tank, ox_inj, fuel_inj
+            plant.set_angles([30.0 * (i % 3), 20.0 * ((i + 1) % 4), 15.0 * (i % 5), 45.0 * (i % 2)])
             plant.step(0.01)
             assert max(g.gas_law_residual() for g in plant.gas_states()) < 1e-9
 
@@ -301,7 +302,7 @@ class TestBlowdownOracle:
             timing={"dt_phys_s": 0.001, "dt_secondary_s": 0.001, "dt_primary_s": 0.01},
         )
         plant = _Plant(config)
-        plant.set_angles({"ox_tank": angle, "fuel_tank": 0.0, "ox_inj": 0.0, "fuel_inj": 0.0})
+        plant.set_angles([angle, 0.0, 0.0, 0.0])  # EREG_NAMES order: ox_tank open
         for _ in range(3000):
             plant.step(0.001)
         production_final = plant.supply_pressure
@@ -331,3 +332,56 @@ class TestBlowdownOracle:
         euler_final = m_sup * rt / v_sup
 
         assert production_final == pytest.approx(euler_final, rel=5e-3)
+
+
+@functools.cache
+def shipped_config(name: str):
+    return load_scenario(SCENARIO_DIR / f"{name}.yaml")
+
+
+# A valve angle: a hard stop, the valve's own dead-band edge, or anywhere.
+ANGLE = st.one_of(st.sampled_from((0.0, "theta_zero", FULL_TRAVEL)), st.floats(0.0, FULL_TRAVEL))
+PRESSURE = st.one_of(st.just(0.0), st.floats(0.0, 400e5))
+
+
+@st.composite
+def supply_and_tank_pressures(draw):
+    """(p_sup, (p_ox, p_fuel)); a tank pressure is often near the supply's,
+    where the gas valves fade out."""
+    p_sup = draw(PRESSURE)
+    tank = st.one_of(PRESSURE, st.floats(0.5, 1.05).map(lambda ratio: ratio * p_sup))
+    return p_sup, (draw(tank), draw(tank))
+
+
+class TestNetworkMatchesFluidLaws:
+    """_Plant._network restates the fluids flow laws for speed; the laws are
+    its reference, bit for bit, at the back pressure of the open branches."""
+
+    @pytest.mark.parametrize("name", ["waterflow_blowdown", "staticfire_baseline"])
+    @settings(max_examples=300, deadline=None)
+    @given(
+        angles=st.lists(ANGLE, min_size=4, max_size=4),
+        pressures=supply_and_tank_pressures(),
+        wet=st.tuples(st.booleans(), st.booleans()),
+    )
+    def test_each_side_equals_the_fluids_laws(self, name, angles, pressures, wet):
+        p_sup, p_tank = pressures
+        config = shipped_config(name)
+        plant = _Plant(config)
+        angles = [v.theta_zero if a == "theta_zero" else a for v, a in zip(plant.valves, angles)]
+        plant.set_angles(angles)
+        warm_start = plant._pc_guess
+        flows = plant._network(p_sup, p_tank, wet)
+        plant._pc_guess = warm_start  # the reference solve starts from the same guess
+        back = plant._back_pressure([
+            (p, c[0], c[1]) for p, w, c in zip(p_tank, wet, plant._branch) if w and c is not None
+        ])
+        for i, side in enumerate(SIDES):
+            gas = gas_valve_mass_flow(plant.valves[i], angles[i], p_sup, p_tank[i])
+            # A dry tank passes no liquid, like a shut valve.
+            cv = cv_of_angle(plant.valves[2 + i], angles[2 + i]) if wet[i] else 0.0
+            q, p_injector = branch_flow(
+                p_tank[i], back, config.tanks[side].liquid_density, cv,
+                config.lines[side].loss_coefficient, config.injectors[side].coeff,
+            )
+            assert [x.hex() for x in flows[i]] == [x.hex() for x in (gas, q, p_injector)]

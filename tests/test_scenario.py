@@ -99,10 +99,10 @@ class TestSetpointsAt:
             42 * BAR, 41 * BAR, three_segment_profile(), three_segment_profile()
         )
         for t in (0.0, 3.3, 8.0, 50.0):
-            sp = setpoints_at(schedule, t)
-            assert sp["ox_tank"] == 42 * BAR
-            assert sp["fuel_tank"] == 41 * BAR
-            assert sp["ox_inj"] == three_segment_profile().value(t)
+            ox_tank, fuel_tank, ox_inj, _ = setpoints_at(schedule, t)  # EREG_NAMES order
+            assert ox_tank == 42 * BAR
+            assert fuel_tank == 41 * BAR
+            assert ox_inj == three_segment_profile().value(t)
 
 
 class TestPairedSetpoints:
@@ -347,17 +347,40 @@ PROBES = {
     "tiny_gas_constant": ({"pressurant.specific_gas_constant": 5e-324}, "controllers.fuel_tank"),
     "tiny_temperature": ({"pressurant.temperature_k": 5e-324}, "controllers.fuel_tank"),
     "huge_valve_slope": ({"valves.ox_inj.alpha_si_per_deg": 1e200}, "valves.ox_inj"),
+    # Paired setpoints whose orifice inversion overflows.
+    "huge_nominal_flow_thrust_fraction": (
+        {
+            "setpoints.throttle": {
+                "target_of": 1.0, "start_fraction": 1.0, "segments": [{"target_fraction": 0.5}]
+            },
+            "nominal_flows.ox_kg_s": 1e200,
+        },
+        "setpoints.throttle",
+    ),
+    # Initial gas masses p * V / (R * T) that overflow once gamma_deg is given.
+    "tiny_gas_constant_explicit_gamma": (
+        {
+            "pressurant.specific_gas_constant": 5e-324,
+            **{
+                f"controllers.{reg}": {"locked_angle_deg": 0.0, "feedforward": {"gamma_deg": 50.0}}
+                for reg in ("ox_tank", "fuel_tank")
+            },
+        },
+        "supply",
+    ),
+    "huge_supply_volume": ({"supply.volume_m3": 1e305}, "supply"),
 }
 # Finite values whose derived plant constants over- or underflow, per side:
 # (key, values, section the error names): the initial ullage volume rounds
-# to 0, the line and orifice coefficients leave float range, and gamma_deg:
+# to 0 or its gas mass overflows, the line and orifice coefficients leave
+# float range, and gamma_deg:
 # auto divides by a product that rounds to 0 (as in the tiny_* entries
 # above; huge_valve_slope overflows a valve's full-travel Cv^2).
 PROBES.update({
     f"{key.format(side)}={value!r}": ({key.format(side): value}, named.format(side))
     for key, values, named in (
         ("tanks.{}.initial_ullage_fraction", (5e-324, 1e-300, 1e-17), "tanks.{}"),
-        ("tanks.{}.total_volume_m3", (5e-324,), "tanks.{}"),
+        ("tanks.{}.total_volume_m3", (5e-324, 1e305), "tanks.{}"),
         ("lines.{}.diameter_m", (5e-324, 1e-300, 1e300), "lines.{}"),
         ("injector.{}.cd", (5e-324, 1e-300), "injector.{}"),
         ("injector.{}.area_m2", (5e-324, 1e-300, 1e300), "injector.{}"),

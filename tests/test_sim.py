@@ -365,7 +365,7 @@ class TestAudit:
 
 
 class TestChamberRootFind:
-    ANGLES = {"ox_tank": 0.0, "fuel_tank": 0.0, "ox_inj": 60.0, "fuel_inj": 60.0}
+    ANGLES = (0.0, 0.0, 60.0, 60.0)  # EREG_NAMES order: both injector valves open
 
     def test_converged_back_pressure_closes_the_chamber_balance(self, baseline_config):
         plant = engine._Plant(baseline_config)
