@@ -23,9 +23,19 @@ DERIVATIVE_FILTER_PERIODS = 4.0
 CONTROLLER_VARIANTS = ("ff+dyn", "pid", "ff")
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ControllerError(f"non-finite controller input: {name}={value}")
+def _require_finite(**values: float) -> None:
+    """Raise ControllerError naming the first non-finite value. The step methods
+    call this only when the sum of their inputs is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ControllerError(f"non-finite controller input: {name}={value}")
+
+
+def clamp(x: float, lo: float, hi: float) -> float:
+    """min(max(x, lo), hi) without the builtins' call cost: x itself unless a
+    bound is strictly beyond it, so a signed zero keeps its sign."""
+    x = lo if lo > x else x
+    return hi if hi < x else x
 
 
 @dataclass(frozen=True)
@@ -82,7 +92,7 @@ def ff_tank(ff: FeedforwardParams, tank_setpoint: float, supply_pressure: float)
     read at or below 0 (noise on an empty supply) takes the ratio's limit, 1."""
     ratio = min(1.0, tank_setpoint / supply_pressure) if supply_pressure > 0.0 else 1.0
     angle = ff.gamma * ratio + ff.theta_zero
-    return min(max(angle, 0.0), FULL_TRAVEL)
+    return clamp(angle, 0.0, FULL_TRAVEL)
 
 
 def ff_injector(ff: FeedforwardParams, injector_setpoint: float, tank_pressure: float) -> float:
@@ -96,7 +106,7 @@ def ff_injector(ff: FeedforwardParams, injector_setpoint: float, tank_pressure: 
     if drop <= ff.min_drop:
         return FULL_TRAVEL
     angle = ff.nominal_flow * math.sqrt(ff.fluid_density / drop) / ff.alpha + ff.theta_zero
-    return min(max(angle, 0.0), FULL_TRAVEL)
+    return clamp(angle, 0.0, FULL_TRAVEL)
 
 
 class PidController:
@@ -132,8 +142,8 @@ class PidController:
         self._filtered_measurement: float | None = None
 
     def step(self, setpoint: float, measurement: float, scale: float = 1.0) -> float:
-        _require_finite("setpoint", setpoint)
-        _require_finite("measurement", measurement)
+        if not math.isfinite(setpoint + measurement):
+            _require_finite(setpoint=setpoint, measurement=measurement)
         dt = self.dt
         kp, ki, kd = self.gains.kp * scale, self.gains.ki * scale, self.gains.kd * scale
         error = setpoint - measurement
@@ -147,7 +157,7 @@ class PidController:
         derivative = -(self._filtered_measurement - previous_filtered) / dt
 
         lo_i, hi_i = self.integral_limits
-        candidate = min(max(self.integral + ki * error * dt, lo_i), hi_i)
+        candidate = clamp(self.integral + ki * error * dt, lo_i, hi_i)
         lo, hi = self.output_limits
         output = kp * error + candidate + kd * derivative
         if (output > hi and error > 0.0) or (output < lo and error < 0.0):
@@ -156,8 +166,9 @@ class PidController:
             candidate = self.integral
             output = kp * error + candidate + kd * derivative
         self.integral = candidate
-        output = min(max(output, lo), hi)
-        _require_finite("output", output)
+        output = clamp(output, lo, hi)
+        if not math.isfinite(output):
+            _require_finite(output=output)
         return output
 
 
@@ -196,8 +207,9 @@ class Actuator:
         return self.angle
 
     def step(self, command: float) -> None:
-        _require_finite("command", command)
-        self.command = min(max(command, -1.0), 1.0)
+        if not math.isfinite(command):
+            _require_finite(command=command)
+        self.command = clamp(command, -1.0, 1.0)
         target_rate = self.command * self.rate_max
         decay = self._decay
         self.angle += target_rate * self.dt + (self.rate - target_rate) * self.time_constant * (
@@ -211,7 +223,7 @@ class Actuator:
             self.angle = FULL_TRAVEL
             self.rate = 0.0
         # Lost motion: the valve only moves once the motor takes up the lash.
-        self.valve_angle = min(max(self.valve_angle, self.angle - self.backlash), self.angle)
+        self.valve_angle = clamp(self.valve_angle, self.angle - self.backlash, self.angle)
 
 
 class EregController:
@@ -268,19 +280,20 @@ class EregController:
         primary: bool,
     ) -> float:
         """Advance the cascade one secondary tick; returns the motor command."""
-        _require_finite("downstream_pressure", downstream_pressure)
-        _require_finite("upstream_pressure", upstream_pressure)
-        _require_finite("setpoint", setpoint)
+        if not math.isfinite(downstream_pressure + upstream_pressure + setpoint):
+            _require_finite(downstream_pressure=downstream_pressure,
+                            upstream_pressure=upstream_pressure, setpoint=setpoint)
         if primary:
             ff_angle = 0.0
             if self.feedforward is not None:
                 ff_angle = self._ff_angle(self.feedforward, setpoint, upstream_pressure)
-            scale = self.gain_scale if self.ramp_time is None else min(1.0, t / self.ramp_time)
+            scale = self.gain_scale if self.ramp_time is None else t / self.ramp_time
+            scale = scale if scale < 1.0 else 1.0  # gain_scale is 0 or 1
             # Saturate the PID against the travel limits shifted by the
             # feedforward so the summed command clamps exactly at [0, 90].
             self.primary.output_limits = (-ff_angle, FULL_TRAVEL - ff_angle)
             pid_out = self.primary.step(setpoint, downstream_pressure, scale)
-            self.u1 = min(max(ff_angle + pid_out, 0.0), FULL_TRAVEL)
+            self.u1 = clamp(ff_angle + pid_out, 0.0, FULL_TRAVEL)
             self.last_feedforward = ff_angle
         self.u2 = self.secondary.step(self.u1, self.actuator.measured_angle())
         return self.u2

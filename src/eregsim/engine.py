@@ -20,12 +20,15 @@ physics step (again if the oracle moves the valves before the step), so
 a stage is plain float arithmetic plus the chamber back-pressure
 root-find.
 
-Each physics step solves the flow network five times: once on the
-stored state for telemetry, sensors and the oracle (the snapshot), and
-once in each of the four RK4 stages. The snapshot is not merged with the
-first stage although both see the same masses and angles: the snapshot
-reads the stored pressures (the ullage one from the integrated ullage
-volume) while a stage recomputes them from the masses, on
+Each physics step solves the flow network four times, once per RK4
+stage. Primary ticks also solve it on the stored state (the snapshot)
+for the sensors, the oracle and telemetry, as does an abort between
+primary ticks for its last frame. The other steps run only the
+snapshot's back-pressure root-find (warm_start), which moves the warm
+start of the next stage's root-find. The snapshot is not merged with
+the first stage although both see the same masses and angles: the
+snapshot reads the stored pressures (the ullage one from the integrated
+ullage volume) while a stage recomputes them from the masses, on
 V_total - V_liquid for the ullage. The two differ in the last bits, and
 the difference grows through the closed loop to more than 1e-12
 relative in the telemetry within the first 0.2 s of the baseline static
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import Actuator, EregController
+from .control import Actuator, EregController, clamp
 from .errors import ConfigError, EregSimError, ModelError
 from .fluids import (
     FULL_TRAVEL,
@@ -83,26 +86,13 @@ class NetworkFlows:
     thrust: float
 
 
-def _residual(pc: float, gain: float, branches: list) -> tuple[float, float]:
-    """pc - gain * sum(beta * sqrt(p_tank - pc)) and its derivative in pc."""
-    total = 0.0
-    slope = 1.0
-    for p_t, beta, gain_beta in branches:
-        drop = p_t - pc
-        if drop > 0.0:
-            root = math.sqrt(drop)
-            total += beta * root
-            slope += gain_beta / (2.0 * root)
-    return pc - gain * total, slope
-
-
 class _Plant:
     """Flat plant state plus the network solver with a warm-started Pc.
 
     Per-side fields are two-element lists indexed like SIDES; valves and
     angles are in EREG_NAMES order, so side i is fed through valve i and
-    drains through valve 2 + i. Call set_angles before snapshot or step,
-    and again whenever the angles change.
+    drains through valve 2 + i. Call set_angles before snapshot, warm_start
+    or step, and again whenever the angles change.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -115,19 +105,13 @@ class _Plant:
         self.supply_temperature = temperature
         self.supply_depleted = False
 
-        self.ullage_mass: list[float] = []
-        self.ullage_volume: list[float] = []
-        self.liquid_volume: list[float] = []
-        self.ullage_pressure: list[float] = []
+        tanks = [config.tanks[side] for side in SIDES]
+        self.liquid_volume = [t.total_volume * (1.0 - t.initial_ullage_fraction) for t in tanks]
+        self.ullage_volume = [t.total_volume - v for t, v in zip(tanks, self.liquid_volume)]
+        self.ullage_mass = [t.initial_pressure * v / self._rt
+                            for t, v in zip(tanks, self.ullage_volume)]
+        self.ullage_pressure = [t.initial_pressure for t in tanks]
         self.depleted = [False, False]
-        for side in SIDES:
-            t = config.tanks[side]
-            liquid = t.total_volume * (1.0 - t.initial_ullage_fraction)
-            ullage = t.total_volume - liquid
-            self.ullage_mass.append(t.initial_pressure * ullage / self._rt)
-            self.ullage_volume.append(ullage)
-            self.liquid_volume.append(liquid)
-            self.ullage_pressure.append(t.initial_pressure)
 
         # Per-run constants.
         self._r = r
@@ -176,26 +160,42 @@ class _Plant:
 
     # -- algebraic network -------------------------------------------------
 
-    def _back_pressure(self, branches: list) -> float:
-        """Chamber pressure consistent with the flows of the open branches.
-
-        Monotone scalar root-find (Newton with bisection safeguard) of
-        pc = (cstar/At) * sum_i mdot_i(pc); floored at ambient.
+    def _back_pressure(self, p_tank, v_liquid) -> float:
+        """Chamber pressure pc consistent with the open branches of the tanks
+        that hold liquid: a monotone root-find (Newton with bisection safeguard)
+        of pc - (cstar/At) * sum_i beta_i * sqrt(p_tank_i - pc), floored at ambient.
         """
         gain = self._gain
         lo = self._ambient
-        if gain is None or not branches:
+        if gain is None:
             return lo
-        f, _ = _residual(lo, gain, branches)
-        if f >= 0.0:
-            return lo  # weak flow: chamber stays at ambient
+        branches = [
+            (p, c[0], c[1]) for p, v, c in zip(p_tank, v_liquid, self._branch)
+            if v > 0.0 and c is not None
+        ]
+        if not branches:
+            return lo
+        total = 0.0
         hi = lo
-        for p_t, _, _ in branches:
+        for p_t, beta, _ in branches:
+            drop = p_t - lo
+            if drop > 0.0:
+                total += beta * math.sqrt(drop)
             if p_t > hi:
                 hi = p_t
-        pc = min(max(self._pc_guess, lo), hi)
+        if lo - gain * total >= 0.0:
+            return lo  # weak flow: chamber stays at ambient
+        pc = clamp(self._pc_guess, lo, hi)
         for _ in range(ROOT_MAX_ITERATIONS):
-            f, slope = _residual(pc, gain, branches)
+            total = 0.0
+            slope = 1.0
+            for p_t, beta, gain_beta in branches:
+                drop = p_t - pc
+                if drop > 0.0:
+                    root = math.sqrt(drop)
+                    total += beta * root
+                    slope += gain_beta / (2.0 * root)
+            f = pc - gain * total
             if abs(f) < ROOT_TOLERANCE_PA:
                 break
             if f > 0.0:
@@ -212,25 +212,23 @@ class _Plant:
         self._pc_guess = pc
         return pc
 
-    def _network(self, p_sup: float, p_tank, wet) -> list[tuple[float, float, float]]:
+    def _network(self, p_sup: float, p_tank, v_liquid) -> list[tuple[float, float, float]]:
         """Per-side (gas inflow, liquid Q, p_injector) at the given pressures.
 
         Gas valves pass k*Cv*p_sup with the near-equalized fade, as
         fluids.gas_valve_mass_flow. Liquid branches are line + valve +
         injector orifice in series against the back pressure, as
-        fluids.branch_flow; a dry tank passes nothing.
+        fluids.branch_flow; a tank without liquid passes nothing.
         """
         branch = self._branch
-        back = self._back_pressure(
-            [(p, c[0], c[1]) for p, w, c in zip(p_tank, wet, branch) if w and c is not None]
-        )
+        back = self._back_pressure(p_tank, v_liquid)
         flows = []
         for i in (0, 1):
             gas = (
                 self._kcv[i] * p_sup * choked_flow_fade(p_tank[i] / p_sup) if p_sup > 0.0 else 0.0
             )
             c = branch[i]
-            if not wet[i] or c is None:
+            if not v_liquid[i] > 0.0 or c is None:
                 flows.append((gas, 0.0, back))
                 continue
             dp = p_tank[i] - back
@@ -243,9 +241,7 @@ class _Plant:
 
     def snapshot(self) -> NetworkFlows:
         """Flows on the stored state, for telemetry, sensors and the oracle."""
-        flows = self._network(
-            self.supply_pressure, self.ullage_pressure, [v > 0.0 for v in self.liquid_volume]
-        )
+        flows = self._network(self.supply_pressure, self.ullage_pressure, self.liquid_volume)
         gas, q, p_injector = zip(*flows)
         mdot_liquid = (q[0] * self._rho[0], q[1] * self._rho[1])
         if self.config.chamber is not None:
@@ -256,11 +252,16 @@ class _Plant:
             pc, thrust = self._ambient, 0.0
         return NetworkFlows(gas, q, mdot_liquid, p_injector, pc, thrust)
 
+    def warm_start(self) -> None:
+        """On a step whose snapshot nothing reads: only the snapshot's chamber
+        root-find, which moves the warm start of the next RK4 stage exactly as
+        snapshot() would."""
+        self._back_pressure(self.ullage_pressure, self.liquid_volume)
+
     # -- integration -------------------------------------------------------
 
-    def _rates(self, y) -> tuple[float, float, float, float, float]:
-        """State derivative at y = (m_sup, m_ull_ox, V_liq_ox, m_ull_fuel, V_liq_fuel)."""
-        m_sup, m_ox, v_ox, m_fuel, v_fuel = y
+    def _rates(self, m_sup, m_ox, v_ox, m_fuel, v_fuel) -> tuple[float, ...]:
+        """Derivative of the state (m_sup, m_ull_ox, V_liq_ox, m_ull_fuel, V_liq_fuel)."""
         rt = self._rt
         if self._supply_exponent is None:
             p_sup = m_sup * rt / self._supply_volume if m_sup > 0.0 else 0.0
@@ -271,43 +272,39 @@ class _Plant:
                 if self.supply_mass > 0.0
                 else 0.0
             )
-        v_ox = max(v_ox, 0.0)
-        v_fuel = max(v_fuel, 0.0)
+        v_ox = 0.0 if 0.0 > v_ox else v_ox
+        v_fuel = 0.0 if 0.0 > v_fuel else v_fuel
         p_ox = m_ox * rt / (self._total_volume[0] - v_ox)
         p_fuel = m_fuel * rt / (self._total_volume[1] - v_fuel)
-        (gas_ox, q_ox, _), (gas_fuel, q_fuel, _) = self._network(
-            p_sup, (p_ox, p_fuel), (v_ox > 0.0, v_fuel > 0.0)
-        )
+        (gas_ox, q_ox, _), (gas_fuel, q_fuel, _) = self._network(p_sup, (p_ox, p_fuel),
+                                                                 (v_ox, v_fuel))
         collapse = self._collapse
-        return (
-            -(gas_ox + gas_fuel),
-            gas_ox - collapse * m_ox,
-            -q_ox,
-            gas_fuel - collapse * m_fuel,
-            -q_fuel,
-        )
+        return (-(gas_ox + gas_fuel), gas_ox - collapse * m_ox, -q_ox,
+                gas_fuel - collapse * m_fuel, -q_fuel)
 
     def step(self, dt: float) -> list[str]:
         """Advance tanks one physics step (RK4); returns new event names."""
-        y0 = (
-            self.supply_mass,
-            self.ullage_mass[0],
-            self.liquid_volume[0],
-            self.ullage_mass[1],
-            self.liquid_volume[1],
-        )
+        s, mo, vo = self.supply_mass, self.ullage_mass[0], self.liquid_volume[0]
+        mf, vf = self.ullage_mass[1], self.liquid_volume[1]
         half = 0.5 * dt
-        k1 = self._rates(y0)
-        k2 = self._rates([y + half * k for y, k in zip(y0, k1)])
-        k3 = self._rates([y + half * k for y, k in zip(y0, k2)])
-        k4 = self._rates([y + dt * k for y, k in zip(y0, k3)])
-        rate = [(a + 2.0 * b + 2.0 * c + d) / 6.0 for a, b, c, d in zip(k1, k2, k3, k4)]
-
+        s1, mo1, vo1, mf1, vf1 = self._rates(s, mo, vo, mf, vf)
+        s2, mo2, vo2, mf2, vf2 = self._rates(
+            s + half * s1, mo + half * mo1, vo + half * vo1, mf + half * mf1, vf + half * vf1
+        )
+        s3, mo3, vo3, mf3, vf3 = self._rates(
+            s + half * s2, mo + half * mo2, vo + half * vo2, mf + half * mf2, vf + half * vf2
+        )
+        s4, mo4, vo4, mf4, vf4 = self._rates(
+            s + dt * s3, mo + dt * mo3, vo + dt * vo3, mf + dt * mf3, vf + dt * vf3
+        )
         # Effective transfer rates over the step. The same gas rate feeds the
         # supply drain and the ullage fill, so total gas mass is conserved
         # exactly even at the depletion clamp.
+        gas_in = [(mo1 + 2.0 * mo2 + 2.0 * mo3 + mo4) / 6.0,
+                  (mf1 + 2.0 * mf2 + 2.0 * mf3 + mf4) / 6.0]
+        liquid_rate = ((vo1 + 2.0 * vo2 + 2.0 * vo3 + vo4) / 6.0,
+                       (vf1 + 2.0 * vf2 + 2.0 * vf3 + vf4) / 6.0)
         collapse = self._collapse
-        gas_in = [rate[1], rate[3]]
         if collapse > 0.0:
             # Split the ullage net rate back into valve inflow and sink.
             gas_in = [g + collapse * m for g, m in zip(gas_in, self.ullage_mass)]
@@ -338,7 +335,7 @@ class _Plant:
             # Liquid drains at most what is left; the ullage grows by the
             # volume drained, integrated separately from V_total - V_liquid.
             sink = collapse * self.ullage_mass[i] if collapse > 0.0 else 0.0
-            vdot = min(-rate[2 + 2 * i], self.liquid_volume[i] / dt)
+            vdot = min(-liquid_rate[i], self.liquid_volume[i] / dt)
             liquid = self.liquid_volume[i] - vdot * dt
             if liquid <= 0.0:
                 liquid = 0.0
@@ -410,7 +407,7 @@ def _oracle_angles(config: ScenarioConfig, plant: _Plant, flows: NetworkFlows,
         else:
             cv = demand / (valve.choked_constant * p_sup * fade)
             theta = valve.theta_zero + cv / valve.alpha
-        angles[i] = min(max(theta, 0.0), FULL_TRAVEL)
+        angles[i] = clamp(theta, 0.0, FULL_TRAVEL)
 
         ivalve = plant.valves[2 + i]
         rho = config.tanks[side].liquid_density
@@ -428,7 +425,7 @@ def _oracle_angles(config: ScenarioConfig, plant: _Plant, flows: NetworkFlows,
         else:
             cv = q_req / math.sqrt(dp_valve / rho)
             theta = ivalve.theta_zero + cv / ivalve.alpha
-        angles[2 + i] = min(max(theta, 0.0), FULL_TRAVEL)
+        angles[2 + i] = clamp(theta, 0.0, FULL_TRAVEL)
     return angles
 
 
@@ -496,10 +493,10 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
     for k in range(n_steps):
         t = k * config.dt_phys
         plant.set_angles(angles)
-        flows = plant.snapshot()
         primary = k % phys_per_primary == 0
 
         if primary:
+            flows = plant.snapshot()
             setpoints = setpoints_at(config.schedule, t)
             # Sensor sampling happens at the primary rate; optional zero-mean
             # Gaussian noise is drawn in a fixed order for determinism: the
@@ -509,6 +506,8 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
             if rng is not None:
                 measured_supply += config.noise_sigma * rng.standard_normal()
                 measured = [p + config.noise_sigma * rng.standard_normal() for p in measured]
+        else:
+            plant.warm_start()
 
         if config.variant == "oracle":
             if primary:
@@ -529,6 +528,8 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
         if abort:
             events_active.append(EVENT_ABORT)
         if abort or k % (phys_per_primary * config.telemetry_decimation) == 0:
+            if not primary:  # an abort between primary ticks; the state has not moved
+                flows = plant.snapshot()
             frames.append(_make_frame(t, flows, controllers, angles, measured,
                                       measured_supply, setpoints, events_active))
         if abort:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
 
@@ -623,13 +624,20 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
             locked_angle=raw.number("locked_angle_deg", None, at_least=0.0, at_most=FULL_TRAVEL),
         )
 
-    # The plant starts from the gas masses p * V / (R * T).
+    # The plant starts from the gas masses p * V / (R * T). A mass below the
+    # normal floats has lost the digits the gas law p V = m R T needs.
     rt = gas_constant * gas_temperature
-    _in_range("supply", "initial gas mass", lambda: supply_bar * 1e5 * supply_volume / rt)
+
+    def initial_gas_mass(path: str, pressure: float, volume: float) -> None:
+        mass = _in_range(path, "initial gas mass", lambda: pressure * volume / rt)
+        if mass < sys.float_info.min:
+            raise ConfigError(f"{path}: initial gas mass {mass:.3g} kg is below the normal floats")
+
+    initial_gas_mass("supply", supply_bar * 1e5, supply_volume)
     for side in SIDES:
         t = tanks[side]
         ullage = t.total_volume - t.total_volume * (1.0 - t.initial_ullage_fraction)
-        _in_range(f"tanks.{side}", "initial gas mass", lambda: t.initial_pressure * ullage / rt)
+        initial_gas_mass(f"tanks.{side}", t.initial_pressure, ullage)
         settings = controllers[side + "_inj"]
         headroom = tank_setpoints[side] - settings.feedforward.min_drop
         if settings.locked_angle is None and profiles[side].max_pressure() > headroom:

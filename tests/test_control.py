@@ -12,6 +12,7 @@ from eregsim.control import (
     FeedforwardParams,
     PidController,
     PidGains,
+    clamp,
     ff_injector,
     ff_tank,
 )
@@ -323,3 +324,70 @@ class TestEregController:
             assert ctrl.u1 == pytest.approx(u1, rel=1e-12), variant
         with pytest.raises(ValueError, match="bogus"):
             make_ereg(variant="bogus")
+
+
+INF = math.inf
+
+
+class TestFiniteInputs:
+    """Each step method tests the sum of its inputs once and names the first
+    non-finite input only when that sum is not finite."""
+
+    CASES = {
+        # (inputs in argument order, the input the error must name)
+        "nan_last": ((1.0, 2.0, math.nan), "setpoint=nan"),
+        "opposite_infinities": ((INF, -INF, 1.0), "downstream_pressure=inf"),
+        "nan_after_inf": ((1.0, -INF, math.nan), "upstream_pressure=-inf"),
+    }
+
+    @pytest.mark.parametrize("inputs, named", CASES.values(), ids=CASES.keys())
+    def test_ereg_names_the_first_non_finite_input(self, inputs, named):
+        with pytest.raises(ControllerError, match=f"non-finite controller input: {named}$"):
+            make_ereg().step(*inputs, 0.0, True)
+
+    @pytest.mark.parametrize("inputs, named", [
+        ((1.0, math.nan), "measurement=nan"),
+        ((INF, -INF), "setpoint=inf"),
+        ((-INF, INF), "setpoint=-inf"),
+    ])
+    def test_pid_names_the_first_non_finite_input(self, inputs, named):
+        with pytest.raises(ControllerError, match=f"non-finite controller input: {named}$"):
+            make_pid().step(*inputs)
+
+    @pytest.mark.parametrize("command", [math.nan, INF, -INF])
+    def test_actuator_names_the_command(self, command):
+        with pytest.raises(ControllerError, match=f"command={command}$"):
+            make_actuator().step(command)
+
+    def test_finite_inputs_whose_sum_overflows_pass(self):
+        big = 1.7e308  # any two of these sum to inf
+        assert math.isinf(big + big)
+        assert make_pid().step(big, big) == 0.0
+        ctrl = make_ereg()
+        ctrl.step(big, big, big, 0.0, True)
+        assert math.isfinite(ctrl.u1) and math.isfinite(ctrl.u2)
+
+
+SIGNED = st.one_of(st.floats(allow_nan=True), st.sampled_from((0.0, -0.0, INF, -INF)))
+
+
+class TestClamp:
+    @given(SIGNED, SIGNED, SIGNED)
+    def test_same_operand_as_min_max(self, x, lo, hi):
+        assert repr(clamp(x, lo, hi)) == repr(min(max(x, lo), hi))
+
+    def test_negative_zero_command_keeps_its_sign(self):
+        act = make_actuator()
+        act.step(-0.0)
+        assert math.copysign(1.0, act.command) == -1.0
+
+    def test_negative_zero_valve_setpoint_keeps_its_sign(self):
+        # ff+dyn at t = 0 (PID scale 0) with a -0.0 feedforward and a -0.0
+        # integral: every term of ff + PID is -0.0, and so is their sum.
+        ff = FeedforwardParams(gamma=-0.0, theta_zero=-0.0)
+        ctrl = EregController("tank", controller_settings(ff, PidGains(1.0, 1.0, 1.0)),
+                              make_actuator(), 0.01, 0.001, "ff+dyn")
+        ctrl.primary.integral = -0.0
+        ctrl.step(43e5, 310e5, 42e5, 0.0, True)
+        assert math.copysign(1.0, ctrl.last_feedforward) == -1.0
+        assert math.copysign(1.0, ctrl.u1) == -1.0

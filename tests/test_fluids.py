@@ -371,11 +371,10 @@ class TestNetworkMatchesFluidLaws:
         angles = [v.theta_zero if a == "theta_zero" else a for v, a in zip(plant.valves, angles)]
         plant.set_angles(angles)
         warm_start = plant._pc_guess
-        flows = plant._network(p_sup, p_tank, wet)
+        liquid = [1.0 if w else 0.0 for w in wet]
+        flows = plant._network(p_sup, p_tank, liquid)
         plant._pc_guess = warm_start  # the reference solve starts from the same guess
-        back = plant._back_pressure([
-            (p, c[0], c[1]) for p, w, c in zip(p_tank, wet, plant._branch) if w and c is not None
-        ])
+        back = plant._back_pressure(p_tank, liquid)
         for i, side in enumerate(SIDES):
             gas = gas_valve_mass_flow(plant.valves[i], angles[i], p_sup, p_tank[i])
             # A dry tank passes no liquid, like a shut valve.

@@ -369,6 +369,17 @@ PROBES = {
         "supply",
     ),
     "huge_supply_volume": ({"supply.volume_m3": 1e305}, "supply"),
+    # Initial gas masses that underflow below the normal floats (the supply's
+    # ran with a gas-law residual of 1.3e-3 before the loader rejected it).
+    "supply.volume_m3=5e-324": ({"supply.volume_m3": 5e-324}, "supply"),
+    **{
+        f"tanks.{side}.initial_pressure_bar={bar!r}": (
+            {"ambient_pressure_bar": ambient, f"tanks.{side}.initial_pressure_bar": bar},
+            f"tanks.{side}",
+        )
+        for side in ("ox", "fuel")
+        for ambient, bar in ((1e-310, 1e-307), (5e-324, 1e-310))
+    },
 }
 # Finite values whose derived plant constants over- or underflow, per side:
 # (key, values, section the error names): the initial ullage volume rounds

@@ -382,6 +382,66 @@ class TestChamberRootFind:
         with pytest.raises(ModelError, match="did not converge"):
             plant.snapshot()
 
+    def test_warm_start_moves_the_guess_as_the_snapshot_does(self, baseline_config):
+        full, warm = engine._Plant(baseline_config), engine._Plant(baseline_config)
+        for _ in range(3):
+            full.set_angles(self.ANGLES)
+            warm.set_angles(self.ANGLES)
+            full.snapshot()
+            warm.warm_start()
+            assert full._pc_guess > baseline_config.ambient_pressure
+            assert warm._pc_guess.hex() == full._pc_guess.hex()
+            full.step(baseline_config.dt_phys)
+            warm.step(baseline_config.dt_phys)
+
+
+class TestSnapshotOnlyWhereRead:
+    """The full snapshot solve runs on primary ticks and on an abort between
+    them; every other step runs only its root-find (warm_start)."""
+
+    def test_snapshot_once_per_primary_tick_warm_start_otherwise(self, baseline_config,
+                                                                 monkeypatch):
+        calls = []
+        for name in ("snapshot", "warm_start"):
+            method = getattr(engine._Plant, name)
+            monkeypatch.setattr(engine._Plant, name,
+                                lambda plant, m=method, n=name: calls.append(n) or m(plant))
+        config = baseline_config.replace(duration=0.5)
+        run_scenario(config)
+        steps_per_primary = round(config.dt_primary / config.dt_phys)
+        assert steps_per_primary > 1
+        ticks = round(config.duration / config.dt_primary)
+        assert calls == (["snapshot"] + ["warm_start"] * (steps_per_primary - 1)) * ticks
+
+    @pytest.mark.parametrize("decimation, n_frames", [(1, 9), (7, 3)])
+    def test_abort_between_primary_ticks_matches_a_snapshot_every_step(
+        self, decimation, n_frames, monkeypatch
+    ):
+        # Injector valves rated at the tank pressure: the noisy ff+dyn run
+        # aborts at t = 0.077 s, between primary ticks.
+        data = load_yaml(SCENARIO_DIR / "staticfire_baseline.yaml")
+        data["duration_s"] = 0.2
+        data["sensors"] = {"noise_sigma_bar": 0.02, "seed": 0}
+        data["options"]["abort_pressure_factor"] = 1.0
+        data["telemetry"] = {"decimation": decimation}
+        for name in ("ox_inj", "fuel_inj"):
+            data["valves"][name]["rated_pressure_bar"] = 42.0
+        config = scenario.scenario_from_dict(data).replace(variant="ff+dyn")
+        frames = run_scenario(config)
+        assert len(frames) == n_frames and frames[-1].events == (EVENT_ABORT,)
+        step = round(frames[-1].time_s / config.dt_phys)
+        assert step == 77 and step % round(config.dt_primary / config.dt_phys) != 0
+        # A snapshot on every step is the work each step did before; the abort
+        # frame carries the flows of its own step, not those of the last tick.
+        snapshots = []
+        monkeypatch.setattr(engine._Plant, "warm_start",
+                            lambda plant: snapshots.append(plant.snapshot()))
+        assert repr(run_scenario(config)) == repr(frames)
+        last = snapshots[-1]
+        assert (frames[-1].mdot_ox_kg_s, frames[-1].chamber_pressure_bar) == (
+            last.mdot_liquid[0], last.chamber_pressure / 1e5
+        )
+
 
 class TestBenchmarkFacingNames:
     """What perfbench/ reaches in the package. Its tests are not collected by
