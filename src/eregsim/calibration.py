@@ -3,7 +3,8 @@
 Three fits close the loop between telemetry and the feedforward model:
 the piecewise-linear valve flow coefficient curve (alpha, theta_zero),
 the tank feedforward constant gamma, and the choked-flow constant k.
-All fits are exact inverses on noiseless model-generated data.
+All fits are exact inverses on noiseless model-generated data. The Cv
+fit screens its breakpoint grid in closed form and confirms only the best.
 """
 
 from __future__ import annotations
@@ -58,24 +59,35 @@ class CvFit:
 def cv_from_sample(sample: FlowSample, choked_constant: float = 0.0) -> float:
     """Invert the matching flow law to get the sample's flow coefficient.
 
-    Liquid: Cv = Q / sqrt(dp / rho), requires a positive drop.
-    Gas (choked): Cv = Q / (k * p_up), requires a positive upstream
-    pressure and the constant k (known or provisional from a previous
-    iteration).
+    Liquid: Cv = Q / sqrt(dp / rho), requires a positive dp / rho.
+    Gas (choked): Cv = Q / (k * p_up), requires the constant k (known or
+    provisional from a previous iteration) and a positive k * p_up. A
+    quotient that underflows to 0 carries no Cv information either.
     """
     sample.validate()
     if sample.flow == 0.0:
         return 0.0
     if sample.phase == "liquid":
         dp = sample.upstream_pressure - sample.downstream_pressure
-        if dp <= 0.0:
-            raise ValueError("liquid sample rejected: nonpositive pressure drop")
+        if dp <= 0.0 or dp / sample.fluid_density == 0.0:
+            raise ValueError("liquid sample rejected: no positive dp / rho")
         return sample.flow / math.sqrt(dp / sample.fluid_density)
     if choked_constant <= 0.0:
         raise ValueError("gas sample needs a positive choked constant")
-    if sample.upstream_pressure <= 0.0:
-        raise ValueError("gas sample rejected: nonpositive upstream pressure")
+    if choked_constant * sample.upstream_pressure <= 0.0:
+        raise ValueError("gas sample rejected: no positive k * p_up")
     return sample.flow / (choked_constant * sample.upstream_pressure)
+
+
+def _breakpoint_fit(thetas: np.ndarray, cvs: np.ndarray, theta_zero) -> tuple:
+    """(objective, theta_zero, alpha) of the least-squares slope with the
+    breakpoint at theta_zero, from a full pass over the samples."""
+    x = thetas - theta_zero
+    active = x > 0.0
+    denom = float(np.sum(x[active] ** 2))
+    alpha = max(float(np.sum(cvs[active] * x[active])) / denom, 0.0) if denom > 0.0 else 0.0
+    predicted = np.where(active, alpha * x, 0.0)
+    return float(np.sum((cvs - predicted) ** 2)), theta_zero, alpha
 
 
 # Overflow gives a non-finite fit, which write_fit_result rejects; numpy
@@ -86,7 +98,11 @@ def fit_cv_curve(samples: list[tuple[float, float]]) -> CvFit:
 
     Grid search over the breakpoint theta_zero at 0.1 degree resolution
     with the closed-form least-squares slope at each candidate; ties break
-    toward the smaller breakpoint. samples are (theta, Cv) pairs.
+    toward the smaller breakpoint. samples are (theta, Cv) pairs. Suffix
+    sums over the angle-sorted samples screen all G = 900 breakpoints in
+    closed form (Hudson 1966): O(N log N + G) work, not G passes over the
+    N samples. Only breakpoints within rounding of the best get the full
+    pass, so the result is the plain grid loop's to the bit.
     """
     if len(samples) < 3:
         raise DegenerateFitError("need at least 3 samples to fit the Cv curve")
@@ -95,23 +111,32 @@ def fit_cv_curve(samples: list[tuple[float, float]]) -> CvFit:
     if np.ptp(thetas) == 0.0:
         raise DegenerateFitError("all samples at one angle: Cv slope unidentifiable")
 
-    best = None
     candidates = np.arange(0.0, FULL_TRAVEL, THETA_GRID_STEP)
-    for theta_zero in candidates:
-        x = thetas - theta_zero
-        active = x > 0.0
-        denom = float(np.sum(x[active] ** 2))
-        if denom > 0.0:
-            alpha = float(np.sum(cvs[active] * x[active])) / denom
-        else:
-            alpha = 0.0
-        alpha = max(alpha, 0.0)
-        predicted = np.where(active, alpha * x, 0.0)
-        objective = float(np.sum((cvs - predicted) ** 2))
-        if best is None or objective < best[0]:
-            best = (objective, theta_zero, alpha)
+    order = np.argsort(thetas, kind="stable")
+    t, c = thetas[order], cvs[order]
+    terms = np.column_stack((np.ones_like(t), t, t * t, c, c * t, np.abs(t)))
+    suffix = np.vstack((np.cumsum(terms[::-1], axis=0)[::-1], np.zeros(terms.shape[1])))
+    # Row j sums the samples with theta > candidates[j], the active ones.
+    n, s_t, s_tt, s_c, s_ct, s_abs = suffix[np.searchsorted(t, candidates, side="right")].T
+    denom = s_tt - 2.0 * candidates * s_t + candidates**2 * n
+    num = s_ct - candidates * s_c
+    alpha = np.maximum(np.divide(num, denom, out=np.zeros_like(num), where=denom > 0.0), 0.0)
+    total = float(np.sum(cvs**2))
+    objective = total - 2.0 * alpha * num + alpha**2 * denom
+    # Rounding bound of both objectives: 8 (N + 4) eps times the sizes of the
+    # terms (Cauchy-Schwarz folds num's into the other two). A denom below
+    # unit * spread has lost its digits: that breakpoint always gets the pass.
+    spread = s_tt + 2.0 * candidates * s_abs + candidates**2 * n
+    unit = 8.0 * (len(t) + 4) * np.finfo(float).eps
+    bound = np.where(denom >= unit * spread, unit * (total + alpha**2 * spread), np.inf)
+    confirm = objective - bound <= np.min(objective + bound)
+    confirm |= not np.isfinite(objective).all()  # overflow: every breakpoint gets the pass
 
-    objective, theta_zero, alpha = best
+    # min keeps the first of equal objectives, like a strict < loop.
+    objective, theta_zero, alpha = min(
+        (_breakpoint_fit(thetas, cvs, theta_zero) for theta_zero in candidates[confirm]),
+        key=lambda fit: fit[0],
+    )
     if alpha <= 0.0:
         raise DegenerateFitError("no positive slope found: samples carry no flow")
     return CvFit(

@@ -11,7 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from eregsim.fluids import chamber_state
+import numpy as np
+
+from eregsim.calibration import THETA_GRID_STEP, CvFit
+from eregsim.errors import DegenerateFitError
+from eregsim.fluids import FULL_TRAVEL, chamber_state
 from eregsim.scenario import EREG_NAMES, ScenarioConfig, setpoints_at
 from eregsim.telemetry import TelemetryFrame
 
@@ -47,6 +51,37 @@ def cv_fit_objective(samples: list[tuple[float, float]], alpha: float, theta_zer
         predicted = max(0.0, alpha * (theta - theta_zero))
         total += (cv - predicted) ** 2
     return total
+
+
+def grid_cv_fit(samples: list[tuple[float, float]]) -> CvFit:
+    """The Cv fit as a plain grid loop: every breakpoint's least-squares
+    slope and objective from a full pass over the samples, the first
+    strictly smallest objective winning. fit_cv_curve must equal it."""
+    if len(samples) < 3:
+        raise DegenerateFitError("need at least 3 samples to fit the Cv curve")
+    thetas = np.array([s[0] for s in samples], dtype=float)
+    cvs = np.array([s[1] for s in samples], dtype=float)
+    if np.ptp(thetas) == 0.0:
+        raise DegenerateFitError("all samples at one angle: Cv slope unidentifiable")
+    best = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for theta_zero in np.arange(0.0, FULL_TRAVEL, THETA_GRID_STEP):
+            x = thetas - theta_zero
+            active = x > 0.0
+            denom = float(np.sum(x[active] ** 2))
+            if denom > 0.0:
+                alpha = float(np.sum(cvs[active] * x[active])) / denom
+            else:
+                alpha = 0.0
+            alpha = max(alpha, 0.0)
+            predicted = np.where(active, alpha * x, 0.0)
+            objective = float(np.sum((cvs - predicted) ** 2))
+            if best is None or objective < best[0]:
+                best = (objective, theta_zero, alpha)
+    objective, theta_zero, alpha = best
+    if alpha <= 0.0:
+        raise DegenerateFitError("no positive slope found: samples carry no flow")
+    return CvFit(alpha, float(theta_zero), math.sqrt(objective / len(samples)), len(samples))
 
 
 def scheduled_setpoints_check(frames: list[TelemetryFrame], config: ScenarioConfig) -> float:

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eregsim import calibration
 from eregsim.calibration import (
+    THETA_GRID_STEP,
     FlowSample,
     choked_samples,
     cv_from_sample,
@@ -17,8 +21,8 @@ from eregsim.calibration import (
 from eregsim.control import ff_tank, FeedforwardParams
 from eregsim.engine import run_scenario
 from eregsim.errors import DegenerateFitError
-from eregsim.fluids import ValveModel, cv_of_angle, liquid_volumetric_flow
-from tests.oracles import cv_fit_objective
+from eregsim.fluids import FULL_TRAVEL, ValveModel, cv_of_angle, liquid_volumetric_flow
+from tests.oracles import cv_fit_objective, grid_cv_fit
 
 
 def synthetic_cv_samples(alpha, theta_zero, angles, noise=0.0, rng=None):
@@ -59,6 +63,18 @@ class TestCvFromSample:
             cv_from_sample(sample)
         k = 1.6774194e-3
         assert cv_from_sample(sample, k) == pytest.approx(0.05 / (k * 310e5), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "sample, k",
+        [
+            (FlowSample(30.0, 1e-290, 0.0, 1.0, 1e300, "liquid"), 0.0),  # dp / rho underflows
+            (FlowSample(30.0, 1e-4, 0.0, 0.05, 0.0, "gas"), 5e-324),  # k * p_up underflows
+        ],
+        ids=["liquid", "gas"],
+    )
+    def test_divisor_underflowing_to_zero_is_rejected(self, sample, k):
+        with pytest.raises(ValueError):
+            cv_from_sample(sample, k)
 
 
 class TestFitCvCurve:
@@ -112,6 +128,80 @@ class TestFitCvCurve:
             assert cv_fit_objective(samples, fit.alpha, fit.theta_zero) <= cv_fit_objective(
                 samples, 4.0e-6, 12.0
             ) + 1e-30
+
+
+def fit_or_degenerate(fit, samples):
+    try:
+        return fit(samples)
+    except DegenerateFitError:
+        return DegenerateFitError
+
+
+@st.composite
+def cv_sweeps(draw):
+    """(theta, Cv) logs of a valve curve: 3-2,000 samples, angles on the
+    breakpoint grid, off it, in a few repeated values or in a narrow
+    cluster, dead-band zeros, Cv scales 1e-8 to 1e2 and 0-10 % noise."""
+    n = draw(st.integers(3, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["grid", "uniform", "linspace", "repeated", "cluster"]))
+    if layout == "grid":
+        angles = rng.choice(np.append(np.arange(0.0, FULL_TRAVEL, THETA_GRID_STEP), FULL_TRAVEL), n)
+    elif layout == "uniform":
+        angles = rng.uniform(0.0, FULL_TRAVEL, n)
+    elif layout == "linspace":
+        angles = np.linspace(0.0, FULL_TRAVEL, n)
+    elif layout == "repeated":
+        angles = rng.choice(rng.uniform(0.0, FULL_TRAVEL, draw(st.integers(2, 6))), n)
+    else:
+        low = draw(st.floats(0.0, FULL_TRAVEL - 0.5))
+        angles = rng.uniform(low, low + 0.5, n)
+    scale = 10.0 ** draw(st.floats(-8.0, 2.0))
+    open_cv = scale * np.maximum(angles - draw(st.floats(0.0, 80.0)), 0.0) / FULL_TRAVEL
+    noise = draw(st.floats(0.0, 0.1))
+    if draw(st.booleans()):  # relative noise keeps the dead band at exactly 0
+        cvs = open_cv * (1.0 + noise * rng.standard_normal(n))
+    else:
+        cvs = open_cv + noise * scale * rng.standard_normal(n)
+    return list(zip(angles.tolist(), cvs.tolist()))
+
+
+class TestFitCvCurveMatchesGridLoop:
+    """fit_cv_curve screens the breakpoints in closed form; its result must
+    be the plain grid loop's (tests.oracles.grid_cv_fit) to the bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cv_sweeps())
+    def test_equals_the_grid_loop(self, samples):
+        assert fit_or_degenerate(fit_cv_curve, samples) == fit_or_degenerate(grid_cv_fit, samples)
+
+    def test_tie_goes_to_the_smallest_breakpoint(self):
+        # One open sample: every breakpoint below it fits it exactly.
+        samples = [(0.0, 0.0), (0.0, 0.0), (89.95, 2.0e-5)]
+        fit = fit_cv_curve(samples)
+        assert fit == grid_cv_fit(samples)
+        assert fit.theta_zero == 0.0 and fit.residual_rms == 0.0
+
+    def test_overflowing_cv_matches_the_grid_loop(self):
+        # Squared residuals overflow at every breakpoint: the first one wins.
+        samples = synthetic_cv_samples(1e200, 10.0, np.linspace(0.0, 90.0, 50), noise=1e200,
+                                       rng=np.random.default_rng(0))
+        fit = fit_cv_curve(samples)
+        assert repr(fit) == repr(grid_cv_fit(samples))
+        assert fit.theta_zero == 0.0 and fit.residual_rms == float("inf")
+
+    def test_full_pass_only_for_the_best_breakpoints(self, monkeypatch):
+        passes = []
+        full_pass = calibration._breakpoint_fit
+        monkeypatch.setattr(calibration, "_breakpoint_fit",
+                            lambda *args: passes.append(args[2]) or full_pass(*args))
+        rng = np.random.default_rng(3)
+        angles = np.linspace(0.0, 90.0, 1000)
+        samples = synthetic_cv_samples(4.0e-6, 12.34, angles, noise=4e-7, rng=rng)
+        fit = fit_cv_curve(samples)
+        assert 1 <= len(passes) <= 3
+        assert fit.theta_zero in passes
+        assert fit == grid_cv_fit(samples)
 
 
 class TestFitGamma:

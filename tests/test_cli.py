@@ -367,6 +367,23 @@ class TestCalibrate:
         assert "is not finite" in payload["message"]
         assert not out.exists()
 
+    def test_cv_from_underflowing_supply_exits_2_with_one_json_line(self, blowdown_csv, tmp_path):
+        # k * p_up underflows to 0 on every row: no row carries Cv information.
+        log = with_columns(blowdown_csv, tmp_path / "faint.csv", 0, supply_pressure_bar="1e-9")
+        out = tmp_path / "cv.yaml"
+        src = str(Path(eregsim.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "eregsim.cli", "calibrate", "cv", "--data", str(log),
+             "--out", str(out), "--phase", "gas", "--choked-constant", "5e-324"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == EXIT_ERROR
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "DegenerateFitError"
+        assert not out.exists()
+
     def test_unwritable_fit_file_exits_2_with_one_json_line(self, blowdown_csv, tmp_path, capsys):
         code = main([
             "calibrate", "gamma", "--data", str(blowdown_csv),
