@@ -21,6 +21,7 @@ from .fluids import CHOKED_PRESSURE_RATIO, FULL_TRAVEL
 from .telemetry import TelemetryFrame
 
 THETA_GRID_STEP = 0.1  # degrees, breakpoint search resolution
+_NO_FLOW = "no positive slope found: samples carry no flow"
 
 # Steady-state detection for gamma fitting: regulation error below half the
 # reported accuracy, sustained long enough to exclude transients.
@@ -46,6 +47,8 @@ class FlowSample:
         for name in ("upstream_pressure", "downstream_pressure", "flow", "fluid_density"):
             if not math.isfinite(getattr(self, name)):
                 raise EregSimError(f"non-finite sample field {name}")
+        if self.phase == "liquid" and not self.fluid_density > 0.0:
+            raise EregSimError(f"liquid sample density {self.fluid_density} is not above 0")
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,8 @@ def fit_cv_curve(samples: list[tuple[float, float]]) -> CvFit:
     cvs = np.array([s[1] for s in samples], dtype=float)
     if np.ptp(thetas) == 0.0:
         raise DegenerateFitError("all samples at one angle: Cv slope unidentifiable")
+    if (cvs <= 0.0).all():  # every breakpoint's slope would clamp to 0
+        raise DegenerateFitError(_NO_FLOW)
 
     candidates = np.arange(0.0, FULL_TRAVEL, THETA_GRID_STEP)
     order = np.argsort(thetas, kind="stable")
@@ -138,7 +143,7 @@ def fit_cv_curve(samples: list[tuple[float, float]]) -> CvFit:
         key=lambda fit: fit[0],
     )
     if alpha <= 0.0:
-        raise DegenerateFitError("no positive slope found: samples carry no flow")
+        raise DegenerateFitError(_NO_FLOW)
     return CvFit(
         alpha=alpha,
         theta_zero=float(theta_zero),

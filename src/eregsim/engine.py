@@ -51,7 +51,7 @@ from .fluids import (
     choked_flow_fade,
     cv_of_angle,
 )
-from .scenario import EREG_NAMES, SIDES, VARIANTS, ScenarioConfig, setpoints_at
+from .scenario import EREG_NAMES, SIDES, VARIANTS, ScenarioConfig, plant_start, setpoints_at
 from .telemetry import EregMetrics, TelemetryFrame, regulation_metrics
 
 EVENT_ABORT = "abort_overpressure"
@@ -65,8 +65,10 @@ def depletion_event(side: str) -> str:
 ADIABATIC_GAMMA = 1.4  # nitrogen, used only in the adiabatic supply mode
 
 # Chamber back-pressure root-find: converged when the residual is below
-# ROOT_TOLERANCE_PA; a solve that has not converged after
-# ROOT_MAX_ITERATIONS Newton/bisection iterations is a model failure.
+# ROOT_TOLERANCE_PA. A solve still above it after ROOT_MAX_ITERATIONS
+# Newton/bisection iterations has converged too if its bracket has shrunk
+# to adjacent floats and the residual is a number (a chamber gain so large
+# that the tolerance is below the float spacing); else it is a model failure.
 ROOT_TOLERANCE_PA = 0.5
 ROOT_MAX_ITERATIONS = 60
 
@@ -98,24 +100,17 @@ class _Plant:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.valves = tuple(config.valves[name] for name in EREG_NAMES)
-        r, temperature = config.gas_constant, config.gas_temperature
-        self._rt = r * temperature
-        self.supply_mass = config.supply_pressure * config.supply_volume / self._rt
+        (self._rt, self.supply_mass, self.liquid_volume, self.ullage_volume,
+         self.ullage_mass) = plant_start(config)
         self.supply_pressure = config.supply_pressure
-        self.supply_temperature = temperature
+        self.supply_temperature = config.gas_temperature
         self.supply_depleted = False
-
-        tanks = [config.tanks[side] for side in SIDES]
-        self.liquid_volume = [t.total_volume * (1.0 - t.initial_ullage_fraction) for t in tanks]
-        self.ullage_volume = [t.total_volume - v for t, v in zip(tanks, self.liquid_volume)]
-        self.ullage_mass = [t.initial_pressure * v / self._rt
-                            for t, v in zip(tanks, self.ullage_volume)]
-        self.ullage_pressure = [t.initial_pressure for t in tanks]
+        self.ullage_pressure = [config.tanks[s].initial_pressure for s in SIDES]
         self.depleted = [False, False]
 
         # Per-run constants.
-        self._r = r
-        self._temperature = temperature
+        self._r = config.gas_constant
+        self._temperature = config.gas_temperature
         self._supply_volume = config.supply_volume
         self._supply_exponent = ADIABATIC_GAMMA if config.adiabatic_supply else None
         self._total_volume = tuple(config.tanks[s].total_volume for s in SIDES)
@@ -205,10 +200,11 @@ class _Plant:
             step = pc - f / slope
             pc = step if lo < step < hi else 0.5 * (lo + hi)
         else:
-            raise ModelError(
-                f"chamber pressure root-find did not converge in {ROOT_MAX_ITERATIONS} "
-                f"iterations (residual {f:.3g} Pa)"
-            )
+            if math.isnan(f) or hi > math.nextafter(lo, math.inf):
+                raise ModelError(
+                    f"chamber pressure root-find did not converge in {ROOT_MAX_ITERATIONS} "
+                    f"iterations (residual {f:.3g} Pa)"
+                )
         self._pc_guess = pc
         return pc
 
@@ -386,8 +382,7 @@ def _build_controllers(config: ScenarioConfig) -> list[EregController | None]:
     ]
 
 
-def _oracle_angles(config: ScenarioConfig, plant: _Plant, flows: NetworkFlows,
-                   setpoints) -> list[float]:
+def _oracle_angles(plant: _Plant, flows: NetworkFlows, setpoints) -> list[float]:
     """Valve angles, in EREG_NAMES order, that satisfy the setpoints exactly
     at the current state.
 
@@ -395,11 +390,11 @@ def _oracle_angles(config: ScenarioConfig, plant: _Plant, flows: NetworkFlows,
     tracking error is the plant's own per-tick drift.
     """
     angles = [0.0] * 4
-    rt = config.gas_constant * config.gas_temperature
     p_sup = plant.supply_pressure
+    back = flows.chamber_pressure
     for i, side in enumerate(SIDES):
         valve = plant.valves[i]
-        demand = setpoints[i] * flows.q_liquid[i] / rt
+        demand = setpoints[i] * flows.q_liquid[i] / plant._rt
         p_tank = plant.ullage_pressure[i]
         fade = choked_flow_fade(p_tank / p_sup) if p_sup > 0 else 0.0
         if p_sup <= 0.0 or fade <= 0.0 or demand <= 0.0:
@@ -410,14 +405,13 @@ def _oracle_angles(config: ScenarioConfig, plant: _Plant, flows: NetworkFlows,
         angles[i] = clamp(theta, 0.0, FULL_TRAVEL)
 
         ivalve = plant.valves[2 + i]
-        rho = config.tanks[side].liquid_density
+        rho = plant._rho[i]
         s_i = setpoints[2 + i]
-        back = flows.chamber_pressure if config.chamber is not None else config.ambient_pressure
         q_req = 0.0
         if s_i > back:
-            orifice = config.injectors[side]
+            orifice = plant.config.injectors[side]
             q_req = orifice.cd * orifice.area * math.sqrt(2.0 * (s_i - back) / rho)
-        dp_valve = p_tank - s_i - rho * q_req**2 * config.lines[side].loss_coefficient
+        dp_valve = p_tank - s_i - rho * q_req**2 * plant._line[i]
         if q_req <= 0.0:
             theta = 0.0
         elif dp_valve <= 0.0:
@@ -511,7 +505,7 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
 
         if config.variant == "oracle":
             if primary:
-                angles = _oracle_angles(config, plant, flows, setpoints)
+                angles = _oracle_angles(plant, flows, setpoints)
                 for j, angle in enumerate(locked):
                     if angle is not None:
                         angles[j] = angle

@@ -44,6 +44,10 @@ EREG_NAMES = ("ox_tank", "fuel_tank", "ox_inj", "fuel_inj")
 MODES = ("waterflow", "coldflow", "staticfire")
 VARIANTS = CONTROLLER_VARIANTS + ("oracle",)
 
+# Classical RK4 is stable on a decay m' = -c m while c * dt is at most -z for z
+# the real root of 1 + z/2 + z^2/6 + z^3/24 (Hairer & Wanner, Solving ODEs II).
+RK4_STABILITY_LIMIT = 2.785293563405282
+
 
 # ---------------------------------------------------------------------------
 # Setpoint profiles
@@ -290,6 +294,28 @@ def _in_range(path: str, what: str, derive):
     return value
 
 
+def plant_start(config: ScenarioConfig) -> tuple[float, float, list, list, list]:
+    """The start state from p V = m R T: R * T, the supply gas mass, and the
+    liquid volumes, ullage volumes and ullage gas masses indexed like SIDES.
+
+    A gas mass below the normal floats (a zero ullage gives 0) has lost the
+    digits the gas law needs: a ConfigError naming supply or tanks.<side>.
+    """
+    rt = config.gas_constant * config.gas_temperature
+    tanks = [config.tanks[side] for side in SIDES]
+    liquid = [t.total_volume * (1.0 - t.initial_ullage_fraction) for t in tanks]
+    ullage = [t.total_volume - v for t, v in zip(tanks, liquid)]
+    masses = []
+    paths = ("supply", *(f"tanks.{side}" for side in SIDES))
+    pressures = (config.supply_pressure, *(t.initial_pressure for t in tanks))
+    for path, pressure, volume in zip(paths, pressures, (config.supply_volume, *ullage)):
+        mass = _in_range(path, "initial gas mass", lambda: pressure * volume / rt)
+        if mass < sys.float_info.min:
+            raise ConfigError(f"{path}: initial gas mass {mass:.3g} kg is below the normal floats")
+        masses.append(mass)
+    return rt, masses[0], liquid, ullage, masses[1:]
+
+
 class _Section:
     """One mapping of a scenario file, read key by key.
 
@@ -433,8 +459,6 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
             liquid_density=tank.number("liquid_density_kg_m3", above=0.0),
             initial_pressure=tank.number("initial_pressure_bar", above=ambient_bar) * 1e5,
         )
-        if (t := tanks[side]).total_volume * (1.0 - t.initial_ullage_fraction) == t.total_volume:
-            raise ConfigError(f"tanks.{side}: initial ullage volume rounds to 0 m3")
         line = root.section("lines").section(side)
         lines[side] = LineModel(
             friction_factor=line.number("friction_factor", above=0.0),
@@ -453,6 +477,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
             characteristic_velocity=raw_chamber.number("characteristic_velocity_m_s", above=0.0),
             thrust_coefficient=raw_chamber.number("thrust_coefficient", above=0.0),
         )
+        _in_range("chamber", "c*/At", lambda: chamber.characteristic_velocity / chamber.throat_area)
 
     nominal = root.section("nominal_flows")
     nominal_mdot = {side: nominal.number(f"{side}_kg_s", above=0.0) for side in SIDES}
@@ -624,20 +649,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
             locked_angle=raw.number("locked_angle_deg", None, at_least=0.0, at_most=FULL_TRAVEL),
         )
 
-    # The plant starts from the gas masses p * V / (R * T). A mass below the
-    # normal floats has lost the digits the gas law p V = m R T needs.
-    rt = gas_constant * gas_temperature
-
-    def initial_gas_mass(path: str, pressure: float, volume: float) -> None:
-        mass = _in_range(path, "initial gas mass", lambda: pressure * volume / rt)
-        if mass < sys.float_info.min:
-            raise ConfigError(f"{path}: initial gas mass {mass:.3g} kg is below the normal floats")
-
-    initial_gas_mass("supply", supply_bar * 1e5, supply_volume)
     for side in SIDES:
-        t = tanks[side]
-        ullage = t.total_volume - t.total_volume * (1.0 - t.initial_ullage_fraction)
-        initial_gas_mass(f"tanks.{side}", t.initial_pressure, ullage)
         settings = controllers[side + "_inj"]
         headroom = tank_setpoints[side] - settings.feedforward.min_drop
         if settings.locked_angle is None and profiles[side].max_pressure() > headroom:
@@ -676,7 +688,8 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         noise_sigma=sensors.number("noise_sigma_bar", 0.0, at_least=0.0) * 1e5,
         noise_seed=sensors.integer("seed", 0, at_least=0),
         adiabatic_supply=options.flag("adiabatic_supply", False),
-        ullage_collapse_coeff=options.number("ullage_collapse_coeff", 0.0, at_least=0.0),
+        ullage_collapse_coeff=options.number("ullage_collapse_coeff", 0.0, at_least=0.0,
+                                             at_most=RK4_STABILITY_LIMIT / dt_phys),
         abort_pressure_factor=options.number("abort_pressure_factor", 1.10, above=0.0),
         telemetry_decimation=root.section("telemetry", {}).integer("decimation", 1, at_least=1),
         metrics=MetricsSettings(
@@ -687,6 +700,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         ),
     )
     root.check_unread()
+    plant_start(config)
     return config
 
 

@@ -20,7 +20,7 @@ from eregsim.calibration import (
 )
 from eregsim.control import ff_tank, FeedforwardParams
 from eregsim.engine import run_scenario
-from eregsim.errors import DegenerateFitError
+from eregsim.errors import DegenerateFitError, EregSimError
 from eregsim.fluids import FULL_TRAVEL, ValveModel, cv_of_angle, liquid_volumetric_flow
 from tests.oracles import cv_fit_objective, grid_cv_fit
 
@@ -75,6 +75,12 @@ class TestCvFromSample:
     def test_divisor_underflowing_to_zero_is_rejected(self, sample, k):
         with pytest.raises(ValueError):
             cv_from_sample(sample, k)
+
+    @pytest.mark.parametrize("density", [0.0, -1141.0])
+    def test_liquid_density_not_above_zero_is_malformed(self, density):
+        sample = FlowSample(20.0, 42e5, 35e5, 1e-3, density, "liquid")
+        with pytest.raises(EregSimError, match="density"):
+            cv_from_sample(sample)
 
 
 class TestFitCvCurve:
@@ -202,6 +208,18 @@ class TestFitCvCurveMatchesGridLoop:
         assert 1 <= len(passes) <= 3
         assert fit.theta_zero in passes
         assert fit == grid_cv_fit(samples)
+
+    def test_all_zero_cv_is_degenerate_without_a_full_pass(self, monkeypatch):
+        passes = []
+        full_pass = calibration._breakpoint_fit
+        monkeypatch.setattr(calibration, "_breakpoint_fit",
+                            lambda *args: passes.append(args[2]) or full_pass(*args))
+        samples = [(float(theta), 0.0) for theta in np.linspace(0.0, 90.0, 1000)]
+        with pytest.raises(DegenerateFitError, match="no positive slope found"):
+            fit_cv_curve(samples)
+        assert passes == []
+        with pytest.raises(DegenerateFitError, match="no positive slope found"):
+            grid_cv_fit(samples)
 
 
 class TestFitGamma:

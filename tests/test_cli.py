@@ -107,6 +107,20 @@ class TestRun:
         assert "--seed" in payload["message"]
         assert not out.exists()
 
+    def test_seed_flag_sets_the_sensor_noise_seed(self, tmp_path):
+        data = yaml.safe_load(Path(BLOWDOWN).read_text())
+        data["duration_s"] = 2.0
+        data["sensors"]["noise_sigma_bar"] = 0.02
+        scenario = write_scenario(tmp_path, data)
+        outs = {seed: tmp_path / f"seed{seed}.csv" for seed in ("7", "8")}
+        for seed, out in outs.items():
+            assert main(["run", "--scenario", str(scenario), "--out", str(out),
+                         "--seed", seed]) == EXIT_OK
+        direct = tmp_path / "direct.csv"
+        emit_telemetry(run_scenario(load_scenario(scenario).replace(noise_seed=7)), direct)
+        assert outs["7"].read_bytes() == direct.read_bytes()
+        assert outs["8"].read_bytes() != direct.read_bytes()
+
     def test_abort_run_exits_with_abort_code(self, tmp_path, capsys):
         data = small_scenario_dict(options={"abort_pressure_factor": 0.5})
         scenario = write_scenario(tmp_path, data)

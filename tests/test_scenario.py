@@ -1,5 +1,6 @@
 import copy
 import math
+import random
 import re
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from eregsim.engine import RunAudit, run_scenario
 from eregsim.errors import ConfigError, InfeasibleThrottleError
 from eregsim.fluids import branch_flow, cv_of_angle
 from eregsim.scenario import (
+    RK4_STABILITY_LIMIT,
     ProfileSegment,
     SetpointSchedule,
     ThrottleProfile,
@@ -21,6 +23,7 @@ from eregsim.scenario import (
     setpoints_at,
     size_mock_injector,
 )
+from tests import probe_scenarios
 from tests.conftest import DROP, SCENARIO_DIR, load_yaml, set_key, small_scenario_dict
 from tests.oracles import orifice_mass_flow, steady_operating_point
 
@@ -400,6 +403,21 @@ PROBES.update({
     for side in ("ox", "fuel")
     for value in values
 })
+# A chamber gain c*/At that overflows, and collapse coefficients past the
+# RK4 stability limit at the small scenario's 0.01 s step.
+PROBES.update({
+    "chamber.throat_area_m2=5e-324": (
+        {"mode": "staticfire", "chamber": {"throat_area_m2": 5e-324, "thrust_coefficient": 1.15,
+                                           "characteristic_velocity_m_s": 1600.0}},
+        "chamber",
+    ),
+    **{
+        f"options.ullage_collapse_coeff={value!r}": (
+            {"options": {"ullage_collapse_coeff": value}}, "options.ullage_collapse_coeff"
+        )
+        for value in (1e200, math.nextafter(RK4_STABILITY_LIMIT / 0.01, math.inf))
+    },
+})
 
 
 @pytest.mark.parametrize("edits, key", PROBES.values(), ids=PROBES.keys())
@@ -409,6 +427,52 @@ def test_malformed_scenario_rejected_at_load(edits, key):
         set_key(data, path, value)
     with pytest.raises(ConfigError, match=re.escape(key)):
         scenario_from_dict(data)
+
+
+def test_collapse_coefficient_just_inside_the_rk4_limit_runs():
+    coeff = math.nextafter(RK4_STABILITY_LIMIT / 0.01, 0.0)
+    config = scenario_from_dict(small_scenario_dict(
+        duration_s=0.2, options={"ullage_collapse_coeff": coeff}
+    ))
+    assert config.ullage_collapse_coeff == coeff
+    audit = RunAudit()
+    frames = run_scenario(config, audit=audit)
+    assert len(frames) == 20
+    assert audit.max_gas_law_residual < 1e-9
+
+
+# Extreme single-key inputs from tests/probe_scenarios.py: the ones that once
+# loaded and then failed mid-run (the chamber root-find gave up at 60
+# iterations, or a collapse coefficient past the RK4 limit made a pressure
+# NaN), plus a fixed sample of the rest of the grid.
+PROBE_FAILURES = {
+    *((stem, f"tanks.{side}.liquid_density_kg_m3", value)
+      for stem in ("staticfire_baseline", "staticfire_nominal_hold")
+      for side in ("ox", "fuel") for value in (1e200, 1e300)),
+    *(("staticfire_nominal_hold", "chamber.throat_area_m2", value)
+      for value in (5e-324, 1e-300, 1e-200, 1e-17)),
+    *(("staticfire_nominal_hold", "chamber.characteristic_velocity_m_s", value)
+      for value in (1e200, 1e300)),
+    *((stem, "options.ullage_collapse_coeff", value)
+      for stem in probe_scenarios.SHIPPED for value in (1e200, 1e300)),
+}
+_PROBE_GRID = probe_scenarios.probe_inputs()
+_PROBE_FAILED = [i for i in _PROBE_GRID if (i[0], ".".join(map(str, i[1])), i[2]) in PROBE_FAILURES]
+PROBE_SAMPLE = _PROBE_FAILED + random.Random(0).sample(
+    [i for i in _PROBE_GRID if i not in _PROBE_FAILED], 60
+)
+
+
+def test_probe_failures_are_all_in_the_grid():
+    assert len(_PROBE_FAILED) == len(PROBE_FAILURES) == 24
+
+
+@pytest.mark.parametrize("stem, path, value", PROBE_SAMPLE,
+                         ids=[probe_scenarios.probe_id(*i) for i in PROBE_SAMPLE])
+def test_extreme_input_runs_or_is_rejected_at_load(stem, path, value):
+    """A ConfigError at load, or a 0.2 s run (to its end or to the over-pressure
+    abort) that keeps the gas law."""
+    assert probe_scenarios.probe(stem, path, value) in probe_scenarios.OUTCOMES
 
 
 @pytest.mark.parametrize("name", ["waterflow_blowdown", "staticfire_baseline"])

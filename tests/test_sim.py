@@ -382,6 +382,18 @@ class TestChamberRootFind:
         with pytest.raises(ModelError, match="did not converge"):
             plant.snapshot()
 
+    def test_bracket_of_adjacent_floats_counts_as_converged(self):
+        # rho = 1e200 makes the branch term sqrt(rho / c) some 1e100 times the
+        # baseline's: a 0.5 Pa residual would need a chamber pressure finer
+        # than the float spacing, so the bracket closes first.
+        data = load_yaml(SCENARIO_DIR / "staticfire_baseline.yaml")
+        data["duration_s"] = 0.2
+        data["tanks"]["ox"]["liquid_density_kg_m3"] = 1e200
+        audit = RunAudit()
+        frames = run_scenario(scenario.scenario_from_dict(data), audit=audit)
+        assert len(frames) == 20 and EVENT_ABORT not in frames[-1].events
+        assert audit.max_gas_law_residual < 1e-9
+
     def test_warm_start_moves_the_guess_as_the_snapshot_does(self, baseline_config):
         full, warm = engine._Plant(baseline_config), engine._Plant(baseline_config)
         for _ in range(3):
