@@ -145,28 +145,34 @@ class PidController:
         if not math.isfinite(setpoint + measurement):
             _require_finite(setpoint=setpoint, measurement=measurement)
         dt = self.dt
-        kp, ki, kd = self.gains.kp * scale, self.gains.ki * scale, self.gains.kd * scale
+        gains = self.gains
+        kp, ki, kd = gains.kp * scale, gains.ki * scale, gains.kd * scale
         error = setpoint - measurement
 
         # Derivative on the low-pass filtered measurement, negated so that a
         # rising measurement opposes the output (no setpoint kick).
-        if self._filtered_measurement is None:
-            self._filtered_measurement = measurement
         previous_filtered = self._filtered_measurement
-        self._filtered_measurement += self._filter_gain * (measurement - previous_filtered)
-        derivative = -(self._filtered_measurement - previous_filtered) / dt
+        if previous_filtered is None:
+            previous_filtered = measurement
+        filtered = previous_filtered + self._filter_gain * (measurement - previous_filtered)
+        self._filtered_measurement = filtered
+        derivative = -(filtered - previous_filtered) / dt
 
+        integral = self.integral
         lo_i, hi_i = self.integral_limits
-        candidate = clamp(self.integral + ki * error * dt, lo_i, hi_i)
+        candidate = integral + ki * error * dt
+        candidate = lo_i if lo_i > candidate else candidate
+        candidate = hi_i if hi_i < candidate else candidate
         lo, hi = self.output_limits
         output = kp * error + candidate + kd * derivative
         if (output > hi and error > 0.0) or (output < lo and error < 0.0):
             # Saturated in the direction the error is pushing: keep the old
             # integral instead of winding it further.
-            candidate = self.integral
+            candidate = integral
             output = kp * error + candidate + kd * derivative
         self.integral = candidate
-        output = clamp(output, lo, hi)
+        output = lo if lo > output else output
+        output = hi if hi < output else output
         if not math.isfinite(output):
             _require_finite(output=output)
         return output
@@ -209,21 +215,28 @@ class Actuator:
     def step(self, command: float) -> None:
         if not math.isfinite(command):
             _require_finite(command=command)
-        self.command = clamp(command, -1.0, 1.0)
-        target_rate = self.command * self.rate_max
+        command = -1.0 if -1.0 > command else command
+        command = 1.0 if 1.0 < command else command
+        self.command = command
+        target_rate = command * self.rate_max
         decay = self._decay
-        self.angle += target_rate * self.dt + (self.rate - target_rate) * self.time_constant * (
-            1.0 - decay
+        rate = self.rate
+        angle = self.angle + (
+            target_rate * self.dt + (rate - target_rate) * self.time_constant * (1.0 - decay)
         )
-        self.rate = target_rate + (self.rate - target_rate) * decay
-        if self.angle <= 0.0:
-            self.angle = 0.0
-            self.rate = 0.0
-        elif self.angle >= FULL_TRAVEL:
-            self.angle = FULL_TRAVEL
-            self.rate = 0.0
+        rate = target_rate + (rate - target_rate) * decay
+        if angle <= 0.0:
+            angle = rate = 0.0
+        elif angle >= FULL_TRAVEL:
+            angle = FULL_TRAVEL
+            rate = 0.0
+        self.angle = angle
+        self.rate = rate
         # Lost motion: the valve only moves once the motor takes up the lash.
-        self.valve_angle = clamp(self.valve_angle, self.angle - self.backlash, self.angle)
+        valve_angle = self.valve_angle
+        slack = angle - self.backlash
+        valve_angle = slack if slack > valve_angle else valve_angle
+        self.valve_angle = angle if angle < valve_angle else valve_angle
 
 
 class EregController:

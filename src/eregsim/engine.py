@@ -16,9 +16,13 @@ stored pressure and temperature, and per side the ullage gas mass,
 ullage volume, liquid volume, stored ullage pressure and a depletion
 flag. Everything that depends only on the scenario is computed once per
 run, and everything that depends only on the valve angles once per
-physics step (again if the oracle moves the valves before the step), so
-a stage is plain float arithmetic plus the chamber back-pressure
-root-find.
+physics step for each valve whose angle changed (again if the oracle
+moves the valves before the step), so a stage is plain float arithmetic
+plus the chamber back-pressure root-find. The network and the root-find
+are written out for the two sides. A liquid branch that is shut, or
+whose tank is dry, enters the root-find at a tank pressure of -inf: its
+drop is never positive, so it adds nothing to the residual, the slope or
+the bracket, bit for bit as if it were left out.
 
 Each physics step solves the flow network four times, once per RK4
 stage. Primary ticks also solve it on the stored state (the snapshot)
@@ -71,6 +75,9 @@ ADIABATIC_GAMMA = 1.4  # nitrogen, used only in the adiabatic supply mode
 # that the tolerance is below the float spacing); else it is a model failure.
 ROOT_TOLERANCE_PA = 0.5
 ROOT_MAX_ITERATIONS = 60
+
+# Per-angle constants (beta, gain * beta, rho * c) of a shut liquid branch.
+_SHUT = (0.0, 0.0, None)
 
 
 @dataclass
@@ -125,33 +132,35 @@ class _Plant:
         self._collapse = config.ullage_collapse_coeff
         self._pc_guess = config.ambient_pressure
 
-        # Per-angle constants, filled by set_angles.
-        self._kcv = (0.0, 0.0)
-        self._branch: tuple = (None, None)
+        # Per-angle constants, filled by set_angles for the angles in _angles.
+        self._angles = [None] * 4
+        self._kcv = [0.0, 0.0]
+        self._branch = [_SHUT, _SHUT]
 
     def set_angles(self, angles) -> None:
-        """Precompute everything that depends only on the four valve angles.
+        """Precompute everything that depends only on the four valve angles,
+        for each valve whose angle changed since the last call.
 
-        Gas valves: k * Cv. Liquid branches: None while the valve is shut,
-        else (beta, gain * beta, rho * c) with c = c_line + 1/Cv^2 +
-        c_orifice the series coefficient and beta = sqrt(rho / c).
+        Gas valves: k * Cv. Liquid branches: (beta, gain * beta, rho * c)
+        with c = c_line + 1/Cv^2 + c_orifice the series coefficient and
+        beta = sqrt(rho / c), or _SHUT while the valve is shut.
         """
-        valves = self.valves
-        kcv = []
-        branch = []
+        last = self._angles
         for i in (0, 1):
-            valve = valves[i]
-            kcv.append(valve.choked_constant * cv_of_angle(valve, angles[i]))
-            cv2 = cv_of_angle(valves[2 + i], angles[2 + i]) ** 2
-            if cv2 == 0.0:  # shut, or so nearly shut that Cv^2 underflows
-                branch.append(None)
-                continue
-            coeff = self._line[i] + 1.0 / cv2 + self._orifice[i]
-            beta = math.sqrt(self._rho[i] / coeff)
-            gain_beta = self._gain * beta if self._gain is not None else 0.0
-            branch.append((beta, gain_beta, self._rho[i] * coeff))
-        self._kcv = tuple(kcv)
-        self._branch = tuple(branch)
+            if angles[i] != last[i]:
+                valve = self.valves[i]
+                self._kcv[i] = valve.choked_constant * cv_of_angle(valve, angles[i])
+                last[i] = angles[i]
+            if angles[2 + i] != last[2 + i]:
+                cv2 = cv_of_angle(self.valves[2 + i], angles[2 + i]) ** 2
+                if cv2 == 0.0:  # shut, or so nearly shut that Cv^2 underflows
+                    self._branch[i] = _SHUT
+                else:
+                    coeff = self._line[i] + 1.0 / cv2 + self._orifice[i]
+                    beta = math.sqrt(self._rho[i] / coeff)
+                    gain_beta = self._gain * beta if self._gain is not None else 0.0
+                    self._branch[i] = (beta, gain_beta, self._rho[i] * coeff)
+                last[2 + i] = angles[2 + i]
 
     # -- algebraic network -------------------------------------------------
 
@@ -159,37 +168,42 @@ class _Plant:
         """Chamber pressure pc consistent with the open branches of the tanks
         that hold liquid: a monotone root-find (Newton with bisection safeguard)
         of pc - (cstar/At) * sum_i beta_i * sqrt(p_tank_i - pc), floored at ambient.
+        A shut or dry branch enters at p_tank = -inf (see the module notes).
         """
         gain = self._gain
         lo = self._ambient
         if gain is None:
             return lo
-        branches = [
-            (p, c[0], c[1]) for p, v, c in zip(p_tank, v_liquid, self._branch)
-            if v > 0.0 and c is not None
-        ]
-        if not branches:
-            return lo
+        (beta0, gain_beta0, rc0), (beta1, gain_beta1, rc1) = self._branch
+        p0 = p_tank[0] if rc0 is not None and v_liquid[0] > 0.0 else -math.inf
+        p1 = p_tank[1] if rc1 is not None and v_liquid[1] > 0.0 else -math.inf
         total = 0.0
-        hi = lo
-        for p_t, beta, _ in branches:
-            drop = p_t - lo
-            if drop > 0.0:
-                total += beta * math.sqrt(drop)
-            if p_t > hi:
-                hi = p_t
+        drop = p0 - lo
+        if drop > 0.0:
+            total += beta0 * math.sqrt(drop)
+        drop = p1 - lo
+        if drop > 0.0:
+            total += beta1 * math.sqrt(drop)
         if lo - gain * total >= 0.0:
-            return lo  # weak flow: chamber stays at ambient
-        pc = clamp(self._pc_guess, lo, hi)
+            return lo  # weak flow (or no open branch): chamber stays at ambient
+        hi = p0 if p0 > lo else lo
+        hi = p1 if p1 > hi else hi
+        pc = self._pc_guess
+        pc = lo if lo > pc else pc
+        pc = hi if hi < pc else pc
         for _ in range(ROOT_MAX_ITERATIONS):
             total = 0.0
             slope = 1.0
-            for p_t, beta, gain_beta in branches:
-                drop = p_t - pc
-                if drop > 0.0:
-                    root = math.sqrt(drop)
-                    total += beta * root
-                    slope += gain_beta / (2.0 * root)
+            drop = p0 - pc
+            if drop > 0.0:
+                root = math.sqrt(drop)
+                total += beta0 * root
+                slope += gain_beta0 / (2.0 * root)
+            drop = p1 - pc
+            if drop > 0.0:
+                root = math.sqrt(drop)
+                total += beta1 * root
+                slope += gain_beta1 / (2.0 * root)
             f = pc - gain * total
             if abs(f) < ROOT_TOLERANCE_PA:
                 break
@@ -208,7 +222,7 @@ class _Plant:
         self._pc_guess = pc
         return pc
 
-    def _network(self, p_sup: float, p_tank, v_liquid) -> list[tuple[float, float, float]]:
+    def _network(self, p_sup: float, p_tank, v_liquid) -> tuple[tuple[float, float, float], ...]:
         """Per-side (gas inflow, liquid Q, p_injector) at the given pressures.
 
         Gas valves pass k*Cv*p_sup with the near-equalized fade, as
@@ -216,24 +230,32 @@ class _Plant:
         injector orifice in series against the back pressure, as
         fluids.branch_flow; a tank without liquid passes nothing.
         """
-        branch = self._branch
         back = self._back_pressure(p_tank, v_liquid)
-        flows = []
-        for i in (0, 1):
-            gas = (
-                self._kcv[i] * p_sup * choked_flow_fade(p_tank[i] / p_sup) if p_sup > 0.0 else 0.0
-            )
-            c = branch[i]
-            if not v_liquid[i] > 0.0 or c is None:
-                flows.append((gas, 0.0, back))
-                continue
-            dp = p_tank[i] - back
+        p0, p1 = p_tank
+        if p_sup > 0.0:
+            kcv0, kcv1 = self._kcv
+            gas0 = kcv0 * p_sup * choked_flow_fade(p0 / p_sup)
+            gas1 = kcv1 * p_sup * choked_flow_fade(p1 / p_sup)
+        else:
+            gas0 = gas1 = 0.0
+        (_, _, rc0), (_, _, rc1) = self._branch
+        side0 = (gas0, 0.0, back)
+        if rc0 is not None and v_liquid[0] > 0.0:
+            dp = p0 - back
             if dp <= 0.0:
-                flows.append((gas, 0.0, p_tank[i]))
-                continue
-            q = math.sqrt(dp / c[2])
-            flows.append((gas, q, back + self._rho[i] * q**2 * self._orifice[i]))
-        return flows
+                side0 = (gas0, 0.0, p0)
+            else:
+                q = math.sqrt(dp / rc0)
+                side0 = (gas0, q, back + self._rho[0] * q**2 * self._orifice[0])
+        side1 = (gas1, 0.0, back)
+        if rc1 is not None and v_liquid[1] > 0.0:
+            dp = p1 - back
+            if dp <= 0.0:
+                side1 = (gas1, 0.0, p1)
+            else:
+                q = math.sqrt(dp / rc1)
+                side1 = (gas1, q, back + self._rho[1] * q**2 * self._orifice[1])
+        return side0, side1
 
     def snapshot(self) -> NetworkFlows:
         """Flows on the stored state, for telemetry, sensors and the oracle."""
@@ -465,45 +487,50 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
     # The four regulators travel in EREG_NAMES order: regulator j is on side
     # j % 2 and is fed by the supply for j < 2, else by the tank on its side.
     controllers = _build_controllers(config)
-    cascades = [(j, ctrl) for j, ctrl in enumerate(controllers) if ctrl is not None]
+    cascades = [(j, ctrl, ctrl.actuator) for j, ctrl in enumerate(controllers) if ctrl is not None]
     locked = [config.controllers[name].locked_angle for name in EREG_NAMES]
-    phys_per_secondary = int(round(config.dt_secondary / config.dt_phys))
-    phys_per_primary = int(round(config.dt_primary / config.dt_phys))
-    n_steps = int(round(config.duration / config.dt_phys))
-    rng = np.random.default_rng(config.noise_seed) if config.noise_sigma > 0.0 else None
+    dt = config.dt_phys
+    schedule = config.schedule
+    noise_sigma = config.noise_sigma
+    oracle = config.variant == "oracle"
+    phys_per_secondary = int(round(config.dt_secondary / dt))
+    phys_per_primary = int(round(config.dt_primary / dt))
+    phys_per_frame = phys_per_primary * config.telemetry_decimation
+    n_steps = int(round(config.duration / dt))
+    rng = np.random.default_rng(config.noise_seed) if noise_sigma > 0.0 else None
 
     angles = [0.0 if angle is None else angle for angle in locked]
     frames: list[TelemetryFrame] = []
     events_active: list[str] = []
     measured = [0.0] * 4
     measured_supply = config.supply_pressure
-    setpoints = setpoints_at(config.schedule, 0.0)
+    setpoints = setpoints_at(schedule, 0.0)
     # Over-pressure abort: valves must never see more than the configured
     # fraction of their rated pressure upstream.
     factor = config.abort_pressure_factor
     supply_limit = factor * min(valve.rated_pressure for valve in plant.valves[:2])
-    tank_limits = [factor * valve.rated_pressure for valve in plant.valves[2:]]
+    ox_limit, fuel_limit = (factor * valve.rated_pressure for valve in plant.valves[2:])
 
     for k in range(n_steps):
-        t = k * config.dt_phys
+        t = k * dt
         plant.set_angles(angles)
         primary = k % phys_per_primary == 0
 
         if primary:
             flows = plant.snapshot()
-            setpoints = setpoints_at(config.schedule, t)
+            setpoints = setpoints_at(schedule, t)
             # Sensor sampling happens at the primary rate; optional zero-mean
             # Gaussian noise is drawn in a fixed order for determinism: the
             # supply, then the regulators.
             measured = [*plant.ullage_pressure, *flows.p_injector]
             measured_supply = plant.supply_pressure
             if rng is not None:
-                measured_supply += config.noise_sigma * rng.standard_normal()
-                measured = [p + config.noise_sigma * rng.standard_normal() for p in measured]
+                measured_supply += noise_sigma * rng.standard_normal()
+                measured = [p + noise_sigma * rng.standard_normal() for p in measured]
         else:
             plant.warm_start()
 
-        if config.variant == "oracle":
+        if oracle:
             if primary:
                 angles = _oracle_angles(plant, flows, setpoints)
                 for j, angle in enumerate(locked):
@@ -511,17 +538,15 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
                         angles[j] = angle
                 plant.set_angles(angles)
         elif k % phys_per_secondary == 0:
-            for j, ctrl in cascades:
+            for j, ctrl, _ in cascades:
                 upstream = measured_supply if j < 2 else measured[j - 2]
                 ctrl.step(measured[j], upstream, setpoints[j], t, primary)
 
-        abort = plant.supply_pressure > supply_limit
-        for p_tank, limit in zip(plant.ullage_pressure, tank_limits):
-            if p_tank > limit:
-                abort = True
+        p_ox, p_fuel = plant.ullage_pressure
+        abort = plant.supply_pressure > supply_limit or p_ox > ox_limit or p_fuel > fuel_limit
         if abort:
             events_active.append(EVENT_ABORT)
-        if abort or k % (phys_per_primary * config.telemetry_decimation) == 0:
+        if abort or k % phys_per_frame == 0:
             if not primary:  # an abort between primary ticks; the state has not moved
                 flows = plant.snapshot()
             frames.append(_make_frame(t, flows, controllers, angles, measured,
@@ -529,16 +554,16 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
         if abort:
             break
 
-        new_events = plant.step(config.dt_phys)
+        new_events = plant.step(dt)
         if audit is not None:
             audit.record(plant)
         for event in new_events:
             if event not in events_active:
                 events_active.append(event)
 
-        for j, ctrl in cascades:
-            ctrl.actuator.step(ctrl.u2)
-            angles[j] = ctrl.actuator.valve_angle
+        for j, ctrl, actuator in cascades:
+            actuator.step(ctrl.u2)
+            angles[j] = actuator.valve_angle
 
     if not frames:
         raise EregSimError("run produced no telemetry frames")

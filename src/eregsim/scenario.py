@@ -450,15 +450,17 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     supply_volume = supply.number("volume_m3", above=0.0)
     supply_bar = supply.number("initial_pressure_bar", above=ambient_bar)
 
-    tanks, lines = {}, {}
+    tanks, lines, tank_start_bar = {}, {}, {}
     for side in SIDES:
         tank = root.section("tanks").section(side)
         tanks[side] = TankSettings(
             total_volume=tank.number("total_volume_m3", above=0.0),
             initial_ullage_fraction=tank.number("initial_ullage_fraction", above=0.0, below=1.0),
             liquid_density=tank.number("liquid_density_kg_m3", above=0.0),
-            initial_pressure=tank.number("initial_pressure_bar", above=ambient_bar) * 1e5,
+            initial_pressure=(start_bar := tank.number("initial_pressure_bar",
+                                                       above=ambient_bar)) * 1e5,
         )
+        tank_start_bar[side] = start_bar
         line = root.section("lines").section(side)
         lines[side] = LineModel(
             friction_factor=line.number("friction_factor", above=0.0),
@@ -517,10 +519,11 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     for reg in EREG_NAMES:
         valve = root.section("valves").section(reg)
         # The supply feeds the tank (gas) valves, whose choked flow law needs
-        # k; the propellant tanks feed the injector valves.
+        # k; the propellant tanks feed the injector valves, at their start
+        # pressure and later at their setpoint.
         side, kind = reg.split("_")
         gas = kind == "tank"
-        upstream_bar = supply_bar if gas else tank_bar[side]
+        upstream_bar = supply_bar if gas else max(tank_bar[side], tank_start_bar[side])
         valves[reg] = ValveModel(
             alpha=valve.number("alpha_si_per_deg", above=0.0),
             theta_zero=valve.number("theta_zero_deg", 0.0, at_least=0.0, below=FULL_TRAVEL),

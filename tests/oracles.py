@@ -1,9 +1,10 @@
 """Independent reference formulas the tests check the package against.
 
-None of these is called by the simulator: each restates a textbook law or
-a closed-form steady state so a test can compare the package's own
-arithmetic (line loss coefficients, mock injector sizing, paired
-setpoints, logged setpoints, the Cv grid fit) with it.
+None of these is called by the simulator: each restates a textbook law,
+a closed-form steady state or a plain loop so a test can compare the
+package's own arithmetic (line loss coefficients, mock injector sizing,
+paired setpoints, logged setpoints, the Cv grid fit, the chamber
+back-pressure root-find, the PID and actuator updates) with it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from eregsim import engine
 from eregsim.calibration import THETA_GRID_STEP, CvFit
-from eregsim.errors import DegenerateFitError
+from eregsim.control import DERIVATIVE_FILTER_PERIODS, ActuatorSettings, PidGains
+from eregsim.errors import DegenerateFitError, ModelError
 from eregsim.fluids import FULL_TRAVEL, chamber_state
 from eregsim.scenario import EREG_NAMES, ScenarioConfig, setpoints_at
 from eregsim.telemetry import TelemetryFrame
@@ -122,3 +125,113 @@ def steady_operating_point(config: ScenarioConfig, thrust_fraction: float = 1.0)
         config.injectors["ox"].inlet_pressure(mdot_ox, config.tanks["ox"].liquid_density, pc),
         config.injectors["fuel"].inlet_pressure(mdot_fuel, config.tanks["fuel"].liquid_density, pc),
     )
+
+
+def back_pressure_reference(plant, p_tank, v_liquid) -> tuple[float, float]:
+    """The chamber back-pressure root-find as a loop over a list of the open
+    branches of the tanks that hold liquid; returns (pc, warm start after).
+
+    Reads the plant's per-angle constants and warm start and changes
+    nothing; engine._Plant._back_pressure must equal it bit for bit.
+    """
+    lo = plant._ambient
+    gain = plant._gain
+    if gain is None:
+        return lo, plant._pc_guess
+    branches = [
+        (p, c[0], c[1]) for p, v, c in zip(p_tank, v_liquid, plant._branch)
+        if v > 0.0 and c[2] is not None
+    ]
+    if not branches:
+        return lo, plant._pc_guess
+    total = 0.0
+    hi = lo
+    for p_t, beta, _ in branches:
+        drop = p_t - lo
+        if drop > 0.0:
+            total += beta * math.sqrt(drop)
+        if p_t > hi:
+            hi = p_t
+    if lo - gain * total >= 0.0:
+        return lo, plant._pc_guess
+    pc = min(max(plant._pc_guess, lo), hi)
+    for _ in range(engine.ROOT_MAX_ITERATIONS):
+        total = 0.0
+        slope = 1.0
+        for p_t, beta, gain_beta in branches:
+            drop = p_t - pc
+            if drop > 0.0:
+                root = math.sqrt(drop)
+                total += beta * root
+                slope += gain_beta / (2.0 * root)
+        f = pc - gain * total
+        if abs(f) < engine.ROOT_TOLERANCE_PA:
+            break
+        if f > 0.0:
+            hi = pc
+        else:
+            lo = pc
+        step = pc - f / slope
+        pc = step if lo < step < hi else 0.5 * (lo + hi)
+    else:
+        if math.isnan(f) or hi > math.nextafter(lo, math.inf):
+            raise ModelError("chamber pressure root-find did not converge")
+    return pc, pc
+
+
+@dataclass
+class PidState:
+    integral: float = 0.0
+    filtered_measurement: float | None = None
+
+
+def pid_step_reference(state: PidState, gains: PidGains, output_limits, integral_limits,
+                       dt: float, setpoint: float, measurement: float, scale: float) -> float:
+    """One PidController.step: rectangular integral clamped to its limits,
+    derivative on the filtered measurement, integral held while the output
+    saturates the way the error pushes, output clamped."""
+    kp, ki, kd = gains.kp * scale, gains.ki * scale, gains.kd * scale
+    error = setpoint - measurement
+    if state.filtered_measurement is None:
+        state.filtered_measurement = measurement
+    previous = state.filtered_measurement
+    filter_gain = dt / (DERIVATIVE_FILTER_PERIODS * dt + dt)
+    state.filtered_measurement += filter_gain * (measurement - previous)
+    derivative = -(state.filtered_measurement - previous) / dt
+    candidate = min(max(state.integral + ki * error * dt, integral_limits[0]), integral_limits[1])
+    lo, hi = output_limits
+    output = kp * error + candidate + kd * derivative
+    if (output > hi and error > 0.0) or (output < lo and error < 0.0):
+        candidate = state.integral
+        output = kp * error + candidate + kd * derivative
+    state.integral = candidate
+    return min(max(output, lo), hi)
+
+
+@dataclass
+class ActuatorState:
+    angle: float = 0.0
+    valve_angle: float = 0.0
+    rate: float = 0.0
+    command: float = 0.0
+
+
+def actuator_step_reference(state: ActuatorState, settings: ActuatorSettings, dt: float,
+                            command: float) -> None:
+    """One Actuator.step: the rate relaxes exactly (zero-order hold) toward
+    the clamped command times rate_max, the angle integrates it and stops at
+    the travel limits, and the valve follows through the backlash."""
+    decay = math.exp(-dt / settings.time_constant)
+    state.command = min(max(command, -1.0), 1.0)
+    target_rate = state.command * settings.rate_max
+    state.angle += target_rate * dt + (state.rate - target_rate) * settings.time_constant * (
+        1.0 - decay
+    )
+    state.rate = target_rate + (state.rate - target_rate) * decay
+    if state.angle <= 0.0:
+        state.angle = 0.0
+        state.rate = 0.0
+    elif state.angle >= FULL_TRAVEL:
+        state.angle = FULL_TRAVEL
+        state.rate = 0.0
+    state.valve_angle = min(max(state.valve_angle, state.angle - settings.backlash), state.angle)

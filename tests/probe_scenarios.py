@@ -18,6 +18,9 @@ tests/test_scenario.py runs a sample of the inputs; the full grid
 failing input:
 
     PYTHONPATH=src python -m tests.probe_scenarios
+
+It last printed "2346 inputs: 805 rejected at load, 1475 clean, 66
+aborted, 0 failing".
 """
 
 from __future__ import annotations

@@ -13,18 +13,27 @@ Re-record only when a change is meant to alter the telemetry, naming the
 file to write (golden, noise) or none for both:
 
     PYTHONPATH=src python -m tests.record_golden [golden] [noise]
+
+The hashes mode writes no file. It runs longer cases (hash_cases) and
+prints, per case, the frame count and the SHA-256 of the repr of its
+frames, so that two source trees can be compared bit for bit by diffing
+its output:
+
+    PYTHONPATH=src python -m tests.record_golden hashes > hashes.txt
 """
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from eregsim.engine import run_scenario
-from eregsim.scenario import VARIANTS, load_scenario
-from tests.conftest import SCENARIO_DIR, build_small_scenario
+from eregsim.scenario import VARIANTS, load_scenario, scenario_from_dict
+from tests.conftest import SCENARIO_DIR, build_small_scenario, load_yaml
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden.npz"
 NOISE_PATH = GOLDEN_PATH.with_name("golden_noise.npz")
@@ -107,6 +116,41 @@ def run_case(name: str, noisy: bool = False) -> tuple[np.ndarray, list[str]]:
     return frames_to_fields(frames), event_onsets(frames)
 
 
+def hash_cases():
+    """(name, config) of every frame-hash case: each shipped scenario under
+    each variant at full length, noise-free and noisy; then the baseline
+    with both injector valves rated at the 42 bar tank pressure, noisy, under
+    four abort factors, two variants and two decimations, whose over-pressure
+    aborts fall on and between primary ticks."""
+    for stem in SHIPPED:
+        shipped = load_scenario(SCENARIO_DIR / f"{stem}.yaml")
+        for variant in VARIANTS:
+            config = shipped.replace(variant=variant)
+            yield f"{stem}.{variant}", config
+            yield f"{stem}.{variant}.noise", config.replace(
+                noise_sigma=NOISE_SIGMA_BAR * 1e5, noise_seed=0
+            )
+    data = load_yaml(SCENARIO_DIR / "staticfire_baseline.yaml")
+    data["sensors"] = {"noise_sigma_bar": NOISE_SIGMA_BAR, "seed": 0}
+    for name in ("ox_inj", "fuel_inj"):
+        data["valves"][name]["rated_pressure_bar"] = 42.0
+    for factor in (1.0, 1.001, 1.003, 1.006):
+        for variant in ("ff+dyn", "pid"):
+            for decimation in (1, 7):
+                case = copy.deepcopy(data)
+                case["options"]["abort_pressure_factor"] = factor
+                case["telemetry"] = {"decimation": decimation}
+                yield (f"abort.{factor}.{variant}.decimation{decimation}",
+                       scenario_from_dict(case).replace(variant=variant))
+
+
+def print_hashes() -> None:
+    for name, config in hash_cases():
+        frames = run_scenario(config)
+        digest = hashlib.sha256(repr(frames).encode()).hexdigest()
+        print(f"{name} {len(frames)} {digest}", flush=True)
+
+
 # file to write: (path, case names, noisy)
 RECORDINGS = {
     "golden": (GOLDEN_PATH, case_names, False),
@@ -128,4 +172,7 @@ def main(which: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    if sys.argv[1:] == ["hashes"]:
+        print_hashes()
+    else:
+        main(sys.argv[1:])

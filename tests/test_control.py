@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eregsim.control import (
@@ -18,6 +18,7 @@ from eregsim.control import (
 )
 from eregsim.errors import ControllerError
 from eregsim.fluids import ValveModel
+from tests.oracles import ActuatorState, PidState, actuator_step_reference, pid_step_reference
 
 GAS_VALVE = ValveModel(alpha=9.375e-8, theta_zero=10.0, rated_pressure=415e5,
                        choked_constant=1.6774194e-3)
@@ -227,6 +228,70 @@ class TestActuator:
         act = make_actuator(encoder_counts_per_degree=10.0)
         act.angle = 12.3456
         assert act.measured_angle() == pytest.approx(12.3)
+
+
+
+def span(lo, hi):
+    """An ordered pair of floats drawn from [lo, hi]."""
+    return st.tuples(st.floats(lo, hi), st.floats(lo, hi)).map(sorted).map(tuple)
+
+
+GAIN = st.one_of(st.just(0.0), st.floats(0.0, 50.0))
+
+
+class TestStepsMatchReference:
+    """The step methods keep the arithmetic order of the plain formulas in
+    tests/oracles.py, bit for bit, over several steps."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gains=st.builds(PidGains, GAIN, GAIN, GAIN),
+        scale=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+        integral_limits=span(-60.0, 60.0),
+        dt=st.floats(1e-4, 0.1),
+        # Per step: setpoint, measurement and the feedforward angle that
+        # shifts the output limits, as on a primary tick.
+        steps=st.lists(st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0),
+                                 st.floats(0.0, 90.0)), min_size=1, max_size=12),
+    )
+    def test_pid_step(self, gains, scale, integral_limits, dt, steps):
+        pid = PidController(gains, (0.0, 90.0), integral_limits, dt)
+        state = PidState()
+        for setpoint, measurement, ff in steps:
+            pid.output_limits = (-ff, 90.0 - ff)
+            output = pid.step(setpoint, measurement, scale)
+            expected = pid_step_reference(state, gains, pid.output_limits, integral_limits, dt,
+                                          setpoint, measurement, scale)
+            assert output.hex() == expected.hex()
+            assert (pid.integral.hex(), pid._filtered_measurement.hex()) == (
+                state.integral.hex(), state.filtered_measurement.hex()
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        actuator=st.builds(
+            ActuatorSettings,
+            time_constant=st.floats(1e-3, 1.0),
+            rate_max=st.floats(1.0, 2000.0),
+            backlash=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+            encoder_counts_per_degree=st.one_of(st.just(0.0), st.floats(0.5, 100.0)),
+        ),
+        dt=st.floats(1e-4, 0.05),
+        commands=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=30),
+    )
+    def test_actuator_step(self, actuator, dt, commands):
+        act = Actuator(actuator, dt)
+        state = ActuatorState()
+        for command in commands:
+            act.step(command)
+            actuator_step_reference(state, actuator, dt, command)
+            got = (act.angle, act.valve_angle, act.rate, act.command)
+            assert [x.hex() for x in got] == [
+                x.hex() for x in (state.angle, state.valve_angle, state.rate, state.command)
+            ]
+            counts = actuator.encoder_counts_per_degree
+            reading = math.floor(state.angle * counts) / counts if counts > 0.0 else state.angle
+            assert act.measured_angle().hex() == reading.hex()
 
 
 def controller_settings(ff, primary):

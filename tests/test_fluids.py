@@ -1,7 +1,7 @@
 import functools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eregsim.engine import RunAudit, _Plant
@@ -19,8 +19,14 @@ from eregsim.fluids import (
     liquid_volumetric_flow,
 )
 from eregsim.scenario import EREG_NAMES, SIDES, load_scenario, scenario_from_dict
-from tests.conftest import SCENARIO_DIR, build_small_scenario, set_key, small_scenario_dict
-from tests.oracles import darcy_weisbach_dp, orifice_mass_flow
+from tests.conftest import (
+    SCENARIO_DIR,
+    build_small_scenario,
+    load_yaml,
+    set_key,
+    small_scenario_dict,
+)
+from tests.oracles import back_pressure_reference, darcy_weisbach_dp, orifice_mass_flow
 
 VALVE = ValveModel(alpha=0.5, theta_zero=10.0, rated_pressure=415e5, choked_constant=1.0)
 
@@ -344,6 +350,11 @@ ANGLE = st.one_of(st.sampled_from((0.0, "theta_zero", FULL_TRAVEL)), st.floats(0
 PRESSURE = st.one_of(st.just(0.0), st.floats(0.0, 400e5))
 
 
+def valve_angles(valves, drawn) -> list[float]:
+    """The drawn ANGLEs with "theta_zero" read off each valve."""
+    return [v.theta_zero if a == "theta_zero" else a for v, a in zip(valves, drawn)]
+
+
 @st.composite
 def supply_and_tank_pressures(draw):
     """(p_sup, (p_ox, p_fuel)); a tank pressure is often near the supply's,
@@ -368,7 +379,7 @@ class TestNetworkMatchesFluidLaws:
         p_sup, p_tank = pressures
         config = shipped_config(name)
         plant = _Plant(config)
-        angles = [v.theta_zero if a == "theta_zero" else a for v, a in zip(plant.valves, angles)]
+        angles = valve_angles(plant.valves, angles)
         plant.set_angles(angles)
         warm_start = plant._pc_guess
         liquid = [1.0 if w else 0.0 for w in wet]
@@ -384,3 +395,62 @@ class TestNetworkMatchesFluidLaws:
                 config.lines[side].loss_coefficient, config.injectors[side].coeff,
             )
             assert [x.hex() for x in flows[i]] == [x.hex() for x in (gas, q, p_injector)]
+
+
+@functools.cache
+def dense_ox_config():
+    """The baseline with ox at rho = 1e200, where the root-find's bracket
+    closes to adjacent floats before the residual is below tolerance."""
+    data = load_yaml(SCENARIO_DIR / "staticfire_baseline.yaml")
+    data["tanks"]["ox"]["liquid_density_kg_m3"] = 1e200
+    return scenario_from_dict(data)
+
+
+# A tank pressure: anywhere, at the shipped setpoint, or just above ambient
+# where the chamber stays at ambient (weak flow).
+TANK_PRESSURE = st.one_of(
+    st.floats(0.0, 400e5), st.just(42e5), st.floats(AMBIENT_PRESSURE, AMBIENT_PRESSURE + 2e3)
+)
+
+
+class TestBackPressureMatchesLoop:
+    """_Plant._back_pressure unrolls the two branches; the list-based loop in
+    tests/oracles.py is its reference, bit for bit, warm start included."""
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["baseline", "ox_rho_1e200"])
+    @settings(max_examples=300, deadline=None)
+    @given(
+        angles=st.tuples(ANGLE, ANGLE),
+        p_tank=st.tuples(TANK_PRESSURE, TANK_PRESSURE),
+        wet=st.tuples(st.booleans(), st.booleans()),
+        guess=st.one_of(st.just(AMBIENT_PRESSURE), st.floats(0.0, 60e5)),
+    )
+    @example(angles=(60.0, 60.0), p_tank=(42e5, 42e5), wet=(True, True), guess=AMBIENT_PRESSURE)
+    @example(angles=(60.0, 0.0), p_tank=(42e5, 42e5), wet=(True, True), guess=20e5)
+    @example(angles=(60.0, 60.0), p_tank=(42e5, 42e5), wet=(False, True), guess=20e5)
+    @example(angles=(0.0, 0.0), p_tank=(42e5, 42e5), wet=(True, True), guess=20e5)
+    @example(angles=(60.0, 60.0), p_tank=(1.02e5, 1.02e5), wet=(True, True), guess=20e5)
+    def test_same_root_and_warm_start(self, dense, angles, p_tank, wet, guess):
+        plant = _Plant(dense_ox_config() if dense else shipped_config("staticfire_baseline"))
+        plant.set_angles([0.0, 0.0, *valve_angles(plant.valves[2:], angles)])
+        liquid = [1.0 if w else 0.0 for w in wet]
+        plant._pc_guess = guess
+        try:
+            pc, warm_start = back_pressure_reference(plant, p_tank, liquid)
+        except ModelError:
+            with pytest.raises(ModelError):
+                plant._back_pressure(p_tank, liquid)
+            return
+        assert plant._back_pressure(p_tank, liquid).hex() == pc.hex()
+        assert plant._pc_guess.hex() == warm_start.hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(first=st.lists(ANGLE, min_size=4, max_size=4),
+           second=st.lists(ANGLE, min_size=4, max_size=4))
+    def test_set_angles_skips_only_unchanged_valves(self, first, second):
+        config = shipped_config("staticfire_baseline")
+        moved, fresh = _Plant(config), _Plant(config)
+        moved.set_angles(valve_angles(moved.valves, first))
+        moved.set_angles(valve_angles(moved.valves, second))
+        fresh.set_angles(valve_angles(moved.valves, second))
+        assert repr((moved._kcv, moved._branch)) == repr((fresh._kcv, fresh._branch))

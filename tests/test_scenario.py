@@ -226,6 +226,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             scenario_from_dict(data)
 
+    def test_tank_start_pressure_over_injector_rating_rejected(self):
+        # Else the run would abort at t = 0, on its first step.
+        data = small_scenario_dict()
+        data["tanks"]["fuel"]["initial_pressure_bar"] = 80.0
+        with pytest.raises(ConfigError, match=r"^valves\.fuel_inj\.rated_pressure_bar must be at "
+                                              r"least 80, got 78\.0$"):
+            scenario_from_dict(data)
+        data["tanks"]["fuel"]["initial_pressure_bar"] = 78.0
+        assert scenario_from_dict(data).tanks["fuel"].initial_pressure == 78e5
+
     def test_non_divisible_tick_periods_rejected(self):
         data = small_scenario_dict()
         data["timing"] = {"dt_phys_s": 0.001, "dt_secondary_s": 0.001, "dt_primary_s": 0.0105}
