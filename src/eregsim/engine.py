@@ -5,11 +5,12 @@ propellant tanks -> feed lines -> injector regulators -> injector
 orifices -> thrust chamber (or atmosphere when no chamber is fitted).
 
 Tank states advance with classical fourth-order Runge-Kutta at the
-physics step; the algebraic flow laws are evaluated inside the stage
-functions. The engine alone keeps the multi-rate clock: it counts
-physics steps and, on each secondary tick, tells every cascade whether
-the primary loop is due too, so a run is a deterministic interleaving
-fully determined by the scenario.
+physics step: the stages integrate the four valve flows of the algebraic
+network and each ullage's collapse sink, and the supply pays only for
+the gas its valves pass. The engine alone keeps the multi-rate clock: it
+counts physics steps and, on each secondary tick, tells every cascade
+whether the primary loop is due too, so a run is a deterministic
+interleaving fully determined by the scenario.
 
 The plant keeps one flat float state: the supply gas mass with its
 stored pressure and temperature, and per side the ullage gas mass,
@@ -278,8 +279,8 @@ class _Plant:
 
     # -- integration -------------------------------------------------------
 
-    def _rates(self, m_sup, m_ox, v_ox, m_fuel, v_fuel) -> tuple[float, ...]:
-        """Derivative of the state (m_sup, m_ull_ox, V_liq_ox, m_ull_fuel, V_liq_fuel)."""
+    def _flows(self, m_sup, m_ox, v_ox, m_fuel, v_fuel) -> tuple[float, float, float, float]:
+        """Valve flows (gas into ox and fuel, liquid Q out of ox and fuel) at a stage state."""
         rt = self._rt
         if self._supply_exponent is None:
             p_sup = m_sup * rt / self._supply_volume if m_sup > 0.0 else 0.0
@@ -296,47 +297,46 @@ class _Plant:
         p_fuel = m_fuel * rt / (self._total_volume[1] - v_fuel)
         (gas_ox, q_ox, _), (gas_fuel, q_fuel, _) = self._network(p_sup, (p_ox, p_fuel),
                                                                  (v_ox, v_fuel))
-        collapse = self._collapse
-        return (-(gas_ox + gas_fuel), gas_ox - collapse * m_ox, -q_ox,
-                gas_fuel - collapse * m_fuel, -q_fuel)
+        return gas_ox, gas_fuel, q_ox, q_fuel
 
     def step(self, dt: float) -> list[str]:
-        """Advance tanks one physics step (RK4); returns new event names."""
+        """Advance tanks one physics step (RK4); returns new event names.
+
+        The stages integrate the valve flows and each ullage's collapse sink
+        c * m. The supply pays exactly the mean gas inflow, which each ullage
+        gains before it loses its mean sink. The supply and each liquid volume
+        are clamped once, so one that empties is left at exactly 0.0.
+        """
         s, mo, vo = self.supply_mass, self.ullage_mass[0], self.liquid_volume[0]
         mf, vf = self.ullage_mass[1], self.liquid_volume[1]
-        half = 0.5 * dt
-        s1, mo1, vo1, mf1, vf1 = self._rates(s, mo, vo, mf, vf)
-        s2, mo2, vo2, mf2, vf2 = self._rates(
-            s + half * s1, mo + half * mo1, vo + half * vo1, mf + half * mf1, vf + half * vf1
-        )
-        s3, mo3, vo3, mf3, vf3 = self._rates(
-            s + half * s2, mo + half * mo2, vo + half * vo2, mf + half * mf2, vf + half * vf2
-        )
-        s4, mo4, vo4, mf4, vf4 = self._rates(
-            s + dt * s3, mo + dt * mo3, vo + dt * vo3, mf + dt * mf3, vf + dt * vf3
-        )
-        # Effective transfer rates over the step. The same gas rate feeds the
-        # supply drain and the ullage fill, so total gas mass is conserved
-        # exactly even at the depletion clamp.
-        gas_in = [(mo1 + 2.0 * mo2 + 2.0 * mo3 + mo4) / 6.0,
-                  (mf1 + 2.0 * mf2 + 2.0 * mf3 + mf4) / 6.0]
-        liquid_rate = ((vo1 + 2.0 * vo2 + 2.0 * vo3 + vo4) / 6.0,
-                       (vf1 + 2.0 * vf2 + 2.0 * vf3 + vf4) / 6.0)
-        collapse = self._collapse
-        if collapse > 0.0:
-            # Split the ullage net rate back into valve inflow and sink.
-            gas_in = [g + collapse * m for g, m in zip(gas_in, self.ullage_mass)]
-        total_out = gas_in[0] + gas_in[1]
-        if total_out * dt > self.supply_mass:
-            scale = self.supply_mass / (total_out * dt)
-            gas_in = [g * scale for g in gas_in]
-            total_out = gas_in[0] + gas_in[1]
+        c = self._collapse
+        h = 0.5 * dt
+        go1, gf1, qo1, qf1 = self._flows(s, mo, vo, mf, vf)
+        mo2, mf2 = mo + h * (go1 - c * mo), mf + h * (gf1 - c * mf)
+        go2, gf2, qo2, qf2 = self._flows(s - h * (go1 + gf1), mo2, vo - h * qo1, mf2, vf - h * qf1)
+        mo3, mf3 = mo + h * (go2 - c * mo2), mf + h * (gf2 - c * mf2)
+        go3, gf3, qo3, qf3 = self._flows(s - h * (go2 + gf2), mo3, vo - h * qo2, mf3, vf - h * qf2)
+        mo4, mf4 = mo + dt * (go3 - c * mo3), mf + dt * (gf3 - c * mf3)
+        go4, gf4, qo4, qf4 = self._flows(s - dt * (go3 + gf3), mo4, vo - dt * qo3,
+                                         mf4, vf - dt * qf3)
+        gas_in = [(go1 + 2.0 * go2 + 2.0 * go3 + go4) / 6.0,
+                  (gf1 + 2.0 * gf2 + 2.0 * gf3 + gf4) / 6.0]
+        sink = (c * (mo + 2.0 * mo2 + 2.0 * mo3 + mo4) / 6.0,
+                c * (mf + 2.0 * mf2 + 2.0 * mf3 + mf4) / 6.0)
+        q_out = ((qo1 + 2.0 * qo2 + 2.0 * qo3 + qo4) / 6.0,
+                 (qf1 + 2.0 * qf2 + 2.0 * qf3 + qf4) / 6.0)
 
+        # The supply gives what the ullages draw, or all it holds shared in
+        # proportion, so total gas mass is conserved at the clamp too.
         events: list[str] = []
-        mass = self.supply_mass - total_out * dt
+        want = (gas_in[0] + gas_in[1]) * dt
+        drawn = min(want, self.supply_mass)
+        if drawn < want:
+            gas_in = [g * (drawn / want) for g in gas_in]
+        mass = self.supply_mass - drawn
         volume = self._supply_volume
-        if mass <= 0.0:
-            mass = pressure = 0.0
+        if mass == 0.0:
+            pressure = 0.0
             if not self.supply_depleted:
                 self.supply_depleted = True
                 events.append(EVENT_SUPPLY_DEPLETED)
@@ -352,18 +352,15 @@ class _Plant:
         for i, side in enumerate(SIDES):
             # Liquid drains at most what is left; the ullage grows by the
             # volume drained, integrated separately from V_total - V_liquid.
-            sink = collapse * self.ullage_mass[i] if collapse > 0.0 else 0.0
-            vdot = min(-liquid_rate[i], self.liquid_volume[i] / dt)
-            liquid = self.liquid_volume[i] - vdot * dt
-            if liquid <= 0.0:
-                liquid = 0.0
-                if not self.depleted[i]:
-                    self.depleted[i] = True
-                    events.append(depletion_event(side))
-            volume = self.ullage_volume[i] + vdot * dt
+            drained = min(q_out[i] * dt, self.liquid_volume[i])
+            liquid = self.liquid_volume[i] - drained
+            if liquid == 0.0 and not self.depleted[i]:
+                self.depleted[i] = True
+                events.append(depletion_event(side))
+            volume = self.ullage_volume[i] + drained
             if volume <= 0.0:
                 raise ModelError(f"gas volume driven nonpositive ({volume})")
-            mass = self.ullage_mass[i] + (gas_in[i] - sink) * dt
+            mass = self.ullage_mass[i] + (gas_in[i] - sink[i]) * dt
             if mass <= 0.0:
                 mass = pressure = 0.0
             else:

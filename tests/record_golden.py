@@ -3,14 +3,18 @@
 Each case is one short run: every shipped scenario under every controller
 variant (duration capped at CAP_S), plus the small test scenario with the
 adiabatic supply and with the ullage-collapse sink, the two plant modes
-no shipped scenario turns on. A second file holds noisy cases: the
-baseline static fire and the blowdown under every variant with 0.02 bar
-sensor noise, seed 0, which pin the order in which the sensors draw
-their noise. Each file holds, per case, every numeric telemetry field of
-every frame and the frame at which each event first appears.
+no shipped scenario turns on, and with a bottle that the first physics
+step empties, the one case that reaches the supply clamp. A second file
+holds noisy cases: the baseline static fire and the blowdown under every
+variant with 0.02 bar sensor noise, seed 0, which pin the order in which
+the sensors draw their noise. Each file holds, per case, every numeric
+telemetry field of every frame and the frame at which each event first
+appears.
 
 Re-record only when a change is meant to alter the telemetry, naming the
-file to write (golden, noise) or none for both:
+file to write (golden, noise) or none for both. Before it writes a file,
+it prints per case how the new run compares with the one on file:
+bit-identical, moved (with the largest relative difference) or new.
 
     PYTHONPATH=src python -m tests.record_golden [golden] [noise]
 
@@ -72,6 +76,12 @@ _DRAIN = dict(
 SMALL = {
     "small_adiabatic": dict(options={"adiabatic_supply": True}, **_DRAIN),
     "small_collapse": dict(options={"ullage_collapse_coeff": 0.05}, **_DRAIN),
+    # A 4 mL bottle: the first step asks for more gas than it holds.
+    "small_supply_dry": {
+        **_DRAIN,
+        "supply": {"volume_m3": 4e-6, "initial_pressure_bar": 310.0},
+        "controllers": {**_DRAIN["controllers"], "ox_tank": {"locked_angle_deg": 90.0}},
+    },
 }
 
 
@@ -158,12 +168,29 @@ RECORDINGS = {
 }
 
 
+def compare(old: dict, name: str, fields: np.ndarray, onsets: list[str]) -> str:
+    """How a new recording of a case compares with the one in old."""
+    if name not in old:
+        return "new"
+    ref = old[name]
+    events = "" if onsets == list(old[name + ".events"]) else ", event onsets moved"
+    if ref.shape != fields.shape:
+        return f"moved, {len(ref)} -> {len(fields)} frames{events}"
+    if np.array_equal(fields.view(np.int64), ref.view(np.int64)) and not events:
+        return "bit-identical"
+    scale = np.maximum(np.abs(ref), np.abs(fields))
+    diff = np.divide(np.abs(fields - ref), scale, out=np.zeros_like(ref), where=scale > 0.0)
+    return f"moved, max relative difference {diff.max():.3g}{events}"
+
+
 def main(which: list[str]) -> None:
     for key in which or RECORDINGS:
         path, names, noisy = RECORDINGS[key]
+        old = dict(np.load(path)) if path.exists() else {}
         arrays = {}
         for name in names():
             fields, onsets = run_case(name, noisy)
+            print(f"{name}: {compare(old, name, fields, onsets)}", flush=True)
             arrays[name] = fields
             arrays[name + ".events"] = np.array(onsets, dtype=str)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -177,6 +177,19 @@ class TestPlantStep:
         assert audit.max_mass_drift == 0.0
         assert audit.max_gas_law_residual < 1e-9
 
+    @pytest.mark.parametrize("litres", (0.5, 0.55, 0.6, 0.65))
+    @pytest.mark.parametrize("angle", range(27, 82, 3))
+    def test_overdrawn_supply_gives_exactly_what_it_holds(self, litres, angle):
+        # One step asks for more gas than the bottle holds: it ends at exactly 0.
+        plant = make_plant({"ox_tank": 90.0, "fuel_tank": float(angle)},
+                           ("supply.volume_m3", litres / 1000))
+        audit = RunAudit()
+        audit.record(plant)
+        assert plant.step(1.0) == ["supply_gas_depleted"]
+        audit.record(plant)
+        assert plant.supply_mass == 0.0
+        assert audit.max_mass_drift < 1e-15
+
     def test_nonpositive_gas_volume_is_fatal(self):
         plant = make_plant({})
         plant.ullage_volume[0] = 0.0
@@ -265,6 +278,12 @@ class TestPropellantTankStep:
         # The last step drained only what was left: the ullage fills the tank.
         assert plant.ullage_volume[0] == pytest.approx(0.002, rel=1e-12)
         assert plant.step(0.01) == []  # the event is raised once
+
+    @pytest.mark.parametrize("ullage, dt", [(0.994, 0.2), (0.997, 0.1)])
+    def test_step_that_drains_the_last_liquid_ends_at_zero(self, ullage, dt):
+        plant = make_plant({"ox_inj": 60.0}, ("tanks.ox.initial_ullage_fraction", ullage))
+        assert plant.step(dt) == ["ox_liquid_depleted"]
+        assert plant.liquid_volume[0] == 0.0
 
 
 class TestChamber:

@@ -449,6 +449,8 @@ def test_collapse_coefficient_just_inside_the_rk4_limit_runs():
     frames = run_scenario(config, audit=audit)
     assert len(frames) == 20
     assert audit.max_gas_law_residual < 1e-9
+    # All valves are shut: the sink takes gas from the ullages only.
+    assert frames[-1].supply_pressure_bar == frames[0].supply_pressure_bar
 
 
 # Extreme single-key inputs from tests/probe_scenarios.py: the ones that once

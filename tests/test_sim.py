@@ -330,6 +330,7 @@ class TestOptions:
         # all valves shut: with the collapse sink active the ullage decays
         leak = run_scenario(build_small_scenario(options={"ullage_collapse_coeff": 0.05}))
         assert leak[-1].ox_tank.pressure_bar < leak[0].ox_tank.pressure_bar
+        assert leak[-1].supply_pressure_bar == leak[0].supply_pressure_bar  # nothing left it
 
     def test_supply_pressure_monotone_during_blowdown(self, blowdown_frames):
         pressures = [f.supply_pressure_bar for f in blowdown_frames]
