@@ -12,18 +12,19 @@ counts physics steps and, on each secondary tick, tells every cascade
 whether the primary loop is due too, so a run is a deterministic
 interleaving fully determined by the scenario.
 
-The plant keeps one flat float state: the supply gas mass with its
-stored pressure and temperature, and per side the ullage gas mass,
-ullage volume, liquid volume, stored ullage pressure and a depletion
-flag. Everything that depends only on the scenario is computed once per
-run, and everything that depends only on the valve angles once per
-physics step for each valve whose angle changed (again if the oracle
-moves the valves before the step), so a stage is plain float arithmetic
-plus the chamber back-pressure root-find. The network and the root-find
-are written out for the two sides. A liquid branch that is shut, or
-whose tank is dry, enters the root-find at a tank pressure of -inf: its
-drop is never positive, so it adds nothing to the residual, the slope or
-the bracket, bit for bit as if it were left out.
+The plant keeps one flat float state: the supply gas mass and pressure,
+and per side the ullage gas mass, ullage volume, liquid volume, stored
+ullage pressure and a depletion flag. All gas stays at the scenario's
+gas temperature: the supply is isothermal like the ullages. Everything
+that depends only on the scenario is computed once per run, and
+everything that depends only on the valve angles once per physics step
+for each valve whose angle changed (again if the oracle moves the valves
+before the step), so a stage is plain float arithmetic plus the chamber
+back-pressure root-find. The network and the root-find are written out
+for the two sides. A liquid branch that is shut, or whose tank is dry,
+enters the root-find at a tank pressure of -inf: its drop is never
+positive, so it adds nothing to the residual, the slope or the bracket,
+bit for bit as if it were left out.
 
 Each physics step solves the flow network four times, once per RK4
 stage. Primary ticks also solve it on the stored state (the snapshot)
@@ -67,8 +68,6 @@ def depletion_event(side: str) -> str:
     return f"{side}_liquid_depleted"
 
 
-ADIABATIC_GAMMA = 1.4  # nitrogen, used only in the adiabatic supply mode
-
 # Chamber back-pressure root-find: converged when the residual is below
 # ROOT_TOLERANCE_PA. A solve still above it after ROOT_MAX_ITERATIONS
 # Newton/bisection iterations has converged too if its bracket has shrunk
@@ -111,7 +110,6 @@ class _Plant:
         (self._rt, self.supply_mass, self.liquid_volume, self.ullage_volume,
          self.ullage_mass) = plant_start(config)
         self.supply_pressure = config.supply_pressure
-        self.supply_temperature = config.gas_temperature
         self.supply_depleted = False
         self.ullage_pressure = [config.tanks[s].initial_pressure for s in SIDES]
         self.depleted = [False, False]
@@ -120,7 +118,6 @@ class _Plant:
         self._r = config.gas_constant
         self._temperature = config.gas_temperature
         self._supply_volume = config.supply_volume
-        self._supply_exponent = ADIABATIC_GAMMA if config.adiabatic_supply else None
         self._total_volume = tuple(config.tanks[s].total_volume for s in SIDES)
         self._rho = tuple(config.tanks[s].liquid_density for s in SIDES)
         self._line = tuple(config.lines[s].loss_coefficient for s in SIDES)
@@ -282,15 +279,7 @@ class _Plant:
     def _flows(self, m_sup, m_ox, v_ox, m_fuel, v_fuel) -> tuple[float, float, float, float]:
         """Valve flows (gas into ox and fuel, liquid Q out of ox and fuel) at a stage state."""
         rt = self._rt
-        if self._supply_exponent is None:
-            p_sup = m_sup * rt / self._supply_volume if m_sup > 0.0 else 0.0
-        else:
-            p_sup = (
-                self.supply_pressure
-                * (max(m_sup, 0.0) / self.supply_mass) ** self._supply_exponent
-                if self.supply_mass > 0.0
-                else 0.0
-            )
+        p_sup = m_sup * rt / self._supply_volume if m_sup > 0.0 else 0.0
         v_ox = 0.0 if 0.0 > v_ox else v_ox
         v_fuel = 0.0 if 0.0 > v_fuel else v_fuel
         p_ox = m_ox * rt / (self._total_volume[0] - v_ox)
@@ -334,18 +323,13 @@ class _Plant:
         if drawn < want:
             gas_in = [g * (drawn / want) for g in gas_in]
         mass = self.supply_mass - drawn
-        volume = self._supply_volume
         if mass == 0.0:
             pressure = 0.0
             if not self.supply_depleted:
                 self.supply_depleted = True
                 events.append(EVENT_SUPPLY_DEPLETED)
-        elif self._supply_exponent is None:
-            pressure = mass * self._r * self.supply_temperature / volume
         else:
-            density_ratio = (mass / volume) / (self.supply_mass / volume)
-            pressure = self.supply_pressure * density_ratio**self._supply_exponent
-            self.supply_temperature = pressure * volume / (mass * self._r)
+            pressure = mass * self._r * self._temperature / self._supply_volume
         self.supply_mass = mass
         self.supply_pressure = pressure
 
@@ -376,7 +360,7 @@ class _Plant:
         r = self._r
         return (
             GasTankState(self.supply_pressure, self._supply_volume, self.supply_mass,
-                         self.supply_temperature, r),
+                         self._temperature, r),
             *(
                 GasTankState(self.ullage_pressure[i], self.ullage_volume[i], self.ullage_mass[i],
                              self._temperature, r)
@@ -448,7 +432,7 @@ class RunAudit:
 
     initial_gas_mass: float = 0.0
     max_gas_law_residual: float = 0.0
-    max_mass_drift: float = 0.0  # relative, vents closed
+    max_mass_drift: float = 0.0  # relative; conserved while the collapse sink is off
 
     def record(self, plant: "_Plant") -> None:
         supply, ox, fuel = plant.gas_states()

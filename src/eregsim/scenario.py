@@ -178,7 +178,6 @@ class MetricsSettings:
     startup_window: float  # s excluded from error metrics
     early_window: float  # s over which oscillation amplitude is taken
     settle_threshold: float  # Pa
-    exclude_after_depletion: bool
 
 
 @dataclass(frozen=True)
@@ -206,7 +205,6 @@ class ScenarioConfig:
     variant: str  # one of VARIANTS
     noise_sigma: float  # Pa, per pressure sensor
     noise_seed: int
-    adiabatic_supply: bool
     ullage_collapse_coeff: float  # 1/s mass-sink on the ullages
     abort_pressure_factor: float
     telemetry_decimation: int
@@ -362,12 +360,6 @@ class _Section:
         value, path = self.lookup(key, default)
         if isinstance(value, bool) or not isinstance(value, int) or value < at_least:
             raise ConfigError(f"{path} must be an integer >= {at_least}, got {value!r}")
-        return value
-
-    def flag(self, key: str, default: bool) -> bool:
-        value, path = self.lookup(key, default)
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path} must be true or false, got {value!r}")
         return value
 
     def choice(self, key: str, options: tuple, default=_REQUIRED):
@@ -690,7 +682,6 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         variant=root.choice("variant", VARIANTS, "ff+dyn"),
         noise_sigma=sensors.number("noise_sigma_bar", 0.0, at_least=0.0) * 1e5,
         noise_seed=sensors.integer("seed", 0, at_least=0),
-        adiabatic_supply=options.flag("adiabatic_supply", False),
         ullage_collapse_coeff=options.number("ullage_collapse_coeff", 0.0, at_least=0.0,
                                              at_most=RK4_STABILITY_LIMIT / dt_phys),
         abort_pressure_factor=options.number("abort_pressure_factor", 1.10, above=0.0),
@@ -699,7 +690,6 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
             startup_window=metrics.number("startup_window_s", 1.0, at_least=0.0),
             early_window=metrics.number("early_window_s", 2.0, at_least=0.0),
             settle_threshold=metrics.number("settle_threshold_bar", 0.5, at_least=0.0) * 1e5,
-            exclude_after_depletion=metrics.flag("exclude_after_depletion", True),
         ),
     )
     root.check_unread()

@@ -165,13 +165,13 @@ def regulation_metrics(frames: list[TelemetryFrame],
     The startup transient window is excluded from error statistics; the
     oscillation amplitude is the max peak-to-peak error within the early
     window measured from t = 0. Frames after the first liquid depletion
-    are excluded when configured (the end-of-burn transient is a plant
-    event, not a regulation failure).
+    are excluded (the end-of-burn transient is a plant event, not a
+    regulation failure).
     """
     if not frames:
         raise EregSimError("regulation metrics need at least one frame")
     settings = config.metrics
-    cutoff = _first_depletion_time(frames) if settings.exclude_after_depletion else math.inf
+    cutoff = _first_depletion_time(frames)
 
     per_ereg = {}
     for name in EREG_NAMES:
@@ -192,7 +192,7 @@ def regulation_metrics(frames: list[TelemetryFrame],
             max_abs = max(abs(e) for e in errors_bar)
             rms = math.sqrt(sum(e * e for e in errors_bar) / len(errors_bar))
             threshold_bar = settings.settle_threshold / 1e5
-            settle = 0.0 if times else math.inf
+            settle = 0.0
             for t, e in zip(times, errors_bar):
                 if abs(e) > threshold_bar:
                     settle = math.inf

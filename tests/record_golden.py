@@ -2,19 +2,19 @@
 
 Each case is one short run: every shipped scenario under every controller
 variant (duration capped at CAP_S), plus the small test scenario with the
-adiabatic supply and with the ullage-collapse sink, the two plant modes
-no shipped scenario turns on, and with a bottle that the first physics
-step empties, the one case that reaches the supply clamp. A second file
-holds noisy cases: the baseline static fire and the blowdown under every
-variant with 0.02 bar sensor noise, seed 0, which pin the order in which
-the sensors draw their noise. Each file holds, per case, every numeric
-telemetry field of every frame and the frame at which each event first
-appears.
+ullage-collapse sink, which no shipped scenario turns on, and with a
+bottle that the first physics step empties, the one case that reaches
+the supply clamp. A second file holds noisy cases: the baseline static
+fire and the blowdown under every variant with 0.02 bar sensor noise,
+seed 0, which pin the order in which the sensors draw their noise. Each
+file holds, per case, every numeric telemetry field of every frame and
+the frame at which each event first appears.
 
 Re-record only when a change is meant to alter the telemetry, naming the
 file to write (golden, noise) or none for both. Before it writes a file,
 it prints per case how the new run compares with the one on file:
-bit-identical, moved (with the largest relative difference) or new.
+bit-identical, moved (with the largest relative difference) or new, and
+names each case on file that it no longer records as dropped.
 
     PYTHONPATH=src python -m tests.record_golden [golden] [noise]
 
@@ -53,8 +53,8 @@ SHIPPED = (
 )
 NOISY = ("staticfire_baseline", "waterflow_blowdown")
 
-# Small scenario with gas and liquid moving on both sides, so both plant
-# options act on every state variable; both tanks run dry within the run.
+# Small scenario with gas and liquid moving on both sides, so the collapse
+# sink acts on every ullage state; both tanks run dry within the run.
 _DRAIN = dict(
     supply={"volume_m3": 0.004, "initial_pressure_bar": 310.0},
     tanks={
@@ -74,7 +74,6 @@ _DRAIN = dict(
     },
 )
 SMALL = {
-    "small_adiabatic": dict(options={"adiabatic_supply": True}, **_DRAIN),
     "small_collapse": dict(options={"ullage_collapse_coeff": 0.05}, **_DRAIN),
     # A 4 mL bottle: the first step asks for more gas than it holds.
     "small_supply_dry": {
@@ -193,6 +192,9 @@ def main(which: list[str]) -> None:
             print(f"{name}: {compare(old, name, fields, onsets)}", flush=True)
             arrays[name] = fields
             arrays[name + ".events"] = np.array(onsets, dtype=str)
+        for name in sorted(old.keys() - arrays.keys()):
+            if not name.endswith(".events"):
+                print(f"{name}: dropped", flush=True)
         path.parent.mkdir(parents=True, exist_ok=True)
         np.savez_compressed(path, **arrays)
         print(f"wrote {len(names())} cases to {path} ({path.stat().st_size} bytes)")

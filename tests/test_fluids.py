@@ -230,18 +230,6 @@ class TestGasTankStep:
             plant.step(0.01)
             assert max(g.gas_law_residual() for g in plant.gas_states()) < 1e-9
 
-    def test_adiabatic_blowdown_drops_pressure_faster(self):
-        keys = [("supply.volume_m3", 0.002)]
-        iso = make_plant({"ox_tank": 60.0}, *keys)
-        adi = make_plant({"ox_tank": 60.0}, *keys, ("options", {"adiabatic_supply": True}))
-        for _ in range(50):
-            iso.step(0.01)
-            adi.step(0.01)
-        assert adi.supply_pressure < iso.supply_pressure
-        assert adi.supply_temperature < iso.supply_temperature == 293.0
-        for plant in (iso, adi):
-            assert max(g.gas_law_residual() for g in plant.gas_states()) < 1e-9
-
 
 class TestPropellantTankStep:
     """The plant's liquid volumes and the ullages above them."""

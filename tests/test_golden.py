@@ -6,7 +6,23 @@ See tests/record_golden.py for the cases and how to re-record them.
 import numpy as np
 import pytest
 
-from tests.record_golden import GOLDEN_PATH, NOISE_PATH, case_names, noise_case_names, run_case
+from tests.record_golden import (
+    GOLDEN_PATH,
+    NOISE_PATH,
+    RECORDINGS,
+    case_names,
+    noise_case_names,
+    run_case,
+)
+
+
+@pytest.mark.parametrize("which", RECORDINGS)
+def test_file_holds_exactly_the_recorded_cases(which):
+    """No case on file that no test reads, and every case with its events."""
+    path, names, _ = RECORDINGS[which]
+    with np.load(path) as data:
+        stored = set(data.files)
+    assert stored == {key for name in names() for key in (name, name + ".events")}
 
 
 @pytest.fixture(scope="module")

@@ -427,6 +427,11 @@ PROBES.update({
         )
         for value in (1e200, math.nextafter(RK4_STABILITY_LIMIT / 0.01, math.inf))
     },
+    # Switches for modes the model no longer has: unknown keys, not ignored.
+    "options.adiabatic_supply": ({"options": {"adiabatic_supply": True}},
+                                 "options.adiabatic_supply"),
+    "metrics.exclude_after_depletion": ({"metrics": {"exclude_after_depletion": False}},
+                                        "metrics.exclude_after_depletion"),
 })
 
 

@@ -310,22 +310,6 @@ class TestOptions:
         assert len(thinned) == len(base) // 5
         assert thinned[1].time_s == pytest.approx(base[5].time_s)
 
-    def test_adiabatic_supply_blows_down_faster(self):
-        controllers = {
-            "ox_tank": {"locked_angle_deg": 30.0},
-            "fuel_tank": {"locked_angle_deg": 0.0},
-            "ox_inj": {"locked_angle_deg": 0.0},
-            "fuel_inj": {"locked_angle_deg": 0.0},
-        }
-        kwargs = dict(
-            controllers=controllers,
-            supply={"volume_m3": 0.004, "initial_pressure_bar": 310.0},
-            duration_s=2.0,
-        )
-        iso = run_scenario(build_small_scenario(**kwargs))
-        adi = run_scenario(build_small_scenario(options={"adiabatic_supply": True}, **kwargs))
-        assert adi[-1].supply_pressure_bar < iso[-1].supply_pressure_bar
-
     def test_ullage_collapse_coefficient_bleeds_pressure(self):
         # all valves shut: with the collapse sink active the ullage decays
         leak = run_scenario(build_small_scenario(options={"ullage_collapse_coeff": 0.05}))
