@@ -28,7 +28,9 @@ from .control import (
 from .errors import ConfigError, InfeasibleThrottleError
 from .fluids import (
     AMBIENT_PRESSURE,
+    DEFAULT_TEMPERATURE,
     FULL_TRAVEL,
+    R_NITROGEN,
     ChamberModel,
     LineModel,
     ValveModel,
@@ -41,7 +43,6 @@ SCHEMA_VERSION = 1
 
 SIDES = ("ox", "fuel")
 EREG_NAMES = ("ox_tank", "fuel_tank", "ox_inj", "fuel_inj")
-MODES = ("waterflow", "coldflow", "staticfire")
 VARIANTS = CONTROLLER_VARIANTS + ("oracle",)
 
 # Classical RK4 is stable on a decay m' = -c m while c * dt is at most -z for z
@@ -182,8 +183,6 @@ class MetricsSettings:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    name: str
-    mode: str
     duration: float
     dt_phys: float
     dt_secondary: float
@@ -413,10 +412,9 @@ class _Section:
                 section.check_unread()
 
 
-def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
+def scenario_from_dict(data: dict) -> ScenarioConfig:
     root = _Section(data, "")
     root.choice("schema_version", (SCHEMA_VERSION,))
-    mode = root.choice("mode", MODES)
     duration = root.number("duration_s", above=0.0)
 
     timing = root.section("timing")
@@ -431,12 +429,17 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         ratio = slow / fast
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ConfigError(f"tick periods must divide evenly: timing.{label} = {ratio}")
+    # The run loop takes round(duration / dt_phys) steps; zero steps is no run.
+    steps = duration / dt_phys
+    if not math.isfinite(steps) or round(steps) < 1:
+        raise ConfigError(f"duration_s = {duration} must span at least one and finitely many "
+                          f"physics steps of timing.dt_phys_s = {dt_phys}")
 
     ambient_bar = root.number("ambient_pressure_bar", AMBIENT_PRESSURE / 1e5, above=0.0)
     ambient = ambient_bar * 1e5
     pressurant = root.section("pressurant", {})
-    gas_constant = pressurant.number("specific_gas_constant", 296.8, above=0.0)
-    gas_temperature = pressurant.number("temperature_k", 293.0, above=0.0)
+    gas_constant = pressurant.number("specific_gas_constant", R_NITROGEN, above=0.0)
+    gas_temperature = pressurant.number("temperature_k", DEFAULT_TEMPERATURE, above=0.0)
 
     supply = root.section("supply")
     supply_volume = supply.number("volume_m3", above=0.0)
@@ -462,10 +465,8 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
         _in_range(f"lines.{side}", "loss coefficient", lambda: lines[side].loss_coefficient)
 
     chamber = None
-    raw_chamber = root.section("chamber", _REQUIRED if mode == "staticfire" else None)
+    raw_chamber = root.section("chamber", None)
     if raw_chamber is not None:
-        if mode != "staticfire":
-            raise ConfigError(f"{mode} mode must not define a chamber")
         chamber = ChamberModel(
             throat_area=raw_chamber.number("throat_area_m2", above=0.0),
             characteristic_velocity=raw_chamber.number("characteristic_velocity_m_s", above=0.0),
@@ -657,8 +658,6 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> ScenarioConfig:
     options = root.section("options", {})
     metrics = root.section("metrics", {})
     config = ScenarioConfig(
-        name=name,
-        mode=mode,
         duration=duration,
         dt_phys=dt_phys,
         dt_secondary=dt_secondary,
@@ -705,4 +704,4 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse scenario file {path}: {exc}") from exc
-    return scenario_from_dict(data, name=path.stem)
+    return scenario_from_dict(data)

@@ -56,7 +56,6 @@ def small_scenario_dict(**overrides) -> dict:
     coarse ticks, no chamber. Overrides are merged shallowly."""
     data = {
         "schema_version": 1,
-        "mode": "coldflow",
         "duration_s": 2.0,
         "timing": {"dt_phys_s": 0.01, "dt_secondary_s": 0.01, "dt_primary_s": 0.01},
         "ambient_pressure_bar": 1.01325,
@@ -125,7 +124,7 @@ def set_key(data: dict, path: str, value) -> dict:
 
 
 def build_small_scenario(**overrides):
-    return scenario_from_dict(small_scenario_dict(**overrides), name="small")
+    return scenario_from_dict(small_scenario_dict(**overrides))
 
 
 @pytest.fixture

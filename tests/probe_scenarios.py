@@ -83,7 +83,7 @@ def probe(stem: str, path: tuple, value: float) -> str:
     node[path[-1]] = value
     data["duration_s"] = PROBE_S
     try:
-        config = scenario_from_dict(data, name=stem)
+        config = scenario_from_dict(data)
     except ConfigError:
         return REJECTED
     except Exception as exc:  # a probe records every escape as a failure

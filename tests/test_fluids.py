@@ -153,7 +153,7 @@ def make_plant(angles: dict, *keys) -> _Plant:
     data = small_scenario_dict()
     for path, value in keys:
         set_key(data, path, value)
-    plant = _Plant(scenario_from_dict(data, name="plant"))
+    plant = _Plant(scenario_from_dict(data))
     plant.set_angles([{**SHUT, **angles}[name] for name in EREG_NAMES])
     return plant
 
