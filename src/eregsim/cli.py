@@ -13,11 +13,11 @@ import math
 import sys
 
 from . import calibration
-from .engine import EVENT_ABORT, compare_controllers, run_scenario
+from .engine import compare_controllers, run_scenario
 from .errors import ConfigError, EregSimError
 from .fluids import FULL_TRAVEL
 from .scenario import EREG_NAMES, VARIANTS, checked_number, load_scenario, size_mock_injector
-from .telemetry import emit_telemetry, read_telemetry, regulation_metrics
+from .telemetry import EVENT_ABORT, emit_telemetry, read_telemetry, regulation_metrics
 
 EXIT_OK = 0
 EXIT_ERROR = 2
@@ -69,7 +69,7 @@ def _cmd_run(args) -> int:
     frames = run_scenario(config)
     emit_telemetry(frames, args.out)
     print(f"wrote {len(frames)} frames to {args.out}")
-    if frames and EVENT_ABORT in frames[-1].events:
+    if EVENT_ABORT in frames[-1].events:
         return _fail("abort", "run ended in over-pressure abort", EXIT_ABORT)
     return EXIT_OK
 

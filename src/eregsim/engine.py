@@ -13,18 +13,20 @@ whether the primary loop is due too, so a run is a deterministic
 interleaving fully determined by the scenario.
 
 The plant keeps one flat float state: the supply gas mass and pressure,
-and per side the ullage gas mass, ullage volume, liquid volume, stored
-ullage pressure and a depletion flag. All gas stays at the scenario's
-gas temperature: the supply is isothermal like the ullages. Everything
-that depends only on the scenario is computed once per run, and
-everything that depends only on the valve angles once per physics step
-for each valve whose angle changed (again if the oracle moves the valves
-before the step), so a stage is plain float arithmetic plus the chamber
-back-pressure root-find. The network and the root-find are written out
-for the two sides. A liquid branch that is shut, or whose tank is dry,
-enters the root-find at a tank pressure of -inf: its drop is never
-positive, so it adds nothing to the residual, the slope or the bracket,
-bit for bit as if it were left out.
+and per side the ullage gas mass, ullage volume, liquid volume and stored
+ullage pressure. A supply or liquid volume that empties reads exactly 0.0
+and cannot refill, so the step that empties it raises its event, once.
+All gas stays at the scenario's gas temperature: the supply is
+isothermal like the ullages. Everything that depends only on the
+scenario is computed once per run, and everything that depends only on
+the valve angles once per physics step for each valve whose angle
+changed (again if the oracle moves the valves before the step), so a
+stage is plain float arithmetic plus the chamber back-pressure
+root-find. The network and the root-find are written out for the two
+sides. A liquid branch that is shut, or whose tank is dry, enters the
+root-find at a tank pressure of -inf: its drop is never positive, so it
+adds nothing to the residual, the slope or the bracket, bit for bit as
+if it were left out.
 
 Each physics step solves the flow network four times, once per RK4
 stage. Primary ticks also solve it on the stored state (the snapshot)
@@ -58,15 +60,14 @@ from .fluids import (
     cv_of_angle,
 )
 from .scenario import EREG_NAMES, SIDES, VARIANTS, ScenarioConfig, plant_start, setpoints_at
-from .telemetry import EregMetrics, TelemetryFrame, regulation_metrics
-
-EVENT_ABORT = "abort_overpressure"
-EVENT_SUPPLY_DEPLETED = "supply_gas_depleted"
-
-
-def depletion_event(side: str) -> str:
-    return f"{side}_liquid_depleted"
-
+from .telemetry import (
+    EVENT_ABORT,
+    EVENT_LIQUID_DEPLETED,
+    EVENT_SUPPLY_DEPLETED,
+    EregMetrics,
+    TelemetryFrame,
+    regulation_metrics,
+)
 
 # Chamber back-pressure root-find: converged when the residual is below
 # ROOT_TOLERANCE_PA. A solve still above it after ROOT_MAX_ITERATIONS
@@ -110,9 +111,7 @@ class _Plant:
         (self._rt, self.supply_mass, self.liquid_volume, self.ullage_volume,
          self.ullage_mass) = plant_start(config)
         self.supply_pressure = config.supply_pressure
-        self.supply_depleted = False
         self.ullage_pressure = [config.tanks[s].initial_pressure for s in SIDES]
-        self.depleted = [False, False]
 
         # Per-run constants.
         self._r = config.gas_constant
@@ -325,22 +324,20 @@ class _Plant:
         mass = self.supply_mass - drawn
         if mass == 0.0:
             pressure = 0.0
-            if not self.supply_depleted:
-                self.supply_depleted = True
+            if self.supply_mass != 0.0:
                 events.append(EVENT_SUPPLY_DEPLETED)
         else:
             pressure = mass * self._r * self._temperature / self._supply_volume
         self.supply_mass = mass
         self.supply_pressure = pressure
 
-        for i, side in enumerate(SIDES):
+        for i in (0, 1):
             # Liquid drains at most what is left; the ullage grows by the
             # volume drained, integrated separately from V_total - V_liquid.
             drained = min(q_out[i] * dt, self.liquid_volume[i])
             liquid = self.liquid_volume[i] - drained
-            if liquid == 0.0 and not self.depleted[i]:
-                self.depleted[i] = True
-                events.append(depletion_event(side))
+            if liquid == 0.0 and self.liquid_volume[i] != 0.0:
+                events.append(EVENT_LIQUID_DEPLETED[i])
             volume = self.ullage_volume[i] + drained
             if volume <= 0.0:
                 raise ModelError(f"gas volume driven nonpositive ({volume})")
@@ -535,12 +532,9 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
         if abort:
             break
 
-        new_events = plant.step(dt)
+        events_active += plant.step(dt)
         if audit is not None:
             audit.record(plant)
-        for event in new_events:
-            if event not in events_active:
-                events_active.append(event)
 
         for j, ctrl, actuator in cascades:
             actuator.step(ctrl.u2)

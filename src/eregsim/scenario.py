@@ -679,7 +679,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         controllers={reg: controllers[reg] for reg in EREG_NAMES},
         actuator=actuator,
         variant=root.choice("variant", VARIANTS, "ff+dyn"),
-        noise_sigma=sensors.number("noise_sigma_bar", 0.0, at_least=0.0) * 1e5,
+        noise_sigma=sensors.number("noise_sigma_bar", 0.0, at_least=0.0, at_most=supply_bar) * 1e5,
         noise_seed=sensors.integer("seed", 0, at_least=0),
         ullage_collapse_coeff=options.number("ullage_collapse_coeff", 0.0, at_least=0.0,
                                              at_most=RK4_STABILITY_LIMIT / dt_phys),

@@ -30,6 +30,10 @@ SCALAR_FIELDS = (
 _WIDTH = len(EREG_FIELDS)
 _EREG_STARTS = range(1, 1 + _WIDTH * len(EREG_NAMES), _WIDTH)
 _SCALAR_START = _EREG_STARTS[-1] + _WIDTH
+# Run event names, the one vocabulary of the engine, the CSV and the metrics.
+EVENT_ABORT = "abort_overpressure"
+EVENT_SUPPLY_DEPLETED = "supply_gas_depleted"
+EVENT_LIQUID_DEPLETED = ("ox_liquid_depleted", "fuel_liquid_depleted")  # indexed like SIDES
 
 
 @dataclass(frozen=True)
@@ -153,7 +157,7 @@ class EregMetrics:
 
 def _first_depletion_time(frames: list[TelemetryFrame]) -> float:
     for frame in frames:
-        if any(e.endswith("liquid_depleted") for e in frame.events):
+        if any(e in EVENT_LIQUID_DEPLETED for e in frame.events):
             return frame.time_s
     return math.inf
 

@@ -12,14 +12,13 @@ seconds. Each input ends one of four ways:
 - failing: any other exception at load, an error during the run or a
   broken gas law.
 
-The timing, duration, telemetry and sensors keys are left as shipped.
-tests/test_scenario.py runs a sample of the inputs; the full grid
-(about 2,300 inputs) takes some 20 s and prints the counts and each
-failing input:
+The timing and duration keys are left as shipped. tests/test_scenario.py
+runs a sample of the inputs; the full grid (about 2,400 inputs) takes
+some 20 s and prints the counts and each failing input:
 
     PYTHONPATH=src python -m tests.probe_scenarios
 
-It last printed "2346 inputs: 805 rejected at load, 1475 clean, 66
+It last printed "2406 inputs: 845 rejected at load, 1495 clean, 66
 aborted, 0 failing".
 """
 
@@ -36,7 +35,7 @@ from tests.conftest import SCENARIO_DIR, load_yaml
 from tests.record_golden import SHIPPED
 
 EXTREMES = (5e-324, 1e-300, 1e-200, 1e-17, 1e200, 1e300)
-SKIPPED = ("timing", "duration_s", "telemetry", "sensors")
+SKIPPED = ("timing", "duration_s")
 PROBE_S = 0.2
 GAS_LAW_TOLERANCE = 1e-9
 REJECTED, CLEAN, ABORTED = "rejected at load", "clean", "aborted"

@@ -107,6 +107,29 @@ class TestRun:
         assert "--seed" in payload["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "scenario_text, out, error, message",
+        [
+            (None, "x.csv", "ConfigError", "cannot read scenario file"),
+            ("supply: [unclosed\n", "x.csv", "ConfigError", "cannot parse scenario file"),
+            (yaml.safe_dump(small_scenario_dict(duration_s=0.1)), "absent/x.csv",
+             "EregSimError", "cannot write telemetry"),
+        ],
+        ids=["missing_file", "unparsable_yaml", "missing_out_dir"],
+    )
+    def test_unreadable_scenario_or_unwritable_out_exits_2_with_one_json_line(
+            self, tmp_path, capsys, scenario_text, out, error, message):
+        scenario = tmp_path / "scenario.yaml"
+        if scenario_text is not None:
+            scenario.write_text(scenario_text)
+        code = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / out)])
+        assert code == EXIT_ERROR
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == error
+        assert payload["message"].startswith(message)
+
     def test_seed_flag_sets_the_sensor_noise_seed(self, tmp_path):
         data = yaml.safe_load(Path(BLOWDOWN).read_text())
         data["duration_s"] = 2.0
@@ -146,9 +169,10 @@ class TestRejectedScenarioProcess:
             ("duration_s", math.nan),
             ("lines.ox.diameter_m", 0.0),
             ("sensrs", {"seed": 3}),
+            ("supply.volume_m3", [1]),
         ],
         ids=["locked_angle", "drop_reference", "missing_key", "nan", "zero_diameter",
-             "unknown_key"],
+             "unknown_key", "list_for_number"],
     )
     def test_one_json_line_and_exit_2(self, tmp_path, path, value):
         data = set_key(small_scenario_dict(duration_s=0.1), path, value)
@@ -219,20 +243,23 @@ class TestMetrics:
         column = header.split(",").index("ox_inj_pressure_bar")
         cells = second.split(",")
         cells[column] = "nan"
-        bad_rows = {
-            "short": (second.rsplit(",", 4)[0], ""),
-            "nan": (",".join(cells), ": column ox_inj_pressure_bar is nan"),
+        bad_files = {
+            "short": ([header, first, second.rsplit(",", 4)[0]], "{} at line 3"),
+            "nan": ([header, first, ",".join(cells)],
+                    "{} at line 3: column ox_inj_pressure_bar is nan"),
+            "header": ([header.replace("time_s", "t_s", 1), first],
+                       "unexpected telemetry header in {}"),
         }
-        for name, (row, detail) in bad_rows.items():
+        for name, (rows, detail) in bad_files.items():
             bad = tmp_path / f"{name}.csv"
-            bad.write_text("\n".join([header, first, row]) + "\n")
+            bad.write_text("\n".join(rows) + "\n")
             code = main(["metrics", "--telemetry", str(bad), "--scenario", BASELINE])
             assert code == EXIT_ERROR, name
             lines = capsys.readouterr().err.splitlines()
             assert len(lines) == 1
             payload = json.loads(lines[0])
             assert payload["error"] == "EregSimError"
-            assert f"{bad} at line 3{detail}" in payload["message"]
+            assert detail.format(bad) in payload["message"]
 
 
 class TestCompare:

@@ -435,6 +435,14 @@ PROBES.update({
          "timing": {"dt_phys_s": 1e-10, "dt_secondary_s": 1e-10, "dt_primary_s": 1e-10}},
         "duration_s",
     ),
+    # Sensor noise above the supply's 310 bar start pressure, the highest
+    # pressure any sensor sees; at 1e302 bar a blowdown run's controller input went NaN.
+    **{
+        f"sensors.noise_sigma_bar={value!r}": (
+            {"sensors": {"noise_sigma_bar": value}}, "sensors.noise_sigma_bar"
+        )
+        for value in (1e302, math.nextafter(310.0, math.inf))
+    },
 })
 
 

@@ -331,6 +331,29 @@ class TestOptions:
         assert min(f.supply_pressure_bar for f in frames) < 0.0
 
 
+class TestRk4Order:
+    def test_tank_pressure_error_shrinks_sixteenfold_per_step_halving(self):
+        """Classical RK4 is fourth order: halving dt shrinks the change
+        between successive runs about 2**4 = 16x (Hairer, Norsett & Wanner,
+        Solving ODEs I, 1993). All valves are locked and there is no chamber,
+        so the root-find tolerance adds nothing; the collapse sink keeps the
+        differences above the rounding floor."""
+        data = load_yaml(SCENARIO_DIR / "waterflow_blowdown.yaml")
+        for name, angle in zip(EREG_NAMES, (40.0, 35.0, 60.0, 55.0)):
+            data["controllers"][name] = {"locked_angle_deg": angle}
+        data.update(duration_s=1.7, options={"ullage_collapse_coeff": 5.0})
+        pressures = []
+        for dt in (0.008, 0.004, 0.002, 0.001):
+            data["timing"] = {"dt_phys_s": dt, "dt_secondary_s": dt, "dt_primary_s": 0.016}
+            frame = run_scenario(scenario.scenario_from_dict(data))[100]
+            assert frame.time_s == pytest.approx(1.6)
+            pressures.append([frame.ox_tank.pressure_bar, frame.fuel_tank.pressure_bar])
+        for side in (0, 1):
+            diffs = [abs(b[side] - a[side]) for a, b in zip(pressures, pressures[1:])]
+            for coarse, fine in zip(diffs, diffs[1:]):
+                assert 12.0 <= coarse / fine <= 20.0
+
+
 class TestAudit:
     def test_audit_collects_invariants(self):
         config = build_small_scenario(
