@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import calibration
-from .engine import compare_controllers, run_scenario
+from .engine import run_scenario
 from .errors import ConfigError, EregSimError
 from .fluids import FULL_TRAVEL
 from .scenario import EREG_NAMES, VARIANTS, checked_number, load_scenario, size_mock_injector
@@ -93,13 +93,16 @@ def _cmd_metrics(args) -> int:
 def _cmd_compare(args) -> int:
     config = load_scenario(args.scenario)
     failed = []
-    for variant, result in compare_controllers(config, args.variants):
+    for variant in args.variants:
         print(f"variant {variant}")
-        if isinstance(result, str):
-            print(f"run failed: {result}")
+        run_config = config.replace(variant=variant)
+        try:
+            metrics = regulation_metrics(run_scenario(run_config), run_config)
+        except EregSimError as exc:
+            print(f"run failed: {exc}")
             failed.append(variant)
         else:
-            print("\n".join(_metrics_lines(result)))
+            print("\n".join(_metrics_lines(metrics)))
     if failed:
         return _fail("compare", f"variants failed: {', '.join(failed)}")
     return EXIT_OK

@@ -8,9 +8,10 @@ Tank states advance with classical fourth-order Runge-Kutta at the
 physics step: the stages integrate the four valve flows of the algebraic
 network and each ullage's collapse sink, and the supply pays only for
 the gas its valves pass. The engine alone keeps the multi-rate clock: it
-counts physics steps and, on each secondary tick, tells every cascade
-whether the primary loop is due too, so a run is a deterministic
-interleaving fully determined by the scenario.
+counts physics steps on the grid of scenario.step_grid, the one the
+loader checks, and, on each secondary tick, tells every cascade whether
+the primary loop is due too, so a run is a deterministic interleaving
+fully determined by the scenario.
 
 The plant keeps one flat float state: the supply gas mass and pressure,
 and per side the ullage gas mass, ullage volume, liquid volume and stored
@@ -59,15 +60,10 @@ from .fluids import (
     choked_flow_fade,
     cv_of_angle,
 )
-from .scenario import EREG_NAMES, SIDES, VARIANTS, ScenarioConfig, plant_start, setpoints_at
-from .telemetry import (
-    EVENT_ABORT,
-    EVENT_LIQUID_DEPLETED,
-    EVENT_SUPPLY_DEPLETED,
-    EregMetrics,
-    TelemetryFrame,
-    regulation_metrics,
+from .scenario import (
+    EREG_NAMES, SIDES, VARIANTS, ScenarioConfig, plant_start, setpoints_at, step_grid,
 )
+from .telemetry import EVENT_ABORT, EVENT_LIQUID_DEPLETED, EVENT_SUPPLY_DEPLETED, TelemetryFrame
 
 # Chamber back-pressure root-find: converged when the residual is below
 # ROOT_TOLERANCE_PA. A solve still above it after ROOT_MAX_ITERATIONS
@@ -459,6 +455,9 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
         raise ConfigError(
             f"variant must be one of {', '.join(VARIANTS)}, got {config.variant!r}"
         )
+    n_steps, phys_per_secondary, phys_per_primary = step_grid(
+        config.duration, config.dt_phys, config.dt_secondary, config.dt_primary
+    )
     plant = _Plant(config)
     if audit is not None:
         audit.record(plant)
@@ -471,10 +470,7 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
     schedule = config.schedule
     noise_sigma = config.noise_sigma
     oracle = config.variant == "oracle"
-    phys_per_secondary = int(round(config.dt_secondary / dt))
-    phys_per_primary = int(round(config.dt_primary / dt))
     phys_per_frame = phys_per_primary * config.telemetry_decimation
-    n_steps = int(round(config.duration / dt))
     rng = np.random.default_rng(config.noise_seed) if noise_sigma > 0.0 else None
 
     angles = [0.0 if angle is None else angle for angle in locked]
@@ -570,26 +566,3 @@ def _make_frame(t, flows, controllers, angles, measured, measured_supply, setpoi
     except ValueError as exc:
         raise EregSimError(f"non-finite telemetry at t={t}: {exc}") from exc
 
-
-# ---------------------------------------------------------------------------
-# Controller comparison harness
-
-
-def compare_controllers(
-    config: ScenarioConfig, variants: list[str]
-) -> list[tuple[str, dict[str, EregMetrics] | str]]:
-    """Run each controller variant on the identical plant and seed.
-
-    Returns one (variant, metrics) pair per variant, in order; a variant
-    whose run failed has its error message in place of the metrics.
-    """
-    if not variants:
-        raise EregSimError("compare needs at least one variant")
-    results = []
-    for variant in variants:
-        try:
-            run_config = config.replace(variant=variant)
-            results.append((variant, regulation_metrics(run_scenario(run_config), run_config)))
-        except EregSimError as exc:
-            results.append((variant, str(exc)))
-    return results

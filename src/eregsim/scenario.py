@@ -49,6 +49,11 @@ VARIANTS = CONTROLLER_VARIANTS + ("oracle",)
 # the real root of 1 + z/2 + z^2/6 + z^3/24 (Hairer & Wanner, Solving ODEs II).
 RK4_STABILITY_LIMIT = 2.785293563405282
 
+# The longest run in the repo takes 30,000 physics steps. At some 30 us a
+# step and 1.5 KB a frame, 1e7 steps take about 5 min and, at one frame per
+# ten steps, about 1.5 GB of telemetry; a longer run is a typo, not a test.
+MAX_STEPS = 10**7
+
 
 # ---------------------------------------------------------------------------
 # Setpoint profiles
@@ -291,16 +296,43 @@ def _in_range(path: str, what: str, derive):
     return value
 
 
+def step_grid(duration: float, dt_phys: float, dt_secondary: float,
+              dt_primary: float) -> tuple[int, int, int]:
+    """The run's physics steps and the steps per secondary and per primary tick.
+
+    Tick periods must nest evenly or the loop loses determinism, and the
+    run must take at least one and at most MAX_STEPS steps: a ConfigError
+    naming the timing keys or duration_s.
+    """
+    for label, fast, slow in (
+        ("dt_secondary_s/dt_phys_s", dt_phys, dt_secondary),
+        ("dt_primary_s/dt_secondary_s", dt_secondary, dt_primary),
+    ):
+        ratio = slow / fast
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+            raise ConfigError(f"tick periods must divide evenly: timing.{label} = {ratio}")
+    steps = duration / dt_phys
+    if not math.isfinite(steps) or not 1 <= round(steps) <= MAX_STEPS:
+        raise ConfigError(f"duration_s = {duration} must span at least one and at most "
+                          f"{MAX_STEPS} physics steps of timing.dt_phys_s = {dt_phys}")
+    return round(steps), round(dt_secondary / dt_phys), round(dt_primary / dt_phys)
+
+
 def plant_start(config: ScenarioConfig) -> tuple[float, float, list, list, list]:
     """The start state from p V = m R T: R * T, the supply gas mass, and the
     liquid volumes, ullage volumes and ullage gas masses indexed like SIDES.
 
-    A gas mass below the normal floats (a zero ullage gives 0) has lost the
-    digits the gas law needs: a ConfigError naming supply or tanks.<side>.
+    A gas mass or a liquid volume below the normal floats (a zero ullage
+    gives 0) has lost the digits the model needs: a ConfigError naming
+    supply or tanks.<side>.
     """
     rt = config.gas_constant * config.gas_temperature
     tanks = [config.tanks[side] for side in SIDES]
     liquid = [t.total_volume * (1.0 - t.initial_ullage_fraction) for t in tanks]
+    for side, volume in zip(SIDES, liquid):
+        if volume < sys.float_info.min:
+            raise ConfigError(f"tanks.{side}: initial liquid volume {volume:.3g} m3 is below "
+                              f"the normal floats")
     ullage = [t.total_volume - v for t, v in zip(tanks, liquid)]
     masses = []
     paths = ("supply", *(f"tanks.{side}" for side in SIDES))
@@ -421,19 +453,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     dt_phys = timing.number("dt_phys_s", above=0.0)
     dt_secondary = timing.number("dt_secondary_s", above=0.0)
     dt_primary = timing.number("dt_primary_s", above=0.0)
-    # Tick periods must nest evenly or the loop loses determinism.
-    for label, fast, slow in (
-        ("dt_secondary_s/dt_phys_s", dt_phys, dt_secondary),
-        ("dt_primary_s/dt_secondary_s", dt_secondary, dt_primary),
-    ):
-        ratio = slow / fast
-        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise ConfigError(f"tick periods must divide evenly: timing.{label} = {ratio}")
-    # The run loop takes round(duration / dt_phys) steps; zero steps is no run.
-    steps = duration / dt_phys
-    if not math.isfinite(steps) or round(steps) < 1:
-        raise ConfigError(f"duration_s = {duration} must span at least one and finitely many "
-                          f"physics steps of timing.dt_phys_s = {dt_phys}")
+    step_grid(duration, dt_phys, dt_secondary, dt_primary)
 
     ambient_bar = root.number("ambient_pressure_bar", AMBIENT_PRESSURE / 1e5, above=0.0)
     ambient = ambient_bar * 1e5

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,7 @@ import eregsim
 from eregsim.cli import EXIT_ABORT, EXIT_ERROR, EXIT_OK, main
 from eregsim.engine import run_scenario
 from eregsim.fluids import CHOKED_PRESSURE_RATIO
-from eregsim.scenario import load_scenario, size_mock_injector
+from eregsim.scenario import EREG_NAMES, load_scenario, size_mock_injector
 from eregsim.telemetry import emit_telemetry, read_telemetry
 from tests.conftest import DROP, SCENARIO_DIR, set_key, small_scenario_dict
 
@@ -272,17 +273,32 @@ class TestCompare:
         assert "variant ff\n" in out and "variant ff+dyn\n" in out
         assert out.count("max|e| bar") == 2
 
-    def test_failed_variant_prints_run_failed_and_exits_2(self, tmp_path, capsys, monkeypatch):
-        import eregsim.engine as engine_module
+    def test_same_variant_twice_prints_identical_blocks(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, small_scenario_dict(duration_s=2.0))
+        code = main(["compare", "--scenario", str(scenario), "--variants", "ff+dyn", "ff+dyn"])
+        assert code == EXIT_OK
+        _, first, second = capsys.readouterr().out.split("variant ff+dyn\n")
+        assert first == second and "max|e| bar" in first
 
-        real_run = engine_module.run_scenario
+    def test_oracle_prints_its_block(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, small_scenario_dict(duration_s=2.0))
+        code = main(["compare", "--scenario", str(scenario), "--variants", "ff", "oracle"])
+        assert code == EXIT_OK
+        _, ff, oracle = re.split(r"variant (?:ff|oracle)\n", capsys.readouterr().out)
+        for block in (ff, oracle):
+            assert [line.split()[0] for line in block.splitlines()[1:]] == list(EREG_NAMES)
+
+    def test_failed_variant_prints_run_failed_and_exits_2(self, tmp_path, capsys, monkeypatch):
+        import eregsim.cli as cli_module
+
+        real_run = cli_module.run_scenario
 
         def flaky(cfg, audit=None):
             if cfg.variant == "pid":
                 raise eregsim.EregSimError("injected failure")
             return real_run(cfg, audit)
 
-        monkeypatch.setattr(engine_module, "run_scenario", flaky)
+        monkeypatch.setattr(cli_module, "run_scenario", flaky)
         scenario = write_scenario(tmp_path, small_scenario_dict(duration_s=1.0))
         code = main(["compare", "--scenario", str(scenario), "--variants", "pid", "ff"])
         assert code == EXIT_ERROR

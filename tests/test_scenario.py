@@ -435,6 +435,17 @@ PROBES.update({
          "timing": {"dt_phys_s": 1e-10, "dt_secondary_s": 1e-10, "dt_primary_s": 1e-10}},
         "duration_s",
     ),
+    # Finite step counts past MAX_STEPS, runs that would never end (both
+    # loaded before the cap).
+    "past_step_cap:duration_s=1e300": ({"duration_s": 1e300}, "duration_s"),
+    "past_step_cap:timing.dt_phys_s=1e-17": ({"timing.dt_phys_s": 1e-17}, "duration_s"),
+    # A start liquid volume 5e-324 * 0.5 that rounds to 0 (the high pressure
+    # keeps the ullage gas mass above the normal floats).
+    "tanks.ox.liquid_rounds_to_0": (
+        {"tanks.ox.total_volume_m3": 5e-324, "tanks.ox.initial_ullage_fraction": 0.5,
+         "tanks.ox.initial_pressure_bar": 1e16, "valves.ox_inj.rated_pressure_bar": 2e16},
+        "tanks.ox",
+    ),
     # Sensor noise above the supply's 310 bar start pressure, the highest
     # pressure any sensor sees; at 1e302 bar a blowdown run's controller input went NaN.
     **{

@@ -4,12 +4,7 @@ import re
 import pytest
 
 from eregsim import calibration, control, engine, fluids, scenario, telemetry
-from eregsim.engine import (
-    EVENT_ABORT,
-    RunAudit,
-    compare_controllers,
-    run_scenario,
-)
+from eregsim.engine import EVENT_ABORT, RunAudit, run_scenario
 from eregsim.errors import ConfigError, EregSimError, ModelError
 from eregsim.scenario import EREG_NAMES
 from eregsim.telemetry import (
@@ -107,6 +102,24 @@ class TestRunScenarioBasics:
     def test_logged_setpoints_match_schedule(self, baseline_config, baseline_run):
         frames, _ = baseline_run
         assert scheduled_setpoints_check(frames, baseline_config) < 1e-9
+
+    def test_unknown_variant_is_rejected(self):
+        config = build_small_scenario(duration_s=1.0)
+        with pytest.raises(ConfigError, match="bogus"):
+            run_scenario(config.replace(variant="bogus"))
+
+
+# A config changed after loading runs on the step grid the loader checks:
+# 1e303 steps that would never end, and 2.5 steps per 1 ms secondary tick,
+# which the engine would round to 2 and so miss every primary tick (25 steps)
+# that falls between secondary ticks.
+@pytest.mark.parametrize("changes, key", [
+    ({"duration": 1e300}, "duration_s"),
+    ({"duration": 0.2, "dt_phys": 0.0004}, "timing.dt_secondary_s/dt_phys_s"),
+], ids=["past_step_cap", "split_secondary_tick"])
+def test_replaced_timing_is_checked_at_run(baseline_config, changes, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        run_scenario(baseline_config.replace(**changes))
 
 
 class TestOracleMode:
@@ -252,44 +265,6 @@ class TestTelemetryCsv:
             EregSimError, match="^non-finite telemetry at t=0.0: column chamber_pressure_bar is nan$"
         ):
             run_scenario(baseline_config.replace(duration=0.1))
-
-
-class TestCompareControllers:
-    def test_identical_variants_identical_metrics(self):
-        config = build_small_scenario(duration_s=2.0)
-        (_, a), (_, b) = compare_controllers(config, ["ff+dyn", "ff+dyn"])
-        assert a == b
-
-    def test_per_variant_errors_do_not_abort_comparison(self, monkeypatch):
-        import eregsim.engine as engine_module
-
-        config = build_small_scenario(duration_s=2.0)
-        real_run = engine_module.run_scenario
-
-        def flaky(cfg, audit=None):
-            if cfg.variant == "pid":
-                raise EregSimError("injected failure")
-            return real_run(cfg, audit)
-
-        monkeypatch.setattr(engine_module, "run_scenario", flaky)
-        results = engine_module.compare_controllers(config, ["pid", "ff+dyn"])
-        assert [variant for variant, _ in results] == ["pid", "ff+dyn"]
-        assert results[0][1] == "injected failure"
-        assert list(results[1][1]) == list(EREG_NAMES)
-
-    def test_unknown_variant_is_rejected(self):
-        config = build_small_scenario(duration_s=1.0)
-        with pytest.raises(ConfigError, match="bogus"):
-            run_scenario(config.replace(variant="bogus"))
-        [(variant, message)] = compare_controllers(config, ["bogus"])
-        assert variant == "bogus" and "bogus" in message
-
-    def test_report_text_contains_all_variants(self):
-        config = build_small_scenario(duration_s=2.0)
-        results = compare_controllers(config, ["ff", "oracle"])
-        assert [variant for variant, _ in results] == ["ff", "oracle"]
-        for _, metrics in results:
-            assert list(metrics) == list(EREG_NAMES)
 
 
 class TestModeComparison:
