@@ -54,14 +54,15 @@ import numpy as np
 from .control import Actuator, EregController, clamp
 from .errors import ConfigError, EregSimError, ModelError
 from .fluids import (
+    CHOKED_PRESSURE_RATIO,
     FULL_TRAVEL,
     GasTankState,
     chamber_state,
     choked_flow_fade,
-    cv_of_angle,
 )
 from .scenario import (
-    EREG_NAMES, SIDES, VARIANTS, ScenarioConfig, plant_start, setpoints_at, step_grid,
+    EREG_NAMES, SIDES, VARIANTS, ScenarioConfig, collapse_coeff, plant_start, setpoints_at,
+    step_grid,
 )
 from .telemetry import EVENT_ABORT, EVENT_LIQUID_DEPLETED, EVENT_SUPPLY_DEPLETED, TelemetryFrame
 
@@ -125,6 +126,8 @@ class _Plant:
         self._collapse = config.ullage_collapse_coeff
         self._pc_guess = config.ambient_pressure
 
+        # Per valve (k, alpha, theta_zero): Cv as fluids.cv_of_angle, k for gas valves.
+        self._cv_law = tuple((v.choked_constant, v.alpha, v.theta_zero) for v in self.valves)
         # Per-angle constants, filled by set_angles for the angles in _angles.
         self._angles = [None] * 4
         self._kcv = [0.0, 0.0]
@@ -136,16 +139,26 @@ class _Plant:
 
         Gas valves: k * Cv. Liquid branches: (beta, gain * beta, rho * c)
         with c = c_line + 1/Cv^2 + c_orifice the series coefficient and
-        beta = sqrt(rho / c), or _SHUT while the valve is shut.
+        beta = sqrt(rho / c), or _SHUT while the valve is shut. An angle
+        outside [0, FULL_TRAVEL] is a ValueError, as in fluids.cv_of_angle.
         """
         last = self._angles
         for i in (0, 1):
-            if angles[i] != last[i]:
-                valve = self.valves[i]
-                self._kcv[i] = valve.choked_constant * cv_of_angle(valve, angles[i])
-                last[i] = angles[i]
-            if angles[2 + i] != last[2 + i]:
-                cv2 = cv_of_angle(self.valves[2 + i], angles[2 + i]) ** 2
+            theta = angles[i]
+            if theta != last[i]:
+                if not 0.0 <= theta <= FULL_TRAVEL:
+                    raise ValueError(f"valve angle {theta} outside [0, {FULL_TRAVEL}] degrees")
+                k, alpha, theta_zero = self._cv_law[i]
+                cv = alpha * (theta - theta_zero)
+                self._kcv[i] = k * (cv if cv > 0.0 else 0.0)
+                last[i] = theta
+            theta = angles[2 + i]
+            if theta != last[2 + i]:
+                if not 0.0 <= theta <= FULL_TRAVEL:
+                    raise ValueError(f"valve angle {theta} outside [0, {FULL_TRAVEL}] degrees")
+                _, alpha, theta_zero = self._cv_law[2 + i]
+                cv = alpha * (theta - theta_zero)
+                cv2 = (cv if cv > 0.0 else 0.0) ** 2
                 if cv2 == 0.0:  # shut, or so nearly shut that Cv^2 underflows
                     self._branch[i] = _SHUT
                 else:
@@ -153,11 +166,11 @@ class _Plant:
                     beta = math.sqrt(self._rho[i] / coeff)
                     gain_beta = self._gain * beta if self._gain is not None else 0.0
                     self._branch[i] = (beta, gain_beta, self._rho[i] * coeff)
-                last[2 + i] = angles[2 + i]
+                last[2 + i] = theta
 
     # -- algebraic network -------------------------------------------------
 
-    def _back_pressure(self, p_tank, v_liquid) -> float:
+    def _back_pressure(self, p0, p1, v0, v1) -> float:
         """Chamber pressure pc consistent with the open branches of the tanks
         that hold liquid: a monotone root-find (Newton with bisection safeguard)
         of pc - (cstar/At) * sum_i beta_i * sqrt(p_tank_i - pc), floored at ambient.
@@ -168,8 +181,8 @@ class _Plant:
         if gain is None:
             return lo
         (beta0, gain_beta0, rc0), (beta1, gain_beta1, rc1) = self._branch
-        p0 = p_tank[0] if rc0 is not None and v_liquid[0] > 0.0 else -math.inf
-        p1 = p_tank[1] if rc1 is not None and v_liquid[1] > 0.0 else -math.inf
+        p0 = p0 if rc0 is not None and v0 > 0.0 else -math.inf
+        p1 = p1 if rc1 is not None and v1 > 0.0 else -math.inf
         total = 0.0
         drop = p0 - lo
         if drop > 0.0:
@@ -215,73 +228,67 @@ class _Plant:
         self._pc_guess = pc
         return pc
 
-    def _network(self, p_sup: float, p_tank, v_liquid) -> tuple[tuple[float, float, float], ...]:
-        """Per-side (gas inflow, liquid Q, p_injector) at the given pressures.
+    def _network(self, p_sup, p0, p1, v0, v1) -> tuple[float, float, float, float, float]:
+        """(gas inflow to each ullage, liquid Q out of each tank, back pressure)
+        at the given supply and tank pressures and liquid volumes.
 
         Gas valves pass k*Cv*p_sup with the near-equalized fade, as
         fluids.gas_valve_mass_flow. Liquid branches are line + valve +
         injector orifice in series against the back pressure, as
         fluids.branch_flow; a tank without liquid passes nothing.
         """
-        back = self._back_pressure(p_tank, v_liquid)
-        p0, p1 = p_tank
+        back = self._back_pressure(p0, p1, v0, v1)
+        gas0 = gas1 = 0.0
         if p_sup > 0.0:
             kcv0, kcv1 = self._kcv
-            gas0 = kcv0 * p_sup * choked_flow_fade(p0 / p_sup)
-            gas1 = kcv1 * p_sup * choked_flow_fade(p1 / p_sup)
-        else:
-            gas0 = gas1 = 0.0
+            r0, r1 = p0 / p_sup, p1 / p_sup
+            gas0 = kcv0 * p_sup * (1.0 if r0 <= CHOKED_PRESSURE_RATIO else 0.0 if r0 >= 1.0
+                                   else (1.0 - r0) / (1.0 - CHOKED_PRESSURE_RATIO))
+            gas1 = kcv1 * p_sup * (1.0 if r1 <= CHOKED_PRESSURE_RATIO else 0.0 if r1 >= 1.0
+                                   else (1.0 - r1) / (1.0 - CHOKED_PRESSURE_RATIO))
         (_, _, rc0), (_, _, rc1) = self._branch
-        side0 = (gas0, 0.0, back)
-        if rc0 is not None and v_liquid[0] > 0.0:
-            dp = p0 - back
-            if dp <= 0.0:
-                side0 = (gas0, 0.0, p0)
-            else:
-                q = math.sqrt(dp / rc0)
-                side0 = (gas0, q, back + self._rho[0] * q**2 * self._orifice[0])
-        side1 = (gas1, 0.0, back)
-        if rc1 is not None and v_liquid[1] > 0.0:
-            dp = p1 - back
-            if dp <= 0.0:
-                side1 = (gas1, 0.0, p1)
-            else:
-                q = math.sqrt(dp / rc1)
-                side1 = (gas1, q, back + self._rho[1] * q**2 * self._orifice[1])
-        return side0, side1
+        q0 = q1 = 0.0  # a nan drop passes, as in branch_flow
+        if rc0 is not None and v0 > 0.0 and not p0 - back <= 0.0:
+            q0 = math.sqrt((p0 - back) / rc0)
+        if rc1 is not None and v1 > 0.0 and not p1 - back <= 0.0:
+            q1 = math.sqrt((p1 - back) / rc1)
+        return gas0, gas1, q0, q1, back
 
     def snapshot(self) -> NetworkFlows:
-        """Flows on the stored state, for telemetry, sensors and the oracle."""
-        flows = self._network(self.supply_pressure, self.ullage_pressure, self.liquid_volume)
-        gas, q, p_injector = zip(*flows)
-        mdot_liquid = (q[0] * self._rho[0], q[1] * self._rho[1])
+        """Flows on the stored state, for telemetry, sensors and the oracle;
+        the injector node pressure as fluids.branch_flow gives it."""
+        p_tank, v_liquid = self.ullage_pressure, self.liquid_volume
+        gas0, gas1, q0, q1, back = self._network(self.supply_pressure, *p_tank, *v_liquid)
+        q = (q0, q1)
+        p_injector = tuple(
+            p if rc is not None and v > 0.0 and p - back <= 0.0 else back + rho * q_i**2 * c
+            for p, v, q_i, (_, _, rc), rho, c in zip(p_tank, v_liquid, q, self._branch,
+                                                    self._rho, self._orifice))
+        mdot_liquid = (q0 * self._rho[0], q1 * self._rho[1])
         if self.config.chamber is not None:
             pc, thrust = chamber_state(
                 mdot_liquid[0] + mdot_liquid[1], self.config.chamber, self._ambient
             )
         else:
             pc, thrust = self._ambient, 0.0
-        return NetworkFlows(gas, q, mdot_liquid, p_injector, pc, thrust)
+        return NetworkFlows((gas0, gas1), q, mdot_liquid, p_injector, pc, thrust)
 
     def warm_start(self) -> None:
         """On a step whose snapshot nothing reads: only the snapshot's chamber
         root-find, which moves the warm start of the next RK4 stage exactly as
         snapshot() would."""
-        self._back_pressure(self.ullage_pressure, self.liquid_volume)
+        self._back_pressure(*self.ullage_pressure, *self.liquid_volume)
 
     # -- integration -------------------------------------------------------
 
-    def _flows(self, m_sup, m_ox, v_ox, m_fuel, v_fuel) -> tuple[float, float, float, float]:
-        """Valve flows (gas into ox and fuel, liquid Q out of ox and fuel) at a stage state."""
+    def _flows(self, m_sup, m_ox, v_ox, m_fuel, v_fuel) -> tuple[float, float, float, float, float]:
+        """_network at a stage state (supply and ullage masses, liquid volumes)."""
         rt = self._rt
         p_sup = m_sup * rt / self._supply_volume if m_sup > 0.0 else 0.0
         v_ox = 0.0 if 0.0 > v_ox else v_ox
         v_fuel = 0.0 if 0.0 > v_fuel else v_fuel
-        p_ox = m_ox * rt / (self._total_volume[0] - v_ox)
-        p_fuel = m_fuel * rt / (self._total_volume[1] - v_fuel)
-        (gas_ox, q_ox, _), (gas_fuel, q_fuel, _) = self._network(p_sup, (p_ox, p_fuel),
-                                                                 (v_ox, v_fuel))
-        return gas_ox, gas_fuel, q_ox, q_fuel
+        return self._network(p_sup, m_ox * rt / (self._total_volume[0] - v_ox),
+                             m_fuel * rt / (self._total_volume[1] - v_fuel), v_ox, v_fuel)
 
     def step(self, dt: float) -> list[str]:
         """Advance tanks one physics step (RK4); returns new event names.
@@ -295,14 +302,16 @@ class _Plant:
         mf, vf = self.ullage_mass[1], self.liquid_volume[1]
         c = self._collapse
         h = 0.5 * dt
-        go1, gf1, qo1, qf1 = self._flows(s, mo, vo, mf, vf)
+        go1, gf1, qo1, qf1, _ = self._flows(s, mo, vo, mf, vf)
         mo2, mf2 = mo + h * (go1 - c * mo), mf + h * (gf1 - c * mf)
-        go2, gf2, qo2, qf2 = self._flows(s - h * (go1 + gf1), mo2, vo - h * qo1, mf2, vf - h * qf1)
+        go2, gf2, qo2, qf2, _ = self._flows(s - h * (go1 + gf1), mo2, vo - h * qo1,
+                                            mf2, vf - h * qf1)
         mo3, mf3 = mo + h * (go2 - c * mo2), mf + h * (gf2 - c * mf2)
-        go3, gf3, qo3, qf3 = self._flows(s - h * (go2 + gf2), mo3, vo - h * qo2, mf3, vf - h * qf2)
+        go3, gf3, qo3, qf3, _ = self._flows(s - h * (go2 + gf2), mo3, vo - h * qo2,
+                                            mf3, vf - h * qf2)
         mo4, mf4 = mo + dt * (go3 - c * mo3), mf + dt * (gf3 - c * mf3)
-        go4, gf4, qo4, qf4 = self._flows(s - dt * (go3 + gf3), mo4, vo - dt * qo3,
-                                         mf4, vf - dt * qf3)
+        go4, gf4, qo4, qf4, _ = self._flows(s - dt * (go3 + gf3), mo4, vo - dt * qo3,
+                                            mf4, vf - dt * qf3)
         gas_in = [(go1 + 2.0 * go2 + 2.0 * go3 + go4) / 6.0,
                   (gf1 + 2.0 * gf2 + 2.0 * gf3 + gf4) / 6.0]
         sink = (c * (mo + 2.0 * mo2 + 2.0 * mo3 + mo4) / 6.0,
@@ -458,6 +467,7 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
     n_steps, phys_per_secondary, phys_per_primary = step_grid(
         config.duration, config.dt_phys, config.dt_secondary, config.dt_primary
     )
+    collapse_coeff(config.ullage_collapse_coeff, config.dt_phys)
     plant = _Plant(config)
     if audit is not None:
         audit.record(plant)

@@ -318,6 +318,13 @@ def step_grid(duration: float, dt_phys: float, dt_secondary: float,
     return round(steps), round(dt_secondary / dt_phys), round(dt_primary / dt_phys)
 
 
+def collapse_coeff(value, dt_phys: float) -> float:
+    """value as the collapse coefficient (1/s) of a run at dt_phys, within RK4's
+    stability limit: a ConfigError naming options.ullage_collapse_coeff."""
+    return checked_number(value, "options.ullage_collapse_coeff", at_least=0.0,
+                          at_most=RK4_STABILITY_LIMIT / dt_phys)
+
+
 def plant_start(config: ScenarioConfig) -> tuple[float, float, list, list, list]:
     """The start state from p V = m R T: R * T, the supply gas mass, and the
     liquid volumes, ullage volumes and ullage gas masses indexed like SIDES.
@@ -701,8 +708,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         variant=root.choice("variant", VARIANTS, "ff+dyn"),
         noise_sigma=sensors.number("noise_sigma_bar", 0.0, at_least=0.0, at_most=supply_bar) * 1e5,
         noise_seed=sensors.integer("seed", 0, at_least=0),
-        ullage_collapse_coeff=options.number("ullage_collapse_coeff", 0.0, at_least=0.0,
-                                             at_most=RK4_STABILITY_LIMIT / dt_phys),
+        ullage_collapse_coeff=collapse_coeff(options.lookup("ullage_collapse_coeff", 0.0)[0],
+                                             dt_phys),
         abort_pressure_factor=options.number("abort_pressure_factor", 1.10, above=0.0),
         telemetry_decimation=root.section("telemetry", {}).integer("decimation", 1, at_least=1),
         metrics=MetricsSettings(

@@ -3,7 +3,8 @@
 Telemetry values use operator-facing units (bar, degrees, N, kg/s); the
 CSV column order is fixed and documented in docs/telemetry_schema.md.
 Floats are written at 9 significant digits and round-trip losslessly at
-that precision through read_telemetry.
+that precision through read_telemetry, in the bytes csv.writer writes:
+CRLF rows, never quoted, since no value or event name needs quoting.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ SCALAR_FIELDS = (
     "thrust_n",
     "of_ratio",
 )
-# Where each regulator's block and the scalar block start in values().
-_WIDTH = len(EREG_FIELDS)
-_EREG_STARTS = range(1, 1 + _WIDTH * len(EREG_NAMES), _WIDTH)
-_SCALAR_START = _EREG_STARTS[-1] + _WIDTH
+# One data row: the numeric fields of values(), then the events cell.
+_ROW_FORMAT = "%.9g," * (1 + len(EREG_FIELDS) * len(EREG_NAMES) + len(SCALAR_FIELDS)) + "%s\r\n"
+# Not in an event name: the reader splits the cell on ";", csv quotes the rest.
+_EVENT_UNSAFE = frozenset(',;"\r\n')
 # Run event names, the one vocabulary of the engine, the CSV and the metrics.
 EVENT_ABORT = "abort_overpressure"
 EVENT_SUPPLY_DEPLETED = "supply_gas_depleted"
@@ -82,12 +83,10 @@ class TelemetryFrame:
             for column, value in zip(csv_header(), values):
                 if not math.isfinite(value):
                     raise ValueError(f"column {column} is {value}")
-        return cls(
-            values[0],
-            *(EregFrame(*values[i:i + _WIDTH]) for i in _EREG_STARTS),
-            *values[_SCALAR_START:],
-            events=tuple(events),
-        )
+        # Columns: time, one block of EREG_FIELDS per regulator, SCALAR_FIELDS.
+        return cls(values[0], EregFrame(*values[1:7]), EregFrame(*values[7:13]),
+                   EregFrame(*values[13:19]), EregFrame(*values[19:25]), *values[25:],
+                   events=tuple(events))
 
 
 def csv_header() -> list[str]:
@@ -99,19 +98,18 @@ def csv_header() -> list[str]:
     return columns
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
-
-
 def emit_telemetry(frames: list[TelemetryFrame], destination: str | Path) -> None:
-    """Write frames as CSV with the fixed documented column order."""
+    """Write frames as CSV with the fixed documented column order; an event
+    name holding , ; " CR or LF would not read back and is an EregSimError."""
+    unsafe = [e for frame in frames for e in frame.events if not _EVENT_UNSAFE.isdisjoint(e)]
+    if unsafe:
+        raise EregSimError(f"event name {unsafe[0]!r} holds one of , ; \" CR LF")
     destination = Path(destination)
     try:
         with destination.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(csv_header())
-            for frame in frames:
-                writer.writerow([*map(_fmt, frame.values()), ";".join(frame.events)])
+            csv.writer(fh).writerow(csv_header())
+            fh.writelines(_ROW_FORMAT % (*frame.values(), ";".join(frame.events))
+                          for frame in frames)
     except OSError as exc:
         raise EregSimError(f"cannot write telemetry to {destination}: {exc}") from exc
 
@@ -130,7 +128,7 @@ def read_telemetry(path: str | Path) -> list[TelemetryFrame]:
             try:
                 for row in reader:
                     frames.append(TelemetryFrame.from_values(
-                        [float(v) for v in row[:-1]],
+                        [*map(float, row[:-1])],
                         row[-1].split(";") if row[-1] else (),
                     ))
             except (IndexError, TypeError, ValueError) as exc:

@@ -4,11 +4,13 @@ None of these is called by the simulator: each restates a textbook law,
 a closed-form steady state or a plain loop so a test can compare the
 package's own arithmetic (line loss coefficients, mock injector sizing,
 paired setpoints, logged setpoints, the Cv grid fit, the chamber
-back-pressure root-find, the PID and actuator updates) with it.
+back-pressure root-find, the PID and actuator updates, the CSV writer)
+with it.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -20,7 +22,7 @@ from eregsim.control import DERIVATIVE_FILTER_PERIODS, ActuatorSettings, PidGain
 from eregsim.errors import DegenerateFitError, ModelError
 from eregsim.fluids import FULL_TRAVEL, chamber_state
 from eregsim.scenario import EREG_NAMES, ScenarioConfig, setpoints_at
-from eregsim.telemetry import TelemetryFrame
+from eregsim.telemetry import TelemetryFrame, csv_header
 
 
 def orifice_mass_flow(cd: float, area: float, rho: float, dp: float) -> float:
@@ -85,6 +87,16 @@ def grid_cv_fit(samples: list[tuple[float, float]]) -> CvFit:
     if alpha <= 0.0:
         raise DegenerateFitError("no positive slope found: samples carry no flow")
     return CvFit(alpha, float(theta_zero), math.sqrt(objective / len(samples)), len(samples))
+
+
+def emit_telemetry_reference(frames: list[TelemetryFrame], destination) -> None:
+    """The telemetry CSV through csv.writer, one f"{v:.9g}" per value;
+    telemetry.emit_telemetry must write the same bytes."""
+    with open(destination, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(csv_header())
+        for frame in frames:
+            writer.writerow([*(f"{v:.9g}" for v in frame.values()), ";".join(frame.events)])
 
 
 def scheduled_setpoints_check(frames: list[TelemetryFrame], config: ScenarioConfig) -> float:

@@ -372,8 +372,9 @@ def supply_and_tank_pressures(draw):
 
 
 class TestNetworkMatchesFluidLaws:
-    """_Plant._network restates the fluids flow laws for speed; the laws are
-    its reference, bit for bit, at the back pressure of the open branches."""
+    """_Plant._network and snapshot() restate the fluids flow laws for speed;
+    the laws are their reference, bit for bit, at the back pressure of the
+    open branches."""
 
     @pytest.mark.parametrize("name", ["waterflow_blowdown", "staticfire_baseline"])
     @settings(max_examples=300, deadline=None)
@@ -390,9 +391,12 @@ class TestNetworkMatchesFluidLaws:
         plant.set_angles(angles)
         warm_start = plant._pc_guess
         liquid = [1.0 if w else 0.0 for w in wet]
-        flows = plant._network(p_sup, p_tank, liquid)
-        plant._pc_guess = warm_start  # the reference solve starts from the same guess
-        back = plant._back_pressure(p_tank, liquid)
+        *flows, back = plant._network(p_sup, *p_tank, *liquid)
+        plant._pc_guess = warm_start  # each solve below starts from the same guess
+        assert back.hex() == plant._back_pressure(*p_tank, *liquid).hex()
+        plant._pc_guess = warm_start
+        plant.supply_pressure, plant.ullage_pressure, plant.liquid_volume = p_sup, p_tank, liquid
+        snapshot = plant.snapshot()
         for i, side in enumerate(SIDES):
             gas = gas_valve_mass_flow(plant.valves[i], angles[i], p_sup, p_tank[i])
             # A dry tank passes no liquid, like a shut valve.
@@ -401,7 +405,18 @@ class TestNetworkMatchesFluidLaws:
                 p_tank[i], back, config.tanks[side].liquid_density, cv,
                 config.lines[side].loss_coefficient, config.injectors[side].coeff,
             )
-            assert [x.hex() for x in flows[i]] == [x.hex() for x in (gas, q, p_injector)]
+            assert [flows[i].hex(), flows[2 + i].hex()] == [gas.hex(), q.hex()]
+            got = (snapshot.mdot_gas[i], snapshot.q_liquid[i], snapshot.p_injector[i])
+            assert [x.hex() for x in got] == [x.hex() for x in (gas, q, p_injector)]
+
+    @pytest.mark.parametrize("angle", [-1e-9, FULL_TRAVEL + 1e-9])
+    @pytest.mark.parametrize("valve", range(4), ids=EREG_NAMES)
+    def test_set_angles_rejects_an_angle_off_the_travel(self, valve, angle):
+        plant = _Plant(shipped_config("staticfire_baseline"))
+        angles = [30.0] * 4
+        angles[valve] = angle
+        with pytest.raises(ValueError, match="outside"):
+            plant.set_angles(angles)
 
 
 @functools.cache
@@ -446,9 +461,9 @@ class TestBackPressureMatchesLoop:
             pc, warm_start = back_pressure_reference(plant, p_tank, liquid)
         except ModelError:
             with pytest.raises(ModelError):
-                plant._back_pressure(p_tank, liquid)
+                plant._back_pressure(*p_tank, *liquid)
             return
-        assert plant._back_pressure(p_tank, liquid).hex() == pc.hex()
+        assert plant._back_pressure(*p_tank, *liquid).hex() == pc.hex()
         assert plant._pc_guess.hex() == warm_start.hex()
 
     @settings(max_examples=200, deadline=None)

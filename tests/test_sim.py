@@ -2,12 +2,16 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eregsim import calibration, control, engine, fluids, scenario, telemetry
 from eregsim.engine import EVENT_ABORT, RunAudit, run_scenario
 from eregsim.errors import ConfigError, EregSimError, ModelError
 from eregsim.scenario import EREG_NAMES
 from eregsim.telemetry import (
+    EVENT_LIQUID_DEPLETED,
+    EVENT_SUPPLY_DEPLETED,
     EregFrame,
     TelemetryFrame,
     csv_header,
@@ -16,7 +20,7 @@ from eregsim.telemetry import (
     regulation_metrics,
 )
 from tests.conftest import SCENARIO_DIR, build_small_scenario, load_yaml
-from tests.oracles import scheduled_setpoints_check
+from tests.oracles import emit_telemetry_reference, scheduled_setpoints_check
 
 
 def flat_ereg(setpoint=30.0, pressure=30.0):
@@ -122,6 +126,14 @@ def test_replaced_timing_is_checked_at_run(baseline_config, changes, key):
         run_scenario(baseline_config.replace(**changes))
 
 
+def test_replaced_step_is_checked_against_the_collapse_bound():
+    """278 /s loads inside RK4's stability limit at 0.01 s; at 0.02 s it is past
+    it, where the ullage pressure would blow up instead of decaying."""
+    config = build_small_scenario(options={"ullage_collapse_coeff": 278.0})
+    with pytest.raises(ConfigError, match=re.escape("options.ullage_collapse_coeff")):
+        run_scenario(config.replace(dt_phys=0.02, dt_secondary=0.02, dt_primary=0.02))
+
+
 class TestOracleMode:
     def test_oracle_floor_is_below_controller_error(self, baseline_config, baseline_run):
         """With valve angles forced to the exact steady-flow solution each
@@ -194,7 +206,54 @@ class TestRegulationMetrics:
             regulation_metrics([], self.CONFIG)
 
 
+# A telemetry value: any float, one at the edges of the format (signed zeros,
+# subnormals, the largest magnitudes, nan and inf), or one with 9 or 17
+# significant digits.
+CSV_VALUE = st.one_of(
+    st.floats(),
+    st.sampled_from((0.0, -0.0, 5e-324, -2.2e-310, 1e308, -1e308, math.nan, math.inf, -math.inf)),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: float(f"{v:.9g}")),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: float(f"{v:.17g}")),
+)
+
+
+@st.composite
+def direct_frames(draw):
+    """A TelemetryFrame built field by field, not through from_values, with
+    0-4 events from the run event vocabulary."""
+    values = draw(st.lists(CSV_VALUE, min_size=32, max_size=32))
+    events = draw(st.lists(
+        st.sampled_from((EVENT_ABORT, EVENT_SUPPLY_DEPLETED, *EVENT_LIQUID_DEPLETED)),
+        max_size=4,
+    ))
+    eregs = (EregFrame(*values[i:i + 6]) for i in range(1, 25, 6))
+    return TelemetryFrame(values[0], *eregs, *values[25:], events=tuple(events))
+
+
 class TestTelemetryCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(frames=st.lists(direct_frames(), max_size=4))
+    def test_emit_writes_the_csv_writer_bytes(self, tmp_path_factory, frames):
+        folder = tmp_path_factory.mktemp("emit")
+        emit_telemetry(frames, folder / "got.csv")
+        emit_telemetry_reference(frames, folder / "want.csv")
+        assert (folder / "got.csv").read_bytes() == (folder / "want.csv").read_bytes()
+
+    def test_emit_writes_the_baseline_run_as_csv_writer_does(self, baseline_run, tmp_path):
+        frames, _ = baseline_run
+        emit_telemetry(frames, tmp_path / "got.csv")
+        emit_telemetry_reference(frames, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("char", list(',;"\r\n'), ids=["comma", "semicolon", "quote",
+                                                           "cr", "lf"])
+    def test_event_name_that_cannot_read_back_is_rejected(self, tmp_path, char):
+        event = f"valve{char}stuck"
+        path = tmp_path / "run.csv"
+        with pytest.raises(EregSimError, match=re.escape(repr(event))):
+            emit_telemetry([make_frame(0.0), make_frame(0.01, events=(event,))], path)
+        assert not path.exists()
+
     def test_empty_frame_list_gives_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         emit_telemetry([], path)
