@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -29,8 +30,7 @@ STEADY_ERROR_THRESHOLD = 0.25e5  # Pa
 STEADY_SUSTAIN = 0.5  # s
 
 
-@dataclass(frozen=True)
-class FlowSample:
+class FlowSample(NamedTuple):
     valve_angle: float  # degrees
     upstream_pressure: float  # Pa
     downstream_pressure: float  # Pa
@@ -44,9 +44,12 @@ class FlowSample:
             raise EregSimError(f"unknown phase {self.phase!r}")
         if not 0.0 <= self.valve_angle <= FULL_TRAVEL:
             raise EregSimError(f"valve angle {self.valve_angle} outside [0, {FULL_TRAVEL:g}]")
-        for name in ("upstream_pressure", "downstream_pressure", "flow", "fluid_density"):
-            if not math.isfinite(getattr(self, name)):
-                raise EregSimError(f"non-finite sample field {name}")
+        # A finite sum means every field is finite; only otherwise find the one to name.
+        if not math.isfinite(self.upstream_pressure + self.downstream_pressure
+                             + self.flow + self.fluid_density):
+            for name in ("upstream_pressure", "downstream_pressure", "flow", "fluid_density"):
+                if not math.isfinite(getattr(self, name)):
+                    raise EregSimError(f"non-finite sample field {name}")
         if self.phase == "liquid" and not self.fluid_density > 0.0:
             raise EregSimError(f"liquid sample density {self.fluid_density} is not above 0")
 

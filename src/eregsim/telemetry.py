@@ -13,6 +13,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import EregSimError
 from .scenario import EREG_NAMES, ScenarioConfig
@@ -37,8 +38,7 @@ EVENT_SUPPLY_DEPLETED = "supply_gas_depleted"
 EVENT_LIQUID_DEPLETED = ("ox_liquid_depleted", "fuel_liquid_depleted")  # indexed like SIDES
 
 
-@dataclass(frozen=True)
-class EregFrame:
+class EregFrame(NamedTuple):
     setpoint_bar: float
     pressure_bar: float
     valve_angle_deg: float
@@ -47,8 +47,10 @@ class EregFrame:
     u2: float
 
 
-@dataclass(frozen=True)
-class TelemetryFrame:
+class TelemetryFrame(NamedTuple):
+    """One telemetry row: an immutable named tuple in CSV column order, the
+    four regulator blocks nested in EREG_NAMES order, the events last."""
+
     time_s: float
     ox_tank: EregFrame
     fuel_tank: EregFrame
@@ -68,12 +70,8 @@ class TelemetryFrame:
 
     def values(self) -> list[float]:
         """The numeric fields in CSV column order."""
-        row = [self.time_s]
-        for name in EREG_NAMES:
-            sub = getattr(self, name)
-            row.extend(getattr(sub, f) for f in EREG_FIELDS)
-        row.extend(getattr(self, f) for f in SCALAR_FIELDS)
-        return row
+        t, a, b, c, d, *rest = self
+        return [t, *a, *b, *c, *d, *rest[:7]]
 
     @classmethod
     def from_values(cls, values: list[float], events) -> TelemetryFrame:

@@ -22,7 +22,7 @@ from eregsim.control import DERIVATIVE_FILTER_PERIODS, ActuatorSettings, PidGain
 from eregsim.errors import DegenerateFitError, ModelError
 from eregsim.fluids import FULL_TRAVEL, chamber_state
 from eregsim.scenario import EREG_NAMES, ScenarioConfig, setpoints_at
-from eregsim.telemetry import TelemetryFrame, csv_header
+from eregsim.telemetry import EREG_FIELDS, SCALAR_FIELDS, TelemetryFrame, csv_header
 
 
 def orifice_mass_flow(cd: float, area: float, rho: float, dp: float) -> float:
@@ -90,13 +90,18 @@ def grid_cv_fit(samples: list[tuple[float, float]]) -> CvFit:
 
 
 def emit_telemetry_reference(frames: list[TelemetryFrame], destination) -> None:
-    """The telemetry CSV through csv.writer, one f"{v:.9g}" per value;
+    """The telemetry CSV through csv.writer, one f"{v:.9g}" per value read
+    by field name in header order, not through values();
     telemetry.emit_telemetry must write the same bytes."""
     with open(destination, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(csv_header())
         for frame in frames:
-            writer.writerow([*(f"{v:.9g}" for v in frame.values()), ";".join(frame.events)])
+            row = [frame.time_s]
+            for name in EREG_NAMES:
+                row += (getattr(frame.ereg(name), f) for f in EREG_FIELDS)
+            row += (getattr(frame, f) for f in SCALAR_FIELDS)
+            writer.writerow([*(f"{v:.9g}" for v in row), ";".join(frame.events)])
 
 
 def scheduled_setpoints_check(frames: list[TelemetryFrame], config: ScenarioConfig) -> float:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import yaml
@@ -81,6 +83,20 @@ class TestCvFromSample:
         sample = FlowSample(20.0, 42e5, 35e5, 1e-3, density, "liquid")
         with pytest.raises(EregSimError, match="density"):
             cv_from_sample(sample)
+
+    def test_finite_fields_whose_sum_overflows_validate(self):
+        FlowSample(30.0, 1e308, 1e308, 1.0, 1141.0, "liquid").validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["upstream_pressure", "downstream_pressure", "flow", "fluid_density"]
+    )
+    def test_non_finite_field_is_named(self, field, value):
+        fields = dict(valve_angle=30.0, upstream_pressure=42e5, downstream_pressure=35e5,
+                      flow=1e-3, fluid_density=1141.0, phase="liquid")
+        fields[field] = value
+        with pytest.raises(EregSimError, match=f"^non-finite sample field {field}$"):
+            FlowSample(**fields).validate()
 
 
 class TestFitCvCurve:

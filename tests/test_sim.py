@@ -560,6 +560,32 @@ class TestBenchmarkFacingNames:
         telemetry.emit_telemetry([frame, frame], path)
         assert telemetry.read_telemetry(path) == [frame, frame]
 
+    def test_records_are_immutable(self):
+        sample = calibration.FlowSample(20.0, 310e5, 42e5, 0.05, 0.0, "gas")
+        for record, field in ((flat_ereg(), "pressure_bar"), (make_frame(0.0), "time_s"),
+                              (make_frame(0.0), "events"), (sample, "flow")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 1.0)
+
+    def test_positional_frame_defaults_to_no_events(self):
+        frame = telemetry.TelemetryFrame(0.5, *[flat_ereg()] * 4, *[1.0] * 7)
+        assert frame.events == ()
+        assert frame.values() == [0.5, *[30.0, 30.0, 20.0, 15.0, 20.0, 0.1] * 4, *[1.0] * 7]
+
+    def test_every_baseline_frame_rebuilds_from_its_values(self, baseline_run):
+        frames, _ = baseline_run
+        rebuilt = [TelemetryFrame.from_values(f.values(), f.events) for f in frames]
+        assert rebuilt == frames
+
+    def test_keyword_flow_sample_equals_positional(self):
+        # The telemetry adapters build FlowSamples by keyword, perfbench and
+        # the tests positionally.
+        keyword = calibration.FlowSample(
+            valve_angle=30.5, upstream_pressure=42e5, downstream_pressure=30e5,
+            flow=1e-3, fluid_density=1141.0, phase="liquid",
+        )
+        assert keyword == calibration.FlowSample(30.5, 42e5, 30e5, 1e-3, 1141.0, "liquid")
+
     def test_metrics_by_name(self):
         frames = [make_frame(0.01 * k) for k in range(200)]
         metrics = telemetry.regulation_metrics(frames, build_small_scenario())
