@@ -19,6 +19,7 @@ import yaml
 
 from .errors import DegenerateFitError, EregSimError
 from .fluids import CHOKED_PRESSURE_RATIO, FULL_TRAVEL
+from .scenario import EREG_NAMES
 from .telemetry import TelemetryFrame
 
 THETA_GRID_STEP = 0.1  # degrees, breakpoint search resolution
@@ -211,6 +212,16 @@ def fit_choked_constant(
 
 # ---------------------------------------------------------------------------
 # Telemetry adapters
+# The adapters read a frame's regulator blocks with getattr, not with
+# TelemetryFrame.ereg: perfbench's tracer wraps TelemetryFrame's methods,
+# one span per call.
+
+
+def _ereg(name: str) -> str:
+    """name, a regulator name; any other is an EregSimError naming it."""
+    if name not in EREG_NAMES:
+        raise EregSimError(f"unknown regulator {name!r}, not one of {', '.join(EREG_NAMES)}")
+    return name
 
 
 def steady_records(
@@ -222,10 +233,11 @@ def steady_records(
     STEADY_ERROR_THRESHOLD for STEADY_SUSTAIN. A frame with the supply at 0 bar
     (depleted) is not steady: the feedforward ratio is undefined there.
     """
+    _ereg(ereg_name)
     records = []
     streak_start = None
     for frame in frames:
-        sub = frame.ereg(ereg_name)
+        sub = getattr(frame, ereg_name)
         error = abs(sub.pressure_bar - sub.setpoint_bar) * 1e5
         if error < STEADY_ERROR_THRESHOLD and frame.supply_pressure_bar > 0.0:
             if streak_start is None:
@@ -246,23 +258,19 @@ def liquid_samples_from_telemetry(
 
     Upstream is the tank sensor, downstream the injector sensor; the
     implied Cv therefore lumps the feed line into the valve, matching what
-    an empirical characterization sees.
+    an empirical characterization sees. An unknown side or a density not
+    above 0 is an EregSimError.
     """
+    inj_name, tank_name = _ereg(side + "_inj"), _ereg(side + "_tank")
+    if not density > 0.0:
+        raise EregSimError(f"liquid density {density} is not above 0")
+    mdot_name = f"mdot_{side}_kg_s"
     samples = []
     for frame in frames:
-        inj = frame.ereg(side + "_inj")
-        tank = frame.ereg(side + "_tank")
-        mdot = frame.mdot_ox_kg_s if side == "ox" else frame.mdot_fuel_kg_s
-        samples.append(
-            FlowSample(
-                valve_angle=inj.valve_angle_deg,
-                upstream_pressure=tank.pressure_bar * 1e5,
-                downstream_pressure=inj.pressure_bar * 1e5,
-                flow=mdot / density,
-                fluid_density=density,
-                phase="liquid",
-            )
-        )
+        inj, tank = getattr(frame, inj_name), getattr(frame, tank_name)
+        samples.append(FlowSample(inj.valve_angle_deg, tank.pressure_bar * 1e5,
+                                  inj.pressure_bar * 1e5, getattr(frame, mdot_name) / density,
+                                  density, "liquid"))
     return samples
 
 
@@ -271,21 +279,14 @@ def gas_samples_from_telemetry(frames: list[TelemetryFrame], side: str) -> list[
 
     The telemetry carries the total pressurant flow, so this is only valid
     for runs where a single tank valve is active (the standard one-valve
-    characterization flow).
+    characterization flow). An unknown side is an EregSimError.
     """
+    tank_name = _ereg(side + "_tank")
     samples = []
     for frame in frames:
-        tank = frame.ereg(side + "_tank")
-        samples.append(
-            FlowSample(
-                valve_angle=tank.valve_angle_deg,
-                upstream_pressure=frame.supply_pressure_bar * 1e5,
-                downstream_pressure=tank.pressure_bar * 1e5,
-                flow=frame.mdot_gas_kg_s,
-                fluid_density=0.0,
-                phase="gas",
-            )
-        )
+        tank = getattr(frame, tank_name)
+        samples.append(FlowSample(tank.valve_angle_deg, frame.supply_pressure_bar * 1e5,
+                                  tank.pressure_bar * 1e5, frame.mdot_gas_kg_s, 0.0, "gas"))
     return samples
 
 

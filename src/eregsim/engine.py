@@ -32,9 +32,10 @@ if it were left out.
 Each physics step solves the flow network four times, once per RK4
 stage. Primary ticks also solve it on the stored state (the snapshot)
 for the sensors, the oracle and telemetry, as does an abort between
-primary ticks for its last frame. The other steps run only the
-snapshot's back-pressure root-find (warm_start), which moves the warm
-start of the next stage's root-find. The snapshot is not merged with
+primary ticks for its last frame. With a chamber the other steps run
+only the snapshot's back-pressure root-find (warm_start), which moves
+the warm start of the next stage's root-find; without one they run
+nothing: the back-pressure is ambient. The snapshot is not merged with
 the first stage although both see the same masses and angles: the
 snapshot reads the stored pressures (the ullage one from the integrated
 ullage volume) while a stage recomputes them from the masses, on
@@ -480,6 +481,8 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
     schedule = config.schedule
     noise_sigma = config.noise_sigma
     oracle = config.variant == "oracle"
+    # Without a chamber the back-pressure is ambient and warm_start a no-op.
+    warm = config.chamber is not None
     phys_per_frame = phys_per_primary * config.telemetry_decimation
     rng = np.random.default_rng(config.noise_seed) if noise_sigma > 0.0 else None
 
@@ -511,7 +514,7 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
             if rng is not None:
                 measured_supply += noise_sigma * rng.standard_normal()
                 measured = [p + noise_sigma * rng.standard_normal() for p in measured]
-        else:
+        elif warm:
             plant.warm_start()
 
         if oracle:

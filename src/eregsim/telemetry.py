@@ -5,6 +5,8 @@ CSV column order is fixed and documented in docs/telemetry_schema.md.
 Floats are written at 9 significant digits and round-trip losslessly at
 that precision through read_telemetry, in the bytes csv.writer writes:
 CRLF rows, never quoted, since no value or event name needs quoting.
+read_telemetry accepts what csv.reader and float() read, and builds each
+frame in C without a per-row TelemetryFrame method call.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ SCALAR_FIELDS = (
     "thrust_n",
     "of_ratio",
 )
+# Numeric cells in a row: time, one block of EREG_FIELDS per regulator, SCALAR_FIELDS.
+_WIDTH = 1 + len(EREG_FIELDS) * len(EREG_NAMES) + len(SCALAR_FIELDS)
 # One data row: the numeric fields of values(), then the events cell.
-_ROW_FORMAT = "%.9g," * (1 + len(EREG_FIELDS) * len(EREG_NAMES) + len(SCALAR_FIELDS)) + "%s\r\n"
+_ROW_FORMAT = "%.9g," * _WIDTH + "%s\r\n"
 # Not in an event name: the reader splits the cell on ";", csv quotes the rest.
 _EVENT_UNSAFE = frozenset(',;"\r\n')
 # Run event names, the one vocabulary of the engine, the CSV and the metrics.
@@ -75,16 +79,32 @@ class TelemetryFrame(NamedTuple):
 
     @classmethod
     def from_values(cls, values: list[float], events) -> TelemetryFrame:
-        """The frame whose values() are values; a nan or inf value is a
-        ValueError naming its CSV column."""
-        if not math.isfinite(sum(values)):
-            for column, value in zip(csv_header(), values):
-                if not math.isfinite(value):
-                    raise ValueError(f"column {column} is {value}")
-        # Columns: time, one block of EREG_FIELDS per regulator, SCALAR_FIELDS.
-        return cls(values[0], EregFrame(*values[1:7]), EregFrame(*values[7:13]),
-                   EregFrame(*values[13:19]), EregFrame(*values[19:25]), *values[25:],
-                   events=tuple(events))
+        """The frame whose values() are values; a list not 32 long, or a nan
+        or inf value, is a ValueError (naming its CSV column)."""
+        _check_values(values)
+        return _frame(values, tuple(events))
+
+
+def _check_values(values: list[float]) -> None:
+    """A ValueError unless values are 32 finite numbers; names a nan or inf
+    value's CSV column."""
+    if len(values) != _WIDTH:
+        raise ValueError(f"{len(values)} numeric columns, not {_WIDTH}")
+    if not math.isfinite(sum(values)):
+        for column, value in zip(csv_header(), values):
+            if not math.isfinite(value):
+                raise ValueError(f"column {column} is {value}")
+
+
+_new = tuple.__new__
+
+
+def _frame(v: list[float], events: tuple[str, ...]) -> TelemetryFrame:
+    """The frame of 32 values in CSV column order, built in C and unchecked:
+    callers check values with _check_values first."""
+    return _new(TelemetryFrame, (v[0], _new(EregFrame, v[1:7]), _new(EregFrame, v[7:13]),
+                                 _new(EregFrame, v[13:19]), _new(EregFrame, v[19:25]),
+                                 v[25], v[26], v[27], v[28], v[29], v[30], v[31], events))
 
 
 def csv_header() -> list[str]:
@@ -113,23 +133,26 @@ def emit_telemetry(frames: list[TelemetryFrame], destination: str | Path) -> Non
 
 
 def read_telemetry(path: str | Path) -> list[TelemetryFrame]:
+    """The frames of a telemetry CSV; a row that csv.reader and float() do
+    not read as 32 finite numbers and an events cell is an EregSimError
+    naming the file and the line."""
     path = Path(path)
     frames: list[TelemetryFrame] = []
     try:
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
-            if next(reader, None) != csv_header():
-                raise EregSimError(f"unexpected telemetry header in {path}")
-            # A row of the wrong length fails to unpack into the frame
-            # (TypeError), a missing or non-numeric field fails to convert
-            # (IndexError, ValueError); from_values rejects nan and inf.
+            # csv rejects a cell over its field size limit (csv.Error), a
+            # missing field fails to index or convert (IndexError, ValueError),
+            # _check_values rejects a row of the wrong width and nan and inf.
             try:
+                if next(reader, None) != csv_header():
+                    raise EregSimError(f"unexpected telemetry header in {path}")
                 for row in reader:
-                    frames.append(TelemetryFrame.from_values(
-                        [*map(float, row[:-1])],
-                        row[-1].split(";") if row[-1] else (),
-                    ))
-            except (IndexError, TypeError, ValueError) as exc:
+                    values = [*map(float, row[:-1])]
+                    events = row[-1]
+                    _check_values(values)
+                    frames.append(_frame(values, tuple(events.split(";")) if events else ()))
+            except (csv.Error, IndexError, ValueError) as exc:
                 raise EregSimError(
                     f"malformed telemetry row in {path} at line {reader.line_num}: {exc}"
                 ) from exc

@@ -4,8 +4,8 @@ None of these is called by the simulator: each restates a textbook law,
 a closed-form steady state or a plain loop so a test can compare the
 package's own arithmetic (line loss coefficients, mock injector sizing,
 paired setpoints, logged setpoints, the Cv grid fit, the chamber
-back-pressure root-find, the PID and actuator updates, the CSV writer)
-with it.
+back-pressure root-find, the PID and actuator updates, the CSV writer
+and reader) with it.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from eregsim import engine
 from eregsim.calibration import THETA_GRID_STEP, CvFit
 from eregsim.control import DERIVATIVE_FILTER_PERIODS, ActuatorSettings, PidGains
-from eregsim.errors import DegenerateFitError, ModelError
+from eregsim.errors import DegenerateFitError, EregSimError, ModelError
 from eregsim.fluids import FULL_TRAVEL, chamber_state
 from eregsim.scenario import EREG_NAMES, ScenarioConfig, setpoints_at
 from eregsim.telemetry import EREG_FIELDS, SCALAR_FIELDS, TelemetryFrame, csv_header
@@ -102,6 +103,29 @@ def emit_telemetry_reference(frames: list[TelemetryFrame], destination) -> None:
                 row += (getattr(frame.ereg(name), f) for f in EREG_FIELDS)
             row += (getattr(frame, f) for f in SCALAR_FIELDS)
             writer.writerow([*(f"{v:.9g}" for v in row), ";".join(frame.events)])
+
+
+def read_telemetry_reference(path) -> list[TelemetryFrame]:
+    """The telemetry CSV through one csv.reader loop, float() per cell and
+    from_values per row; telemetry.read_telemetry must give the same frames
+    to the bit, or raise an EregSimError with the same message."""
+    path = Path(path)
+    frames = []
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != csv_header():
+            raise EregSimError(f"unexpected telemetry header in {path}")
+        try:
+            for row in reader:
+                frames.append(TelemetryFrame.from_values(
+                    [*map(float, row[:-1])],
+                    row[-1].split(";") if row[-1] else (),
+                ))
+        except (IndexError, ValueError) as exc:
+            raise EregSimError(
+                f"malformed telemetry row in {path} at line {reader.line_num}: {exc}"
+            ) from exc
+    return frames
 
 
 def scheduled_setpoints_check(frames: list[TelemetryFrame], config: ScenarioConfig) -> float:

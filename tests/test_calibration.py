@@ -331,6 +331,24 @@ class TestTelemetryAdapters:
         # flows of two identical valves lumped into one: expect about 2k
         assert fitted == pytest.approx(2.0 * valve.choked_constant, rel=0.02)
 
+    @pytest.mark.parametrize("density", [0.0, -1141.0, math.nan])
+    def test_liquid_density_not_above_zero_is_rejected(self, baseline_run, density):
+        with pytest.raises(EregSimError, match=f"^liquid density {density} is not above 0$"):
+            liquid_samples_from_telemetry(baseline_run[0], "ox", density)
+
+    @pytest.mark.parametrize("adapter", [
+        lambda frames, side: liquid_samples_from_telemetry(frames, side, 1141.0),
+        gas_samples_from_telemetry,
+        lambda frames, name: steady_records(frames, name + "_tank"),
+    ], ids=["liquid", "gas", "steady"])
+    def test_unknown_side_or_regulator_is_rejected(self, baseline_run, adapter):
+        with pytest.raises(EregSimError, match="'lox"):
+            adapter(baseline_run[0], "lox")
+
+    def test_unknown_regulator_name_is_rejected(self, baseline_run):
+        with pytest.raises(EregSimError, match="^unknown regulator 'ox', not one of ox_tank, "):
+            steady_records(baseline_run[0], "ox")
+
     def test_write_fit_result_round_trips(self, tmp_path):
         path = tmp_path / "fit.yaml"
         write_fit_result(path, "cv_curve", {"alpha_si_per_deg": 4e-6, "theta_zero_deg": 10.0,

@@ -263,6 +263,19 @@ class TestMetrics:
             assert detail.format(bad) in payload["message"]
 
 
+    def test_cell_over_the_csv_field_limit_exits_2_with_one_json_line(self, baseline_csv,
+                                                                      tmp_path, capsys):
+        header, first, second = baseline_csv.read_text().splitlines()[:3]
+        bad = tmp_path / "wide.csv"
+        bad.write_text("\n".join([header, first, second + "x" * 200_000]) + "\n")
+        code = main(["metrics", "--telemetry", str(bad), "--scenario", BASELINE])
+        assert code == EXIT_ERROR
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "EregSimError"
+        assert f"{bad} at line 3: field larger than field limit" in payload["message"]
+
 class TestCompare:
     def test_compare_prints_side_by_side(self, tmp_path, capsys):
         data = small_scenario_dict(duration_s=1.0)

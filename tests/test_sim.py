@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 
@@ -20,7 +21,11 @@ from eregsim.telemetry import (
     regulation_metrics,
 )
 from tests.conftest import SCENARIO_DIR, build_small_scenario, load_yaml
-from tests.oracles import emit_telemetry_reference, scheduled_setpoints_check
+from tests.oracles import (
+    emit_telemetry_reference,
+    read_telemetry_reference,
+    scheduled_setpoints_check,
+)
 
 
 def flat_ereg(setpoint=30.0, pressure=30.0):
@@ -218,10 +223,11 @@ CSV_VALUE = st.one_of(
 
 
 @st.composite
-def direct_frames(draw):
+def direct_frames(draw, finite=False):
     """A TelemetryFrame built field by field, not through from_values, with
-    0-4 events from the run event vocabulary."""
-    values = draw(st.lists(CSV_VALUE, min_size=32, max_size=32))
+    0-4 events from the run event vocabulary; finite leaves out nan and inf."""
+    value = CSV_VALUE.filter(math.isfinite) if finite else CSV_VALUE
+    values = draw(st.lists(value, min_size=32, max_size=32))
     events = draw(st.lists(
         st.sampled_from((EVENT_ABORT, EVENT_SUPPLY_DEPLETED, *EVENT_LIQUID_DEPLETED)),
         max_size=4,
@@ -324,6 +330,135 @@ class TestTelemetryCsv:
             EregSimError, match="^non-finite telemetry at t=0.0: column chamber_pressure_bar is nan$"
         ):
             run_scenario(baseline_config.replace(duration=0.1))
+
+
+def read_outcome(reader, path):
+    """The frames reader gives for path, each as the .hex() of its values and
+    its events, or the message of the EregSimError it raises."""
+    try:
+        return [([v.hex() for v in f.values()], f.events) for f in reader(path)]
+    except EregSimError as exc:
+        return str(exc)
+
+
+def rows_file(path, rows: int, line: int, edit):
+    """A telemetry file of rows frames whose line `line` (the header is line
+    1) is edit of its cells."""
+    emit_telemetry([make_frame(0.01 * k, events=("abort_overpressure",) * (k % 3 == 0))
+                    for k in range(rows)], path)
+    lines = path.read_bytes().decode().split("\r\n")
+    lines[line - 1] = edit(lines[line - 1].split(","))
+    path.write_bytes("\r\n".join(lines).encode())
+
+
+def cell(index: int, text: str):
+    """The edit that makes cell index read text; {} in text is the old cell."""
+    return lambda cells: ",".join(cells[:index] + [text.format(cells[index])]
+                                  + cells[index + 1:])
+
+
+class TestReaderMatchesOracle:
+    """read_telemetry gives the frames of the reference csv.reader loop,
+    which builds each frame through from_values, value by value to the bit,
+    and the same error naming the same line."""
+
+    @pytest.fixture(scope="class")
+    def csv_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("reader")
+
+    @settings(max_examples=50, deadline=None)
+    @given(frames=st.lists(direct_frames(finite=True), min_size=1, max_size=3),
+           ending=st.sampled_from(["\r\n", "\n", "\r"]))
+    def test_emitted_files_read_as_the_oracle_reads_them(self, csv_dir, frames, ending):
+        path = csv_dir / "frames.csv"
+        emit_telemetry(frames, path)
+        path.write_bytes(path.read_bytes().replace(b"\r\n", ending.encode()))
+        got = read_outcome(read_telemetry, path)
+        assert got == read_outcome(read_telemetry_reference, path)
+        assert got == [([float(f"{v:.9g}").hex() for v in f.values()], f.events)
+                       for f in frames]
+
+    @pytest.mark.parametrize("run", ["baseline_run", "blowdown_frames"])
+    def test_runs_read_as_the_oracle_reads_them(self, request, tmp_path, run):
+        frames = request.getfixturevalue(run)
+        frames = frames[0] if run == "baseline_run" else frames
+        path = tmp_path / "run.csv"
+        emit_telemetry(frames, path)
+        assert read_outcome(read_telemetry, path) == read_outcome(read_telemetry_reference, path)
+
+    @pytest.mark.parametrize("line", [3, 300], ids=["line3", "line300"])
+    @pytest.mark.parametrize("edit", [
+        lambda cells: ",".join(cells[:-5]),
+        lambda cells: ",".join(cells + ["1.0"]),
+        lambda cells: ",".join(cells[:3] + ["1.0"] + cells[3:]),
+        cell(3, "abc"),
+        cell(3, "nan"),
+        cell(3, "-inf"),
+        lambda cells: "",
+        lambda cells: "   ",
+        cell(3, "4#2"),
+        lambda cells: "#" + ",".join(cells),
+    ], ids=["short_row", "extra_cell_end", "extra_cell_inside", "non_numeric", "nan", "inf",
+            "blank_line", "whitespace_line", "hash_in_cell", "hash_line"])
+    def test_malformed_row_names_the_line_the_oracle_names(self, tmp_path, line, edit):
+        path = tmp_path / "bad.csv"
+        rows_file(path, 400, line, edit)
+        got = read_outcome(read_telemetry, path)
+        assert isinstance(got, str) and f"{path} at line {line}: " in got
+        assert got == read_outcome(read_telemetry_reference, path)
+
+    @pytest.mark.parametrize("content, detail", [
+        ("", "unexpected telemetry header"),
+        (",".join(csv_header()) + "\r\n", []),
+        (",".join(csv_header()).replace("time_s", "t_s") + "\r\n", "unexpected telemetry header"),
+    ], ids=["empty", "header_only", "wrong_header"])
+    def test_header_cases_as_the_oracle(self, tmp_path, content, detail):
+        path = tmp_path / "head.csv"
+        path.write_text(content, newline="")
+        got = read_outcome(read_telemetry, path)
+        assert got == read_outcome(read_telemetry_reference, path)
+        assert got == detail if detail == [] else detail in got
+
+    @pytest.mark.parametrize("line", [3, 300], ids=["line3", "line300"])
+    @pytest.mark.parametrize("edit", [
+        cell(3, '"{}"'),
+        cell(32, '"a,b;c"'),
+        cell(32, '"split\r\nevent"'),
+        cell(3, " {}\t"),
+        cell(32, "x\0y"),
+        lambda cells: ",".join(["1e308", "1e308", *cells[2:]]),
+    ], ids=["quoted_number", "quoted_comma_event", "event_across_lines", "spaces", "nul_event",
+            "sum_overflows"])
+    def test_accepted_variants_read_as_the_oracle_reads_them(self, tmp_path, line, edit):
+        path = tmp_path / "variant.csv"
+        rows_file(path, 400, line, edit)
+        got = read_outcome(read_telemetry, path)
+        assert isinstance(got, list) and len(got) == 400
+        assert got == read_outcome(read_telemetry_reference, path)
+
+    @pytest.mark.parametrize("line, edit", [
+        (3, cell(32, '"{}"'.format("x" * 200_000))),
+        (3, cell(32, "x" * 200_000)),
+        (1, cell(32, '"{}"'.format("x" * 200_000))),
+    ], ids=["quoted_cell", "plain_cell", "header_cell"])
+    def test_cell_over_the_csv_field_limit_names_its_line(self, tmp_path, line, edit):
+        # csv.reader raises its own csv.Error there; the reader names the line.
+        path = tmp_path / "wide.csv"
+        rows_file(path, 4, line, edit)
+        assert read_outcome(read_telemetry, path) == (
+            f"malformed telemetry row in {path} at line {line}: "
+            f"field larger than field limit ({csv.field_size_limit()})")
+
+    @pytest.mark.parametrize("token, value", [("1_0", 10.0), ("\u0661\u0660", 10.0)],
+                             ids=["underscore", "arabic_indic_digits"])
+    def test_float_tokens_beyond_ascii_decimals_are_accepted(self, tmp_path, token, value):
+        # A C number parser such as numpy's rejects both; the reader reads
+        # every token float() reads, as the reference loop does.
+        path = tmp_path / "token.csv"
+        rows_file(path, 400, 300, cell(3, token))
+        got = read_outcome(read_telemetry, path)
+        assert got == read_outcome(read_telemetry_reference, path)
+        assert float.fromhex(got[298][0][3]) == value
 
 
 class TestModeComparison:
@@ -451,21 +586,33 @@ class TestChamberRootFind:
 
 class TestSnapshotOnlyWhereRead:
     """The full snapshot solve runs on primary ticks and on an abort between
-    them; every other step runs only its root-find (warm_start)."""
+    them; with a chamber every other step runs only its root-find
+    (warm_start), without one nothing."""
 
-    def test_snapshot_once_per_primary_tick_warm_start_otherwise(self, baseline_config,
-                                                                 monkeypatch):
+    @staticmethod
+    def plant_calls(config, monkeypatch) -> list[str]:
         calls = []
         for name in ("snapshot", "warm_start"):
             method = getattr(engine._Plant, name)
             monkeypatch.setattr(engine._Plant, name,
                                 lambda plant, m=method, n=name: calls.append(n) or m(plant))
-        config = baseline_config.replace(duration=0.5)
         run_scenario(config)
+        return calls
+
+    def test_snapshot_once_per_primary_tick_warm_start_otherwise(self, baseline_config,
+                                                                 monkeypatch):
+        config = baseline_config.replace(duration=0.5)
+        calls = self.plant_calls(config, monkeypatch)
         steps_per_primary = round(config.dt_primary / config.dt_phys)
         assert steps_per_primary > 1
         ticks = round(config.duration / config.dt_primary)
         assert calls == (["snapshot"] + ["warm_start"] * (steps_per_primary - 1)) * ticks
+
+    def test_no_warm_start_without_a_chamber(self, blowdown_config, monkeypatch):
+        assert blowdown_config.chamber is None
+        config = blowdown_config.replace(duration=0.5)
+        calls = self.plant_calls(config, monkeypatch)
+        assert calls == ["snapshot"] * round(config.duration / config.dt_primary)
 
     @pytest.mark.parametrize("decimation, n_frames", [(1, 9), (7, 3)])
     def test_abort_between_primary_ticks_matches_a_snapshot_every_step(
