@@ -8,10 +8,10 @@ Tank states advance with classical fourth-order Runge-Kutta at the
 physics step: the stages integrate the four valve flows of the algebraic
 network and each ullage's collapse sink, and the supply pays only for
 the gas its valves pass. The engine alone keeps the multi-rate clock: it
-counts physics steps on the grid of scenario.step_grid, the one the
-loader checks, and, on each secondary tick, tells every cascade whether
-the primary loop is due too, so a run is a deterministic interleaving
-fully determined by the scenario.
+counts physics steps on the grid of scenario.step_grid, the one every
+ScenarioConfig is checked against, and, on each secondary tick, tells
+every cascade whether the primary loop is due too, so a run is a
+deterministic interleaving fully determined by the scenario.
 
 The plant keeps one flat float state: the supply gas mass and pressure,
 and per side the ullage gas mass, ullage volume, liquid volume and stored
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import Actuator, EregController, clamp
-from .errors import ConfigError, EregSimError, ModelError
+from .errors import EregSimError, ModelError
 from .fluids import (
     CHOKED_PRESSURE_RATIO,
     FULL_TRAVEL,
@@ -62,8 +62,7 @@ from .fluids import (
     choked_flow_fade,
 )
 from .scenario import (
-    EREG_NAMES, SIDES, VARIANTS, ScenarioConfig, collapse_coeff, plant_start, setpoints_at,
-    step_grid,
+    EREG_NAMES, SIDES, ScenarioConfig, plant_start, setpoints_at, step_grid,
 )
 from .telemetry import EVENT_ABORT, EVENT_LIQUID_DEPLETED, EVENT_SUPPLY_DEPLETED, TelemetryFrame
 
@@ -459,16 +458,12 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
     The run ends at the configured duration or at an over-pressure abort
     (110 percent of a valve rating upstream of it by default), whichever
     comes first; the aborting step emits a last frame that carries the
-    abort event. Output is bit-identical for identical configs.
+    abort event. Output is bit-identical for identical configs. The config
+    checked itself when it was built, so the run checks no config rule.
     """
-    if config.variant not in VARIANTS:
-        raise ConfigError(
-            f"variant must be one of {', '.join(VARIANTS)}, got {config.variant!r}"
-        )
     n_steps, phys_per_secondary, phys_per_primary = step_grid(
         config.duration, config.dt_phys, config.dt_secondary, config.dt_primary
     )
-    collapse_coeff(config.ullage_collapse_coeff, config.dt_phys)
     plant = _Plant(config)
     if audit is not None:
         audit.record(plant)
@@ -549,8 +544,6 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
             actuator.step(ctrl.u2)
             angles[j] = actuator.valve_angle
 
-    if not frames:
-        raise EregSimError("run produced no telemetry frames")
     return frames
 
 

@@ -4,8 +4,10 @@ configuration loading.
 Scenario files are YAML with pressures in bar, times in seconds and
 angles in degrees; everything is converted to SI at load. A
 schema_version field is mandatory. Loading is a single pass: each key is
-read in one place, checked there, and a key that nothing reads is
-rejected. See docs/scenario_schema.md.
+read in one place, checked there for what the file alone can get wrong,
+and a key that nothing reads is rejected. The rules on the built values
+belong to ScenarioConfig, which checks itself on construction and on
+replace(). See docs/scenario_schema.md.
 """
 
 from __future__ import annotations
@@ -188,6 +190,13 @@ class MetricsSettings:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A run's plant, controllers and clock in SI units.
+
+    Every instance, loaded or made by replace(), has passed the one check
+    in __post_init__. The reader holds only what a file can get wrong on
+    its own: missing, unknown and mistyped keys and single-key bounds.
+    """
+
     duration: float
     dt_phys: float
     dt_secondary: float
@@ -214,10 +223,48 @@ class ScenarioConfig:
     telemetry_decimation: int
     metrics: MetricsSettings
 
+    def __post_init__(self):
+        """The rules on the stored values: a ConfigError names the YAML key and
+        prints the value in that key's units."""
+        for key, dt in (("dt_phys_s", self.dt_phys), ("dt_secondary_s", self.dt_secondary),
+                        ("dt_primary_s", self.dt_primary)):
+            checked_number(dt, f"timing.{key}", above=0.0)
+        step_grid(self.duration, self.dt_phys, self.dt_secondary, self.dt_primary)
+        supply_bar = checked_number(self.supply_pressure / 1e5, "supply.initial_pressure_bar",
+                                    above=self.ambient_pressure / 1e5)
+        for reg in EREG_NAMES:
+            # The supply feeds the tank valves; each tank feeds its injector
+            # valve, at the tank's start pressure and later at its setpoint.
+            side, kind = reg.split("_")
+            upstream = self.supply_pressure if kind == "tank" else max(
+                self.tank_setpoint(side), self.tanks[side].initial_pressure)
+            checked_number(self.valves[reg].rated_pressure / 1e5,
+                           f"valves.{reg}.rated_pressure_bar", at_least=upstream / 1e5)
+        for side in SIDES:
+            settings = self.controllers[side + "_inj"]
+            peak = getattr(self.schedule, side + "_inj").max_pressure()
+            headroom = self.tank_setpoint(side) - settings.feedforward.min_drop
+            if settings.locked_angle is None and peak > headroom:
+                raise InfeasibleThrottleError(f"{side} injector profile peaks at {peak / 1e5:.2f} "
+                                              f"bar, above the feasible {headroom / 1e5:.2f} bar")
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"variant must be one of {', '.join(VARIANTS)}, got {self.variant!r}")
+        checked_number(self.noise_sigma / 1e5, "sensors.noise_sigma_bar", at_least=0.0,
+                       at_most=supply_bar)
+        for key, value, least in (("sensors.seed", self.noise_seed, 0),
+                                  ("telemetry.decimation", self.telemetry_decimation, 1)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+        checked_number(self.ullage_collapse_coeff, "options.ullage_collapse_coeff", at_least=0.0,
+                       at_most=RK4_STABILITY_LIMIT / self.dt_phys)
+        checked_number(self.abort_pressure_factor, "options.abort_pressure_factor", above=0.0)
+        plant_start(self)
+
     def tank_setpoint(self, side: str) -> float:
         return self.schedule.ox_tank if side == "ox" else self.schedule.fuel_tank
 
     def replace(self, **kwargs) -> "ScenarioConfig":
+        """This config with the given fields changed, checked as a loaded one is."""
         return dc_replace(self, **kwargs)
 
 
@@ -235,7 +282,7 @@ def paired_setpoints_for_of(
     Inverts the injector orifice law at the mass flows implied by the
     fraction of the nominal operating point, against the chamber pressure
     those flows give (ambient without a chamber). Whether the tanks can
-    drive these setpoints is checked when a scenario is loaded.
+    drive these setpoints is a ScenarioConfig rule.
     """
     if not 0.0 < thrust_fraction <= 1.0:
         raise InfeasibleThrottleError(f"thrust fraction {thrust_fraction} outside (0, 1]")
@@ -318,13 +365,6 @@ def step_grid(duration: float, dt_phys: float, dt_secondary: float,
     return round(steps), round(dt_secondary / dt_phys), round(dt_primary / dt_phys)
 
 
-def collapse_coeff(value, dt_phys: float) -> float:
-    """value as the collapse coefficient (1/s) of a run at dt_phys, within RK4's
-    stability limit: a ConfigError naming options.ullage_collapse_coeff."""
-    return checked_number(value, "options.ullage_collapse_coeff", at_least=0.0,
-                          at_most=RK4_STABILITY_LIMIT / dt_phys)
-
-
 def plant_start(config: ScenarioConfig) -> tuple[float, float, list, list, list]:
     """The start state from p V = m R T: R * T, the supply gas mass, and the
     liquid volumes, ullage volumes and ullage gas masses indexed like SIDES.
@@ -394,12 +434,6 @@ class _Section:
         value, path = self.lookup(key, default)
         return value if value is default else checked_number(value, path, **bounds)
 
-    def integer(self, key: str, default: int, *, at_least: int) -> int:
-        value, path = self.lookup(key, default)
-        if isinstance(value, bool) or not isinstance(value, int) or value < at_least:
-            raise ConfigError(f"{path} must be an integer >= {at_least}, got {value!r}")
-        return value
-
     def choice(self, key: str, options: tuple, default=_REQUIRED):
         value, path = self.lookup(key, default)
         if value not in options:
@@ -454,35 +488,21 @@ class _Section:
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     root = _Section(data, "")
     root.choice("schema_version", (SCHEMA_VERSION,))
-    duration = root.number("duration_s", above=0.0)
-
-    timing = root.section("timing")
-    dt_phys = timing.number("dt_phys_s", above=0.0)
-    dt_secondary = timing.number("dt_secondary_s", above=0.0)
-    dt_primary = timing.number("dt_primary_s", above=0.0)
-    step_grid(duration, dt_phys, dt_secondary, dt_primary)
-
     ambient_bar = root.number("ambient_pressure_bar", AMBIENT_PRESSURE / 1e5, above=0.0)
     ambient = ambient_bar * 1e5
     pressurant = root.section("pressurant", {})
     gas_constant = pressurant.number("specific_gas_constant", R_NITROGEN, above=0.0)
     gas_temperature = pressurant.number("temperature_k", DEFAULT_TEMPERATURE, above=0.0)
 
-    supply = root.section("supply")
-    supply_volume = supply.number("volume_m3", above=0.0)
-    supply_bar = supply.number("initial_pressure_bar", above=ambient_bar)
-
-    tanks, lines, tank_start_bar = {}, {}, {}
+    tanks, lines = {}, {}
     for side in SIDES:
         tank = root.section("tanks").section(side)
         tanks[side] = TankSettings(
             total_volume=tank.number("total_volume_m3", above=0.0),
             initial_ullage_fraction=tank.number("initial_ullage_fraction", above=0.0, below=1.0),
             liquid_density=tank.number("liquid_density_kg_m3", above=0.0),
-            initial_pressure=(start_bar := tank.number("initial_pressure_bar",
-                                                       above=ambient_bar)) * 1e5,
+            initial_pressure=tank.number("initial_pressure_bar", above=ambient_bar) * 1e5,
         )
-        tank_start_bar[side] = start_bar
         line = root.section("lines").section(side)
         lines[side] = LineModel(
             friction_factor=line.number("friction_factor", above=0.0),
@@ -505,8 +525,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     nominal_mdot = {side: nominal.number(f"{side}_kg_s", above=0.0) for side in SIDES}
 
     setpoints = root.section("setpoints")
-    tank_bar = {side: setpoints.section("tank_bar").number(side, above=0.0) for side in SIDES}
-    tank_setpoints = {side: tank_bar[side] * 1e5 for side in SIDES}
+    tank_bar = setpoints.section("tank_bar")
+    tank_setpoints = {side: tank_bar.number(side, above=0.0) * 1e5 for side in SIDES}
 
     injector = root.section("injector")
     injectors = {}
@@ -538,16 +558,11 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     valves = {}
     for reg in EREG_NAMES:
         valve = root.section("valves").section(reg)
-        # The supply feeds the tank (gas) valves, whose choked flow law needs
-        # k; the propellant tanks feed the injector valves, at their start
-        # pressure and later at their setpoint.
-        side, kind = reg.split("_")
-        gas = kind == "tank"
-        upstream_bar = supply_bar if gas else max(tank_bar[side], tank_start_bar[side])
+        gas = reg.endswith("_tank")  # the choked flow law of a gas valve needs k
         valves[reg] = ValveModel(
             alpha=valve.number("alpha_si_per_deg", above=0.0),
             theta_zero=valve.number("theta_zero_deg", 0.0, at_least=0.0, below=FULL_TRAVEL),
-            rated_pressure=valve.number("rated_pressure_bar", at_least=upstream_bar) * 1e5,
+            rated_pressure=valve.number("rated_pressure_bar") * 1e5,
             choked_constant=valve.number("choked_constant", above=0.0) if gas else 0.0,
         )
         _in_range(f"valves.{reg}", "Cv^2", lambda: cv_of_angle(valves[reg], FULL_TRAVEL) ** 2)
@@ -672,28 +687,21 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             locked_angle=raw.number("locked_angle_deg", None, at_least=0.0, at_most=FULL_TRAVEL),
         )
 
-    for side in SIDES:
-        settings = controllers[side + "_inj"]
-        headroom = tank_setpoints[side] - settings.feedforward.min_drop
-        if settings.locked_angle is None and profiles[side].max_pressure() > headroom:
-            raise InfeasibleThrottleError(
-                f"{side} injector profile peaks at {profiles[side].max_pressure() / 1e5:.2f} "
-                f"bar, above the feasible {headroom / 1e5:.2f} bar"
-            )
-
+    timing = root.section("timing")
+    supply = root.section("supply")
     sensors = root.section("sensors", {})
     options = root.section("options", {})
     metrics = root.section("metrics", {})
     config = ScenarioConfig(
-        duration=duration,
-        dt_phys=dt_phys,
-        dt_secondary=dt_secondary,
-        dt_primary=dt_primary,
+        duration=root.number("duration_s"),
+        dt_phys=timing.number("dt_phys_s"),
+        dt_secondary=timing.number("dt_secondary_s"),
+        dt_primary=timing.number("dt_primary_s"),
         ambient_pressure=ambient,
         gas_constant=gas_constant,
         gas_temperature=gas_temperature,
-        supply_volume=supply_volume,
-        supply_pressure=supply_bar * 1e5,
+        supply_volume=supply.number("volume_m3", above=0.0),
+        supply_pressure=supply.number("initial_pressure_bar") * 1e5,
         tanks=tanks,
         lines=lines,
         valves=valves,
@@ -705,13 +713,12 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         ),
         controllers={reg: controllers[reg] for reg in EREG_NAMES},
         actuator=actuator,
-        variant=root.choice("variant", VARIANTS, "ff+dyn"),
-        noise_sigma=sensors.number("noise_sigma_bar", 0.0, at_least=0.0, at_most=supply_bar) * 1e5,
-        noise_seed=sensors.integer("seed", 0, at_least=0),
-        ullage_collapse_coeff=collapse_coeff(options.lookup("ullage_collapse_coeff", 0.0)[0],
-                                             dt_phys),
-        abort_pressure_factor=options.number("abort_pressure_factor", 1.10, above=0.0),
-        telemetry_decimation=root.section("telemetry", {}).integer("decimation", 1, at_least=1),
+        variant=root.lookup("variant", "ff+dyn")[0],
+        noise_sigma=sensors.number("noise_sigma_bar", 0.0) * 1e5,
+        noise_seed=sensors.lookup("seed", 0)[0],
+        ullage_collapse_coeff=options.number("ullage_collapse_coeff", 0.0),
+        abort_pressure_factor=options.number("abort_pressure_factor", 1.10),
+        telemetry_decimation=root.section("telemetry", {}).lookup("decimation", 1)[0],
         metrics=MetricsSettings(
             startup_window=metrics.number("startup_window_s", 1.0, at_least=0.0),
             early_window=metrics.number("early_window_s", 2.0, at_least=0.0),
@@ -719,7 +726,6 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         ),
     )
     root.check_unread()
-    plant_start(config)
     return config
 
 

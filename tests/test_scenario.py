@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import random
 import re
@@ -464,6 +465,48 @@ def test_malformed_scenario_rejected_at_load(edits, key):
         set_key(data, path, value)
     with pytest.raises(ConfigError, match=re.escape(key)):
         scenario_from_dict(data)
+
+
+# Configs changed after loading past a rule the loader holds. Before the
+# config checked itself, each ran: noise above the supply pressure failed
+# mid-run on a non-finite controller input, a decimation or a physics step
+# of 0 raised a raw ZeroDivisionError, a negative seed a raw numpy
+# ValueError once noise was on, and a supply or a tank start above a valve
+# rating, or a negative abort factor, gave one frame and an over-pressure
+# abort: (changes to the loaded blowdown, key path the error must name).
+REPLACE_BYPASSES = {
+    "noise_sigma=1e308": (lambda config: {"noise_sigma": 1e308}, "sensors.noise_sigma_bar"),
+    "telemetry_decimation=0": (lambda config: {"telemetry_decimation": 0}, "telemetry.decimation"),
+    "supply_pressure=5e7": (lambda config: {"supply_pressure": 5e7},
+                            "valves.ox_tank.rated_pressure_bar"),
+    "abort_pressure_factor=-1": (lambda config: {"abort_pressure_factor": -1},
+                                 "options.abort_pressure_factor"),
+    "ox_tank_starts_at_500_bar": (
+        lambda config: {"tanks": {**config.tanks, "ox": dataclasses.replace(
+            config.tanks["ox"], initial_pressure=500e5)}},
+        "valves.ox_inj.rated_pressure_bar",
+    ),
+    "noise_seed=-1": (lambda config: {"noise_seed": -1}, "sensors.seed"),
+    "dt_phys=0": (lambda config: {"dt_phys": 0}, "timing.dt_phys_s"),
+}
+
+
+@pytest.mark.parametrize("changes, key", REPLACE_BYPASSES.values(), ids=REPLACE_BYPASSES.keys())
+def test_replace_rejects_what_the_loader_rejects(blowdown_config, changes, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        blowdown_config.replace(**changes(blowdown_config))
+
+
+_REPLACE_GRID = probe_scenarios.replace_inputs()
+
+
+@pytest.mark.parametrize("field, value", _REPLACE_GRID,
+                         ids=[probe_scenarios.replace_id(*i) for i in _REPLACE_GRID])
+def test_replaced_field_runs_or_is_rejected_at_replace(field, value):
+    """Every input of the probe script's replace() arm: a ConfigError from
+    replace() itself, or a 0.2 s run (to its end or to the over-pressure
+    abort) that keeps the gas law."""
+    assert probe_scenarios.probe_replace(field, value) in probe_scenarios.REPLACE_OUTCOMES
 
 
 def test_collapse_coefficient_just_inside_the_rk4_limit_runs():

@@ -115,20 +115,20 @@ class TestRunScenarioBasics:
     def test_unknown_variant_is_rejected(self):
         config = build_small_scenario(duration_s=1.0)
         with pytest.raises(ConfigError, match="bogus"):
-            run_scenario(config.replace(variant="bogus"))
+            config.replace(variant="bogus")
 
 
-# A config changed after loading runs on the step grid the loader checks:
-# 1e303 steps that would never end, and 2.5 steps per 1 ms secondary tick,
-# which the engine would round to 2 and so miss every primary tick (25 steps)
-# that falls between secondary ticks.
+# A config changed after loading is held to the step grid a loaded one is:
+# replace() rejects 1e303 steps that would never end, and 2.5 steps per 1 ms
+# secondary tick, which the engine would round to 2 and so miss every primary
+# tick (25 steps) that falls between secondary ticks.
 @pytest.mark.parametrize("changes, key", [
     ({"duration": 1e300}, "duration_s"),
     ({"duration": 0.2, "dt_phys": 0.0004}, "timing.dt_secondary_s/dt_phys_s"),
 ], ids=["past_step_cap", "split_secondary_tick"])
 def test_replaced_timing_is_checked_at_run(baseline_config, changes, key):
     with pytest.raises(ConfigError, match=re.escape(key)):
-        run_scenario(baseline_config.replace(**changes))
+        baseline_config.replace(**changes)
 
 
 def test_replaced_step_is_checked_against_the_collapse_bound():
@@ -136,7 +136,7 @@ def test_replaced_step_is_checked_against_the_collapse_bound():
     it, where the ullage pressure would blow up instead of decaying."""
     config = build_small_scenario(options={"ullage_collapse_coeff": 278.0})
     with pytest.raises(ConfigError, match=re.escape("options.ullage_collapse_coeff")):
-        run_scenario(config.replace(dt_phys=0.02, dt_secondary=0.02, dt_primary=0.02))
+        config.replace(dt_phys=0.02, dt_secondary=0.02, dt_primary=0.02)
 
 
 class TestOracleMode:
