@@ -64,7 +64,14 @@ from .fluids import (
 from .scenario import (
     EREG_NAMES, SIDES, ScenarioConfig, plant_start, setpoints_at, step_grid,
 )
-from .telemetry import EVENT_ABORT, EVENT_LIQUID_DEPLETED, EVENT_SUPPLY_DEPLETED, TelemetryFrame
+from .telemetry import (
+    EVENT_ABORT,
+    EVENT_LIQUID_DEPLETED,
+    EVENT_SUPPLY_DEPLETED,
+    TelemetryFrame,
+    _check_values,
+    _frames,
+)
 
 # Chamber back-pressure root-find: converged when the residual is below
 # ROOT_TOLERANCE_PA. A solve still above it after ROOT_MAX_ITERATIONS
@@ -482,7 +489,10 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
     rng = np.random.default_rng(config.noise_seed) if noise_sigma > 0.0 else None
 
     angles = [0.0 if angle is None else angle for angle in locked]
-    frames: list[TelemetryFrame] = []
+    # One checked row of values and one events tuple per frame; the frames
+    # are built in one batch at the end.
+    rows: list[list[float]] = []
+    row_events: list[tuple[str, ...]] = []
     events_active: list[str] = []
     measured = [0.0] * 4
     measured_supply = config.supply_pressure
@@ -531,8 +541,9 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
         if abort or k % phys_per_frame == 0:
             if not primary:  # an abort between primary ticks; the state has not moved
                 flows = plant.snapshot()
-            frames.append(_make_frame(t, flows, controllers, angles, measured,
-                                      measured_supply, setpoints, events_active))
+            rows.append(_frame_row(t, flows, controllers, angles, measured,
+                                   measured_supply, setpoints))
+            row_events.append(tuple(events_active))
         if abort:
             break
 
@@ -544,12 +555,14 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
             actuator.step(ctrl.u2)
             angles[j] = actuator.valve_angle
 
-    return frames
+    columns = [*zip(*rows)]
+    rows.clear()  # free the row lists before the frames are built
+    return _frames(columns, row_events)
 
 
-def _make_frame(t, flows, controllers, angles, measured, measured_supply, setpoints,
-                events_active) -> TelemetryFrame:
-    """The frame at t, built as one row in CSV column order."""
+def _frame_row(t, flows, controllers, angles, measured, measured_supply,
+               setpoints) -> list[float]:
+    """The values of the frame at t in CSV column order, checked finite."""
     row = [t]
     for ctrl, setpoint, pressure, angle in zip(controllers, setpoints, measured, angles):
         row += (setpoint / 1e5, pressure / 1e5, angle)
@@ -568,7 +581,8 @@ def _make_frame(t, flows, controllers, angles, measured, measured_supply, setpoi
         (mdot_ox / mdot_fuel) if mdot_fuel > 0.0 else 0.0,
     )
     try:
-        return TelemetryFrame.from_values(row, events_active)
+        _check_values(row)
     except ValueError as exc:
         raise EregSimError(f"non-finite telemetry at t={t}: {exc}") from exc
+    return row
 

@@ -124,6 +124,9 @@ class SetpointSchedule:
     fuel_tank: float  # Pa
     ox_inj: ThrottleProfile
     fuel_inj: ThrottleProfile
+    # setpoints.throttle.kind: "pressure" profiles are the file's own,
+    # "thrust_fraction" ones are paired from fractions at load.
+    throttle_kind: str = "thrust_fraction"
 
 
 def setpoints_at(schedule: SetpointSchedule, t: float) -> tuple[float, float, float, float]:
@@ -159,7 +162,8 @@ def size_mock_injector(
         raise ConfigError(f"discharge coefficient {cd} outside (0, 1]")
     dp = upstream - downstream
     if dp <= 0.0:
-        raise InfeasibleThrottleError("mock injector sizing needs a positive pressure drop")
+        raise InfeasibleThrottleError(f"mock injector sizing needs a positive pressure drop, got "
+                                      f"{upstream / 1e5:g} bar to {downstream / 1e5:g} bar")
     if target_mdot <= 0.0 or rho <= 0.0:
         raise ConfigError("target flow and density must be positive")
     flux = cd * math.sqrt(2.0 * rho * dp)  # kg/(s m2)
@@ -230,8 +234,21 @@ class ScenarioConfig:
                         ("dt_primary_s", self.dt_primary)):
             checked_number(dt, f"timing.{key}", above=0.0)
         step_grid(self.duration, self.dt_phys, self.dt_secondary, self.dt_primary)
+        ambient_bar = checked_number(self.ambient_pressure / 1e5, "ambient_pressure_bar",
+                                     above=0.0)
         supply_bar = checked_number(self.supply_pressure / 1e5, "supply.initial_pressure_bar",
-                                    above=self.ambient_pressure / 1e5)
+                                    above=ambient_bar)
+        for side in SIDES:
+            checked_number(self.tanks[side].initial_pressure / 1e5,
+                           f"tanks.{side}.initial_pressure_bar", above=ambient_bar)
+            if self.schedule.throttle_kind != "pressure":
+                continue  # paired setpoints: derived at load, not a key to check
+            profile = getattr(self.schedule, side + "_inj")
+            key = f"setpoints.throttle.{side}"
+            checked_number(profile.start_pressure / 1e5, f"{key}.start_bar", above=ambient_bar)
+            for i, segment in enumerate(profile.segments):
+                checked_number(segment.target_pressure / 1e5, f"{key}.segments[{i}].target_bar",
+                               above=ambient_bar)
         for reg in EREG_NAMES:
             # The supply feeds the tank valves; each tank feeds its injector
             # valve, at the tank's start pressure and later at its setpoint.
@@ -488,8 +505,7 @@ class _Section:
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     root = _Section(data, "")
     root.choice("schema_version", (SCHEMA_VERSION,))
-    ambient_bar = root.number("ambient_pressure_bar", AMBIENT_PRESSURE / 1e5, above=0.0)
-    ambient = ambient_bar * 1e5
+    ambient = root.number("ambient_pressure_bar", AMBIENT_PRESSURE / 1e5) * 1e5
     pressurant = root.section("pressurant", {})
     gas_constant = pressurant.number("specific_gas_constant", R_NITROGEN, above=0.0)
     gas_temperature = pressurant.number("temperature_k", DEFAULT_TEMPERATURE, above=0.0)
@@ -501,7 +517,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             total_volume=tank.number("total_volume_m3", above=0.0),
             initial_ullage_fraction=tank.number("initial_ullage_fraction", above=0.0, below=1.0),
             liquid_density=tank.number("liquid_density_kg_m3", above=0.0),
-            initial_pressure=tank.number("initial_pressure_bar", above=ambient_bar) * 1e5,
+            initial_pressure=tank.number("initial_pressure_bar") * 1e5,
         )
         line = root.section("lines").section(side)
         lines[side] = LineModel(
@@ -581,14 +597,15 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     # per-injector pressure profiles.
     throttle = setpoints.section("throttle")
     profiles = {}
-    if throttle.choice("kind", ("thrust_fraction", "pressure"), "thrust_fraction") == "pressure":
+    throttle_kind = throttle.choice("kind", ("thrust_fraction", "pressure"), "thrust_fraction")
+    if throttle_kind == "pressure":
         demand_scale = 1.0
         for side in SIDES:
             raw = throttle.section(side)
-            start = raw.number("start_bar", above=ambient_bar) * 1e5
+            start = raw.number("start_bar") * 1e5
             segments = tuple(
                 ProfileSegment(
-                    target_pressure=seg.number("target_bar", above=ambient_bar) * 1e5,
+                    target_pressure=seg.number("target_bar") * 1e5,
                     hold_duration=seg.number("hold_s", 0.0, at_least=0.0),
                     ramp_rate=seg.number("ramp_rate_bar_s", 2.0, above=0.0) * 1e5,
                 )
@@ -709,7 +726,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         chamber=chamber,
         nominal_mdot=nominal_mdot,
         schedule=SetpointSchedule(
-            tank_setpoints["ox"], tank_setpoints["fuel"], profiles["ox"], profiles["fuel"]
+            tank_setpoints["ox"], tank_setpoints["fuel"], profiles["ox"], profiles["fuel"],
+            throttle_kind,
         ),
         controllers={reg: controllers[reg] for reg in EREG_NAMES},
         actuator=actuator,

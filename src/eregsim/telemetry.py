@@ -5,8 +5,11 @@ CSV column order is fixed and documented in docs/telemetry_schema.md.
 Floats are written at 9 significant digits and round-trip losslessly at
 that precision through read_telemetry, in the bytes csv.writer writes:
 CRLF rows, never quoted, since no value or event name needs quoting.
-read_telemetry accepts what csv.reader and float() read, and builds each
-frame in C without a per-row TelemetryFrame method call.
+read_telemetry accepts what csv.reader and float() read. It parses a file
+in the bytes emit_telemetry writes with numpy's C reader, about 64 kB of
+rows per call, and any other file with one csv.reader loop from the start.
+Both read paths, the engine and from_values build their frames through
+_frames: in C, a batch at a time.
 """
 
 from __future__ import annotations
@@ -14,8 +17,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import EregSimError
 from .scenario import EREG_NAMES, ScenarioConfig
@@ -36,6 +42,10 @@ _WIDTH = 1 + len(EREG_FIELDS) * len(EREG_NAMES) + len(SCALAR_FIELDS)
 _ROW_FORMAT = "%.9g," * _WIDTH + "%s\r\n"
 # Not in an event name: the reader splits the cell on ";", csv quotes the rest.
 _EVENT_UNSAFE = frozenset(',;"\r\n')
+# read_telemetry's numpy path: the readlines size hint of one block, and the
+# bytes its numeric cells may hold, on which numpy gives float()'s bits.
+_BLOCK_CHARS = 1 << 16
+_NUMBER_BYTES = b"0123456789+-.e,"
 # Run event names, the one vocabulary of the engine, the CSV and the metrics.
 EVENT_ABORT = "abort_overpressure"
 EVENT_SUPPLY_DEPLETED = "supply_gas_depleted"
@@ -82,7 +92,7 @@ class TelemetryFrame(NamedTuple):
         """The frame whose values() are values; a list not 32 long, or a nan
         or inf value, is a ValueError (naming its CSV column)."""
         _check_values(values)
-        return _frame(values, tuple(events))
+        return _frames([*zip(values)], [tuple(events)])[0]
 
 
 def _check_values(values: list[float]) -> None:
@@ -99,12 +109,12 @@ def _check_values(values: list[float]) -> None:
 _new = tuple.__new__
 
 
-def _frame(v: list[float], events: tuple[str, ...]) -> TelemetryFrame:
-    """The frame of 32 values in CSV column order, built in C and unchecked:
-    callers check values with _check_values first."""
-    return _new(TelemetryFrame, (v[0], _new(EregFrame, v[1:7]), _new(EregFrame, v[7:13]),
-                                 _new(EregFrame, v[13:19]), _new(EregFrame, v[19:25]),
-                                 v[25], v[26], v[27], v[28], v[29], v[30], v[31], events))
+def _frames(columns, events) -> list[TelemetryFrame]:
+    """The frames of 32 value columns in CSV column order, each a sequence
+    over the frames, and of their events tuples; built in C, a frame at a
+    time, and unchecked: callers check the values first."""
+    eregs = [map(_new, repeat(EregFrame), zip(*columns[i:i + 6])) for i in range(1, 25, 6)]
+    return [*map(_new, repeat(TelemetryFrame), zip(columns[0], *eregs, *columns[25:], events))]
 
 
 def csv_header() -> list[str]:
@@ -114,6 +124,10 @@ def csv_header() -> list[str]:
     columns.extend(SCALAR_FIELDS)
     columns.append("events")
     return columns
+
+
+# The header line as emit_telemetry writes it.
+_HEADER_LINE = ",".join(csv_header()) + "\r\n"
 
 
 def emit_telemetry(frames: list[TelemetryFrame], destination: str | Path) -> None:
@@ -137,28 +151,81 @@ def read_telemetry(path: str | Path) -> list[TelemetryFrame]:
     not read as 32 finite numbers and an events cell is an EregSimError
     naming the file and the line."""
     path = Path(path)
-    frames: list[TelemetryFrame] = []
     try:
         with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            # csv rejects a cell over its field size limit (csv.Error), a
-            # missing field fails to index or convert (IndexError, ValueError),
-            # _check_values rejects a row of the wrong width and nan and inf.
-            try:
-                if next(reader, None) != csv_header():
-                    raise EregSimError(f"unexpected telemetry header in {path}")
-                for row in reader:
-                    values = [*map(float, row[:-1])]
-                    events = row[-1]
-                    _check_values(values)
-                    frames.append(_frame(values, tuple(events.split(";")) if events else ()))
-            except (csv.Error, IndexError, ValueError) as exc:
-                raise EregSimError(
-                    f"malformed telemetry row in {path} at line {reader.line_num}: {exc}"
-                ) from exc
+            frames = _read_blocks(fh)
+            if frames is None:
+                fh.seek(0)
+                frames = _read_rows(fh, path)
     except OSError as exc:
         raise EregSimError(f"cannot read telemetry from {path}: {exc}") from exc
     return frames
+
+
+def _read_blocks(fh) -> list[TelemetryFrame] | None:
+    """The frames of a file in the bytes emit_telemetry writes, parsed by
+    numpy a block of lines at a time; None from the first block that is not
+    in those bytes, so that _read_rows reads the file and names its faults.
+
+    numpy gives float()'s bits for a cell of _NUMBER_BYTES, but strips
+    characters float() rejects around a number, and it is not given the
+    events cell. So a block must hold CRLF lines of 32 such cells and an
+    events cell, with no quote (csv would unquote it) or NUL (csv rejects
+    it before Python 3.11), and no line over csv's field size limit.
+    """
+    try:
+        if fh.readline() != _HEADER_LINE:
+            return None
+        limit = csv.field_size_limit()
+        frames: list[TelemetryFrame] = []
+        while lines := fh.readlines(_BLOCK_CHARS):
+            n = len(lines)
+            text = "".join(lines)
+            # readlines ends a line at each CR, LF or CRLF: n of each is n CRLF lines.
+            if (text.count("\r") != n or text.count("\n") != n or '"' in text or "\0" in text
+                    or max(map(len, lines)) > limit):
+                return None
+            cells = [line.rpartition(",") for line in lines]
+            numbers = [c[0] for c in cells]
+            joined = ",".join(numbers)
+            # loadtxt would skip an empty line, and warn if all were.
+            if ("" in numbers or not joined.isascii()
+                    or joined.encode().translate(None, _NUMBER_BYTES)):
+                return None
+            # loadtxt raises on a row whose cell count differs from the first
+            # row's: the shape checks 32 cells a line.
+            rows = np.loadtxt(numbers, delimiter=",", comments=None, ndmin=2)
+            if rows.shape != (n, _WIDTH) or not np.isfinite(rows).all():
+                return None
+            frames += _frames(rows.T.tolist(), [tuple(e.split(";")) if (e := c[2][:-2]) else ()
+                                                for c in cells])
+    except ValueError:  # a cell numpy does not read, or bytes that do not decode
+        return None
+    return frames
+
+
+def _read_rows(fh, path: Path) -> list[TelemetryFrame]:
+    """The frames of the file, read by csv.reader and float() row by row;
+    a row they do not read is an EregSimError naming its line."""
+    reader = csv.reader(fh)
+    rows, events = [], []
+    # csv rejects a cell over its field size limit (csv.Error), a missing
+    # field fails to index or convert (IndexError, ValueError), and
+    # _check_values rejects a row of the wrong width and nan and inf.
+    try:
+        if next(reader, None) != csv_header():
+            raise EregSimError(f"unexpected telemetry header in {path}")
+        for row in reader:
+            values = [*map(float, row[:-1])]
+            cell = row[-1]
+            _check_values(values)
+            rows.append(values)
+            events.append(tuple(cell.split(";")) if cell else ())
+    except (csv.Error, IndexError, ValueError) as exc:
+        raise EregSimError(
+            f"malformed telemetry row in {path} at line {reader.line_num}: {exc}"
+        ) from exc
+    return _frames([*zip(*rows)], events) if rows else []
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def read_telemetry_reference(path) -> list[TelemetryFrame]:
                     [*map(float, row[:-1])],
                     row[-1].split(";") if row[-1] else (),
                 ))
-        except (IndexError, ValueError) as exc:
+        except (csv.Error, IndexError, ValueError) as exc:
             raise EregSimError(
                 f"malformed telemetry row in {path} at line {reader.line_num}: {exc}"
             ) from exc

@@ -29,7 +29,7 @@ failing input, then one line of counts per arm:
     PYTHONPATH=src python -m tests.probe_scenarios
 
 It last printed "2496 inputs: 925 rejected at load, 1505 clean, 66
-aborted, 0 failing" and "99 replace() inputs: 74 rejected at replace, 21
+aborted, 0 failing" and "99 replace() inputs: 77 rejected at replace, 18
 clean, 4 aborted, 0 failing".
 """
 

@@ -84,7 +84,7 @@ class TestThrottleProfile:
         assert max_slope == pytest.approx(5 * BAR, rel=1e-6)  # and it is reached
 
     def test_validation(self):
-        """Profiles are checked where the loader reads them."""
+        """Profiles are checked at load."""
         for key, start, segments in (
             ("start_bar", 0.5, [{"target_bar": 24.0, "hold_s": 1.0}]),
             ("segments[0].hold_s", 24.0, [{"target_bar": 24.0, "hold_s": -1.0}]),
@@ -329,6 +329,15 @@ PROBES = {
     "missing_supply_volume": ({"supply.volume_m3": DROP}, "supply.volume_m3"),
     "missing_dt_phys": ({"timing.dt_phys_s": DROP}, "timing.dt_phys_s"),
     "nan_duration": ({"duration_s": math.nan}, "duration_s"),
+    # The bounds against ambient (the tanks start at 42 bar, the throttle at
+    # 30), and mock injectors sized for a drop from a 42 bar setpoint.
+    "zero_ambient": ({"ambient_pressure_bar": 0}, "ambient_pressure_bar must be above 0"),
+    "ambient_above_tank_start": ({"ambient_pressure_bar": 50.0},
+                                 "tanks.ox.initial_pressure_bar must be above 50"),
+    "ambient_above_throttle": ({"ambient_pressure_bar": 35.0},
+                               "setpoints.throttle.ox.start_bar must be above 35"),
+    "mock_injector_below_ambient": ({"injector": {"kind": "mock"}, "ambient_pressure_bar": 45.0},
+                                    "positive pressure drop, got 42 bar to 45 bar"),
     "zero_line_diameter": ({"lines.ox.diameter_m": 0}, "lines.ox.diameter_m"),
     "zero_injector_area": ({"injector.ox.area_m2": 0}, "injector.ox.area_m2"),
     "negative_temperature": ({"pressurant.temperature_k": -10}, "pressurant.temperature_k"),
@@ -488,6 +497,26 @@ REPLACE_BYPASSES = {
     ),
     "noise_seed=-1": (lambda config: {"noise_seed": -1}, "sensors.seed"),
     "dt_phys=0": (lambda config: {"dt_phys": 0}, "timing.dt_phys_s"),
+    # An ambient of 0 or below, or above the 42 bar tank start, ran clean;
+    # nan was named under the supply it is compared with.
+    "ambient_pressure=0": (lambda config: {"ambient_pressure": 0}, "ambient_pressure_bar must"),
+    "ambient_pressure=-1": (lambda config: {"ambient_pressure": -1}, "ambient_pressure_bar must"),
+    "ambient_pressure=nan": (lambda config: {"ambient_pressure": math.nan},
+                             "ambient_pressure_bar must"),
+    "ambient_pressure=50e5": (lambda config: {"ambient_pressure": 50e5},
+                              "tanks.ox.initial_pressure_bar must be above 50"),
+    # A pressure-kind throttle profile starting below ambient or ramping to it.
+    "ox_throttle_start_below_ambient": (
+        lambda config: {"schedule": dataclasses.replace(config.schedule, ox_inj=ThrottleProfile(
+            0.5e5, config.schedule.ox_inj.segments))},
+        "setpoints.throttle.ox.start_bar must be above 1.01325",
+    ),
+    "fuel_throttle_target_at_ambient": (
+        lambda config: {"schedule": dataclasses.replace(config.schedule, fuel_inj=ThrottleProfile(
+            config.schedule.fuel_inj.start_pressure,
+            (ProfileSegment(config.ambient_pressure, 0.0, 10e5),)))},
+        "setpoints.throttle.fuel.segments[0].target_bar must be above 1.01325",
+    ),
 }
 
 

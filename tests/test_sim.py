@@ -2,6 +2,7 @@ import csv
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -346,6 +347,11 @@ def rows_file(path, rows: int, line: int, edit):
     1) is edit of its cells."""
     emit_telemetry([make_frame(0.01 * k, events=("abort_overpressure",) * (k % 3 == 0))
                     for k in range(rows)], path)
+    edit_line(path, line, edit)
+
+
+def edit_line(path, line: int, edit):
+    """Make line `line` of a telemetry file edit of its cells."""
     lines = path.read_bytes().decode().split("\r\n")
     lines[line - 1] = edit(lines[line - 1].split(","))
     path.write_bytes("\r\n".join(lines).encode())
@@ -459,6 +465,171 @@ class TestReaderMatchesOracle:
         got = read_outcome(read_telemetry, path)
         assert got == read_outcome(read_telemetry_reference, path)
         assert float.fromhex(got[298][0][3]) == value
+
+
+# A cell token for the numpy path to read or give up on: numpy's ASCII
+# number characters, and what float() reads but numpy does not (_, Unicode
+# spaces and digits) or numpy strips but float() rejects (\x1c-\x1f).
+NUMBER_TOKENS = st.one_of(
+    st.text(st.sampled_from([*"0123456789+-.e_\x1c\x1d\x1e\x1f \t\x0b\x0c\u00a0\u2003\u3000",
+                             *"\u0660\u0661\u0966\uff11"]),
+            max_size=8),
+    st.sampled_from(["nan", "-nan", "inf", "+inf", "-Infinity", "1e999", "-1e400", "1e-400"]),
+)
+
+
+def calibration_logs(folder) -> list:
+    """Three seeded logs shaped like a calibration session's, 0.01 s apart:
+    a liquid and a gas valve sweep of 1,000 rows and a 1,500-row blowdown,
+    with sensor and flow noise and the idle regulators logging zeros."""
+    rng = np.random.default_rng(100)
+    idle = EregFrame(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    paths = []
+    for name, rows in (("liquid_sweep", 1000), ("gas_sweep", 1000), ("steady", 1500)):
+        share = np.linspace(0.0, 1.0, rows).tolist()
+        noise = rng.standard_normal((rows, 3)).tolist()
+        frames = [TelemetryFrame(0.01 * i, EregFrame(42.0, 42.0 + 0.02 * a, 90.0 * x, 0.0,
+                                                     90.0 * x, 0.0),
+                                 idle, idle, idle, 310.0 - 200.0 * x, 1.1e-3 * x * (1.0 + 1e-3 * b),
+                                 0.0, 0.0125 * x * (1.0 + 1e-3 * c), 0.0, 0.0, 0.0)
+                  for i, (x, (a, b, c)) in enumerate(zip(share, noise))]
+        paths.append(folder / f"{name}.csv")
+        emit_telemetry(frames, paths[-1])
+    return paths
+
+
+def refuse_csv(monkeypatch):
+    """Make any call of csv.reader fail, so only the numpy path can read."""
+    def reader(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+    monkeypatch.setattr(telemetry.csv, "reader", reader)
+
+
+class TestBlockReader:
+    """read_telemetry's numpy path reads emitted files to the oracle's bits
+    at every block boundary, and hands every other file to the csv loop,
+    which reads it as the oracle does."""
+
+    @pytest.fixture(scope="class")
+    def csv_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("blocks")
+
+    @pytest.fixture(scope="class")
+    def block_rows(self, csv_dir):
+        """B, the rows of one block of a uniform_rows file."""
+        path = csv_dir / "long.csv"
+        uniform_rows(path, 3000)
+        with path.open(newline="") as fh:
+            fh.readline()
+            rows = len(fh.readlines(telemetry._BLOCK_CHARS))
+        assert 100 < rows < 3000
+        return rows
+
+    @pytest.mark.parametrize("count", [lambda b: 0, lambda b: 1, lambda b: b - 1, lambda b: b,
+                                       lambda b: b + 1, lambda b: 2 * b + 1],
+                             ids=["0", "1", "B-1", "B", "B+1", "2B+1"])
+    def test_rows_at_a_block_boundary_take_the_numpy_path(self, tmp_path, monkeypatch,
+                                                           block_rows, count):
+        path = tmp_path / "rows.csv"
+        uniform_rows(path, count(block_rows))
+        want = read_outcome(read_telemetry_reference, path)
+        assert len(want) == count(block_rows)
+        refuse_csv(monkeypatch)
+        assert read_outcome(read_telemetry, path) == want
+
+    @pytest.mark.parametrize("offset", [0, 1], ids=["first_row", "second_row"])
+    @pytest.mark.parametrize("edit", [cell(3, "abc"), lambda cells: ",".join(cells[:-5]),
+                                      cell(3, "1e999"), lambda cells: ""],
+                             ids=["non_numeric", "short_row", "overflow", "blank_line"])
+    def test_malformed_row_in_the_second_block_names_its_line(self, tmp_path, block_rows,
+                                                              offset, edit):
+        path = tmp_path / "bad.csv"
+        line = block_rows + 2 + offset  # the header is line 1, the first block B rows
+        uniform_rows(path, block_rows + 5)
+        edit_line(path, line, edit)
+        got = read_outcome(read_telemetry, path)
+        assert isinstance(got, str) and f"{path} at line {line}: " in got
+        assert got == read_outcome(read_telemetry_reference, path)
+
+    @pytest.mark.parametrize("edit", [lambda cells: ",".join(cells + ["1.0"]),
+                                      lambda cells: ",".join(cells[1:])],
+                             ids=["one_cell_more", "one_cell_fewer"])
+    def test_every_row_of_another_width_reads_as_the_oracle(self, tmp_path, edit):
+        path = tmp_path / "width.csv"
+        uniform_rows(path, 20)
+        header, *rows = path.read_bytes().decode().split("\r\n")
+        path.write_bytes("\r\n".join([header, *(edit(row.split(",")) for row in rows[:-1]), ""])
+                         .encode())
+        got = read_outcome(read_telemetry, path)
+        assert isinstance(got, str) and f"{path} at line 2: " in got
+        assert got == read_outcome(read_telemetry_reference, path)
+
+    @pytest.mark.parametrize("line", [2, 3], ids=["with_event", "without_event"])
+    @pytest.mark.parametrize("text", ['"{}"', 'a"b', '"{}'], ids=["quoted", "inner_quote",
+                                                                 "open_quote"])
+    def test_quote_in_the_events_cell_reads_as_the_oracle(self, tmp_path, line, text):
+        path = tmp_path / "quote.csv"
+        rows_file(path, 40, line, cell(32, text))
+        assert read_outcome(read_telemetry, path) == read_outcome(read_telemetry_reference, path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("blank", ["\r\n", "\r\n\r\n"], ids=["one", "two"])
+    def test_blank_lines_alone_read_as_the_oracle_without_a_warning(self, tmp_path, blank):
+        path = tmp_path / "blank.csv"
+        emit_telemetry([], path)
+        path.write_bytes(path.read_bytes() + blank.encode())
+        got = read_outcome(read_telemetry, path)
+        assert isinstance(got, str) and f"{path} at line 2: " in got
+        assert got == read_outcome(read_telemetry_reference, path)
+
+    @pytest.mark.parametrize("log", ["baseline_run", "liquid_sweep", "gas_sweep", "steady"])
+    def test_emitted_logs_take_the_numpy_path(self, request, csv_dir, monkeypatch, log):
+        if log == "baseline_run":
+            path = csv_dir / "baseline.csv"
+            emit_telemetry(request.getfixturevalue(log)[0], path)
+        else:
+            path = csv_dir / f"{log}.csv"
+            if not path.exists():
+                calibration_logs(csv_dir)
+        want = read_outcome(read_telemetry_reference, path)
+        refuse_csv(monkeypatch)
+        assert read_outcome(read_telemetry, path) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(line=st.sampled_from([3, 300]), column=st.integers(0, 31), token=NUMBER_TOKENS)
+    def test_any_token_reads_as_the_oracle_reads_it(self, csv_dir, line, column, token):
+        path = csv_dir / "token.csv"
+        rows_file(path, 400, line, cell(column, token))
+        assert read_outcome(read_telemetry, path) == read_outcome(read_telemetry_reference, path)
+
+    @pytest.mark.parametrize("line", [3, 300], ids=["line3", "line300"])
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["limit-1", "limit", "limit+1"])
+    def test_events_cell_at_the_csv_field_limit_reads_as_the_oracle(self, tmp_path, line, extra):
+        path = tmp_path / "wide.csv"
+        rows_file(path, 400, line, cell(32, "x" * (csv.field_size_limit() + extra)))
+        got = read_outcome(read_telemetry, path)
+        assert got == read_outcome(read_telemetry_reference, path)
+        assert isinstance(got, list) == (extra <= 0)
+
+    @pytest.mark.parametrize("line, ending", [(3, "\n"), (300, "\r"), (401, "\n"), (401, "")],
+                             ids=["lf_line3", "cr_line300", "lf_last_line", "none_last_line"])
+    def test_one_other_line_ending_reads_as_the_oracle(self, tmp_path, line, ending):
+        path = tmp_path / "ending.csv"
+        emit_telemetry([make_frame(0.01 * k, events=("abort_overpressure",)) for k in range(400)],
+                       path)
+        lines = path.read_bytes().split(b"\r\n")[:-1]  # the header and 400 rows
+        path.write_bytes(b"".join(text + (ending.encode() if i == line - 1 else b"\r\n")
+                                  for i, text in enumerate(lines)))
+        got = read_outcome(read_telemetry, path)
+        assert isinstance(got, list) and len(got) == 400
+        assert got == read_outcome(read_telemetry_reference, path)
+
+
+def uniform_rows(path, rows: int):
+    """A telemetry file of rows frames whose rows all have one length (times
+    1000 s on, each row with an event)."""
+    emit_telemetry([make_frame(1000.0 + k, events=("abort_overpressure",))
+                    for k in range(rows)], path)
 
 
 class TestModeComparison:
