@@ -212,9 +212,6 @@ def fit_choked_constant(
 
 # ---------------------------------------------------------------------------
 # Telemetry adapters
-# The adapters read a frame's regulator blocks with getattr, not with
-# TelemetryFrame.ereg: perfbench's tracer wraps TelemetryFrame's methods,
-# one span per call.
 
 
 def _ereg(name: str) -> str:

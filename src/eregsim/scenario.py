@@ -505,7 +505,7 @@ class _Section:
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     root = _Section(data, "")
     root.choice("schema_version", (SCHEMA_VERSION,))
-    ambient = root.number("ambient_pressure_bar", AMBIENT_PRESSURE / 1e5) * 1e5
+    ambient = root.number("ambient_pressure_bar", AMBIENT_PRESSURE / 1e5, above=0.0) * 1e5
     pressurant = root.section("pressurant", {})
     gas_constant = pressurant.number("specific_gas_constant", R_NITROGEN, above=0.0)
     gas_temperature = pressurant.number("temperature_k", DEFAULT_TEMPERATURE, above=0.0)

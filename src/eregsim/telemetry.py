@@ -5,16 +5,14 @@ CSV column order is fixed and documented in docs/telemetry_schema.md.
 Floats are written at 9 significant digits and round-trip losslessly at
 that precision through read_telemetry, in the bytes csv.writer writes:
 CRLF rows, never quoted, since no value or event name needs quoting.
-read_telemetry accepts what csv.reader and float() read. It parses a file
-in the bytes emit_telemetry writes with numpy's C reader, about 64 kB of
-rows per call, and any other file with one csv.reader loop from the start.
-Both read paths, the engine and from_values build their frames through
+read_telemetry reads files in that form only: numpy's C reader parses
+about 64 kB of rows per call, and any other line is an error naming it.
+The reader, the engine and from_values build their frames through
 _frames: in C, a batch at a time.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -42,10 +40,11 @@ _WIDTH = 1 + len(EREG_FIELDS) * len(EREG_NAMES) + len(SCALAR_FIELDS)
 _ROW_FORMAT = "%.9g," * _WIDTH + "%s\r\n"
 # Not in an event name: the reader splits the cell on ";", csv quotes the rest.
 _EVENT_UNSAFE = frozenset(',;"\r\n')
-# read_telemetry's numpy path: the readlines size hint of one block, and the
-# bytes its numeric cells may hold, on which numpy gives float()'s bits.
+# read_telemetry: the readlines size hint of one block, and the bytes its
+# numeric cells may hold (%.9g's, nan and inf too), on which numpy gives
+# float()'s bits.
 _BLOCK_CHARS = 1 << 16
-_NUMBER_BYTES = b"0123456789+-.e,"
+_NUMBER_BYTES = b"0123456789+-.eainf,"
 # Run event names, the one vocabulary of the engine, the CSV and the metrics.
 EVENT_ABORT = "abort_overpressure"
 EVENT_SUPPLY_DEPLETED = "supply_gas_depleted"
@@ -78,9 +77,6 @@ class TelemetryFrame(NamedTuple):
     thrust_n: float
     of_ratio: float  # 0.0 while the fuel flow is zero
     events: tuple[str, ...] = ()
-
-    def ereg(self, name: str) -> EregFrame:
-        return getattr(self, name)
 
     def values(self) -> list[float]:
         """The numeric fields in CSV column order."""
@@ -139,7 +135,7 @@ def emit_telemetry(frames: list[TelemetryFrame], destination: str | Path) -> Non
     destination = Path(destination)
     try:
         with destination.open("w", newline="") as fh:
-            csv.writer(fh).writerow(csv_header())
+            fh.write(_HEADER_LINE)
             fh.writelines(_ROW_FORMAT % (*frame.values(), ";".join(frame.events))
                           for frame in frames)
     except OSError as exc:
@@ -147,85 +143,66 @@ def emit_telemetry(frames: list[TelemetryFrame], destination: str | Path) -> Non
 
 
 def read_telemetry(path: str | Path) -> list[TelemetryFrame]:
-    """The frames of a telemetry CSV; a row that csv.reader and float() do
-    not read as 32 finite numbers and an events cell is an EregSimError
-    naming the file and the line."""
+    """The frames of a telemetry CSV in the form emit_telemetry writes: the
+    header line, then CRLF rows of 32 finite numbers and an events cell.
+    Any other header, or any other line, is an EregSimError naming the file
+    and the first line that differs."""
     path = Path(path)
     try:
-        with path.open(newline="") as fh:
-            frames = _read_blocks(fh)
-            if frames is None:
-                fh.seek(0)
-                frames = _read_rows(fh, path)
+        # Bytes that do not decode read as surrogates, which _parse rejects.
+        with path.open(newline="", errors="surrogateescape") as fh:
+            if fh.readline() != _HEADER_LINE:
+                raise EregSimError(f"unexpected telemetry header in {path}")
+            frames: list[TelemetryFrame] = []
+            line = 2
+            while lines := fh.readlines(_BLOCK_CHARS):
+                try:
+                    frames += _parse(lines)
+                except ValueError:
+                    for k, one in enumerate(lines):
+                        try:
+                            frames += _parse([one])
+                        except ValueError as exc:
+                            raise EregSimError(f"malformed telemetry row in {path} at line "
+                                               f"{line + k}: {exc}") from None
+                line += len(lines)
     except OSError as exc:
         raise EregSimError(f"cannot read telemetry from {path}: {exc}") from exc
     return frames
 
 
-def _read_blocks(fh) -> list[TelemetryFrame] | None:
-    """The frames of a file in the bytes emit_telemetry writes, parsed by
-    numpy a block of lines at a time; None from the first block that is not
-    in those bytes, so that _read_rows reads the file and names its faults.
-
-    numpy gives float()'s bits for a cell of _NUMBER_BYTES, but strips
-    characters float() rejects around a number, and it is not given the
-    events cell. So a block must hold CRLF lines of 32 such cells and an
-    events cell, with no quote (csv would unquote it) or NUL (csv rejects
-    it before Python 3.11), and no line over csv's field size limit.
-    """
-    try:
-        if fh.readline() != _HEADER_LINE:
-            return None
-        limit = csv.field_size_limit()
-        frames: list[TelemetryFrame] = []
-        while lines := fh.readlines(_BLOCK_CHARS):
-            n = len(lines)
-            text = "".join(lines)
-            # readlines ends a line at each CR, LF or CRLF: n of each is n CRLF lines.
-            if (text.count("\r") != n or text.count("\n") != n or '"' in text or "\0" in text
-                    or max(map(len, lines)) > limit):
-                return None
-            cells = [line.rpartition(",") for line in lines]
-            numbers = [c[0] for c in cells]
-            joined = ",".join(numbers)
-            # loadtxt would skip an empty line, and warn if all were.
-            if ("" in numbers or not joined.isascii()
-                    or joined.encode().translate(None, _NUMBER_BYTES)):
-                return None
-            # loadtxt raises on a row whose cell count differs from the first
-            # row's: the shape checks 32 cells a line.
-            rows = np.loadtxt(numbers, delimiter=",", comments=None, ndmin=2)
-            if rows.shape != (n, _WIDTH) or not np.isfinite(rows).all():
-                return None
-            frames += _frames(rows.T.tolist(), [tuple(e.split(";")) if (e := c[2][:-2]) else ()
-                                                for c in cells])
-    except ValueError:  # a cell numpy does not read, or bytes that do not decode
-        return None
-    return frames
-
-
-def _read_rows(fh, path: Path) -> list[TelemetryFrame]:
-    """The frames of the file, read by csv.reader and float() row by row;
-    a row they do not read is an EregSimError naming its line."""
-    reader = csv.reader(fh)
-    rows, events = [], []
-    # csv rejects a cell over its field size limit (csv.Error), a missing
-    # field fails to index or convert (IndexError, ValueError), and
-    # _check_values rejects a row of the wrong width and nan and inf.
-    try:
-        if next(reader, None) != csv_header():
-            raise EregSimError(f"unexpected telemetry header in {path}")
-        for row in reader:
-            values = [*map(float, row[:-1])]
-            cell = row[-1]
+def _parse(lines: list[str]) -> list[TelemetryFrame]:
+    """The frames of data rows, parsed by one numpy call; a ValueError names
+    the first fault found. numpy gives float()'s bits for a cell of
+    _NUMBER_BYTES, but strips characters float() rejects around a number.
+    So a row must be 32 such cells, an events cell with no quote (csv would
+    unquote it), then CRLF."""
+    n = len(lines)
+    text = "".join(lines)
+    # readlines ends a line at each CR, LF or CRLF: n of each is n CRLF lines.
+    if text.count("\r") != n or text.count("\n") != n:
+        raise ValueError("row does not end in CRLF")
+    if '"' in text:
+        raise ValueError('row holds a quote (")')
+    if not text.isascii():
+        text.encode()  # raises on the surrogates of bytes that did not decode
+    cells = [line.rpartition(",") for line in lines]
+    numbers = [c[0] for c in cells]
+    # loadtxt would skip an empty line, and warn if all were.
+    if "" in numbers:
+        raise ValueError(f"0 numeric columns, not {_WIDTH}")
+    joined = ",".join(numbers)
+    if joined.encode().translate(None, _NUMBER_BYTES):
+        token = next(t for t in joined.split(",") if t.encode().translate(None, _NUMBER_BYTES))
+        raise ValueError(f"cell {token!r} holds a character %.9g does not write")
+    # loadtxt raises on a row whose cell count differs from the first row's:
+    # the shape checks 32 cells a line.
+    rows = np.loadtxt(numbers, delimiter=",", comments=None, ndmin=2)
+    if rows.shape != (n, _WIDTH) or not np.isfinite(rows).all():
+        for values in rows.tolist():
             _check_values(values)
-            rows.append(values)
-            events.append(tuple(cell.split(";")) if cell else ())
-    except (csv.Error, IndexError, ValueError) as exc:
-        raise EregSimError(
-            f"malformed telemetry row in {path} at line {reader.line_num}: {exc}"
-        ) from exc
-    return _frames([*zip(*rows)], events) if rows else []
+    return _frames(rows.T.tolist(), [tuple(e.split(";")) if (e := c[2][:-2]) else ()
+                                      for c in cells])
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +246,7 @@ def regulation_metrics(frames: list[TelemetryFrame],
         times = []
         early = []
         for frame in frames:
-            sub = frame.ereg(name)
+            sub = getattr(frame, name)
             err = sub.pressure_bar - sub.setpoint_bar
             if frame.time_s <= settings.early_window:
                 early.append(err)

@@ -100,31 +100,36 @@ def emit_telemetry_reference(frames: list[TelemetryFrame], destination) -> None:
         for frame in frames:
             row = [frame.time_s]
             for name in EREG_NAMES:
-                row += (getattr(frame.ereg(name), f) for f in EREG_FIELDS)
+                row += (getattr(getattr(frame, name), f) for f in EREG_FIELDS)
             row += (getattr(frame, f) for f in SCALAR_FIELDS)
             writer.writerow([*(f"{v:.9g}" for v in row), ";".join(frame.events)])
 
 
 def read_telemetry_reference(path) -> list[TelemetryFrame]:
     """The telemetry CSV through one csv.reader loop, float() per cell and
-    from_values per row; telemetry.read_telemetry must give the same frames
-    to the bit, or raise an EregSimError with the same message."""
+    from_values per row; for every file telemetry.read_telemetry accepts,
+    it must give the same frames to the bit. The reader sets no cell size
+    limit, so neither does this loop."""
     path = Path(path)
     frames = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != csv_header():
-            raise EregSimError(f"unexpected telemetry header in {path}")
-        try:
-            for row in reader:
-                frames.append(TelemetryFrame.from_values(
-                    [*map(float, row[:-1])],
-                    row[-1].split(";") if row[-1] else (),
-                ))
-        except (csv.Error, IndexError, ValueError) as exc:
-            raise EregSimError(
-                f"malformed telemetry row in {path} at line {reader.line_num}: {exc}"
-            ) from exc
+    limit = csv.field_size_limit(1 << 30)
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != csv_header():
+                raise EregSimError(f"unexpected telemetry header in {path}")
+            try:
+                for row in reader:
+                    frames.append(TelemetryFrame.from_values(
+                        [*map(float, row[:-1])],
+                        row[-1].split(";") if row[-1] else (),
+                    ))
+            except (csv.Error, IndexError, ValueError) as exc:
+                raise EregSimError(
+                    f"malformed telemetry row in {path} at line {reader.line_num}: {exc}"
+                ) from exc
+    finally:
+        csv.field_size_limit(limit)
     return frames
 
 
@@ -134,7 +139,7 @@ def scheduled_setpoints_check(frames: list[TelemetryFrame], config: ScenarioConf
     for frame in frames:
         scheduled = setpoints_at(config.schedule, frame.time_s)
         for name, setpoint in zip(EREG_NAMES, scheduled):
-            logged = frame.ereg(name).setpoint_bar
+            logged = getattr(frame, name).setpoint_bar
             worst = max(worst, abs(logged - setpoint / 1e5))
     return worst
 

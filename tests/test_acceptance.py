@@ -107,9 +107,9 @@ class TestAcceptance:
         frames = blowdown_frames
         assert frames[-1].supply_pressure_bar < 60.0  # a full usable blowdown from 310 bar
         for name in ("ox_tank", "fuel_tank"):
-            setpoint = frames[0].ereg(name).setpoint_bar
+            setpoint = getattr(frames[0], name).setpoint_bar
             errors = [
-                (f.time_s, (f.ereg(name).pressure_bar - setpoint) / setpoint) for f in frames
+                (f.time_s, (getattr(f, name).pressure_bar - setpoint) / setpoint) for f in frames
             ]
             worst = max(abs(e) for _, e in errors)
             assert worst <= 0.15  # within +-15 percent throughout
@@ -207,8 +207,8 @@ class TestAcceptance:
         frames_half = run_scenario(half)
         drifts = []
         for name in ("ox_tank", "fuel_tank"):
-            a = frames_first[-1].ereg(name).pressure_bar
-            b = frames_half[-1].ereg(name).pressure_bar
+            a = getattr(frames_first[-1], name).pressure_bar
+            b = getattr(frames_half[-1], name).pressure_bar
             drifts.append(abs(a - b) / a)
             assert drifts[-1] < 1e-3
         supply_drift = abs(

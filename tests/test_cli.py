@@ -54,7 +54,7 @@ def with_columns(src, dst, first_row, **values):
             for i, text in index.items():
                 cells[i] = text
         lines.append(",".join(cells))
-    dst.write_text("\n".join(lines) + "\n")
+    dst.write_bytes("".join(line + "\r\n" for line in lines).encode())
     return dst
 
 
@@ -213,6 +213,19 @@ class TestParseErrorProcess:
         assert proc.stdout == ""
 
 
+# A row of an emitted file as the csv.reader loop the reader once fell back
+# to read it, and read_telemetry now rejects.
+CSV_LOOP_ROWS = {
+    "lf_ending": lambda row: row + "\n",
+    "cr_ending": lambda row: row + "\r",
+    "quoted_number": lambda row: '"' + row.replace(",", '",', 1) + "\r\n",
+    "padded_number": lambda row: " " + row + "\r\n",
+    "underscore": lambda row: "1_" + row + "\r\n",
+    "arabic_indic_digit": lambda row: "\u0661" + row + "\r\n",
+    "quoted_event": lambda row: row + '""\r\n',
+}
+
+
 class TestMetrics:
     def test_metrics_table(self, baseline_csv, capsys):
         code = main(["metrics", "--telemetry", str(baseline_csv), "--scenario", BASELINE])
@@ -253,7 +266,7 @@ class TestMetrics:
         }
         for name, (rows, detail) in bad_files.items():
             bad = tmp_path / f"{name}.csv"
-            bad.write_text("\n".join(rows) + "\n")
+            bad.write_bytes("".join(row + "\r\n" for row in rows).encode())
             code = main(["metrics", "--telemetry", str(bad), "--scenario", BASELINE])
             assert code == EXIT_ERROR, name
             lines = capsys.readouterr().err.splitlines()
@@ -263,18 +276,41 @@ class TestMetrics:
             assert detail.format(bad) in payload["message"]
 
 
-    def test_cell_over_the_csv_field_limit_exits_2_with_one_json_line(self, baseline_csv,
-                                                                      tmp_path, capsys):
+    def test_cell_over_131072_characters_exits_2_with_one_json_line(self, baseline_csv,
+                                                                    tmp_path, capsys):
         header, first, second = baseline_csv.read_text().splitlines()[:3]
+        cells = second.split(",")
+        cells[header.split(",").index("ox_inj_pressure_bar")] = "9" * 200_000
         bad = tmp_path / "wide.csv"
-        bad.write_text("\n".join([header, first, second + "x" * 200_000]) + "\n")
+        bad.write_bytes("".join(row + "\r\n" for row in [header, first, ",".join(cells)]).encode())
         code = main(["metrics", "--telemetry", str(bad), "--scenario", BASELINE])
         assert code == EXIT_ERROR
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         payload = json.loads(lines[0])
         assert payload["error"] == "EregSimError"
-        assert f"{bad} at line 3: field larger than field limit" in payload["message"]
+        assert f"{bad} at line 3: column ox_inj_pressure_bar is inf" in payload["message"]
+
+    @pytest.mark.parametrize("command", ["metrics", "calibrate"])
+    @pytest.mark.parametrize("edit", CSV_LOOP_ROWS.values(), ids=CSV_LOOP_ROWS.keys())
+    def test_row_the_csv_loop_read_exits_2_with_one_json_line(self, blowdown_csv, tmp_path,
+                                                              capsys, command, edit):
+        lines = blowdown_csv.read_bytes().decode().split("\r\n")[:-1]
+        bad = tmp_path / "variant.csv"
+        bad.write_bytes("".join(edit(line) if n == 600 else line + "\r\n"
+                                for n, line in enumerate(lines, 1)).encode())
+        argv = (["metrics", "--scenario", BLOWDOWN, "--telemetry", str(bad)]
+                if command == "metrics" else
+                ["calibrate", "choked", "--data", str(bad), "--out", str(tmp_path / "k.yaml"),
+                 "--side", "ox", "--alpha", "9.375e-8", "--theta-zero", "10.0"])
+        assert main(argv) == EXIT_ERROR
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "EregSimError"
+        assert f"malformed telemetry row in {bad} at line 600: " in payload["message"]
+        assert not (tmp_path / "k.yaml").exists()
+
 
 class TestCompare:
     def test_compare_prints_side_by_side(self, tmp_path, capsys):

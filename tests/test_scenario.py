@@ -332,6 +332,12 @@ PROBES = {
     # The bounds against ambient (the tanks start at 42 bar, the throttle at
     # 30), and mock injectors sized for a drop from a 42 bar setpoint.
     "zero_ambient": ({"ambient_pressure_bar": 0}, "ambient_pressure_bar must be above 0"),
+    # Checked as read, before the mock injector areas, the paired setpoints
+    # and gamma_deg: auto are derived from it, and printed as written.
+    "ambient=-1e300": ({"ambient_pressure_bar": -1e300},
+                       "ambient_pressure_bar must be above 0, got -1e+300"),
+    "mock_injector_ambient=-1e300": ({"injector": {"kind": "mock"}, "ambient_pressure_bar": -1e300},
+                                     "ambient_pressure_bar must be above 0, got -1e+300"),
     "ambient_above_tank_start": ({"ambient_pressure_bar": 50.0},
                                  "tanks.ox.initial_pressure_bar must be above 50"),
     "ambient_above_throttle": ({"ambient_pressure_bar": 35.0},
@@ -473,6 +479,18 @@ def test_malformed_scenario_rejected_at_load(edits, key):
     for path, value in edits.items():
         set_key(data, path, value)
     with pytest.raises(ConfigError, match=re.escape(key)):
+        scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("value", [-1e300, 0, math.nan])
+@pytest.mark.parametrize("stem", ["coldflow_mock_injector", "waterflow_blowdown"])
+def test_bad_ambient_is_named_in_the_mock_injector_scenarios(stem, value):
+    # Both derive mock injector areas from ambient; -1e300 was reported as
+    # "mock injector area 0.0 m2 out of range".
+    data = load_yaml(SCENARIO_DIR / f"{stem}.yaml")
+    data["ambient_pressure_bar"] = value
+    with pytest.raises(ConfigError,
+                       match=f"^ambient_pressure_bar must be .*, got {re.escape(repr(value))}$"):
         scenario_from_dict(data)
 
 

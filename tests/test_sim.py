@@ -1,4 +1,3 @@
-import csv
 import math
 import re
 
@@ -60,7 +59,7 @@ class TestRunScenarioBasics:
         first, last = frames[0], frames[-1]
         assert last.supply_pressure_bar == first.supply_pressure_bar
         for name in ("ox_tank", "fuel_tank"):
-            assert last.ereg(name).pressure_bar == first.ereg(name).pressure_bar
+            assert getattr(last, name).pressure_bar == getattr(first, name).pressure_bar
         assert last.mdot_ox_kg_s == 0.0
         assert last.events == ()
 
@@ -152,7 +151,7 @@ class TestOracleMode:
 
         def rms(frame_list, name, t0=5.0, t1=13.0):
             errors = [
-                f.ereg(name).pressure_bar - f.ereg(name).setpoint_bar
+                getattr(f, name).pressure_bar - getattr(f, name).setpoint_bar
                 for f in frame_list
                 if t0 <= f.time_s <= t1
             ]
@@ -238,13 +237,16 @@ def direct_frames(draw, finite=False):
 
 
 class TestTelemetryCsv:
+    @pytest.fixture(scope="class")
+    def csv_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("emit")
+
     @settings(max_examples=200, deadline=None)
     @given(frames=st.lists(direct_frames(), max_size=4))
-    def test_emit_writes_the_csv_writer_bytes(self, tmp_path_factory, frames):
-        folder = tmp_path_factory.mktemp("emit")
-        emit_telemetry(frames, folder / "got.csv")
-        emit_telemetry_reference(frames, folder / "want.csv")
-        assert (folder / "got.csv").read_bytes() == (folder / "want.csv").read_bytes()
+    def test_emit_writes_the_csv_writer_bytes(self, csv_dir, frames):
+        emit_telemetry(frames, csv_dir / "got.csv")
+        emit_telemetry_reference(frames, csv_dir / "want.csv")
+        assert (csv_dir / "got.csv").read_bytes() == (csv_dir / "want.csv").read_bytes()
 
     def test_emit_writes_the_baseline_run_as_csv_writer_does(self, baseline_run, tmp_path):
         frames, _ = baseline_run
@@ -279,8 +281,8 @@ class TestTelemetryCsv:
         assert got.events == frame.events
         for name in EREG_NAMES:
             for field in ("setpoint_bar", "pressure_bar", "valve_angle_deg", "u2"):
-                assert getattr(got.ereg(name), field) == pytest.approx(
-                    getattr(frame.ereg(name), field), rel=1e-9
+                assert getattr(getattr(got, name), field) == pytest.approx(
+                    getattr(getattr(frame, name), field), rel=1e-9
                 )
 
     def test_full_run_round_trip_at_nine_digits(self, baseline_run, tmp_path):
@@ -315,7 +317,8 @@ class TestTelemetryCsv:
         path = tmp_path / "bad.csv"
         emit_telemetry([make_frame(0.0), make_frame(0.01, events=("abort_overpressure",))], path)
         header, first, second = path.read_text().splitlines()
-        path.write_text("\n".join([header, first, ",".join(edit(second.split(",")))]) + "\n")
+        rows = [header, first, ",".join(edit(second.split(",")))]
+        path.write_bytes("".join(row + "\r\n" for row in rows).encode())
         with pytest.raises(EregSimError, match=re.escape(f"{path} at line 3")):
             read_telemetry(path)
 
@@ -350,6 +353,13 @@ def rows_file(path, rows: int, line: int, edit):
     edit_line(path, line, edit)
 
 
+def uniform_rows(path, rows: int):
+    """A telemetry file of rows frames whose rows all have one length (times
+    1000 s on, each row with an event)."""
+    emit_telemetry([make_frame(1000.0 + k, events=("abort_overpressure",))
+                    for k in range(rows)], path)
+
+
 def edit_line(path, line: int, edit):
     """Make line `line` of a telemetry file edit of its cells."""
     lines = path.read_bytes().decode().split("\r\n")
@@ -363,115 +373,11 @@ def cell(index: int, text: str):
                                   + cells[index + 1:])
 
 
-class TestReaderMatchesOracle:
-    """read_telemetry gives the frames of the reference csv.reader loop,
-    which builds each frame through from_values, value by value to the bit,
-    and the same error naming the same line."""
-
-    @pytest.fixture(scope="class")
-    def csv_dir(self, tmp_path_factory):
-        return tmp_path_factory.mktemp("reader")
-
-    @settings(max_examples=50, deadline=None)
-    @given(frames=st.lists(direct_frames(finite=True), min_size=1, max_size=3),
-           ending=st.sampled_from(["\r\n", "\n", "\r"]))
-    def test_emitted_files_read_as_the_oracle_reads_them(self, csv_dir, frames, ending):
-        path = csv_dir / "frames.csv"
-        emit_telemetry(frames, path)
-        path.write_bytes(path.read_bytes().replace(b"\r\n", ending.encode()))
-        got = read_outcome(read_telemetry, path)
-        assert got == read_outcome(read_telemetry_reference, path)
-        assert got == [([float(f"{v:.9g}").hex() for v in f.values()], f.events)
-                       for f in frames]
-
-    @pytest.mark.parametrize("run", ["baseline_run", "blowdown_frames"])
-    def test_runs_read_as_the_oracle_reads_them(self, request, tmp_path, run):
-        frames = request.getfixturevalue(run)
-        frames = frames[0] if run == "baseline_run" else frames
-        path = tmp_path / "run.csv"
-        emit_telemetry(frames, path)
-        assert read_outcome(read_telemetry, path) == read_outcome(read_telemetry_reference, path)
-
-    @pytest.mark.parametrize("line", [3, 300], ids=["line3", "line300"])
-    @pytest.mark.parametrize("edit", [
-        lambda cells: ",".join(cells[:-5]),
-        lambda cells: ",".join(cells + ["1.0"]),
-        lambda cells: ",".join(cells[:3] + ["1.0"] + cells[3:]),
-        cell(3, "abc"),
-        cell(3, "nan"),
-        cell(3, "-inf"),
-        lambda cells: "",
-        lambda cells: "   ",
-        cell(3, "4#2"),
-        lambda cells: "#" + ",".join(cells),
-    ], ids=["short_row", "extra_cell_end", "extra_cell_inside", "non_numeric", "nan", "inf",
-            "blank_line", "whitespace_line", "hash_in_cell", "hash_line"])
-    def test_malformed_row_names_the_line_the_oracle_names(self, tmp_path, line, edit):
-        path = tmp_path / "bad.csv"
-        rows_file(path, 400, line, edit)
-        got = read_outcome(read_telemetry, path)
-        assert isinstance(got, str) and f"{path} at line {line}: " in got
-        assert got == read_outcome(read_telemetry_reference, path)
-
-    @pytest.mark.parametrize("content, detail", [
-        ("", "unexpected telemetry header"),
-        (",".join(csv_header()) + "\r\n", []),
-        (",".join(csv_header()).replace("time_s", "t_s") + "\r\n", "unexpected telemetry header"),
-    ], ids=["empty", "header_only", "wrong_header"])
-    def test_header_cases_as_the_oracle(self, tmp_path, content, detail):
-        path = tmp_path / "head.csv"
-        path.write_text(content, newline="")
-        got = read_outcome(read_telemetry, path)
-        assert got == read_outcome(read_telemetry_reference, path)
-        assert got == detail if detail == [] else detail in got
-
-    @pytest.mark.parametrize("line", [3, 300], ids=["line3", "line300"])
-    @pytest.mark.parametrize("edit", [
-        cell(3, '"{}"'),
-        cell(32, '"a,b;c"'),
-        cell(32, '"split\r\nevent"'),
-        cell(3, " {}\t"),
-        cell(32, "x\0y"),
-        lambda cells: ",".join(["1e308", "1e308", *cells[2:]]),
-    ], ids=["quoted_number", "quoted_comma_event", "event_across_lines", "spaces", "nul_event",
-            "sum_overflows"])
-    def test_accepted_variants_read_as_the_oracle_reads_them(self, tmp_path, line, edit):
-        path = tmp_path / "variant.csv"
-        rows_file(path, 400, line, edit)
-        got = read_outcome(read_telemetry, path)
-        assert isinstance(got, list) and len(got) == 400
-        assert got == read_outcome(read_telemetry_reference, path)
-
-    @pytest.mark.parametrize("line, edit", [
-        (3, cell(32, '"{}"'.format("x" * 200_000))),
-        (3, cell(32, "x" * 200_000)),
-        (1, cell(32, '"{}"'.format("x" * 200_000))),
-    ], ids=["quoted_cell", "plain_cell", "header_cell"])
-    def test_cell_over_the_csv_field_limit_names_its_line(self, tmp_path, line, edit):
-        # csv.reader raises its own csv.Error there; the reader names the line.
-        path = tmp_path / "wide.csv"
-        rows_file(path, 4, line, edit)
-        assert read_outcome(read_telemetry, path) == (
-            f"malformed telemetry row in {path} at line {line}: "
-            f"field larger than field limit ({csv.field_size_limit()})")
-
-    @pytest.mark.parametrize("token, value", [("1_0", 10.0), ("\u0661\u0660", 10.0)],
-                             ids=["underscore", "arabic_indic_digits"])
-    def test_float_tokens_beyond_ascii_decimals_are_accepted(self, tmp_path, token, value):
-        # A C number parser such as numpy's rejects both; the reader reads
-        # every token float() reads, as the reference loop does.
-        path = tmp_path / "token.csv"
-        rows_file(path, 400, 300, cell(3, token))
-        got = read_outcome(read_telemetry, path)
-        assert got == read_outcome(read_telemetry_reference, path)
-        assert float.fromhex(got[298][0][3]) == value
-
-
-# A cell token for the numpy path to read or give up on: numpy's ASCII
-# number characters, and what float() reads but numpy does not (_, Unicode
-# spaces and digits) or numpy strips but float() rejects (\x1c-\x1f).
+# A cell token for the reader to read or reject: the characters %.9g writes,
+# and what float() reads but numpy does not (_, Unicode spaces and digits)
+# or numpy strips but float() rejects (\x1c-\x1f).
 NUMBER_TOKENS = st.one_of(
-    st.text(st.sampled_from([*"0123456789+-.e_\x1c\x1d\x1e\x1f \t\x0b\x0c\u00a0\u2003\u3000",
+    st.text(st.sampled_from([*"0123456789+-.eainf_\x1c\x1d\x1e\x1f \t\x0b\x0c\u00a0\u2003\u3000",
                              *"\u0660\u0661\u0966\uff11"]),
             max_size=8),
     st.sampled_from(["nan", "-nan", "inf", "+inf", "-Infinity", "1e999", "-1e400", "1e-400"]),
@@ -498,21 +404,56 @@ def calibration_logs(folder) -> list:
     return paths
 
 
-def refuse_csv(monkeypatch):
-    """Make any call of csv.reader fail, so only the numpy path can read."""
-    def reader(*args, **kwargs):
-        raise AssertionError("csv.reader called")
-    monkeypatch.setattr(telemetry.csv, "reader", reader)
+def holds(token: str) -> str:
+    return f"cell {token!r} holds a character %.9g does not write"
 
 
-class TestBlockReader:
-    """read_telemetry's numpy path reads emitted files to the oracle's bits
-    at every block boundary, and hands every other file to the csv loop,
-    which reads it as the oracle does."""
+QUOTE = 'row holds a quote (")'
+# Rows that are not in the bytes emit_telemetry writes, many of which the
+# csv.reader loop the reader once fell back to read: (edit of a uniform_rows
+# row, the reason the error gives, or None where numpy words it).
+REJECTED_ROWS = {
+    "quoted_number": (cell(3, '"{}"'), QUOTE),
+    "quoted_event": (cell(32, '"{}"'), QUOTE),
+    "event_quoted_across_lines": (cell(32, '"split\r\nevent"'), QUOTE),
+    "open_quote": (cell(32, '"{}'), QUOTE),
+    "inner_quote": (cell(32, 'a"b'), QUOTE),
+    "spaces": (cell(3, " {}\t"), holds(" 20\t")),
+    "underscore": (cell(3, "1_0"), holds("1_0")),
+    "arabic_indic_digits": (cell(3, "\u0661\u0660"), holds("\u0661\u0660")),
+    "non_numeric": (cell(3, "abc"), holds("abc")),
+    "hash_in_cell": (cell(3, "4#2"), holds("4#2")),
+    "hash_line": (cell(0, "#0"), holds("#0")),
+    "cell_over_131072_chars": (cell(3, "x" * 200_000), holds("x" * 200_000)),
+    "number_over_131072_digits": (cell(3, "9" * 200_000),
+                                  "column ox_tank_valve_angle_deg is inf"),
+    "two_dots": (cell(3, "1..2"), None),
+    "empty_cell": (cell(3, ""), None),
+    "blank_line": (lambda cells: "", "0 numeric columns, not 32"),
+    "whitespace_line": (lambda cells: "   ", "0 numeric columns, not 32"),
+    "short_row": (lambda cells: ",".join(cells[:-5]), "27 numeric columns, not 32"),
+    "long_row": (lambda cells: ",".join(cells[:3] + ["1.0"] + cells[3:]),
+                 "33 numeric columns, not 32"),
+    "nan": (cell(3, "nan"), "column ox_tank_valve_angle_deg is nan"),
+    "minus_inf": (cell(3, "-inf"), "column ox_tank_valve_angle_deg is -inf"),
+    "overflow": (cell(3, "1e999"), "column ox_tank_valve_angle_deg is inf"),
+}
+
+
+# Where a row is edited in a file of B + 5 uniform rows, B the rows of a
+# block: the second row of the first block, the first row of the second.
+WHERE = {"first_block": lambda b: 3, "second_block": lambda b: b + 2}
+
+
+class TestReadTelemetry:
+    """read_telemetry reads the bytes emit_telemetry writes, in one numpy
+    call per block, to the bits of the reference csv.reader loop (which
+    builds each frame through from_values); any other line is an error
+    naming it, in the first block or a later one."""
 
     @pytest.fixture(scope="class")
     def csv_dir(self, tmp_path_factory):
-        return tmp_path_factory.mktemp("blocks")
+        return tmp_path_factory.mktemp("reader")
 
     @pytest.fixture(scope="class")
     def block_rows(self, csv_dir):
@@ -525,36 +466,108 @@ class TestBlockReader:
         assert 100 < rows < 3000
         return rows
 
+    @settings(max_examples=50, deadline=None)
+    @given(frames=st.lists(direct_frames(finite=True), min_size=1, max_size=3))
+    def test_emitted_files_read_as_the_oracle_reads_them(self, csv_dir, frames):
+        path = csv_dir / "frames.csv"
+        emit_telemetry(frames, path)
+        got = read_outcome(read_telemetry, path)
+        assert got == read_outcome(read_telemetry_reference, path)
+        assert got == [([float(f"{v:.9g}").hex() for v in f.values()], f.events)
+                       for f in frames]
+
+    @pytest.mark.parametrize("log", ["baseline_run", "blowdown_frames", "liquid_sweep",
+                                     "gas_sweep", "steady"])
+    def test_logs_read_as_the_oracle_reads_them(self, request, csv_dir, log):
+        path = csv_dir / f"{log}.csv"
+        if log in ("baseline_run", "blowdown_frames"):
+            frames = request.getfixturevalue(log)
+            emit_telemetry(frames[0] if log == "baseline_run" else frames, path)
+        elif not path.exists():
+            calibration_logs(csv_dir)
+        got = read_outcome(read_telemetry, path)
+        assert isinstance(got, list) and len(got) >= 1000
+        assert got == read_outcome(read_telemetry_reference, path)
+
     @pytest.mark.parametrize("count", [lambda b: 0, lambda b: 1, lambda b: b - 1, lambda b: b,
                                        lambda b: b + 1, lambda b: 2 * b + 1],
                              ids=["0", "1", "B-1", "B", "B+1", "2B+1"])
-    def test_rows_at_a_block_boundary_take_the_numpy_path(self, tmp_path, monkeypatch,
-                                                           block_rows, count):
+    def test_rows_at_a_block_boundary_read_as_the_oracle(self, tmp_path, block_rows, count):
         path = tmp_path / "rows.csv"
         uniform_rows(path, count(block_rows))
-        want = read_outcome(read_telemetry_reference, path)
-        assert len(want) == count(block_rows)
-        refuse_csv(monkeypatch)
-        assert read_outcome(read_telemetry, path) == want
+        got = read_outcome(read_telemetry, path)
+        assert len(got) == count(block_rows)
+        assert got == read_outcome(read_telemetry_reference, path)
 
-    @pytest.mark.parametrize("offset", [0, 1], ids=["first_row", "second_row"])
-    @pytest.mark.parametrize("edit", [cell(3, "abc"), lambda cells: ",".join(cells[:-5]),
-                                      cell(3, "1e999"), lambda cells: ""],
-                             ids=["non_numeric", "short_row", "overflow", "blank_line"])
-    def test_malformed_row_in_the_second_block_names_its_line(self, tmp_path, block_rows,
-                                                              offset, edit):
+    @pytest.mark.parametrize("where", WHERE)
+    @pytest.mark.parametrize("edit", [
+        lambda cells: ",".join(["1e308", "1e308", *cells[2:]]),
+        cell(32, "x\0y"),
+        cell(32, "x" * 200_000),
+    ], ids=["sum_overflows", "nul_in_event", "event_over_131072_chars"])
+    def test_emitted_variants_read_as_the_oracle(self, tmp_path, block_rows, where, edit):
+        path = tmp_path / "variant.csv"
+        uniform_rows(path, block_rows + 5)
+        edit_line(path, WHERE[where](block_rows), edit)
+        got = read_outcome(read_telemetry, path)
+        assert isinstance(got, list) and len(got) == block_rows + 5
+        assert got == read_outcome(read_telemetry_reference, path)
+
+    @pytest.mark.parametrize("where", WHERE)
+    @pytest.mark.parametrize("edit, reason", REJECTED_ROWS.values(), ids=REJECTED_ROWS.keys())
+    def test_other_rows_are_rejected_at_their_line(self, tmp_path, block_rows, where, edit,
+                                                   reason):
         path = tmp_path / "bad.csv"
-        line = block_rows + 2 + offset  # the header is line 1, the first block B rows
+        line = WHERE[where](block_rows)
         uniform_rows(path, block_rows + 5)
         edit_line(path, line, edit)
         got = read_outcome(read_telemetry, path)
-        assert isinstance(got, str) and f"{path} at line {line}: " in got
-        assert got == read_outcome(read_telemetry_reference, path)
+        prefix = f"malformed telemetry row in {path} at line {line}: "
+        assert isinstance(got, str) and got.startswith(prefix)
+        assert reason is None or got == prefix + reason
+
+    @pytest.mark.parametrize("where", [*WHERE, "last_line"])
+    @pytest.mark.parametrize("ending", ["\n", "\r", ""], ids=["lf", "cr", "none"])
+    def test_other_line_ending_is_rejected_at_its_line(self, tmp_path, block_rows, where,
+                                                       ending):
+        path = tmp_path / "ending.csv"
+        uniform_rows(path, block_rows + 5)
+        lines = path.read_bytes().split(b"\r\n")[:-1]  # the header and the rows
+        line = len(lines) if where == "last_line" else WHERE[where](block_rows)
+        path.write_bytes(b"".join(text + (ending.encode() if i == line - 1 else b"\r\n")
+                                  for i, text in enumerate(lines)))
+        got = read_outcome(read_telemetry, path)
+        prefix = f"malformed telemetry row in {path} at line {line}: "
+        assert isinstance(got, str) and got.startswith(prefix)
+        # A row with no ending runs into the next one, if there is one.
+        if ending or where == "last_line":
+            assert got == prefix + "row does not end in CRLF"
+
+    @pytest.mark.parametrize("column", [3, 32], ids=["number", "event"])
+    def test_bytes_that_do_not_decode_are_rejected_at_their_line(self, tmp_path, column):
+        path = tmp_path / "bytes.csv"
+        rows_file(path, 400, 300, cell(column, "~"))
+        path.write_bytes(path.read_bytes().replace(b"~", b"\xff"))
+        got = read_outcome(read_telemetry, path)
+        assert isinstance(got, str) and f"{path} at line 300: " in got
+
+    @pytest.mark.parametrize("content, detail", [
+        ("", "unexpected telemetry header"),
+        (",".join(csv_header()) + "\r\n", []),
+        (",".join(csv_header()) + "\n", "unexpected telemetry header"),
+        (",".join(csv_header()).replace("time_s", "t_s") + "\r\n", "unexpected telemetry header"),
+        (",".join(csv_header()) + "x" * 200_000 + "\r\n", "unexpected telemetry header"),
+    ], ids=["empty", "header_only", "lf_header", "wrong_header", "long_header"])
+    def test_header_cases(self, tmp_path, content, detail):
+        path = tmp_path / "head.csv"
+        path.write_text(content, newline="")
+        got = read_outcome(read_telemetry, path)
+        assert got == detail if detail == [] else got == f"{detail} in {path}"
 
     @pytest.mark.parametrize("edit", [lambda cells: ",".join(cells + ["1.0"]),
                                       lambda cells: ",".join(cells[1:])],
                              ids=["one_cell_more", "one_cell_fewer"])
-    def test_every_row_of_another_width_reads_as_the_oracle(self, tmp_path, edit):
+    def test_every_row_of_another_width_is_rejected_at_line_2(self, tmp_path, edit):
         path = tmp_path / "width.csv"
         uniform_rows(path, 20)
         header, *rows = path.read_bytes().decode().split("\r\n")
@@ -562,74 +575,27 @@ class TestBlockReader:
                          .encode())
         got = read_outcome(read_telemetry, path)
         assert isinstance(got, str) and f"{path} at line 2: " in got
-        assert got == read_outcome(read_telemetry_reference, path)
-
-    @pytest.mark.parametrize("line", [2, 3], ids=["with_event", "without_event"])
-    @pytest.mark.parametrize("text", ['"{}"', 'a"b', '"{}'], ids=["quoted", "inner_quote",
-                                                                 "open_quote"])
-    def test_quote_in_the_events_cell_reads_as_the_oracle(self, tmp_path, line, text):
-        path = tmp_path / "quote.csv"
-        rows_file(path, 40, line, cell(32, text))
-        assert read_outcome(read_telemetry, path) == read_outcome(read_telemetry_reference, path)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("blank", ["\r\n", "\r\n\r\n"], ids=["one", "two"])
-    def test_blank_lines_alone_read_as_the_oracle_without_a_warning(self, tmp_path, blank):
+    def test_blank_lines_alone_are_rejected_without_a_warning(self, tmp_path, blank):
         path = tmp_path / "blank.csv"
         emit_telemetry([], path)
         path.write_bytes(path.read_bytes() + blank.encode())
-        got = read_outcome(read_telemetry, path)
-        assert isinstance(got, str) and f"{path} at line 2: " in got
-        assert got == read_outcome(read_telemetry_reference, path)
-
-    @pytest.mark.parametrize("log", ["baseline_run", "liquid_sweep", "gas_sweep", "steady"])
-    def test_emitted_logs_take_the_numpy_path(self, request, csv_dir, monkeypatch, log):
-        if log == "baseline_run":
-            path = csv_dir / "baseline.csv"
-            emit_telemetry(request.getfixturevalue(log)[0], path)
-        else:
-            path = csv_dir / f"{log}.csv"
-            if not path.exists():
-                calibration_logs(csv_dir)
-        want = read_outcome(read_telemetry_reference, path)
-        refuse_csv(monkeypatch)
-        assert read_outcome(read_telemetry, path) == want
+        assert read_outcome(read_telemetry, path) == (
+            f"malformed telemetry row in {path} at line 2: 0 numeric columns, not 32")
 
     @settings(max_examples=150, deadline=None)
     @given(line=st.sampled_from([3, 300]), column=st.integers(0, 31), token=NUMBER_TOKENS)
-    def test_any_token_reads_as_the_oracle_reads_it(self, csv_dir, line, column, token):
+    def test_any_token_reads_as_the_oracle_or_names_its_line(self, csv_dir, line, column,
+                                                              token):
         path = csv_dir / "token.csv"
         rows_file(path, 400, line, cell(column, token))
-        assert read_outcome(read_telemetry, path) == read_outcome(read_telemetry_reference, path)
-
-    @pytest.mark.parametrize("line", [3, 300], ids=["line3", "line300"])
-    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["limit-1", "limit", "limit+1"])
-    def test_events_cell_at_the_csv_field_limit_reads_as_the_oracle(self, tmp_path, line, extra):
-        path = tmp_path / "wide.csv"
-        rows_file(path, 400, line, cell(32, "x" * (csv.field_size_limit() + extra)))
         got = read_outcome(read_telemetry, path)
-        assert got == read_outcome(read_telemetry_reference, path)
-        assert isinstance(got, list) == (extra <= 0)
-
-    @pytest.mark.parametrize("line, ending", [(3, "\n"), (300, "\r"), (401, "\n"), (401, "")],
-                             ids=["lf_line3", "cr_line300", "lf_last_line", "none_last_line"])
-    def test_one_other_line_ending_reads_as_the_oracle(self, tmp_path, line, ending):
-        path = tmp_path / "ending.csv"
-        emit_telemetry([make_frame(0.01 * k, events=("abort_overpressure",)) for k in range(400)],
-                       path)
-        lines = path.read_bytes().split(b"\r\n")[:-1]  # the header and 400 rows
-        path.write_bytes(b"".join(text + (ending.encode() if i == line - 1 else b"\r\n")
-                                  for i, text in enumerate(lines)))
-        got = read_outcome(read_telemetry, path)
-        assert isinstance(got, list) and len(got) == 400
-        assert got == read_outcome(read_telemetry_reference, path)
-
-
-def uniform_rows(path, rows: int):
-    """A telemetry file of rows frames whose rows all have one length (times
-    1000 s on, each row with an event)."""
-    emit_telemetry([make_frame(1000.0 + k, events=("abort_overpressure",))
-                    for k in range(rows)], path)
+        if isinstance(got, list):
+            assert got == read_outcome(read_telemetry_reference, path)
+        else:
+            assert got.startswith(f"malformed telemetry row in {path} at line {line}: ")
 
 
 class TestModeComparison:
