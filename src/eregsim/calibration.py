@@ -10,7 +10,6 @@ fit screens its breakpoint grid in closed form and confirms only the best.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -55,8 +54,7 @@ class FlowSample(NamedTuple):
             raise EregSimError(f"liquid sample density {self.fluid_density} is not above 0")
 
 
-@dataclass(frozen=True)
-class CvFit:
+class CvFit(NamedTuple):
     alpha: float  # m2 per degree
     theta_zero: float  # degrees
     residual_rms: float

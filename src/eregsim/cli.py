@@ -81,7 +81,7 @@ def _cmd_metrics(args) -> int:
     if args.json:
         # JSON has no infinity: a regulator that never settles gets null.
         payload = {
-            name: {k: v if math.isfinite(v) else None for k, v in vars(metrics[name]).items()}
+            name: {k: v if math.isfinite(v) else None for k, v in metrics[name]._asdict().items()}
             for name in EREG_NAMES
         }
         print(json.dumps(payload, indent=2, allow_nan=False))

@@ -11,7 +11,7 @@ engine owns the clock and says when a primary tick is due.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ControllerError
 from .fluids import FULL_TRAVEL
@@ -38,8 +38,7 @@ def clamp(x: float, lo: float, hi: float) -> float:
     return hi if hi < x else x
 
 
-@dataclass(frozen=True)
-class PidGains:
+class PidGains(NamedTuple):
     kp: float
     ki: float
     kd: float
@@ -49,8 +48,7 @@ class PidGains:
             raise ControllerError("PID gains must be nonnegative")
 
 
-@dataclass(frozen=True)
-class FeedforwardParams:
+class FeedforwardParams(NamedTuple):
     """Constants for the model-based feedforward terms.
 
     Tank regulators use gamma * min(1, setpoint / supply_pressure) + theta_zero.
@@ -66,8 +64,7 @@ class FeedforwardParams:
     min_drop: float = 1.0e4  # Pa, floor below which the valve goes fully open
 
 
-@dataclass(frozen=True)
-class ControllerSettings:
+class ControllerSettings(NamedTuple):
     """One regulator as the scenario configures it."""
 
     primary_gains: PidGains  # degrees per Pa, Pa*s, Pa/s
@@ -79,8 +76,7 @@ class ControllerSettings:
     locked_angle: float | None  # fixed valve angle, bypasses the loops
 
 
-@dataclass(frozen=True)
-class ActuatorSettings:
+class ActuatorSettings(NamedTuple):
     time_constant: float  # s
     rate_max: float  # degrees/s
     backlash: float  # degrees of lost motion
@@ -133,7 +129,7 @@ class PidController:
         if not dt > 0.0:
             raise ValueError("dt must be positive")
         gains.validate()
-        self.gains = gains
+        self._kp, self._ki, self._kd = gains
         self.output_limits = output_limits
         self.integral_limits = integral_limits
         self.dt = dt
@@ -145,8 +141,7 @@ class PidController:
         if not math.isfinite(setpoint + measurement):
             _require_finite(setpoint=setpoint, measurement=measurement)
         dt = self.dt
-        gains = self.gains
-        kp, ki, kd = gains.kp * scale, gains.ki * scale, gains.kd * scale
+        kp, ki, kd = self._kp * scale, self._ki * scale, self._kd * scale
         error = setpoint - measurement
 
         # Derivative on the low-pass filtered measurement, negated so that a

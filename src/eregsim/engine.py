@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,8 +86,7 @@ ROOT_MAX_ITERATIONS = 60
 _SHUT = (0.0, 0.0, None)
 
 
-@dataclass
-class NetworkFlows:
+class NetworkFlows(NamedTuple):
     """Algebraic flow solution at one instant (fixed angles and tank states).
 
     Per-side fields are pairs indexed like SIDES.

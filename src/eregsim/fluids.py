@@ -15,7 +15,7 @@ slope of that curve in the same units (alpha_si_per_deg).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 AMBIENT_PRESSURE = 101325.0  # Pa
 R_NITROGEN = 296.8  # J/(kg K)
@@ -32,8 +32,7 @@ CHOKED_PRESSURE_RATIO = 0.528
 # State containers
 
 
-@dataclass(frozen=True)
-class GasTankState:
+class GasTankState(NamedTuple):
     """A lump of ideal gas, for invariant checks on the plant state.
 
     pressure, volume, gas_mass and temperature should satisfy
@@ -65,8 +64,7 @@ class GasTankState:
         return abs(pv - self.gas_mass * self.specific_gas_constant * self.temperature) / pv
 
 
-@dataclass(frozen=True)
-class ValveModel:
+class ValveModel(NamedTuple):
     """Motorized ball valve with a piecewise-linear flow coefficient.
 
     Cv(theta) = max(0, alpha * (theta - theta_zero)), zero through the
@@ -79,8 +77,7 @@ class ValveModel:
     choked_constant: float = 0.0  # kg/s per (Pa * m2), gas valves only
 
 
-@dataclass(frozen=True)
-class LineModel:
+class LineModel(NamedTuple):
     """Straight feed line with a fixed Darcy friction factor."""
 
     friction_factor: float
@@ -97,8 +94,7 @@ class LineModel:
         return self.friction_factor * self.length / (2.0 * self.diameter * self.flow_area**2)
 
 
-@dataclass(frozen=True)
-class ChamberModel:
+class ChamberModel(NamedTuple):
     """Lumped thrust chamber: Pc = mdot * cstar / At, F = Cf * Pc * At."""
 
     throat_area: float  # m2

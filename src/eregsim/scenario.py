@@ -17,6 +17,7 @@ import operator
 import sys
 from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
@@ -56,20 +57,22 @@ RK4_STABILITY_LIMIT = 2.785293563405282
 # ten steps, about 1.5 GB of telemetry; a longer run is a typo, not a test.
 MAX_STEPS = 10**7
 
+# libyaml's parser where PyYAML was built with it: the same constructor and
+# resolver as the pure-Python SafeLoader, so the same data, several times faster.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 # ---------------------------------------------------------------------------
 # Setpoint profiles
 
 
-@dataclass(frozen=True)
-class ProfileSegment:
+class ProfileSegment(NamedTuple):
     target_pressure: float  # Pa
     hold_duration: float  # s
     ramp_rate: float  # Pa/s
 
 
-@dataclass(frozen=True)
-class ThrottleProfile:
+class ThrottleProfile(NamedTuple):
     """Piecewise ramp-then-hold setpoint trajectory.
 
     Starts at start_pressure, ramps to each segment target at that
@@ -116,8 +119,7 @@ class ThrottleProfile:
         return intervals
 
 
-@dataclass(frozen=True)
-class SetpointSchedule:
+class SetpointSchedule(NamedTuple):
     """Constant tank setpoints plus one throttle profile per injector."""
 
     ox_tank: float  # Pa
@@ -139,8 +141,7 @@ def setpoints_at(schedule: SetpointSchedule, t: float) -> tuple[float, float, fl
 # Operating-point helpers
 
 
-@dataclass(frozen=True)
-class InjectorOrifice:
+class InjectorOrifice(NamedTuple):
     cd: float
     area: float  # m2
 
@@ -177,16 +178,14 @@ def size_mock_injector(
 # Scenario configuration
 
 
-@dataclass(frozen=True)
-class TankSettings:
+class TankSettings(NamedTuple):
     total_volume: float  # m3
     initial_ullage_fraction: float
     liquid_density: float  # kg/m3
     initial_pressure: float  # Pa
 
 
-@dataclass(frozen=True)
-class MetricsSettings:
+class MetricsSettings(NamedTuple):
     startup_window: float  # s excluded from error metrics
     early_window: float  # s over which oscillation amplitude is taken
     settle_threshold: float  # Pa
@@ -750,7 +749,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 def load_scenario(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     try:
-        data = yaml.safe_load(path.read_text())
+        data = yaml.load(path.read_text(), Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     except yaml.YAMLError as exc:

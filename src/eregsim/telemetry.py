@@ -14,7 +14,6 @@ _frames: in C, a batch at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -197,7 +196,19 @@ def _parse(lines: list[str]) -> list[TelemetryFrame]:
         raise ValueError(f"cell {token!r} holds a character %.9g does not write")
     # loadtxt raises on a row whose cell count differs from the first row's:
     # the shape checks 32 cells a line.
-    rows = np.loadtxt(numbers, delimiter=",", comments=None, ndmin=2)
+    try:
+        rows = np.loadtxt(numbers, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        # numpy names a cell by its row in this call and its column from 1.
+        for tokens in (line.split(",") for line in numbers):
+            if len(tokens) != _WIDTH:
+                raise ValueError(f"{len(tokens)} numeric columns, not {_WIDTH}") from None
+            for column, token in zip(csv_header(), tokens):
+                try:
+                    float(token)
+                except ValueError:
+                    raise ValueError(f"column {column} holds {token!r}, not a number") from None
+        raise
     if rows.shape != (n, _WIDTH) or not np.isfinite(rows).all():
         for values in rows.tolist():
             _check_values(values)
@@ -209,8 +220,7 @@ def _parse(lines: list[str]) -> list[TelemetryFrame]:
 # Regulation metrics
 
 
-@dataclass(frozen=True)
-class EregMetrics:
+class EregMetrics(NamedTuple):
     max_abs_error: float  # bar
     rms_error: float  # bar
     settle_time: float  # s (inf if the error never stays settled)

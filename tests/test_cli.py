@@ -113,10 +113,12 @@ class TestRun:
         [
             (None, "x.csv", "ConfigError", "cannot read scenario file"),
             ("supply: [unclosed\n", "x.csv", "ConfigError", "cannot parse scenario file"),
+            ("supply:\n    volume_m3: 1\n  initial_pressure_bar: 2\n", "x.csv", "ConfigError",
+             "cannot parse scenario file"),
             (yaml.safe_dump(small_scenario_dict(duration_s=0.1)), "absent/x.csv",
              "EregSimError", "cannot write telemetry"),
         ],
-        ids=["missing_file", "unparsable_yaml", "missing_out_dir"],
+        ids=["missing_file", "unparsable_yaml", "bad_indent", "missing_out_dir"],
     )
     def test_unreadable_scenario_or_unwritable_out_exits_2_with_one_json_line(
             self, tmp_path, capsys, scenario_text, out, error, message):

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import math
 import random
 import re
@@ -10,13 +9,20 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eregsim.engine import RunAudit, run_scenario
+from eregsim.calibration import CvFit
+from eregsim.control import ActuatorSettings, ControllerSettings, FeedforwardParams, PidGains
+from eregsim.engine import NetworkFlows, RunAudit, run_scenario
 from eregsim.errors import ConfigError, InfeasibleThrottleError
-from eregsim.fluids import branch_flow, cv_of_angle
+from eregsim.fluids import (
+    ChamberModel, GasTankState, LineModel, ValveModel, branch_flow, cv_of_angle,
+)
 from eregsim.scenario import (
     RK4_STABILITY_LIMIT,
+    InjectorOrifice,
+    MetricsSettings,
     ProfileSegment,
     SetpointSchedule,
+    TankSettings,
     ThrottleProfile,
     load_scenario,
     paired_setpoints_for_of,
@@ -24,6 +30,7 @@ from eregsim.scenario import (
     setpoints_at,
     size_mock_injector,
 )
+from eregsim.telemetry import EregMetrics
 from tests import probe_scenarios
 from tests.conftest import DROP, SCENARIO_DIR, load_yaml, set_key, small_scenario_dict
 from tests.oracles import orifice_mass_flow, steady_operating_point
@@ -204,6 +211,11 @@ class TestConfigValidation:
         with_chamber = [path.stem for path in sorted(SCENARIO_DIR.glob("*.yaml"))
                         if load_scenario(path).chamber is not None]
         assert with_chamber == ["staticfire_baseline", "staticfire_nominal_hold"]
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+    def test_libyaml_builds_what_the_pure_parser_builds(self, path):
+        pure = yaml.load(path.read_text(), Loader=yaml.SafeLoader)
+        assert load_scenario(path) == scenario_from_dict(pure)
 
     def test_schema_version_required(self):
         data = small_scenario_dict()
@@ -509,8 +521,8 @@ REPLACE_BYPASSES = {
     "abort_pressure_factor=-1": (lambda config: {"abort_pressure_factor": -1},
                                  "options.abort_pressure_factor"),
     "ox_tank_starts_at_500_bar": (
-        lambda config: {"tanks": {**config.tanks, "ox": dataclasses.replace(
-            config.tanks["ox"], initial_pressure=500e5)}},
+        lambda config: {"tanks": {**config.tanks, "ox": config.tanks["ox"]._replace(
+            initial_pressure=500e5)}},
         "valves.ox_inj.rated_pressure_bar",
     ),
     "noise_seed=-1": (lambda config: {"noise_seed": -1}, "sensors.seed"),
@@ -525,12 +537,12 @@ REPLACE_BYPASSES = {
                               "tanks.ox.initial_pressure_bar must be above 50"),
     # A pressure-kind throttle profile starting below ambient or ramping to it.
     "ox_throttle_start_below_ambient": (
-        lambda config: {"schedule": dataclasses.replace(config.schedule, ox_inj=ThrottleProfile(
+        lambda config: {"schedule": config.schedule._replace(ox_inj=ThrottleProfile(
             0.5e5, config.schedule.ox_inj.segments))},
         "setpoints.throttle.ox.start_bar must be above 1.01325",
     ),
     "fuel_throttle_target_at_ambient": (
-        lambda config: {"schedule": dataclasses.replace(config.schedule, fuel_inj=ThrottleProfile(
+        lambda config: {"schedule": config.schedule._replace(fuel_inj=ThrottleProfile(
             config.schedule.fuel_inj.start_pressure,
             (ProfileSegment(config.ambient_pressure, 0.0, 10e5),)))},
         "setpoints.throttle.fuel.segments[0].target_bar must be above 1.01325",
@@ -701,3 +713,19 @@ class TestSchemaDoc:
         for path in sorted(SCENARIO_DIR.glob("*.yaml")):
             used = {_documented_form(p) for p in _key_paths(load_yaml(path))}
             assert used <= documented, (path.name, sorted(used - documented))
+
+
+VALUE_RECORDS = (PidGains, FeedforwardParams, ControllerSettings, ActuatorSettings, ValveModel,
+                 LineModel, ChamberModel, GasTankState, ProfileSegment, ThrottleProfile,
+                 SetpointSchedule, InjectorOrifice, TankSettings, MetricsSettings, CvFit,
+                 EregMetrics, NetworkFlows)
+
+
+@pytest.mark.parametrize("record", VALUE_RECORDS, ids=lambda cls: cls.__name__)
+def test_value_records_are_immutable(record):
+    value = record._make([1.0] * len(record._fields))
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, 2.0)
+    with pytest.raises(AttributeError):
+        value.extra = 2.0
