@@ -19,7 +19,7 @@ import yaml
 from .errors import DegenerateFitError, EregSimError
 from .fluids import CHOKED_PRESSURE_RATIO, FULL_TRAVEL
 from .scenario import EREG_NAMES
-from .telemetry import TelemetryFrame
+from .telemetry import TelemetryFrame, liquid_depletion_time
 
 THETA_GRID_STEP = 0.1  # degrees, breakpoint search resolution
 _NO_FLOW = "no positive slope found: samples carry no flow"
@@ -253,15 +253,18 @@ def liquid_samples_from_telemetry(
 
     Upstream is the tank sensor, downstream the injector sensor; the
     implied Cv therefore lumps the feed line into the valve, matching what
-    an empirical characterization sees. An unknown side or a density not
-    above 0 is an EregSimError.
+    an empirical characterization sees, up to the first liquid depletion.
+    An unknown side or a density not above 0 is an EregSimError.
     """
     inj_name, tank_name = _ereg(side + "_inj"), _ereg(side + "_tank")
     if not density > 0.0:
         raise EregSimError(f"liquid density {density} is not above 0")
     mdot_name = f"mdot_{side}_kg_s"
+    cutoff = liquid_depletion_time(frames)
     samples = []
     for frame in frames:
+        if frame.time_s >= cutoff:
+            break
         inj, tank = getattr(frame, inj_name), getattr(frame, tank_name)
         samples.append(FlowSample(inj.valve_angle_deg, tank.pressure_bar * 1e5,
                                   inj.pressure_bar * 1e5, getattr(frame, mdot_name) / density,

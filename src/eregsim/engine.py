@@ -351,8 +351,6 @@ class _Plant:
             if liquid == 0.0 and self.liquid_volume[i] != 0.0:
                 events.append(EVENT_LIQUID_DEPLETED[i])
             volume = self.ullage_volume[i] + drained
-            if volume <= 0.0:
-                raise ModelError(f"gas volume driven nonpositive ({volume})")
             mass = self.ullage_mass[i] + (gas_in[i] - sink[i]) * dt
             if mass <= 0.0:
                 mass = pressure = 0.0
@@ -460,7 +458,7 @@ class RunAudit:
 
 
 def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[TelemetryFrame]:
-    """Run the fixed-step loop; returns one frame per decimated primary tick.
+    """Run the fixed-step loop; returns one frame per primary tick.
 
     The run ends at the configured duration or at an over-pressure abort
     (110 percent of a valve rating upstream of it by default), whichever
@@ -485,7 +483,6 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
     oracle = config.variant == "oracle"
     # Without a chamber the back-pressure is ambient and warm_start a no-op.
     warm = config.chamber is not None
-    phys_per_frame = phys_per_primary * config.telemetry_decimation
     rng = np.random.default_rng(config.noise_seed) if noise_sigma > 0.0 else None
 
     angles = [0.0 if angle is None else angle for angle in locked]
@@ -494,9 +491,6 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
     rows: list[list[float]] = []
     row_events: list[tuple[str, ...]] = []
     events_active: list[str] = []
-    measured = [0.0] * 4
-    measured_supply = config.supply_pressure
-    setpoints = setpoints_at(schedule, 0.0)
     # Over-pressure abort: valves must never see more than the configured
     # fraction of their rated pressure upstream.
     factor = config.abort_pressure_factor
@@ -508,7 +502,7 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
         plant.set_angles(angles)
         primary = k % phys_per_primary == 0
 
-        if primary:
+        if primary:  # step 0 is one: flows, setpoints and measured are set before use
             flows = plant.snapshot()
             setpoints = setpoints_at(schedule, t)
             # Sensor sampling happens at the primary rate; optional zero-mean
@@ -538,7 +532,7 @@ def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[
         abort = plant.supply_pressure > supply_limit or p_ox > ox_limit or p_fuel > fuel_limit
         if abort:
             events_active.append(EVENT_ABORT)
-        if abort or k % phys_per_frame == 0:
+        if abort or primary:
             if not primary:  # an abort between primary ticks; the state has not moved
                 flows = plant.snapshot()
             rows.append(_frame_row(t, flows, controllers, angles, measured,

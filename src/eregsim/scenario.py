@@ -223,7 +223,6 @@ class ScenarioConfig:
     noise_seed: int
     ullage_collapse_coeff: float  # 1/s mass-sink on the ullages
     abort_pressure_factor: float
-    telemetry_decimation: int
     metrics: MetricsSettings
 
     def __post_init__(self):
@@ -267,10 +266,9 @@ class ScenarioConfig:
             raise ConfigError(f"variant must be one of {', '.join(VARIANTS)}, got {self.variant!r}")
         checked_number(self.noise_sigma / 1e5, "sensors.noise_sigma_bar", at_least=0.0,
                        at_most=supply_bar)
-        for key, value, least in (("sensors.seed", self.noise_seed, 0),
-                                  ("telemetry.decimation", self.telemetry_decimation, 1)):
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+        if (isinstance(self.noise_seed, bool) or not isinstance(self.noise_seed, int)
+                or self.noise_seed < 0):
+            raise ConfigError(f"sensors.seed must be an integer >= 0, got {self.noise_seed!r}")
         checked_number(self.ullage_collapse_coeff, "options.ullage_collapse_coeff", at_least=0.0,
                        at_most=RK4_STABILITY_LIMIT / self.dt_phys)
         checked_number(self.abort_pressure_factor, "options.abort_pressure_factor", above=0.0)
@@ -735,7 +733,6 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         noise_seed=sensors.lookup("seed", 0)[0],
         ullage_collapse_coeff=options.number("ullage_collapse_coeff", 0.0),
         abort_pressure_factor=options.number("abort_pressure_factor", 1.10),
-        telemetry_decimation=root.section("telemetry", {}).lookup("decimation", 1)[0],
         metrics=MetricsSettings(
             startup_window=metrics.number("startup_window_s", 1.0, at_least=0.0),
             early_window=metrics.number("early_window_s", 2.0, at_least=0.0),

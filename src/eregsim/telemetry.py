@@ -23,20 +23,6 @@ import numpy as np
 from .errors import EregSimError
 from .scenario import EREG_NAMES, ScenarioConfig
 
-EREG_FIELDS = ("setpoint_bar", "pressure_bar", "valve_angle_deg", "feedforward_deg", "u1_deg", "u2")
-SCALAR_FIELDS = (
-    "supply_pressure_bar",
-    "mdot_ox_kg_s",
-    "mdot_fuel_kg_s",
-    "mdot_gas_kg_s",
-    "chamber_pressure_bar",
-    "thrust_n",
-    "of_ratio",
-)
-# Numeric cells in a row: time, one block of EREG_FIELDS per regulator, SCALAR_FIELDS.
-_WIDTH = 1 + len(EREG_FIELDS) * len(EREG_NAMES) + len(SCALAR_FIELDS)
-# One data row: the numeric fields of values(), then the events cell.
-_ROW_FORMAT = "%.9g," * _WIDTH + "%s\r\n"
 # Not in an event name: the reader splits the cell on ";", csv quotes the rest.
 _EVENT_UNSAFE = frozenset(',;"\r\n')
 # read_telemetry: the readlines size hint of one block, and the bytes its
@@ -88,6 +74,15 @@ class TelemetryFrame(NamedTuple):
         or inf value, is a ValueError (naming its CSV column)."""
         _check_values(values)
         return _frames([*zip(values)], [tuple(events)])[0]
+
+
+# The CSV columns, named once by the frame records: time, one block of
+# EREG_FIELDS per regulator, SCALAR_FIELDS, then the events cell.
+EREG_FIELDS = EregFrame._fields
+SCALAR_FIELDS = TelemetryFrame._fields[1 + len(EREG_NAMES):-1]
+_WIDTH = 1 + len(EREG_FIELDS) * len(EREG_NAMES) + len(SCALAR_FIELDS)
+# One data row: the numeric fields of values(), then the events cell.
+_ROW_FORMAT = "%.9g," * _WIDTH + "%s\r\n"
 
 
 def _check_values(values: list[float]) -> None:
@@ -228,7 +223,9 @@ class EregMetrics(NamedTuple):
     peak_oscillation_amplitude: float  # bar peak-to-peak in the early window
 
 
-def _first_depletion_time(frames: list[TelemetryFrame]) -> float:
+def liquid_depletion_time(frames: list[TelemetryFrame]) -> float:
+    """The time of the first frame with a liquid depletion, else inf: the
+    metrics and the liquid calibration samples drop the frames from then on."""
     for frame in frames:
         if any(e in EVENT_LIQUID_DEPLETED for e in frame.events):
             return frame.time_s
@@ -241,14 +238,13 @@ def regulation_metrics(frames: list[TelemetryFrame],
 
     The startup transient window is excluded from error statistics; the
     oscillation amplitude is the max peak-to-peak error within the early
-    window measured from t = 0. Frames after the first liquid depletion
-    are excluded (the end-of-burn transient is a plant event, not a
-    regulation failure).
+    window measured from t = 0. Frames from the first liquid depletion on
+    are excluded (liquid_depletion_time).
     """
     if not frames:
         raise EregSimError("regulation metrics need at least one frame")
     settings = config.metrics
-    cutoff = _first_depletion_time(frames)
+    cutoff = liquid_depletion_time(frames)
 
     per_ereg = {}
     for name in EREG_NAMES:

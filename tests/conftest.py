@@ -13,11 +13,6 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture(scope="session")
-def scenario_dir() -> Path:
-    return SCENARIO_DIR
-
-
-@pytest.fixture(scope="session")
 def baseline_config():
     return load_scenario(SCENARIO_DIR / "staticfire_baseline.yaml")
 

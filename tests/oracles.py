@@ -5,7 +5,7 @@ a closed-form steady state or a plain loop so a test can compare the
 package's own arithmetic (line loss coefficients, mock injector sizing,
 paired setpoints, logged setpoints, the Cv grid fit, the chamber
 back-pressure root-find, the PID and actuator updates, the CSV writer
-and reader) with it.
+and reader) with it, or build the calibration logs a fit reads.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from eregsim import engine
 from eregsim.calibration import THETA_GRID_STEP, CvFit
 from eregsim.control import DERIVATIVE_FILTER_PERIODS, ActuatorSettings, PidGains
 from eregsim.errors import DegenerateFitError, EregSimError, ModelError
-from eregsim.fluids import FULL_TRAVEL, chamber_state
+from eregsim.fluids import CHOKED_PRESSURE_RATIO, FULL_TRAVEL, chamber_state
 from eregsim.scenario import EREG_NAMES, ScenarioConfig, setpoints_at
 from eregsim.telemetry import EREG_FIELDS, SCALAR_FIELDS, TelemetryFrame, csv_header
 
@@ -48,6 +48,36 @@ def darcy_weisbach_dp(
     if velocity < 0.0:
         raise ValueError("velocity must be nonnegative")
     return friction_factor * (length / diameter) * rho * velocity**2 / 2.0
+
+
+def valve_cv(alpha: float, theta_zero: float, theta: float) -> float:
+    """Piecewise-linear flow coefficient max(0, alpha * (theta - theta_zero))."""
+    return max(0.0, alpha * (theta - theta_zero))
+
+
+def valve_liquid_flow(alpha: float, theta_zero: float, theta: float, dp: float,
+                      rho: float) -> float:
+    """Volumetric liquid flow Cv * sqrt(dp / rho) through a valve; 0 for dp <= 0."""
+    return valve_cv(alpha, theta_zero, theta) * math.sqrt(dp / rho) if dp > 0.0 else 0.0
+
+
+def valve_gas_flow(k: float, alpha: float, theta_zero: float, theta: float, p_up: float,
+                   p_down: float) -> float:
+    """Gas mass flow k * Cv * p_up: choked up to the critical pressure ratio,
+    fading linearly to 0 at ratio 1."""
+    if p_up <= 0.0:
+        return 0.0
+    ratio = p_down / p_up
+    critical = CHOKED_PRESSURE_RATIO
+    fade = 1.0 if ratio <= critical else 0.0 if ratio >= 1.0 else (1.0 - ratio) / (1.0 - critical)
+    return k * valve_cv(alpha, theta_zero, theta) * p_up * fade
+
+
+def tank_feedforward_angle(gamma: float, theta_zero: float, setpoint: float,
+                           supply: float) -> float:
+    """Tank-valve feedforward gamma * min(1, setpoint / supply) + theta_zero,
+    within the valve travel."""
+    return min(max(gamma * min(1.0, setpoint / supply) + theta_zero, 0.0), FULL_TRAVEL)
 
 
 def cv_fit_objective(samples: list[tuple[float, float]], alpha: float, theta_zero: float) -> float:

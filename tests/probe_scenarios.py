@@ -55,7 +55,7 @@ OUTCOMES = (REJECTED, CLEAN, ABORTED)
 # The ScenarioConfig fields whose rules the config's own check holds.
 REPLACED = ("duration", "dt_phys", "dt_secondary", "dt_primary", "ambient_pressure",
             "supply_pressure", "noise_sigma", "noise_seed", "abort_pressure_factor",
-            "telemetry_decimation", "ullage_collapse_coeff")
+            "ullage_collapse_coeff")
 REPLACED_VALUES = (*EXTREMES, 0, -1, math.nan)
 REJECTED_AT_REPLACE = "rejected at replace"
 REPLACE_OUTCOMES = (REJECTED_AT_REPLACE, CLEAN, ABORTED)

@@ -18,10 +18,14 @@ names each case on file that it no longer records as dropped.
 
     PYTHONPATH=src python -m tests.record_golden [golden] [noise]
 
-The hashes mode writes no file. It runs longer cases (hash_cases) and
-prints, per case, the frame count and the SHA-256 of the repr of its
-frames, so that two source trees can be compared bit for bit by diffing
-its output:
+The hashes mode writes no file. It is the identity check between two
+source trees: diff its outputs. It runs longer cases (hash_cases) and
+prints, per case, the frame count and four SHA-256 digests: of the repr
+of the run's frames, of the CSV bytes emit_telemetry writes, of the repr
+of the frames read_telemetry reads back from them, and of the repr of
+regulation_metrics on those. Then, per seed of fit_cases, the CSV digest
+of three calibration logs and the .hex() values of every fit made from
+them:
 
     PYTHONPATH=src python -m tests.record_golden hashes > hashes.txt
 """
@@ -31,12 +35,21 @@ from __future__ import annotations
 import copy
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from eregsim.calibration import (
+    cv_from_sample, fit_choked_constant, fit_cv_curve, fit_gamma, gas_samples_from_telemetry,
+    liquid_samples_from_telemetry, steady_records,
+)
 from eregsim.engine import run_scenario
 from eregsim.scenario import VARIANTS, load_scenario, scenario_from_dict
+from eregsim.telemetry import (
+    EregFrame, TelemetryFrame, emit_telemetry, read_telemetry, regulation_metrics,
+)
+from tests import oracles
 from tests.conftest import SCENARIO_DIR, build_small_scenario, load_yaml
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden.npz"
@@ -126,11 +139,11 @@ def run_case(name: str, noisy: bool = False) -> tuple[np.ndarray, list[str]]:
 
 
 def hash_cases():
-    """(name, config) of every frame-hash case: each shipped scenario under
-    each variant at full length, noise-free and noisy; then the baseline
-    with both injector valves rated at the 42 bar tank pressure, noisy, under
-    four abort factors, two variants and two decimations, whose over-pressure
-    aborts fall on and between primary ticks."""
+    """(name, config) of every run case: each shipped scenario under each
+    variant at full length, noise-free and noisy; then the baseline with
+    both injector valves rated at the 42 bar tank pressure, noisy, under
+    four abort factors and two variants, whose over-pressure aborts fall on
+    and between primary ticks."""
     for stem in SHIPPED:
         shipped = load_scenario(SCENARIO_DIR / f"{stem}.yaml")
         for variant in VARIANTS:
@@ -145,19 +158,117 @@ def hash_cases():
         data["valves"][name]["rated_pressure_bar"] = 42.0
     for factor in (1.0, 1.001, 1.003, 1.006):
         for variant in ("ff+dyn", "pid"):
-            for decimation in (1, 7):
-                case = copy.deepcopy(data)
-                case["options"]["abort_pressure_factor"] = factor
-                case["telemetry"] = {"decimation": decimation}
-                yield (f"abort.{factor}.{variant}.decimation{decimation}",
-                       scenario_from_dict(case).replace(variant=variant))
+            case = copy.deepcopy(data)
+            case["options"]["abort_pressure_factor"] = factor
+            yield f"abort.{factor}.{variant}", scenario_from_dict(case).replace(variant=variant)
+
+
+# Calibration logs: rows of each sweep and of the steady log, s between rows.
+FIT_SEEDS = range(10)
+SWEEP_ROWS, STEADY_ROWS, LOG_DT = 1000, 1500, 0.01
+FLOW_NOISE = 1e-3  # relative flow-meter noise on the sweeps
+
+
+def calibration_logs(config, seed: int) -> tuple[dict, list[list[TelemetryFrame]]]:
+    """(true parameters, [liquid sweep, gas sweep, steady log]) for the ox side
+    of config, the valve and feedforward parameters drawn from the seed and
+    the flows from the oracle laws. The sweeps carry sensor and flow-meter
+    noise; the steady log, a feedforward-only blowdown under a setpoint ramp,
+    carries noise only on the tank pressure, which selects its steady rows.
+    For a seed, they are the logs perfbench's calibrate_fits workload reads."""
+    rng = np.random.default_rng([seed, 1])
+    inj, tank = config.valves["ox_inj"], config.valves["ox_tank"]
+    truth = dict(
+        liquid_alpha=inj.alpha * rng.uniform(0.8, 1.2), liquid_theta_zero=rng.uniform(6.0, 14.0),
+        gas_alpha=tank.alpha * rng.uniform(0.8, 1.2), gas_theta_zero=rng.uniform(6.0, 14.0),
+        k=tank.choked_constant * rng.uniform(0.9, 1.1),
+        gamma=config.controllers["ox_tank"].feedforward.gamma * rng.uniform(0.9, 1.1),
+        density=config.tanks["ox"].liquid_density,
+    )
+    rng = np.random.default_rng([seed, 2])
+    sigma = NOISE_SIGMA_BAR * 1e5
+    setpoint = config.tank_setpoint("ox")
+    idle = EregFrame(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def frame(i, ox_tank, ox_inj, supply, mdot_ox, mdot_gas):
+        return TelemetryFrame(i * LOG_DT, ox_tank, idle, ox_inj, idle, supply / 1e5, mdot_ox,
+                              0.0, mdot_gas, 0.0, 0.0, 0.0)
+
+    def reg(set_pa, p_pa, angle):
+        return EregFrame(set_pa / 1e5, p_pa / 1e5, angle, 0.0, angle, 0.0)
+
+    gas_valve = (truth["k"], truth["gas_alpha"], truth["gas_theta_zero"])
+    liquid, gas, steady = [], [], []
+    for i in range(SWEEP_ROWS):  # injector valve at a fixed 42 -> 30 bar drop
+        theta = 90.0 * i / (SWEEP_ROWS - 1)
+        q = oracles.valve_liquid_flow(truth["liquid_alpha"], truth["liquid_theta_zero"], theta,
+                                      setpoint - 30e5, truth["density"])
+        noise = rng.standard_normal(3)
+        liquid.append(frame(i, reg(setpoint, setpoint + sigma * noise[0], 0.0),
+                            reg(30e5, 30e5 + sigma * noise[1], theta), config.supply_pressure,
+                            q * truth["density"] * (1.0 + FLOW_NOISE * noise[2]), 0.0))
+    for i in range(SWEEP_ROWS):  # tank valve, choked, as the supply falls 300 -> 200 bar
+        theta = 90.0 * i / (SWEEP_ROWS - 1)
+        p_sup = 300e5 - 100e5 * i / (SWEEP_ROWS - 1)
+        mdot = oracles.valve_gas_flow(*gas_valve, theta, p_sup, setpoint)
+        noise = rng.standard_normal(3)
+        gas.append(frame(i, reg(setpoint, setpoint + sigma * noise[0], theta), idle,
+                         p_sup + sigma * noise[1], 0.0, mdot * (1.0 + FLOW_NOISE * noise[2])))
+    for i in range(STEADY_ROWS):  # 310 -> 110 bar blowdown, setpoint 30 -> 50 bar
+        s = i / (STEADY_ROWS - 1)
+        p_sup, p_set = 310e5 - 200e5 * s, 30e5 + 20e5 * s
+        theta = oracles.tank_feedforward_angle(truth["gamma"], truth["gas_theta_zero"], p_set,
+                                               p_sup)
+        steady.append(frame(i, reg(p_set, p_set + sigma * rng.standard_normal(), theta), idle,
+                            p_sup, 0.0, oracles.valve_gas_flow(*gas_valve, theta, p_sup, p_set)))
+    return truth, [liquid, gas, steady]
+
+
+def fit_cases(directory: Path):
+    """(name, rows read, CSV digest, fit values) per seed of FIT_SEEDS: each
+    calibration log written by emit_telemetry and read back, then the liquid
+    and gas Cv fits, gamma and the choked constant, each fit given the other
+    fits' true parameters."""
+    config = load_scenario(SCENARIO_DIR / "staticfire_baseline.yaml")
+    path = directory / "log.csv"
+    for seed in FIT_SEEDS:
+        truth, logs = calibration_logs(config, seed)
+        csv_digest, read_back = hashlib.sha256(), []
+        for log in logs:
+            emit_telemetry(log, path)
+            csv_digest.update(path.read_bytes())
+            read_back.append(read_telemetry(path))
+        liquid_log, gas_log, steady_log = read_back
+        liquid = liquid_samples_from_telemetry(liquid_log, "ox", truth["density"])
+        gas = gas_samples_from_telemetry(gas_log, "ox")
+        fits = (
+            fit_cv_curve([(s.valve_angle, cv_from_sample(s)) for s in liquid]),
+            fit_cv_curve([(s.valve_angle, cv_from_sample(s, truth["k"])) for s in gas]),
+            (fit_gamma(steady_records(steady_log, "ox_tank"), truth["gas_theta_zero"]),),
+            (fit_choked_constant(gas_samples_from_telemetry(steady_log, "ox"),
+                                 truth["gas_alpha"], truth["gas_theta_zero"]),),
+        )
+        values = [v.hex() if isinstance(v, float) else str(v) for fit in fits for v in fit]
+        rows = len(liquid_log) + len(gas_log) + len(steady_log)
+        yield f"fit.seed{seed}", rows, csv_digest.hexdigest(), values
+
+
+def sha256(text: str | bytes) -> str:
+    return hashlib.sha256(text if isinstance(text, bytes) else text.encode()).hexdigest()
 
 
 def print_hashes() -> None:
-    for name, config in hash_cases():
-        frames = run_scenario(config)
-        digest = hashlib.sha256(repr(frames).encode()).hexdigest()
-        print(f"{name} {len(frames)} {digest}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.csv"
+        for name, config in hash_cases():
+            frames = run_scenario(config)
+            emit_telemetry(frames, path)
+            back = read_telemetry(path)
+            digests = (sha256(repr(frames)), sha256(path.read_bytes()), sha256(repr(back)),
+                       sha256(repr(regulation_metrics(back, config))))
+            print(name, len(frames), *digests, flush=True)
+        for name, rows, digest, values in fit_cases(Path(tmp)):
+            print(name, rows, digest, *values, flush=True)
 
 
 # file to write: (path, case names, noisy)

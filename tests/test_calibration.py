@@ -24,6 +24,7 @@ from eregsim.control import ff_tank, FeedforwardParams
 from eregsim.engine import run_scenario
 from eregsim.errors import DegenerateFitError, EregSimError
 from eregsim.fluids import FULL_TRAVEL, ValveModel, cv_of_angle, liquid_volumetric_flow
+from eregsim.telemetry import EVENT_ABORT, EVENT_LIQUID_DEPLETED, EVENT_SUPPLY_DEPLETED
 from tests.oracles import cv_fit_objective, grid_cv_fit
 
 
@@ -304,10 +305,14 @@ class TestFitChokedConstant:
 
 
 class TestTelemetryAdapters:
-    def test_liquid_samples_recover_valve_curve(self, baseline_config, baseline_run):
+    # The baseline's fuel tank runs dry at t = 14.03 s with its injector valve
+    # open: the samples from then on carry no flow, and fitted with the rest
+    # they read alpha = 0.265x the valve's and theta_zero = 0.
+    @pytest.mark.parametrize("side", ["ox", "fuel"])
+    def test_liquid_samples_recover_valve_curve(self, baseline_config, baseline_run, side):
         frames, _ = baseline_run
-        rho = baseline_config.tanks["ox"].liquid_density
-        raw = liquid_samples_from_telemetry(frames, "ox", rho)
+        rho = baseline_config.tanks[side].liquid_density
+        raw = liquid_samples_from_telemetry(frames, side, rho)
         pairs = []
         for s in raw:
             try:
@@ -317,9 +322,35 @@ class TestTelemetryAdapters:
         fit = fit_cv_curve(pairs)
         # the telemetry-implied Cv lumps the feed line with the valve, so the
         # recovered slope sits below the configured one but in its vicinity
-        valve = baseline_config.valves["ox_inj"]
+        valve = baseline_config.valves[side + "_inj"]
         assert 0.6 * valve.alpha < fit.alpha < 1.05 * valve.alpha
         assert fit.theta_zero == pytest.approx(valve.theta_zero, abs=1.5)
+
+    @pytest.mark.parametrize("side", ["ox", "fuel"])
+    @pytest.mark.parametrize("event", EVENT_LIQUID_DEPLETED)
+    def test_liquid_samples_stop_at_the_first_liquid_depletion(self, baseline_run, side,
+                                                               event):
+        # Either side's depletion cuts both sides, as it cuts the metrics.
+        frames = [f._replace(events=(event,) if k >= 40 else ())
+                  for k, f in enumerate(baseline_run[0][:100])]
+        samples = liquid_samples_from_telemetry(frames, side, 1000.0)
+        assert samples == liquid_samples_from_telemetry(frames[:40], side, 1000.0)
+        assert len(samples) == 40
+
+    @pytest.mark.parametrize("event", [EVENT_SUPPLY_DEPLETED, EVENT_ABORT])
+    def test_other_events_keep_the_liquid_samples(self, baseline_run, event):
+        frames = [f._replace(events=(event,) if k >= 40 else ())
+                  for k, f in enumerate(baseline_run[0][:100])]
+        assert len(liquid_samples_from_telemetry(frames, "ox", 1000.0)) == 100
+
+    def test_gas_adapters_keep_the_frames_after_a_liquid_depletion(self, baseline_run):
+        # The tank loops keep regulating gas once a tank runs dry.
+        frames = baseline_run[0]
+        cut = next(k for k, f in enumerate(frames) if set(f.events) & set(EVENT_LIQUID_DEPLETED))
+        assert 0 < cut < len(frames)
+        assert len(gas_samples_from_telemetry(frames, "ox")) == len(frames)
+        assert len(steady_records(frames, "ox_tank")) > len(steady_records(frames[:cut],
+                                                                           "ox_tank"))
 
     def test_gas_samples_fit_choked_constant(self, blowdown_frames, blowdown_config):
         # both tank valves are active, so fit on the summed flow with the

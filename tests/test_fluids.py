@@ -190,12 +190,6 @@ class TestPlantStep:
         assert plant.supply_mass == 0.0
         assert audit.max_mass_drift < 1e-15
 
-    def test_nonpositive_gas_volume_is_fatal(self):
-        plant = make_plant({})
-        plant.ullage_volume[0] = 0.0
-        with pytest.raises(ModelError):
-            plant.step(0.01)
-
 
 def drain_ox_dry(plant: _Plant, dt: float = 0.01) -> tuple[list[str], int]:
     """Step until the first event; returns it and the number of steps."""

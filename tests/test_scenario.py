@@ -291,6 +291,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=re.escape(f"unknown scenario key: {key}")):
             scenario_from_dict(data)
 
+    def test_telemetry_section_rejected(self):
+        # A frame is written every primary tick; there is no frame-rate key.
+        data = small_scenario_dict(telemetry={"decimation": 1})
+        with pytest.raises(ConfigError, match="^unknown scenario key: telemetry$"):
+            scenario_from_dict(data)
+
+    def test_replace_sets_no_frame_rate(self):
+        config = scenario_from_dict(small_scenario_dict())
+        with pytest.raises(TypeError, match="telemetry_decimation"):
+            config.replace(telemetry_decimation=1)
+
     def test_controller_defaults_are_shared_and_checked(self):
         data = small_scenario_dict()
         data["controllers"]["defaults"] = {
@@ -508,14 +519,13 @@ def test_bad_ambient_is_named_in_the_mock_injector_scenarios(stem, value):
 
 # Configs changed after loading past a rule the loader holds. Before the
 # config checked itself, each ran: noise above the supply pressure failed
-# mid-run on a non-finite controller input, a decimation or a physics step
-# of 0 raised a raw ZeroDivisionError, a negative seed a raw numpy
-# ValueError once noise was on, and a supply or a tank start above a valve
-# rating, or a negative abort factor, gave one frame and an over-pressure
-# abort: (changes to the loaded blowdown, key path the error must name).
+# mid-run on a non-finite controller input, a physics step of 0 raised a
+# raw ZeroDivisionError, a negative seed a raw numpy ValueError once noise
+# was on, and a supply or a tank start above a valve rating, or a negative
+# abort factor, gave one frame and an over-pressure abort: (changes to the
+# loaded blowdown, key path the error must name).
 REPLACE_BYPASSES = {
     "noise_sigma=1e308": (lambda config: {"noise_sigma": 1e308}, "sensors.noise_sigma_bar"),
-    "telemetry_decimation=0": (lambda config: {"telemetry_decimation": 0}, "telemetry.decimation"),
     "supply_pressure=5e7": (lambda config: {"supply_pressure": 5e7},
                             "valves.ox_tank.rated_pressure_bar"),
     "abort_pressure_factor=-1": (lambda config: {"abort_pressure_factor": -1},

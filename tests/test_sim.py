@@ -118,6 +118,43 @@ class TestRunScenarioBasics:
             config.replace(variant="bogus")
 
 
+class TestFramePerPrimaryTick:
+    """A run writes one frame per primary tick, step 0 included, and, not
+    aborting, on no other step."""
+
+    @pytest.mark.parametrize("variant", scenario.VARIANTS)
+    def test_frames_fall_on_the_primary_ticks(self, baseline_config, variant):
+        config = baseline_config.replace(duration=0.3, variant=variant)
+        frames = run_scenario(config)
+        per_tick = round(config.dt_primary / config.dt_phys)
+        assert per_tick > 1
+        ticks = range(round(config.duration / config.dt_primary))
+        assert [f.time_s for f in frames] == [k * per_tick * config.dt_phys for k in ticks]
+
+    @pytest.mark.parametrize("variant", scenario.VARIANTS)
+    def test_first_frame_reads_the_start_state(self, baseline_config, variant):
+        # Step 0 is a primary tick: its frame logs the setpoints at t = 0 and
+        # the sensors at the start pressures.
+        config = baseline_config.replace(duration=0.1, variant=variant)
+        first = run_scenario(config)[0]
+        assert first.time_s == 0.0
+        assert first.supply_pressure_bar == config.supply_pressure / 1e5
+        for name, setpoint in zip(EREG_NAMES, scenario.setpoints_at(config.schedule, 0.0)):
+            assert getattr(first, name).setpoint_bar == setpoint / 1e5
+        for side in ("ox", "fuel"):
+            pressure = config.tanks[side].initial_pressure
+            assert getattr(first, side + "_tank").pressure_bar == pressure / 1e5
+
+    def test_first_frame_draws_the_supply_noise_first(self, baseline_config):
+        config = baseline_config.replace(duration=0.1, noise_sigma=2e3, noise_seed=3)
+        first = run_scenario(config)[0]
+        draws = np.random.default_rng(3).standard_normal(3)
+        assert first.supply_pressure_bar == (config.supply_pressure + 2e3 * draws[0]) / 1e5
+        for i, side in enumerate(("ox", "fuel")):
+            pressure = config.tanks[side].initial_pressure + 2e3 * draws[1 + i]
+            assert getattr(first, side + "_tank").pressure_bar == pressure / 1e5
+
+
 # A config changed after loading is held to the step grid a loaded one is:
 # replace() rejects 1e303 steps that would never end, and 2.5 steps per 1 ms
 # secondary tick, which the engine would round to 2 and so miss every primary
@@ -209,6 +246,24 @@ class TestRegulationMetrics:
     def test_empty_frames_rejected(self):
         with pytest.raises(EregSimError):
             regulation_metrics([], self.CONFIG)
+
+
+class TestLiquidDepletionTime:
+    """The time from which the metrics and the liquid calibration samples
+    drop frames: the first frame with either side's liquid depletion."""
+
+    def test_no_events_is_inf(self):
+        assert telemetry.liquid_depletion_time([make_frame(0.01 * k) for k in range(5)]) == math.inf
+
+    @pytest.mark.parametrize("event", EVENT_LIQUID_DEPLETED)
+    def test_first_frame_with_a_liquid_depletion(self, event):
+        frames = [make_frame(0.01 * k, events=(event,) if k >= 3 else ()) for k in range(6)]
+        assert telemetry.liquid_depletion_time(frames) == 0.03
+
+    @pytest.mark.parametrize("event", [EVENT_SUPPLY_DEPLETED, EVENT_ABORT])
+    def test_other_events_do_not_count(self, event):
+        frames = [make_frame(0.01 * k, events=(event,) if k >= 3 else ()) for k in range(6)]
+        assert telemetry.liquid_depletion_time(frames) == math.inf
 
 
 # A telemetry value: any float, one at the edges of the format (signed zeros,
@@ -609,12 +664,6 @@ class TestModeComparison:
 
 
 class TestOptions:
-    def test_telemetry_decimation_thins_frames(self):
-        base = run_scenario(build_small_scenario(duration_s=2.0))
-        thinned = run_scenario(build_small_scenario(duration_s=2.0, telemetry={"decimation": 5}))
-        assert len(thinned) == len(base) // 5
-        assert thinned[1].time_s == pytest.approx(base[5].time_s)
-
     def test_ullage_collapse_coefficient_bleeds_pressure(self):
         # all valves shut: with the collapse sink active the ullage decays
         leak = run_scenario(build_small_scenario(options={"ullage_collapse_coeff": 0.05}))
@@ -750,22 +799,18 @@ class TestSnapshotOnlyWhereRead:
         calls = self.plant_calls(config, monkeypatch)
         assert calls == ["snapshot"] * round(config.duration / config.dt_primary)
 
-    @pytest.mark.parametrize("decimation, n_frames", [(1, 9), (7, 3)])
-    def test_abort_between_primary_ticks_matches_a_snapshot_every_step(
-        self, decimation, n_frames, monkeypatch
-    ):
+    def test_abort_between_primary_ticks_matches_a_snapshot_every_step(self, monkeypatch):
         # Injector valves rated at the tank pressure: the noisy ff+dyn run
         # aborts at t = 0.077 s, between primary ticks.
         data = load_yaml(SCENARIO_DIR / "staticfire_baseline.yaml")
         data["duration_s"] = 0.2
         data["sensors"] = {"noise_sigma_bar": 0.02, "seed": 0}
         data["options"]["abort_pressure_factor"] = 1.0
-        data["telemetry"] = {"decimation": decimation}
         for name in ("ox_inj", "fuel_inj"):
             data["valves"][name]["rated_pressure_bar"] = 42.0
         config = scenario.scenario_from_dict(data).replace(variant="ff+dyn")
         frames = run_scenario(config)
-        assert len(frames) == n_frames and frames[-1].events == (EVENT_ABORT,)
+        assert len(frames) == 9 and frames[-1].events == (EVENT_ABORT,)
         step = round(frames[-1].time_s / config.dt_phys)
         assert step == 77 and step % round(config.dt_primary / config.dt_phys) != 0
         # A snapshot on every step is the work each step did before; the abort
