@@ -13,7 +13,7 @@ from .control import (
     ff_injector,
     ff_tank,
 )
-from .engine import run_scenario
+from .engine import Run, run_scenario
 from .errors import (
     ConfigError,
     ControllerError,

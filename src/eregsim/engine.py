@@ -11,7 +11,8 @@ the gas its valves pass. The engine alone keeps the multi-rate clock: it
 counts physics steps on the grid of scenario.step_grid, the one every
 ScenarioConfig is checked against, and, on each secondary tick, tells
 every cascade whether the primary loop is due too, so a run is a
-deterministic interleaving fully determined by the scenario.
+deterministic interleaving fully determined by the scenario. A Run
+keeps the loop state between advance(n) calls, to be read or copied.
 
 The plant keeps one flat float state: the supply gas mass and pressure,
 and per side the ullage gas mass, ullage volume, liquid volume and stored
@@ -58,7 +59,7 @@ from .errors import EregSimError, ModelError
 from .fluids import (
     CHOKED_PRESSURE_RATIO,
     FULL_TRAVEL,
-    GasTankState,
+    GasTankState,  # unused: perfbench traces GasTankState.from_pressure through this namespace
     chamber_state,
     choked_flow_fade,
 )
@@ -362,35 +363,6 @@ class _Plant:
             self.ullage_pressure[i] = pressure
         return events
 
-    def gas_states(self) -> tuple[GasTankState, GasTankState, GasTankState]:
-        """Supply, ox ullage and fuel ullage as stored, for invariant checks."""
-        r = self._r
-        return (
-            GasTankState(self.supply_pressure, self._supply_volume, self.supply_mass,
-                         self._temperature, r),
-            *(
-                GasTankState(self.ullage_pressure[i], self.ullage_volume[i], self.ullage_mass[i],
-                             self._temperature, r)
-                for i in (0, 1)
-            ),
-        )
-
-
-def _build_controllers(config: ScenarioConfig) -> list[EregController | None]:
-    """The closed-loop regulators in EREG_NAMES order: None for the oracle or a locked valve."""
-    return [
-        None if config.variant == "oracle" or settings.locked_angle is not None
-        else EregController(
-            "tank" if j < 2 else "injector",
-            settings,
-            Actuator(config.actuator, config.dt_phys),
-            config.dt_primary,
-            config.dt_secondary,
-            config.variant,
-        )
-        for j, settings in enumerate(config.controllers[name] for name in EREG_NAMES)
-    ]
-
 
 def _oracle_angles(plant: _Plant, flows: NetworkFlows, setpoints) -> list[float]:
     """Valve angles, in EREG_NAMES order, that satisfy the setpoints exactly
@@ -435,123 +407,150 @@ def _oracle_angles(plant: _Plant, flows: NetworkFlows, setpoints) -> list[float]
 
 @dataclass
 class RunAudit:
-    """Per-step invariant monitor filled in by run_scenario on request."""
+    """Invariant monitor of the plant's stored state, filled in by record."""
 
     initial_gas_mass: float = 0.0
     max_gas_law_residual: float = 0.0
     max_mass_drift: float = 0.0  # relative; conserved while the collapse sink is off
 
-    def record(self, plant: "_Plant") -> None:
-        supply, ox, fuel = plant.gas_states()
-        total = supply.gas_mass + ox.gas_mass + fuel.gas_mass
+    def record(self, plant: _Plant) -> None:
+        """Fold in the stored supply and ullage gas: mass drift and p V - m R T."""
+        total = plant.supply_mass + plant.ullage_mass[0] + plant.ullage_mass[1]
         if self.initial_gas_mass == 0.0:
             self.initial_gas_mass = total
         self.max_mass_drift = max(
             self.max_mass_drift, abs(total - self.initial_gas_mass) / self.initial_gas_mass
         )
-        self.max_gas_law_residual = max(
-            self.max_gas_law_residual,
-            supply.gas_law_residual(),
-            ox.gas_law_residual(),
-            fuel.gas_law_residual(),
+        gases = [(plant.supply_pressure, plant._supply_volume, plant.supply_mass),
+                 *zip(plant.ullage_pressure, plant.ullage_volume, plant.ullage_mass)]
+        for p, volume, mass in gases:
+            pv = p * volume
+            if pv != 0.0:
+                residual = abs(pv - mass * plant._r * plant._temperature) / pv
+                self.max_gas_law_residual = max(self.max_gas_law_residual, residual)
+
+
+class Run:
+    """One run of a config, which checked itself when it was built. It ends
+    at the configured duration or at an over-pressure abort (110 percent of
+    a valve rating upstream of it by default), whose step emits a last frame
+    that carries the abort event. Identical configs give bit-identical
+    frames, however advance calls split the steps."""
+
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
+        self.n_steps, self._phys_per_secondary, self._phys_per_primary = step_grid(
+            config.duration, config.dt_phys, config.dt_secondary, config.dt_primary
         )
+        self.plant = _Plant(config)
+        # The regulators in EREG_NAMES order, None for the oracle or a locked valve:
+        # regulator j is on side j % 2, fed by the supply for j < 2, else by its tank.
+        self.controllers = [
+            None if config.variant == "oracle" or settings.locked_angle is not None
+            else EregController("tank" if j < 2 else "injector", settings,
+                                Actuator(config.actuator, config.dt_phys), config.dt_primary,
+                                config.dt_secondary, config.variant)
+            for j, settings in enumerate(config.controllers[name] for name in EREG_NAMES)
+        ]
+        self.locked = [config.controllers[name].locked_angle for name in EREG_NAMES]
+        self.angles = [0.0 if angle is None else angle for angle in self.locked]
+        self.rng = np.random.default_rng(config.noise_seed) if config.noise_sigma > 0.0 else None
+        self.step = 0  # physics steps taken
+        self.done = False
+        # One checked row and one events tuple per frame, and the events so far.
+        self.rows, self.row_events, self.events_active = [], [], []
+        # What the last primary tick sampled.
+        self.flows = self.setpoints = self.measured = self.measured_supply = None
 
+    def advance(self, n_steps: int) -> None:
+        """Run up to n_steps more physics steps, fewer at the end or an abort."""
+        if self.done or n_steps < 1:
+            return
+        config, plant, rng, controllers = self.config, self.plant, self.rng, self.controllers
+        cascades = [(j, c, c.actuator) for j, c in enumerate(controllers) if c is not None]
+        locked, angles = self.locked, self.angles
+        phys_per_secondary, phys_per_primary = self._phys_per_secondary, self._phys_per_primary
+        dt = config.dt_phys
+        schedule = config.schedule
+        noise_sigma = config.noise_sigma
+        oracle = config.variant == "oracle"
+        # Without a chamber the back-pressure is ambient and warm_start a no-op.
+        warm = config.chamber is not None
+        # Over-pressure abort: valves must never see more than the configured
+        # fraction of their rated pressure upstream.
+        factor = config.abort_pressure_factor
+        supply_limit = factor * min(valve.rated_pressure for valve in plant.valves[:2])
+        ox_limit, fuel_limit = (factor * valve.rated_pressure for valve in plant.valves[2:])
+        rows, row_events, events_active = self.rows, self.row_events, self.events_active
+        flows, setpoints = self.flows, self.setpoints
+        measured, measured_supply = self.measured, self.measured_supply
+        stop = min(self.step + n_steps, self.n_steps)
 
-def run_scenario(config: ScenarioConfig, audit: RunAudit | None = None) -> list[TelemetryFrame]:
-    """Run the fixed-step loop; returns one frame per primary tick.
+        for k in range(self.step, stop):
+            t = k * dt
+            plant.set_angles(angles)
+            primary = k % phys_per_primary == 0
 
-    The run ends at the configured duration or at an over-pressure abort
-    (110 percent of a valve rating upstream of it by default), whichever
-    comes first; the aborting step emits a last frame that carries the
-    abort event. Output is bit-identical for identical configs. The config
-    checked itself when it was built, so the run checks no config rule.
-    """
-    n_steps, phys_per_secondary, phys_per_primary = step_grid(
-        config.duration, config.dt_phys, config.dt_secondary, config.dt_primary
-    )
-    plant = _Plant(config)
-    if audit is not None:
-        audit.record(plant)
-    # The four regulators travel in EREG_NAMES order: regulator j is on side
-    # j % 2 and is fed by the supply for j < 2, else by the tank on its side.
-    controllers = _build_controllers(config)
-    cascades = [(j, ctrl, ctrl.actuator) for j, ctrl in enumerate(controllers) if ctrl is not None]
-    locked = [config.controllers[name].locked_angle for name in EREG_NAMES]
-    dt = config.dt_phys
-    schedule = config.schedule
-    noise_sigma = config.noise_sigma
-    oracle = config.variant == "oracle"
-    # Without a chamber the back-pressure is ambient and warm_start a no-op.
-    warm = config.chamber is not None
-    rng = np.random.default_rng(config.noise_seed) if noise_sigma > 0.0 else None
-
-    angles = [0.0 if angle is None else angle for angle in locked]
-    # One checked row of values and one events tuple per frame; the frames
-    # are built in one batch at the end.
-    rows: list[list[float]] = []
-    row_events: list[tuple[str, ...]] = []
-    events_active: list[str] = []
-    # Over-pressure abort: valves must never see more than the configured
-    # fraction of their rated pressure upstream.
-    factor = config.abort_pressure_factor
-    supply_limit = factor * min(valve.rated_pressure for valve in plant.valves[:2])
-    ox_limit, fuel_limit = (factor * valve.rated_pressure for valve in plant.valves[2:])
-
-    for k in range(n_steps):
-        t = k * dt
-        plant.set_angles(angles)
-        primary = k % phys_per_primary == 0
-
-        if primary:  # step 0 is one: flows, setpoints and measured are set before use
-            flows = plant.snapshot()
-            setpoints = setpoints_at(schedule, t)
-            # Sensor sampling happens at the primary rate; optional zero-mean
-            # Gaussian noise is drawn in a fixed order for determinism: the
-            # supply, then the regulators.
-            measured = [*plant.ullage_pressure, *flows.p_injector]
-            measured_supply = plant.supply_pressure
-            if rng is not None:
-                measured_supply += noise_sigma * rng.standard_normal()
-                measured = [p + noise_sigma * rng.standard_normal() for p in measured]
-        elif warm:
-            plant.warm_start()
-
-        if oracle:
-            if primary:
-                angles = _oracle_angles(plant, flows, setpoints)
-                for j, angle in enumerate(locked):
-                    if angle is not None:
-                        angles[j] = angle
-                plant.set_angles(angles)
-        elif k % phys_per_secondary == 0:
-            for j, ctrl, _ in cascades:
-                upstream = measured_supply if j < 2 else measured[j - 2]
-                ctrl.step(measured[j], upstream, setpoints[j], t, primary)
-
-        p_ox, p_fuel = plant.ullage_pressure
-        abort = plant.supply_pressure > supply_limit or p_ox > ox_limit or p_fuel > fuel_limit
-        if abort:
-            events_active.append(EVENT_ABORT)
-        if abort or primary:
-            if not primary:  # an abort between primary ticks; the state has not moved
+            if primary:  # step 0 is one: flows, setpoints and measured are set before use
                 flows = plant.snapshot()
-            rows.append(_frame_row(t, flows, controllers, angles, measured,
-                                   measured_supply, setpoints))
-            row_events.append(tuple(events_active))
-        if abort:
-            break
+                setpoints = setpoints_at(schedule, t)
+                # Sensor sampling happens at the primary rate; optional zero-mean
+                # Gaussian noise is drawn in a fixed order for determinism: the
+                # supply, then the regulators.
+                measured = [*plant.ullage_pressure, *flows.p_injector]
+                measured_supply = plant.supply_pressure
+                if rng is not None:
+                    measured_supply += noise_sigma * rng.standard_normal()
+                    measured = [p + noise_sigma * rng.standard_normal() for p in measured]
+            elif warm:
+                plant.warm_start()
 
-        events_active += plant.step(dt)
-        if audit is not None:
-            audit.record(plant)
+            if oracle:
+                if primary:
+                    angles[:] = _oracle_angles(plant, flows, setpoints)
+                    for j, angle in enumerate(locked):
+                        if angle is not None:
+                            angles[j] = angle
+                    plant.set_angles(angles)
+            elif k % phys_per_secondary == 0:
+                for j, ctrl, _ in cascades:
+                    upstream = measured_supply if j < 2 else measured[j - 2]
+                    ctrl.step(measured[j], upstream, setpoints[j], t, primary)
 
-        for j, ctrl, actuator in cascades:
-            actuator.step(ctrl.u2)
-            angles[j] = actuator.valve_angle
+            p_ox, p_fuel = plant.ullage_pressure
+            abort = plant.supply_pressure > supply_limit or p_ox > ox_limit or p_fuel > fuel_limit
+            if abort:
+                events_active.append(EVENT_ABORT)
+            if abort or primary:
+                if not primary:  # an abort between primary ticks; the state has not moved
+                    flows = plant.snapshot()
+                rows.append(_frame_row(t, flows, controllers, angles, measured,
+                                       measured_supply, setpoints))
+                row_events.append(tuple(events_active))
+            if abort:
+                stop, self.done = k, True
+                break
 
-    columns = [*zip(*rows)]
-    rows.clear()  # free the row lists before the frames are built
-    return _frames(columns, row_events)
+            events_active += plant.step(dt)
+
+            for j, ctrl, actuator in cascades:
+                actuator.step(ctrl.u2)
+                angles[j] = actuator.valve_angle
+
+        self.step, self.done = stop, self.done or stop == self.n_steps
+        self.flows, self.setpoints = flows, setpoints
+        self.measured, self.measured_supply = measured, measured_supply
+
+    def frames(self) -> list[TelemetryFrame]:
+        """One frame per primary tick so far, plus the abort's, built in one batch."""
+        return _frames([*zip(*self.rows)], self.row_events) if self.rows else []
+
+
+def run_scenario(config: ScenarioConfig) -> list[TelemetryFrame]:
+    """The frames of a Run of config advanced to its end or its abort."""
+    run = Run(config)
+    run.advance(run.n_steps)
+    return run.frames()
 
 
 def _frame_row(t, flows, controllers, angles, measured, measured_supply,

@@ -236,17 +236,18 @@ class ScenarioConfig:
                                      above=0.0)
         supply_bar = checked_number(self.supply_pressure / 1e5, "supply.initial_pressure_bar",
                                     above=ambient_bar)
+        # Paired setpoints are derived at load: the chamber pressure (>= ambient) plus a drop.
+        paired = self.schedule.throttle_kind != "pressure"
+        bound = {"at_least" if paired else "above": ambient_bar}
         for side in SIDES:
             checked_number(self.tanks[side].initial_pressure / 1e5,
                            f"tanks.{side}.initial_pressure_bar", above=ambient_bar)
-            if self.schedule.throttle_kind != "pressure":
-                continue  # paired setpoints: derived at load, not a key to check
             profile = getattr(self.schedule, side + "_inj")
-            key = f"setpoints.throttle.{side}"
-            checked_number(profile.start_pressure / 1e5, f"{key}.start_bar", above=ambient_bar)
+            key = f"paired {side} injector profile" if paired else f"setpoints.throttle.{side}"
+            checked_number(profile.start_pressure / 1e5, f"{key}.start_bar", **bound)
             for i, segment in enumerate(profile.segments):
                 checked_number(segment.target_pressure / 1e5, f"{key}.segments[{i}].target_bar",
-                               above=ambient_bar)
+                               **bound)
         for reg in EREG_NAMES:
             # The supply feeds the tank valves; each tank feeds its injector
             # valve, at the tank's start pressure and later at its setpoint.

@@ -5,7 +5,8 @@ a closed-form steady state or a plain loop so a test can compare the
 package's own arithmetic (line loss coefficients, mock injector sizing,
 paired setpoints, logged setpoints, the Cv grid fit, the chamber
 back-pressure root-find, the PID and actuator updates, the CSV writer
-and reader) with it, or build the calibration logs a fit reads.
+and reader) with it, or build the calibration logs a fit reads;
+audited_run steps a run under the plant invariant audit.
 """
 
 from __future__ import annotations
@@ -311,3 +312,15 @@ def actuator_step_reference(state: ActuatorState, settings: ActuatorSettings, dt
         state.angle = FULL_TRAVEL
         state.rate = 0.0
     state.valve_angle = min(max(state.valve_angle, state.angle - settings.backlash), state.angle)
+
+
+def audited_run(config: ScenarioConfig) -> tuple[list[TelemetryFrame], engine.RunAudit]:
+    """The frames of a run stepped one physics step at a time, and the
+    RunAudit of its plant recorded at the start and after every step."""
+    run = engine.Run(config)
+    audit = engine.RunAudit()
+    audit.record(run.plant)
+    while not run.done:
+        run.advance(1)
+        audit.record(run.plant)
+    return run.frames(), audit

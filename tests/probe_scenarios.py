@@ -29,7 +29,7 @@ failing input, then one line of counts per arm:
     PYTHONPATH=src python -m tests.probe_scenarios
 
 It last printed "2496 inputs: 925 rejected at load, 1505 clean, 66
-aborted, 0 failing" and "99 replace() inputs: 77 rejected at replace, 18
+aborted, 0 failing" and "90 replace() inputs: 68 rejected at replace, 18
 clean, 4 aborted, 0 failing".
 """
 
@@ -40,10 +40,11 @@ import functools
 import math
 from collections import Counter
 
-from eregsim.engine import EVENT_ABORT, RunAudit, run_scenario
+from eregsim.engine import EVENT_ABORT
 from eregsim.errors import ConfigError
 from eregsim.scenario import scenario_from_dict
 from tests.conftest import SCENARIO_DIR, load_yaml, small_scenario_dict
+from tests.oracles import audited_run
 from tests.record_golden import SHIPPED
 
 EXTREMES = (5e-324, 1e-300, 1e-200, 1e-17, 1e200, 1e300)
@@ -132,9 +133,8 @@ def probe_replace(field: str, value: float) -> str:
 
 def run_outcome(config) -> str:
     """CLEAN or ABORTED for a run that keeps the gas law, or what went wrong."""
-    audit = RunAudit()
     try:
-        frames = run_scenario(config, audit=audit)
+        frames, audit = audited_run(config)
     except Exception as exc:
         return f"mid-run {type(exc).__name__}: {exc}"
     if not audit.max_gas_law_residual < GAS_LAW_TOLERANCE:

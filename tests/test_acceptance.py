@@ -9,10 +9,10 @@ import pytest
 
 from eregsim.calibration import fit_choked_constant, fit_cv_curve, fit_gamma, FlowSample
 from eregsim.control import FeedforwardParams, ff_tank
-from eregsim.engine import RunAudit, run_scenario
+from eregsim.engine import run_scenario
 from eregsim.fluids import ValveModel, cv_of_angle
 from eregsim.telemetry import regulation_metrics
-from tests.oracles import steady_operating_point
+from tests.oracles import audited_run, steady_operating_point
 
 
 def hold_window(config, which):
@@ -195,8 +195,7 @@ class TestAcceptance:
         frames_first, base_elapsed = baseline_run
 
         # instrumented rerun: per-step invariants plus bit-identical output
-        audit = RunAudit()
-        frames_second = run_scenario(baseline_config, audit=audit)
+        frames_second, audit = audited_run(baseline_config)
         assert frames_second == frames_first
         assert audit.max_gas_law_residual < 1e-9
         assert audit.max_mass_drift < 1e-6

@@ -344,10 +344,10 @@ class TestCompare:
 
         real_run = cli_module.run_scenario
 
-        def flaky(cfg, audit=None):
+        def flaky(cfg):
             if cfg.variant == "pid":
                 raise eregsim.EregSimError("injected failure")
-            return real_run(cfg, audit)
+            return real_run(cfg)
 
         monkeypatch.setattr(cli_module, "run_scenario", flaky)
         scenario = write_scenario(tmp_path, small_scenario_dict(duration_s=1.0))

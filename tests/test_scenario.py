@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from eregsim.calibration import CvFit
 from eregsim.control import ActuatorSettings, ControllerSettings, FeedforwardParams, PidGains
-from eregsim.engine import NetworkFlows, RunAudit, run_scenario
+from eregsim.engine import NetworkFlows, run_scenario
 from eregsim.errors import ConfigError, InfeasibleThrottleError
 from eregsim.fluids import (
     ChamberModel, GasTankState, LineModel, ValveModel, branch_flow, cv_of_angle,
@@ -33,7 +33,7 @@ from eregsim.scenario import (
 from eregsim.telemetry import EregMetrics
 from tests import probe_scenarios
 from tests.conftest import DROP, SCENARIO_DIR, load_yaml, set_key, small_scenario_dict
-from tests.oracles import orifice_mass_flow, steady_operating_point
+from tests.oracles import audited_run, orifice_mass_flow, steady_operating_point
 
 BAR = 1e5
 
@@ -557,6 +557,14 @@ REPLACE_BYPASSES = {
             (ProfileSegment(config.ambient_pressure, 0.0, 10e5),)))},
         "setpoints.throttle.fuel.segments[0].target_bar must be above 1.01325",
     ),
+    # A hand-built schedule is paired (the default throttle_kind); one that
+    # starts below ambient ran all 1,250 frames of the blowdown.
+    "hand_built_schedule_below_ambient": (
+        lambda config: {"schedule": SetpointSchedule(
+            config.schedule.ox_tank, config.schedule.fuel_tank,
+            *[ThrottleProfile(0.5e5, config.schedule.ox_inj.segments)] * 2)},
+        "paired ox injector profile.start_bar must be at least 1.01325",
+    ),
 }
 
 
@@ -564,6 +572,18 @@ REPLACE_BYPASSES = {
 def test_replace_rejects_what_the_loader_rejects(blowdown_config, changes, key):
     with pytest.raises(ConfigError, match=re.escape(key)):
         blowdown_config.replace(**changes(blowdown_config))
+
+
+def test_paired_setpoints_may_equal_ambient(blowdown_config):
+    # A paired setpoint is the chamber pressure plus an orifice drop, so a
+    # vanishing thrust fraction pairs to ambient itself; a file can load one.
+    ambient = ThrottleProfile(blowdown_config.ambient_pressure,
+                              (ProfileSegment(blowdown_config.ambient_pressure, 0.0, 1e5),))
+    schedule = SetpointSchedule(blowdown_config.schedule.ox_tank,
+                                blowdown_config.schedule.fuel_tank, ambient, ambient)
+    assert blowdown_config.replace(schedule=schedule).schedule.throttle_kind == "thrust_fraction"
+    with pytest.raises(ConfigError, match=re.escape("start_bar must be above 1.01325")):
+        blowdown_config.replace(schedule=schedule._replace(throttle_kind="pressure"))
 
 
 _REPLACE_GRID = probe_scenarios.replace_inputs()
@@ -584,8 +604,7 @@ def test_collapse_coefficient_just_inside_the_rk4_limit_runs():
         duration_s=0.2, options={"ullage_collapse_coeff": coeff}
     ))
     assert config.ullage_collapse_coeff == coeff
-    audit = RunAudit()
-    frames = run_scenario(config, audit=audit)
+    frames, audit = audited_run(config)
     assert len(frames) == 20
     assert audit.max_gas_law_residual < 1e-9
     # All valves are shut: the sink takes gas from the ullages only.
@@ -687,8 +706,7 @@ def test_mutated_scenario_runs_or_is_rejected(mutations):
         config = scenario_from_dict(data)
     except ConfigError:
         return
-    audit = RunAudit()
-    frames = run_scenario(config, audit=audit)
+    frames, audit = audited_run(config)
     assert len(frames) == 20  # one per 0.01 s primary tick: the run was not cut short
     assert audit.max_gas_law_residual < 1e-9
     assert audit.max_mass_drift < 1e-6

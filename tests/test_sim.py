@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eregsim import calibration, control, engine, fluids, scenario, telemetry
-from eregsim.engine import EVENT_ABORT, RunAudit, run_scenario
+from eregsim.engine import EVENT_ABORT, run_scenario
 from eregsim.errors import ConfigError, EregSimError, ModelError
 from eregsim.scenario import EREG_NAMES
 from eregsim.telemetry import (
@@ -22,6 +23,7 @@ from eregsim.telemetry import (
 )
 from tests.conftest import SCENARIO_DIR, build_small_scenario, load_yaml
 from tests.oracles import (
+    audited_run,
     emit_telemetry_reference,
     read_telemetry_reference,
     scheduled_setpoints_check,
@@ -719,8 +721,7 @@ class TestAudit:
                 "fuel_inj": {"locked_angle_deg": 0.0},
             },
         )
-        audit = RunAudit()
-        run_scenario(config, audit=audit)
+        _, audit = audited_run(config)
         assert audit.initial_gas_mass > 0.0
         assert audit.max_gas_law_residual < 1e-9
         assert audit.max_mass_drift < 1e-6
@@ -751,8 +752,7 @@ class TestChamberRootFind:
         data = load_yaml(SCENARIO_DIR / "staticfire_baseline.yaml")
         data["duration_s"] = 0.2
         data["tanks"]["ox"]["liquid_density_kg_m3"] = 1e200
-        audit = RunAudit()
-        frames = run_scenario(scenario.scenario_from_dict(data), audit=audit)
+        frames, audit = audited_run(scenario.scenario_from_dict(data))
         assert len(frames) == 20 and EVENT_ABORT not in frames[-1].events
         assert audit.max_gas_law_residual < 1e-9
 
@@ -767,6 +767,18 @@ class TestChamberRootFind:
             assert warm._pc_guess.hex() == full._pc_guess.hex()
             full.step(baseline_config.dt_phys)
             warm.step(baseline_config.dt_phys)
+
+
+def aborting_between_ticks_config():
+    """Injector valves rated at the tank pressure: the noisy ff+dyn run
+    aborts at t = 0.077 s, between primary ticks."""
+    data = load_yaml(SCENARIO_DIR / "staticfire_baseline.yaml")
+    data["duration_s"] = 0.2
+    data["sensors"] = {"noise_sigma_bar": 0.02, "seed": 0}
+    data["options"]["abort_pressure_factor"] = 1.0
+    for name in ("ox_inj", "fuel_inj"):
+        data["valves"][name]["rated_pressure_bar"] = 42.0
+    return scenario.scenario_from_dict(data).replace(variant="ff+dyn")
 
 
 class TestSnapshotOnlyWhereRead:
@@ -800,15 +812,7 @@ class TestSnapshotOnlyWhereRead:
         assert calls == ["snapshot"] * round(config.duration / config.dt_primary)
 
     def test_abort_between_primary_ticks_matches_a_snapshot_every_step(self, monkeypatch):
-        # Injector valves rated at the tank pressure: the noisy ff+dyn run
-        # aborts at t = 0.077 s, between primary ticks.
-        data = load_yaml(SCENARIO_DIR / "staticfire_baseline.yaml")
-        data["duration_s"] = 0.2
-        data["sensors"] = {"noise_sigma_bar": 0.02, "seed": 0}
-        data["options"]["abort_pressure_factor"] = 1.0
-        for name in ("ox_inj", "fuel_inj"):
-            data["valves"][name]["rated_pressure_bar"] = 42.0
-        config = scenario.scenario_from_dict(data).replace(variant="ff+dyn")
+        config = aborting_between_ticks_config()
         frames = run_scenario(config)
         assert len(frames) == 9 and frames[-1].events == (EVENT_ABORT,)
         step = round(frames[-1].time_s / config.dt_phys)
@@ -823,6 +827,64 @@ class TestSnapshotOnlyWhereRead:
         assert (frames[-1].mdot_ox_kg_s, frames[-1].chamber_pressure_bar) == (
             last.mdot_liquid[0], last.chamber_pressure / 1e5
         )
+
+
+class TestRunObject:
+    """A Run stepped in pieces, or deep-copied mid-run, gives the frames of
+    one whole run."""
+
+    @pytest.fixture(scope="class")
+    def noisy_config(self, baseline_config):
+        return baseline_config.replace(duration=2.0, noise_sigma=0.02e5, noise_seed=5)
+
+    @staticmethod
+    def csv_bytes(frames, path) -> bytes:
+        emit_telemetry(frames, path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("case", ("noisy", "oracle", "abort"))
+    def test_chunked_advance_gives_the_bytes_of_one_advance(self, case, noisy_config,
+                                                             tmp_path):
+        config = {"noisy": lambda: noisy_config,
+                  "oracle": lambda: noisy_config.replace(duration=0.5, variant="oracle"),
+                  "abort": aborting_between_ticks_config}[case]()
+        whole = engine.Run(config)
+        whole.advance(whole.n_steps)
+        run = engine.Run(config)
+        for n in (1, 7, 10):
+            run.advance(n)
+        assert run.step == 18 and not run.done
+        run.advance(run.n_steps - run.step)
+        assert run.done and run.step == whole.step
+        assert self.csv_bytes(run.frames(), tmp_path / "chunked.csv") == self.csv_bytes(
+            whole.frames(), tmp_path / "whole.csv")
+        if case == "abort":
+            assert whole.step == 77 < whole.n_steps
+            assert run.frames()[-1].events == (EVENT_ABORT,)
+
+    def test_deep_copy_mid_run_continues_as_the_original(self, noisy_config):
+        run = engine.Run(noisy_config)
+        run.advance(333)
+        twin = copy.deepcopy(run)
+        assert twin.rng is not run.rng and twin.plant is not run.plant
+        assert twin.rng.bit_generator.state == run.rng.bit_generator.state
+        twin.advance(twin.n_steps)  # the copy first: the original must not move
+        assert run.step == 333 and len(run.frames()) == 34
+        run.advance(run.n_steps)
+        assert repr(twin.frames()) == repr(run.frames()) == repr(run_scenario(noisy_config))
+
+    def test_advance_after_done_changes_nothing(self, noisy_config):
+        run = engine.Run(noisy_config.replace(duration=0.2))
+        run.advance(0)
+        run.advance(-5)
+        assert (run.step, run.done, run.frames()) == (0, False, [])
+        run.advance(run.n_steps + 50)
+        assert run.done and run.step == run.n_steps
+        state = copy.deepcopy(run)
+        run.advance(10)
+        assert (run.step, repr(run.frames())) == (state.step, repr(state.frames()))
+        assert run.plant.ullage_mass == state.plant.ullage_mass
+        assert run.rng.bit_generator.state == state.rng.bit_generator.state
 
 
 class TestBenchmarkFacingNames:
