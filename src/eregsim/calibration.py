@@ -10,6 +10,8 @@ fit screens its breakpoint grid in closed form and confirms only the best.
 from __future__ import annotations
 
 import math
+from itertools import compress, count, repeat
+from operator import attrgetter, ge, mul, truediv
 from pathlib import Path
 from typing import NamedTuple
 
@@ -228,19 +230,17 @@ def steady_records(
     STEADY_ERROR_THRESHOLD for STEADY_SUSTAIN. A frame with the supply at 0 bar
     (depleted) is not steady: the feedforward ratio is undefined there.
     """
-    _ereg(ereg_name)
+    columns = attrgetter("time_s", "supply_pressure_bar", *(
+        f"{_ereg(ereg_name)}_{f}" for f in ("pressure_bar", "setpoint_bar", "valve_angle_deg")))
     records = []
     streak_start = None
-    for frame in frames:
-        sub = getattr(frame, ereg_name)
-        error = abs(sub.pressure_bar - sub.setpoint_bar) * 1e5
-        if error < STEADY_ERROR_THRESHOLD and frame.supply_pressure_bar > 0.0:
+    for t, supply, pressure, setpoint, angle in map(columns, frames):
+        error = abs(pressure - setpoint) * 1e5
+        if error < STEADY_ERROR_THRESHOLD and supply > 0.0:
             if streak_start is None:
-                streak_start = frame.time_s
-            if frame.time_s - streak_start >= STEADY_SUSTAIN:
-                records.append(
-                    (sub.valve_angle_deg, sub.setpoint_bar * 1e5, frame.supply_pressure_bar * 1e5)
-                )
+                streak_start = t
+            if t - streak_start >= STEADY_SUSTAIN:
+                records.append((angle, setpoint * 1e5, supply * 1e5))
         else:
             streak_start = None
     return records
@@ -259,17 +259,11 @@ def liquid_samples_from_telemetry(
     inj_name, tank_name = _ereg(side + "_inj"), _ereg(side + "_tank")
     if not density > 0.0:
         raise EregSimError(f"liquid density {density} is not above 0")
-    mdot_name = f"mdot_{side}_kg_s"
-    cutoff = liquid_depletion_time(frames)
-    samples = []
-    for frame in frames:
-        if frame.time_s >= cutoff:
-            break
-        inj, tank = getattr(frame, inj_name), getattr(frame, tank_name)
-        samples.append(FlowSample(inj.valve_angle_deg, tank.pressure_bar * 1e5,
-                                  inj.pressure_bar * 1e5, getattr(frame, mdot_name) / density,
-                                  density, "liquid"))
-    return samples
+    # The frames up to the first at or after the first liquid depletion.
+    at_cutoff = map(ge, map(attrgetter("time_s"), frames), repeat(liquid_depletion_time(frames)))
+    frames = frames[:next(compress(count(), at_cutoff), len(frames))]
+    flows = map(truediv, map(attrgetter(f"mdot_{side}_kg_s"), frames), repeat(density))
+    return _samples(frames, inj_name, tank_name, inj_name, flows, density, "liquid")
 
 
 def gas_samples_from_telemetry(frames: list[TelemetryFrame], side: str) -> list[FlowSample]:
@@ -280,12 +274,20 @@ def gas_samples_from_telemetry(frames: list[TelemetryFrame], side: str) -> list[
     characterization flow). An unknown side is an EregSimError.
     """
     tank_name = _ereg(side + "_tank")
-    samples = []
-    for frame in frames:
-        tank = getattr(frame, tank_name)
-        samples.append(FlowSample(tank.valve_angle_deg, frame.supply_pressure_bar * 1e5,
-                                  tank.pressure_bar * 1e5, frame.mdot_gas_kg_s, 0.0, "gas"))
-    return samples
+    flows = map(attrgetter("mdot_gas_kg_s"), frames)
+    return _samples(frames, tank_name, "supply", tank_name, flows, 0.0, "gas")
+
+
+def _samples(frames, valve: str, upstream: str, downstream: str, flows, density: float,
+             phase: str) -> list[FlowSample]:
+    """The FlowSamples of frames, built in C: the valve angle of regulator
+    valve, the <upstream>_pressure_bar and <downstream>_pressure_bar columns
+    in Pa, and the flows."""
+    pressures = (map(mul, map(attrgetter(f"{name}_pressure_bar"), frames), repeat(1e5))
+                 for name in (upstream, downstream))
+    return [*map(tuple.__new__, repeat(FlowSample), zip(
+        map(attrgetter(f"{valve}_valve_angle_deg"), frames), *pressures, flows,
+        repeat(density), repeat(phase)))]
 
 
 def write_fit_result(path: str | Path, kind: str, parameters: dict) -> None:

@@ -457,8 +457,8 @@ class Run:
         self.rng = np.random.default_rng(config.noise_seed) if config.noise_sigma > 0.0 else None
         self.step = 0  # physics steps taken
         self.done = False
-        # One checked row and one events tuple per frame, and the events so far.
-        self.rows, self.row_events, self.events_active = [], [], []
+        # One checked row per frame, its events last, and the events so far.
+        self.rows, self.events_active = [], []
         # What the last primary tick sampled.
         self.flows = self.setpoints = self.measured = self.measured_supply = None
 
@@ -481,7 +481,7 @@ class Run:
         factor = config.abort_pressure_factor
         supply_limit = factor * min(valve.rated_pressure for valve in plant.valves[:2])
         ox_limit, fuel_limit = (factor * valve.rated_pressure for valve in plant.valves[2:])
-        rows, row_events, events_active = self.rows, self.row_events, self.events_active
+        rows, events_active = self.rows, self.events_active
         flows, setpoints = self.flows, self.setpoints
         measured, measured_supply = self.measured, self.measured_supply
         stop = min(self.step + n_steps, self.n_steps)
@@ -525,8 +525,7 @@ class Run:
                 if not primary:  # an abort between primary ticks; the state has not moved
                     flows = plant.snapshot()
                 rows.append(_frame_row(t, flows, controllers, angles, measured,
-                                       measured_supply, setpoints))
-                row_events.append(tuple(events_active))
+                                       measured_supply, setpoints, events_active))
             if abort:
                 stop, self.done = k, True
                 break
@@ -543,7 +542,7 @@ class Run:
 
     def frames(self) -> list[TelemetryFrame]:
         """One frame per primary tick so far, plus the abort's, built in one batch."""
-        return _frames([*zip(*self.rows)], self.row_events) if self.rows else []
+        return _frames(self.rows)
 
 
 def run_scenario(config: ScenarioConfig) -> list[TelemetryFrame]:
@@ -554,8 +553,9 @@ def run_scenario(config: ScenarioConfig) -> list[TelemetryFrame]:
 
 
 def _frame_row(t, flows, controllers, angles, measured, measured_supply,
-               setpoints) -> list[float]:
-    """The values of the frame at t in CSV column order, checked finite."""
+               setpoints, events) -> list:
+    """The values of the frame at t in CSV column order, checked finite,
+    then its events tuple."""
     row = [t]
     for ctrl, setpoint, pressure, angle in zip(controllers, setpoints, measured, angles):
         row += (setpoint / 1e5, pressure / 1e5, angle)
@@ -577,5 +577,6 @@ def _frame_row(t, flows, controllers, angles, measured, measured_supply,
         _check_values(row)
     except ValueError as exc:
         raise EregSimError(f"non-finite telemetry at t={t}: {exc}") from exc
+    row.append(tuple(events))
     return row
 

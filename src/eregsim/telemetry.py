@@ -7,14 +7,18 @@ that precision through read_telemetry, in the bytes csv.writer writes:
 CRLF rows, never quoted, since no value or event name needs quoting.
 read_telemetry reads files in that form only: numpy's C reader parses
 about 64 kB of rows per call, and any other line is an error naming it.
-The reader, the engine and from_values build their frames through
-_frames: in C, a batch at a time.
+A frame is one flat tuple named by the CSV columns: its 32 values, then
+its events. The reader and the engine build their frames through
+_frames, in C, a batch at a time, and the metrics and the calibration
+adapters read them by column.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from collections import namedtuple
+from itertools import compress, repeat
+from operator import attrgetter, not_, sub
 from pathlib import Path
 from typing import NamedTuple
 
@@ -34,6 +38,7 @@ _NUMBER_BYTES = b"0123456789+-.eainf,"
 EVENT_ABORT = "abort_overpressure"
 EVENT_SUPPLY_DEPLETED = "supply_gas_depleted"
 EVENT_LIQUID_DEPLETED = ("ox_liquid_depleted", "fuel_liquid_depleted")  # indexed like SIDES
+_LIQUID_DEPLETED = frozenset(EVENT_LIQUID_DEPLETED)
 
 
 class EregFrame(NamedTuple):
@@ -45,42 +50,66 @@ class EregFrame(NamedTuple):
     u2: float
 
 
-class TelemetryFrame(NamedTuple):
-    """One telemetry row: an immutable named tuple in CSV column order, the
-    four regulator blocks nested in EREG_NAMES order, the events last."""
+# The CSV columns: time, one block of EREG_FIELDS per regulator in EREG_NAMES
+# order, SCALAR_FIELDS, then the events cell.
+EREG_FIELDS = EregFrame._fields
+SCALAR_FIELDS = ("supply_pressure_bar", "mdot_ox_kg_s", "mdot_fuel_kg_s", "mdot_gas_kg_s",
+                 "chamber_pressure_bar", "thrust_n", "of_ratio")  # of_ratio 0.0 while no fuel flows
+_WIDTH = 1 + len(EREG_FIELDS) * len(EREG_NAMES) + len(SCALAR_FIELDS)
+_new = tuple.__new__
 
-    time_s: float
-    ox_tank: EregFrame
-    fuel_tank: EregFrame
-    ox_inj: EregFrame
-    fuel_inj: EregFrame
-    supply_pressure_bar: float
-    mdot_ox_kg_s: float
-    mdot_fuel_kg_s: float
-    mdot_gas_kg_s: float
-    chamber_pressure_bar: float
-    thrust_n: float
-    of_ratio: float  # 0.0 while the fuel flow is zero
-    events: tuple[str, ...] = ()
+
+def _block(j: int) -> property:
+    """Regulator j's block of a frame, read as an EregFrame."""
+    start = 1 + len(EREG_FIELDS) * j
+    return property(lambda frame: _new(EregFrame, frame[start:start + len(EREG_FIELDS)]))
+
+
+class TelemetryFrame(namedtuple("TelemetryFrame", [
+        "time_s", *(f"{name}_{f}" for name in EREG_NAMES for f in EREG_FIELDS),
+        *SCALAR_FIELDS, "events"])):
+    """One telemetry row: an immutable flat tuple of its 32 values in CSV
+    column order, named by their columns, then the events tuple. It is
+    built from the time, the four regulator blocks in EREG_NAMES order, the
+    scalars and the events; ox_tank ... fuel_inj read the blocks back."""
+
+    __slots__ = ()
+
+    def __new__(cls, time_s, ox_tank, fuel_tank, ox_inj, fuel_inj, supply_pressure_bar,
+                mdot_ox_kg_s, mdot_fuel_kg_s, mdot_gas_kg_s, chamber_pressure_bar, thrust_n,
+                of_ratio, events=()):
+        frame = _new(cls, (time_s, *ox_tank, *fuel_tank, *ox_inj, *fuel_inj, supply_pressure_bar,
+                           mdot_ox_kg_s, mdot_fuel_kg_s, mdot_gas_kg_s, chamber_pressure_bar,
+                           thrust_n, of_ratio, events))
+        if len(frame) != _WIDTH + 1:
+            raise TypeError(f"regulator blocks of {len(EREG_FIELDS)} values expected")
+        return frame
+
+    ox_tank, fuel_tank, ox_inj, fuel_inj = map(_block, range(len(EREG_NAMES)))
+
+    def __repr__(self) -> str:
+        return _REPR % self
+
+    def __reduce__(self):  # copy and pickle: __new__ takes blocks, not the 33 fields
+        return self._make, (tuple(self),)
 
     def values(self) -> list[float]:
         """The numeric fields in CSV column order."""
-        t, a, b, c, d, *rest = self
-        return [t, *a, *b, *c, *d, *rest[:7]]
+        return [*self[:_WIDTH]]
 
     @classmethod
     def from_values(cls, values: list[float], events) -> TelemetryFrame:
         """The frame whose values() are values; a list not 32 long, or a nan
         or inf value, is a ValueError (naming its CSV column)."""
         _check_values(values)
-        return _frames([*zip(values)], [tuple(events)])[0]
+        return _new(cls, (*values, tuple(events)))
 
 
-# The CSV columns, named once by the frame records: time, one block of
-# EREG_FIELDS per regulator, SCALAR_FIELDS, then the events cell.
-EREG_FIELDS = EregFrame._fields
-SCALAR_FIELDS = TelemetryFrame._fields[1 + len(EREG_NAMES):-1]
-_WIDTH = 1 + len(EREG_FIELDS) * len(EREG_NAMES) + len(SCALAR_FIELDS)
+# The repr of the frame as nested blocks, as its constructor takes it.
+_REPR = "TelemetryFrame(%s)" % ", ".join([
+    "time_s=%r",
+    *(f"{name}=EregFrame({', '.join(f'{f}=%r' for f in EREG_FIELDS)})" for name in EREG_NAMES),
+    *(f"{f}=%r" for f in SCALAR_FIELDS), "events=%r"])
 # One data row: the numeric fields of values(), then the events cell.
 _ROW_FORMAT = "%.9g," * _WIDTH + "%s\r\n"
 
@@ -91,33 +120,23 @@ def _check_values(values: list[float]) -> None:
     if len(values) != _WIDTH:
         raise ValueError(f"{len(values)} numeric columns, not {_WIDTH}")
     if not math.isfinite(sum(values)):
-        for column, value in zip(csv_header(), values):
+        for column, value in zip(TelemetryFrame._fields, values):
             if not math.isfinite(value):
                 raise ValueError(f"column {column} is {value}")
 
 
-_new = tuple.__new__
-
-
-def _frames(columns, events) -> list[TelemetryFrame]:
-    """The frames of 32 value columns in CSV column order, each a sequence
-    over the frames, and of their events tuples; built in C, a frame at a
-    time, and unchecked: callers check the values first."""
-    eregs = [map(_new, repeat(EregFrame), zip(*columns[i:i + 6])) for i in range(1, 25, 6)]
-    return [*map(_new, repeat(TelemetryFrame), zip(columns[0], *eregs, *columns[25:], events))]
+def _frames(rows) -> list[TelemetryFrame]:
+    """The frames of rows, each its 32 values in CSV column order, then its
+    events tuple; built in C, unchecked: callers check the values first."""
+    return [*map(_new, repeat(TelemetryFrame), rows)]
 
 
 def csv_header() -> list[str]:
-    columns = ["time_s"]
-    for name in EREG_NAMES:
-        columns.extend(f"{name}_{f}" for f in EREG_FIELDS)
-    columns.extend(SCALAR_FIELDS)
-    columns.append("events")
-    return columns
+    return [*TelemetryFrame._fields]
 
 
 # The header line as emit_telemetry writes it.
-_HEADER_LINE = ",".join(csv_header()) + "\r\n"
+_HEADER_LINE = ",".join(TelemetryFrame._fields) + "\r\n"
 
 
 def emit_telemetry(frames: list[TelemetryFrame], destination: str | Path) -> None:
@@ -130,7 +149,7 @@ def emit_telemetry(frames: list[TelemetryFrame], destination: str | Path) -> Non
     try:
         with destination.open("w", newline="") as fh:
             fh.write(_HEADER_LINE)
-            fh.writelines(_ROW_FORMAT % (*frame.values(), ";".join(frame.events))
+            fh.writelines(_ROW_FORMAT % (*frame[:_WIDTH], ";".join(frame[_WIDTH]))
                           for frame in frames)
     except OSError as exc:
         raise EregSimError(f"cannot write telemetry to {destination}: {exc}") from exc
@@ -173,15 +192,15 @@ def _parse(lines: list[str]) -> list[TelemetryFrame]:
     unquote it), then CRLF."""
     n = len(lines)
     text = "".join(lines)
-    # readlines ends a line at each CR, LF or CRLF: n of each is n CRLF lines.
-    if text.count("\r") != n or text.count("\n") != n:
+    # readlines ends a line at each CR, LF or CRLF, and only there: n CRLFs
+    # are n CRLF lines.
+    if text.count("\r\n") != n:
         raise ValueError("row does not end in CRLF")
     if '"' in text:
         raise ValueError('row holds a quote (")')
     if not text.isascii():
         text.encode()  # raises on the surrogates of bytes that did not decode
-    cells = [line.rpartition(",") for line in lines]
-    numbers = [c[0] for c in cells]
+    numbers, _, ends = zip(*map(str.rpartition, lines, repeat(",")))
     # loadtxt would skip an empty line, and warn if all were.
     if "" in numbers:
         raise ValueError(f"0 numeric columns, not {_WIDTH}")
@@ -198,7 +217,7 @@ def _parse(lines: list[str]) -> list[TelemetryFrame]:
         for tokens in (line.split(",") for line in numbers):
             if len(tokens) != _WIDTH:
                 raise ValueError(f"{len(tokens)} numeric columns, not {_WIDTH}") from None
-            for column, token in zip(csv_header(), tokens):
+            for column, token in zip(TelemetryFrame._fields, tokens):
                 try:
                     float(token)
                 except ValueError:
@@ -207,8 +226,8 @@ def _parse(lines: list[str]) -> list[TelemetryFrame]:
     if rows.shape != (n, _WIDTH) or not np.isfinite(rows).all():
         for values in rows.tolist():
             _check_values(values)
-    return _frames(rows.T.tolist(), [tuple(e.split(";")) if (e := c[2][:-2]) else ()
-                                      for c in cells])
+    return _frames(zip(*rows.T.tolist(), [tuple(e.split(";")) if (e := end[:-2]) else ()
+                                          for end in ends]))
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +245,9 @@ class EregMetrics(NamedTuple):
 def liquid_depletion_time(frames: list[TelemetryFrame]) -> float:
     """The time of the first frame with a liquid depletion, else inf: the
     metrics and the liquid calibration samples drop the frames from then on."""
-    for frame in frames:
-        if any(e in EVENT_LIQUID_DEPLETED for e in frame.events):
-            return frame.time_s
-    return math.inf
+    events = map(attrgetter("events"), frames)
+    first = next(compress(frames, map(not_, map(_LIQUID_DEPLETED.isdisjoint, events))), None)
+    return math.inf if first is None else first.time_s
 
 
 def regulation_metrics(frames: list[TelemetryFrame],
@@ -246,27 +264,23 @@ def regulation_metrics(frames: list[TelemetryFrame],
     settings = config.metrics
     cutoff = liquid_depletion_time(frames)
 
+    times = [*map(attrgetter("time_s"), frames)]
+    in_early = [t <= settings.early_window for t in times]
+    kept = [not (t < settings.startup_window or t >= cutoff) for t in times]
+    kept_times = [*compress(times, kept)]
     per_ereg = {}
     for name in EREG_NAMES:
-        errors_bar = []
-        times = []
-        early = []
-        for frame in frames:
-            sub = getattr(frame, name)
-            err = sub.pressure_bar - sub.setpoint_bar
-            if frame.time_s <= settings.early_window:
-                early.append(err)
-            if frame.time_s < settings.startup_window or frame.time_s >= cutoff:
-                continue
-            errors_bar.append(err)
-            times.append(frame.time_s)
+        errors = [*map(sub, map(attrgetter(f"{name}_pressure_bar"), frames),
+                       map(attrgetter(f"{name}_setpoint_bar"), frames))]
+        errors_bar = [*compress(errors, kept)]
+        early = [*compress(errors, in_early)]
 
         if errors_bar:
             max_abs = max(abs(e) for e in errors_bar)
             rms = math.sqrt(sum(e * e for e in errors_bar) / len(errors_bar))
             threshold_bar = settings.settle_threshold / 1e5
             settle = 0.0
-            for t, e in zip(times, errors_bar):
+            for t, e in zip(kept_times, errors_bar):
                 if abs(e) > threshold_bar:
                     settle = math.inf
                 elif settle == math.inf:

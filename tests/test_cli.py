@@ -20,7 +20,7 @@ from eregsim.cli import EXIT_ABORT, EXIT_ERROR, EXIT_OK, main
 from eregsim.engine import run_scenario
 from eregsim.fluids import CHOKED_PRESSURE_RATIO
 from eregsim.scenario import EREG_NAMES, load_scenario, size_mock_injector
-from eregsim.telemetry import emit_telemetry, read_telemetry
+from eregsim.telemetry import emit_telemetry, read_telemetry, regulation_metrics
 from tests.conftest import DROP, SCENARIO_DIR, set_key, small_scenario_dict
 
 BASELINE = str(SCENARIO_DIR / "staticfire_baseline.yaml")
@@ -370,6 +370,33 @@ class TestCalibrate:
         assert fit["fit"] == "cv_curve"
         assert 2.0e-6 < fit["alpha_si_per_deg"] < 6.0e-6
         assert 8.0 < fit["theta_zero_deg"] < 12.0
+
+    def test_fitted_injector_feedforward_holds_acceptance_2(self, baseline_csv, tmp_path):
+        """Characterize, fit, then regulate: each injector's Cv fit from the
+        baseline CSV replaces its feedforward's valve constants, and the run
+        on the fits still holds acceptance 2's bounds. Measured: the fits read
+        alpha 0.878x / 0.939x of the valve's and theta_zero 9.4 / 9.8 deg;
+        the errors read 0.247 / 0.243 bar (tanks) and 0.243 / 0.160 bar
+        (injectors), against 0.248 / 0.243 / 0.272 / 0.169 on the nominal
+        feedforward."""
+        config = load_scenario(BASELINE)
+        controllers = dict(config.controllers)
+        for side in ("ox", "fuel"):
+            out = tmp_path / f"{side}_inj.yaml"
+            assert main([
+                "calibrate", "cv", "--data", str(baseline_csv), "--out", str(out), "--side", side,
+                "--phase", "liquid", "--density", repr(config.tanks[side].liquid_density),
+            ]) == EXIT_OK
+            fit = yaml.safe_load(out.read_text())
+            regulator = controllers[f"{side}_inj"]
+            feedforward = regulator.feedforward._replace(alpha=fit["alpha_si_per_deg"],
+                                                         theta_zero=fit["theta_zero_deg"])
+            assert feedforward != regulator.feedforward
+            controllers[f"{side}_inj"] = regulator._replace(feedforward=feedforward)
+        fitted = config.replace(controllers=controllers)
+        metrics = regulation_metrics(run_scenario(fitted), fitted)
+        for name in EREG_NAMES:
+            assert metrics[name].max_abs_error <= (0.5 if name.endswith("_tank") else 1.0), name
 
     def test_calibrate_cv_requires_density(self, baseline_csv, tmp_path, capsys):
         code = main([

@@ -1,5 +1,6 @@
 import copy
 import math
+import pickle
 import re
 
 import numpy as np
@@ -391,6 +392,90 @@ class TestTelemetryCsv:
             EregSimError, match="^non-finite telemetry at t=0.0: column chamber_pressure_bar is nan$"
         ):
             run_scenario(baseline_config.replace(duration=0.1))
+
+
+FRAME_REPR = (
+    "TelemetryFrame(time_s=0.25, ox_tank=EregFrame(setpoint_bar=30.0, pressure_bar=30.0, "
+    "valve_angle_deg=20.0, feedforward_deg=15.0, u1_deg=20.0, u2=0.1), fuel_tank=EregFrame("
+    "setpoint_bar=30.0, pressure_bar=30.0, valve_angle_deg=20.0, feedforward_deg=15.0, "
+    "u1_deg=20.0, u2=0.1), ox_inj=EregFrame(setpoint_bar=42.0, pressure_bar=41.75, "
+    "valve_angle_deg=20.0, feedforward_deg=15.0, u1_deg=20.0, u2=0.1), fuel_inj=EregFrame("
+    "setpoint_bar=30.0, pressure_bar=30.0, valve_angle_deg=20.0, feedforward_deg=15.0, "
+    "u1_deg=20.0, u2=0.1), supply_pressure_bar=300.0, mdot_ox_kg_s=1.14, mdot_fuel_kg_s=0.49, "
+    "mdot_gas_kg_s=0.1, chamber_pressure_bar=24.0, thrust_n=3000.0, of_ratio=2.33, "
+    "events=('ox_liquid_depleted',))"
+)
+
+
+class TestFrameLayout:
+    """A frame is one flat tuple: 32 floats in CSV column order, then the
+    events tuple, however it is built."""
+
+    @pytest.fixture(scope="class")
+    def frames(self, baseline_config):
+        run = engine.Run(baseline_config.replace(duration=0.5))
+        run.advance(run.n_steps)
+        return run.frames() + [make_frame(0.75, events=(EVENT_ABORT, EVENT_SUPPLY_DEPLETED))]
+
+    @staticmethod
+    def assert_flat(frame):
+        assert type(frame) is TelemetryFrame and len(frame) == 33
+        assert [type(v) for v in frame] == [float] * 32 + [tuple]
+        assert all(type(e) is str for e in frame.events)
+
+    @staticmethod
+    def rebuilt(frame):
+        """frame built by each builder but the reader and the run."""
+        return [
+            TelemetryFrame.from_values(frame.values(), frame.events),
+            TelemetryFrame(frame.time_s, frame.ox_tank, frame.fuel_tank, frame.ox_inj,
+                           frame.fuel_inj, *frame[25:32], events=frame.events),
+            TelemetryFrame._make(tuple(frame)),
+            frame._replace(events=frame.events),
+        ]
+
+    def test_every_builder_gives_equal_flat_frames(self, frames, tmp_path):
+        emit_telemetry(frames, tmp_path / "run.csv")
+        back = read_telemetry(tmp_path / "run.csv")
+        assert len(back) == len(frames) == 51
+        for frame in frames + back:
+            self.assert_flat(frame)
+            for other in self.rebuilt(frame):
+                self.assert_flat(other)
+                assert other == frame and repr(other) == repr(frame)
+
+    def test_fields_are_the_csv_columns(self, frames):
+        assert TelemetryFrame._fields == tuple(csv_header())
+        for frame in frames:
+            assert [getattr(frame, column) for column in csv_header()] == [*frame]
+
+    def test_blocks_read_as_ereg_frames(self, frames):
+        busy = EregFrame(42.0, 41.75, 30.5, 0.0, 30.5, 0.0)
+        frame = make_frame(0.25, {"ox_inj": busy})
+        assert (frame.ox_tank, frame.ox_inj) == (flat_ereg(), busy)
+        for frame in frames:
+            for name in EREG_NAMES:
+                block = getattr(frame, name)
+                assert type(block) is EregFrame
+                assert block == tuple(getattr(frame, f"{name}_{f}") for f in EregFrame._fields)
+
+    def test_repr_is_the_nested_one(self):
+        frame = make_frame(0.25, {"ox_inj": flat_ereg(42.0, 41.75)},
+                           events=("ox_liquid_depleted",))
+        assert repr(frame) == FRAME_REPR
+
+    def test_copy_and_pickle_round_trips(self, frames):
+        for frame in frames[::10] + frames[-1:]:
+            copies = [copy.copy(frame), copy.deepcopy(frame)]
+            copies += [pickle.loads(pickle.dumps(frame, protocol))
+                       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for other in copies:
+                self.assert_flat(other)
+                assert other == frame and repr(other) == repr(frame)
+
+    def test_a_block_of_another_length_is_refused(self):
+        with pytest.raises(TypeError, match="regulator blocks of 6 values"):
+            TelemetryFrame(0.0, flat_ereg(), flat_ereg(), flat_ereg(), (1.0,) * 5, *[0.0] * 7)
 
 
 def read_outcome(reader, path):
@@ -952,8 +1037,9 @@ class TestBenchmarkFacingNames:
 
     def test_records_are_immutable(self):
         sample = calibration.FlowSample(20.0, 310e5, 42e5, 0.05, 0.0, "gas")
-        for record, field in ((flat_ereg(), "pressure_bar"), (make_frame(0.0), "time_s"),
-                              (make_frame(0.0), "events"), (sample, "flow")):
+        frame_fields = ("time_s", "ox_tank", "ox_tank_pressure_bar", "events", "note")
+        for record, field in ((flat_ereg(), "pressure_bar"), (sample, "flow"),
+                              *((make_frame(0.0), name) for name in frame_fields)):
             with pytest.raises(AttributeError):
                 setattr(record, field, 1.0)
 
@@ -968,8 +1054,8 @@ class TestBenchmarkFacingNames:
         assert rebuilt == frames
 
     def test_keyword_flow_sample_equals_positional(self):
-        # The telemetry adapters build FlowSamples by keyword, perfbench and
-        # the tests positionally.
+        # perfbench and the tests build FlowSamples positionally, the
+        # telemetry adapters from tuples in C.
         keyword = calibration.FlowSample(
             valve_angle=30.5, upstream_pressure=42e5, downstream_pressure=30e5,
             flow=1e-3, fluid_density=1141.0, phase="liquid",
