@@ -126,9 +126,6 @@ class SetpointSchedule(NamedTuple):
     fuel_tank: float  # Pa
     ox_inj: ThrottleProfile
     fuel_inj: ThrottleProfile
-    # setpoints.throttle.kind: "pressure" profiles are the file's own,
-    # "thrust_fraction" ones are paired from fractions at load.
-    throttle_kind: str = "thrust_fraction"
 
 
 def setpoints_at(schedule: SetpointSchedule, t: float) -> tuple[float, float, float, float]:
@@ -214,7 +211,6 @@ class ScenarioConfig:
     valves: dict[str, ValveModel]  # keys: EREG_NAMES
     injectors: dict[str, InjectorOrifice]
     chamber: ChamberModel | None
-    nominal_mdot: dict[str, float]
     schedule: SetpointSchedule
     controllers: dict[str, ControllerSettings]
     actuator: ActuatorSettings  # shared by the four regulators
@@ -228,34 +224,36 @@ class ScenarioConfig:
     def __post_init__(self):
         """The rules on the stored values: a ConfigError names the YAML key and
         prints the value in that key's units."""
+
+        def bar(pascals, key: str, **bounds) -> float:  # a float first: 10**400 / 1e5 overflows
+            return checked_number(checked_number(pascals, key) / 1e5, key, **bounds)
+
         for key, dt in (("dt_phys_s", self.dt_phys), ("dt_secondary_s", self.dt_secondary),
                         ("dt_primary_s", self.dt_primary)):
             checked_number(dt, f"timing.{key}", above=0.0)
-        step_grid(self.duration, self.dt_phys, self.dt_secondary, self.dt_primary)
-        ambient_bar = checked_number(self.ambient_pressure / 1e5, "ambient_pressure_bar",
-                                     above=0.0)
-        supply_bar = checked_number(self.supply_pressure / 1e5, "supply.initial_pressure_bar",
-                                    above=ambient_bar)
-        # Paired setpoints are derived at load: the chamber pressure (>= ambient) plus a drop.
-        paired = self.schedule.throttle_kind != "pressure"
-        bound = {"at_least" if paired else "above": ambient_bar}
+        step_grid(checked_number(self.duration, "duration_s"), self.dt_phys, self.dt_secondary,
+                  self.dt_primary)
+        ambient_bar = bar(self.ambient_pressure, "ambient_pressure_bar", above=0.0)
+        supply_bar = bar(self.supply_pressure, "supply.initial_pressure_bar", above=ambient_bar)
         for side in SIDES:
-            checked_number(self.tanks[side].initial_pressure / 1e5,
-                           f"tanks.{side}.initial_pressure_bar", above=ambient_bar)
-            profile = getattr(self.schedule, side + "_inj")
-            key = f"paired {side} injector profile" if paired else f"setpoints.throttle.{side}"
-            checked_number(profile.start_pressure / 1e5, f"{key}.start_bar", **bound)
+            bar(self.tanks[side].initial_pressure, f"tanks.{side}.initial_pressure_bar",
+                above=ambient_bar)
+            # One rule on the schedule, whichever kind of throttle the file wrote.
+            bar(self.tank_setpoint(side), f"setpoints.tank_bar.{side}", above=ambient_bar)
+            profile, key = getattr(self.schedule, side + "_inj"), f"setpoints.throttle.{side}"
+            bar(profile.start_pressure, f"{key}.start_bar", above=ambient_bar)
             for i, segment in enumerate(profile.segments):
-                checked_number(segment.target_pressure / 1e5, f"{key}.segments[{i}].target_bar",
-                               **bound)
+                bar(segment.target_pressure, f"{key}.segments[{i}].target_bar", above=ambient_bar)
+                bar(segment.ramp_rate, f"{key}.segments[{i}].ramp_rate_bar_s", above=0.0)
+                checked_number(segment.hold_duration, f"{key}.segments[{i}].hold_s", at_least=0.0)
         for reg in EREG_NAMES:
             # The supply feeds the tank valves; each tank feeds its injector
             # valve, at the tank's start pressure and later at its setpoint.
             side, kind = reg.split("_")
             upstream = self.supply_pressure if kind == "tank" else max(
                 self.tank_setpoint(side), self.tanks[side].initial_pressure)
-            checked_number(self.valves[reg].rated_pressure / 1e5,
-                           f"valves.{reg}.rated_pressure_bar", at_least=upstream / 1e5)
+            bar(self.valves[reg].rated_pressure, f"valves.{reg}.rated_pressure_bar",
+                at_least=upstream / 1e5)
         for side in SIDES:
             settings = self.controllers[side + "_inj"]
             peak = getattr(self.schedule, side + "_inj").max_pressure()
@@ -265,8 +263,7 @@ class ScenarioConfig:
                                               f"bar, above the feasible {headroom / 1e5:.2f} bar")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {', '.join(VARIANTS)}, got {self.variant!r}")
-        checked_number(self.noise_sigma / 1e5, "sensors.noise_sigma_bar", at_least=0.0,
-                       at_most=supply_bar)
+        bar(self.noise_sigma, "sensors.noise_sigma_bar", at_least=0.0, at_most=supply_bar)
         if (isinstance(self.noise_seed, bool) or not isinstance(self.noise_seed, int)
                 or self.noise_seed < 0):
             raise ConfigError(f"sensors.seed must be an integer >= 0, got {self.noise_seed!r}")
@@ -336,6 +333,8 @@ def checked_number(value, key: str, *, above=None, at_least=None, below=None,
         raise ConfigError(f"{key} must be a number, got {value!r}")
     try:
         number = float(value)
+    except OverflowError:  # an int past the largest float
+        number = math.inf
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
     if not math.isfinite(number):
@@ -595,8 +594,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     # per-injector pressure profiles.
     throttle = setpoints.section("throttle")
     profiles = {}
-    throttle_kind = throttle.choice("kind", ("thrust_fraction", "pressure"), "thrust_fraction")
-    if throttle_kind == "pressure":
+    if throttle.choice("kind", ("thrust_fraction", "pressure"), "thrust_fraction") == "pressure":
         demand_scale = 1.0
         for side in SIDES:
             raw = throttle.section(side)
@@ -604,8 +602,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             segments = tuple(
                 ProfileSegment(
                     target_pressure=seg.number("target_bar") * 1e5,
-                    hold_duration=seg.number("hold_s", 0.0, at_least=0.0),
-                    ramp_rate=seg.number("ramp_rate_bar_s", 2.0, above=0.0) * 1e5,
+                    hold_duration=seg.number("hold_s", 0.0),
+                    ramp_rate=seg.number("ramp_rate_bar_s", 2.0) * 1e5,
                 )
                 for seg in raw.sections("segments")
             )
@@ -615,17 +613,22 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             "target_of", nominal_mdot["ox"] / nominal_mdot["fuel"], above=0.0
         )
 
-        def paired(fraction: float) -> tuple[float, float]:
-            return _in_range("setpoints.throttle", "paired injector setpoints", lambda: (
+        def paired(section: _Section, key: str) -> tuple[float, tuple[float, float]]:
+            """The fraction at key and its injector setpoints, which must be above ambient."""
+            fraction, path = section.number(key, above=0.0, at_most=1.0), section._key(key)
+            setpoints = _in_range(path, "paired injector setpoints", lambda: (
                 paired_setpoints_for_of(target_of, fraction, nominal_mdot, tanks, injectors,
                                         chamber, ambient)
             ))
+            if min(setpoints) <= ambient:
+                raise ConfigError(f"{path} = {fraction!r} pairs to an injector setpoint at the "
+                                  f"ambient pressure")
+            return fraction, setpoints
 
-        demand_scale = throttle.number("start_fraction", above=0.0, at_most=1.0)
-        starts = paired(demand_scale)
+        demand_scale, starts = paired(throttle, "start_fraction")
         segments = []
         for seg in throttle.sections("segments"):
-            targets = paired(seg.number("target_fraction", above=0.0, at_most=1.0))
+            targets = paired(seg, "target_fraction")[1]
             rate = seg.number("ramp_rate_bar_s", 2.0, above=0.0) * 1e5
             hold = seg.number("hold_s", 0.0, at_least=0.0)
             segments.append([ProfileSegment(target, hold, rate) for target in targets])
@@ -722,10 +725,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         valves=valves,
         injectors=injectors,
         chamber=chamber,
-        nominal_mdot=nominal_mdot,
         schedule=SetpointSchedule(
-            tank_setpoints["ox"], tank_setpoints["fuel"], profiles["ox"], profiles["fuel"],
-            throttle_kind,
+            tank_setpoints["ox"], tank_setpoints["fuel"], profiles["ox"], profiles["fuel"]
         ),
         controllers={reg: controllers[reg] for reg in EREG_NAMES},
         actuator=actuator,
@@ -747,7 +748,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 def load_scenario(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     try:
-        data = yaml.load(path.read_text(), Loader=_YAML_LOADER)
+        data = yaml.load(path.read_bytes(), Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     except yaml.YAMLError as exc:

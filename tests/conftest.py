@@ -129,3 +129,10 @@ def small_config():
 
 def load_yaml(path: Path) -> dict:
     return yaml.safe_load(path.read_text())
+
+
+def nominal_mdot(stem: str) -> dict[str, float]:
+    """The nominal_flows of a shipped scenario in kg/s by side. The loader
+    reads them and the built config keeps none of them."""
+    flows = load_yaml(SCENARIO_DIR / f"{stem}.yaml")["nominal_flows"]
+    return {"ox": flows["ox_kg_s"], "fuel": flows["fuel_kg_s"]}

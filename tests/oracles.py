@@ -185,10 +185,12 @@ class OperatingPoint:
     fuel_inj_pressure: float
 
 
-def steady_operating_point(config: ScenarioConfig, thrust_fraction: float = 1.0) -> OperatingPoint:
-    """Closed-form steady state at a thrust fraction of the nominal point."""
-    mdot_ox = thrust_fraction * config.nominal_mdot["ox"]
-    mdot_fuel = thrust_fraction * config.nominal_mdot["fuel"]
+def steady_operating_point(config: ScenarioConfig, nominal_mdot: dict[str, float],
+                           thrust_fraction: float = 1.0) -> OperatingPoint:
+    """Closed-form steady state at a thrust fraction of the nominal flows
+    (kg/s by side)."""
+    mdot_ox = thrust_fraction * nominal_mdot["ox"]
+    mdot_fuel = thrust_fraction * nominal_mdot["fuel"]
     total = mdot_ox + mdot_fuel
     if config.chamber is None:
         pc, thrust = config.ambient_pressure, 0.0

@@ -16,21 +16,26 @@ The duration key is left out: every probe runs for PROBE_S. The timing
 keys are probed too; scenario.MAX_STEPS rejects a physics step so short
 that the run would never end.
 
-A second arm changes a built config instead of a file: each field in
+EXTREMES holds 10**400 too, an int that a YAML file can hold and a
+float cannot.
+
+A second arm changes a built config instead of a file: each entry in
 REPLACED, on the small test scenario loaded for PROBE_S, is set through
 ScenarioConfig.replace to each value in EXTREMES and to 0, -1 and nan.
-Such an input must be rejected by replace() itself with a ConfigError,
-or run clean or aborted as above.
+The entries are config fields and, by dotted path, the setpoint
+schedule's tank setpoints, profile starts and one segment's target, ramp
+rate and hold. Such an input must be rejected by replace() itself with a
+ConfigError, or run clean or aborted as above.
 
 tests/test_scenario.py runs a sample of the first arm and all of the
-second. Both arms (about 2,600 inputs) take some 10-20 s and print each
+second. Both arms (about 3,100 inputs) take some 10-20 s and print each
 failing input, then one line of counts per arm:
 
     PYTHONPATH=src python -m tests.probe_scenarios
 
-It last printed "2496 inputs: 925 rejected at load, 1505 clean, 66
-aborted, 0 failing" and "90 replace() inputs: 68 rejected at replace, 18
-clean, 4 aborted, 0 failing".
+It last printed "2912 inputs: 1352 rejected at load, 1494 clean, 66
+aborted, 0 failing" and "170 replace() inputs: 129 rejected at replace,
+37 clean, 4 aborted, 0 failing".
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import sys
 from collections import Counter
 
 from eregsim.engine import EVENT_ABORT
@@ -47,16 +53,21 @@ from tests.conftest import SCENARIO_DIR, load_yaml, small_scenario_dict
 from tests.oracles import audited_run
 from tests.record_golden import SHIPPED
 
-EXTREMES = (5e-324, 1e-300, 1e-200, 1e-17, 1e200, 1e300)
+EXTREMES = (5e-324, 1e-300, 1e-200, 1e-17, 1e200, 1e300, 10**400)
 SKIPPED = ("duration_s",)
 PROBE_S = 0.2
 GAS_LAW_TOLERANCE = 1e-9
 REJECTED, CLEAN, ABORTED = "rejected at load", "clean", "aborted"
 OUTCOMES = (REJECTED, CLEAN, ABORTED)
-# The ScenarioConfig fields whose rules the config's own check holds.
+# The ScenarioConfig fields whose rules the config's own check holds, and
+# the schedule's entries by dotted path: each tank setpoint, each injector
+# profile's start, and the target, ramp rate and hold of one segment.
 REPLACED = ("duration", "dt_phys", "dt_secondary", "dt_primary", "ambient_pressure",
             "supply_pressure", "noise_sigma", "noise_seed", "abort_pressure_factor",
-            "ullage_collapse_coeff")
+            "ullage_collapse_coeff", "schedule.ox_tank", "schedule.fuel_tank",
+            "schedule.ox_inj.start_pressure", "schedule.fuel_inj.start_pressure",
+            "schedule.ox_inj.segments.0.target_pressure", "schedule.ox_inj.segments.0.ramp_rate",
+            "schedule.ox_inj.segments.0.hold_duration")
 REPLACED_VALUES = (*EXTREMES, 0, -1, math.nan)
 REJECTED_AT_REPLACE = "rejected at replace"
 REPLACE_OUTCOMES = (REJECTED_AT_REPLACE, CLEAN, ABORTED)
@@ -89,8 +100,15 @@ def probe_inputs() -> list[tuple[str, tuple, float]]:
     ]
 
 
+def shown(value) -> str:
+    """repr(value), but an int past the largest float as a power of ten."""
+    if isinstance(value, int) and value > sys.float_info.max:
+        return f"10**{math.log10(value):.0f}"
+    return repr(value)
+
+
 def probe_id(stem: str, path: tuple, value: float) -> str:
-    return f"{stem}:{'.'.join(map(str, path))}={value!r}"
+    return f"{stem}:{'.'.join(map(str, path))}={shown(value)}"
 
 
 def probe(stem: str, path: tuple, value: float) -> str:
@@ -116,14 +134,26 @@ def replace_inputs() -> list[tuple[str, float]]:
 
 
 def replace_id(field: str, value: float) -> str:
-    return f"replace({field}={value!r})"
+    return f"replace({field}={shown(value)})"
+
+
+def replaced(node, path: list[str], value):
+    """node, a NamedTuple or a tuple, with the entry at path set to value."""
+    if not path:
+        return value
+    key, *rest = path
+    if key.isdigit():
+        i = int(key)
+        return (*node[:i], replaced(node[i], rest, value), *node[i + 1:])
+    return node._replace(**{key: replaced(getattr(node, key), rest, value)})
 
 
 def probe_replace(field: str, value: float) -> str:
     """One of REPLACE_OUTCOMES, or what went wrong."""
     config = scenario_from_dict(small_scenario_dict(duration_s=PROBE_S))
+    key, *path = field.split(".")
     try:
-        config = config.replace(**{field: value})
+        config = config.replace(**{key: replaced(getattr(config, key), path, value)})
     except ConfigError:
         return REJECTED_AT_REPLACE
     except Exception as exc:

@@ -12,6 +12,7 @@ from eregsim.control import FeedforwardParams, ff_tank
 from eregsim.engine import run_scenario
 from eregsim.fluids import ValveModel, cv_of_angle
 from eregsim.telemetry import regulation_metrics
+from tests.conftest import nominal_mdot
 from tests.oracles import audited_run, steady_operating_point
 
 
@@ -37,7 +38,7 @@ def window_mean(frames, selector, t0, t1):
 class TestAcceptance:
     def test_1_nominal_operating_point_closure(self, baseline_config):
         start = time.monotonic()
-        op = steady_operating_point(baseline_config, 1.0)
+        op = steady_operating_point(baseline_config, nominal_mdot("staticfire_baseline"), 1.0)
         of = op.mdot_ox / op.mdot_fuel
         elapsed = time.monotonic() - start
         assert op.chamber_pressure == pytest.approx(24e5, abs=0.1e5)

@@ -117,14 +117,18 @@ class TestRun:
              "cannot parse scenario file"),
             (yaml.safe_dump(small_scenario_dict(duration_s=0.1)), "absent/x.csv",
              "EregSimError", "cannot write telemetry"),
+            (yaml.safe_dump(small_scenario_dict(duration_s=0.1)) + "# r\xe9glage\n", "x.csv",
+             "ConfigError", "cannot parse scenario file"),
         ],
-        ids=["missing_file", "unparsable_yaml", "bad_indent", "missing_out_dir"],
+        ids=["missing_file", "unparsable_yaml", "bad_indent", "missing_out_dir", "not_utf8"],
     )
     def test_unreadable_scenario_or_unwritable_out_exits_2_with_one_json_line(
             self, tmp_path, capsys, scenario_text, out, error, message):
         scenario = tmp_path / "scenario.yaml"
         if scenario_text is not None:
-            scenario.write_text(scenario_text)
+            # Saved in Latin-1: the same bytes as UTF-8 for ASCII text, while
+            # "\xe9" becomes a byte that starts no UTF-8 sequence.
+            scenario.write_bytes(scenario_text.encode("latin-1"))
         code = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / out)])
         assert code == EXIT_ERROR
         lines = capsys.readouterr().err.splitlines()
@@ -173,9 +177,10 @@ class TestRejectedScenarioProcess:
             ("lines.ox.diameter_m", 0.0),
             ("sensrs", {"seed": 3}),
             ("supply.volume_m3", [1]),
+            ("duration_s", 10**400),  # an int past the largest float
         ],
         ids=["locked_angle", "drop_reference", "missing_key", "nan", "zero_diameter",
-             "unknown_key", "list_for_number"],
+             "unknown_key", "list_for_number", "int_past_floats"],
     )
     def test_one_json_line_and_exit_2(self, tmp_path, path, value):
         data = set_key(small_scenario_dict(duration_s=0.1), path, value)

@@ -32,16 +32,19 @@ from eregsim.scenario import (
 )
 from eregsim.telemetry import EregMetrics
 from tests import probe_scenarios
-from tests.conftest import DROP, SCENARIO_DIR, load_yaml, set_key, small_scenario_dict
+from tests.conftest import (
+    DROP, SCENARIO_DIR, load_yaml, nominal_mdot, set_key, small_scenario_dict,
+)
 from tests.oracles import audited_run, orifice_mass_flow, steady_operating_point
 
 BAR = 1e5
+BASELINE_MDOT = nominal_mdot("staticfire_baseline")
 
 
-def paired(config, target_of, fraction):
+def paired(config, target_of, fraction, mdot=BASELINE_MDOT):
     return paired_setpoints_for_of(
-        target_of, fraction, config.nominal_mdot, config.tanks, config.injectors,
-        config.chamber, config.ambient_pressure,
+        target_of, fraction, mdot, config.tanks, config.injectors, config.chamber,
+        config.ambient_pressure,
     )
 
 
@@ -118,7 +121,7 @@ class TestSetpointsAt:
 
 class TestPairedSetpoints:
     def test_nominal_closure(self, baseline_config):
-        op = steady_operating_point(baseline_config, 1.0)
+        op = steady_operating_point(baseline_config, BASELINE_MDOT, 1.0)
         assert op.mdot_ox + op.mdot_fuel == pytest.approx(1.63, abs=1e-9)
         assert op.chamber_pressure == pytest.approx(24e5, abs=1e3)
         assert op.thrust == pytest.approx(3000.0, abs=1.0)
@@ -159,7 +162,7 @@ class TestPairedSetpoints:
 
     def test_seventy_percent_thrust(self, baseline_config):
         s_ox, s_fuel = paired(baseline_config, 1.14 / 0.49, 0.70)
-        op = steady_operating_point(baseline_config, 0.70)
+        op = steady_operating_point(baseline_config, BASELINE_MDOT, 0.70)
         assert op.thrust == pytest.approx(2100.0, abs=1.0)
         assert s_ox == pytest.approx(op.ox_inj_pressure, rel=1e-9)
 
@@ -168,9 +171,8 @@ class TestPairedSetpoints:
         sym = cfg.replace(
             injectors={"ox": cfg.injectors["ox"], "fuel": cfg.injectors["ox"]},
             tanks={"ox": cfg.tanks["ox"], "fuel": cfg.tanks["ox"]},
-            nominal_mdot={"ox": 1.0, "fuel": 1.0},
         )
-        s_ox, s_fuel = paired(sym, 1.0, 0.8)
+        s_ox, s_fuel = paired(sym, 1.0, 0.8, {"ox": 1.0, "fuel": 1.0})
         assert s_ox == pytest.approx(s_fuel, rel=1e-12)
 
     def test_infeasible_throttle_fails_loudly(self):
@@ -557,13 +559,32 @@ REPLACE_BYPASSES = {
             (ProfileSegment(config.ambient_pressure, 0.0, 10e5),)))},
         "setpoints.throttle.fuel.segments[0].target_bar must be above 1.01325",
     ),
-    # A hand-built schedule is paired (the default throttle_kind); one that
-    # starts below ambient ran all 1,250 frames of the blowdown.
+    # A hand-built schedule was taken for a paired one, held only to at least
+    # ambient; one that starts below ambient ran all 1,250 frames of the blowdown.
     "hand_built_schedule_below_ambient": (
         lambda config: {"schedule": SetpointSchedule(
             config.schedule.ox_tank, config.schedule.fuel_tank,
             *[ThrottleProfile(0.5e5, config.schedule.ox_inj.segments)] * 2)},
-        "paired ox injector profile.start_bar must be at least 1.01325",
+        "setpoints.throttle.ox.start_bar must be above 1.01325",
+    ),
+    # Tank setpoints at or below ambient ran all their frames.
+    **{f"ox_tank_setpoint={bar}_bar": (
+        lambda config, bar=bar: {"schedule": config.schedule._replace(ox_tank=bar * 1e5)},
+        "setpoints.tank_bar.ox must be above 1.01325",
+    ) for bar in (0, -5, 0.5)},
+    # A ramp rate of 0 raised a raw ZeroDivisionError at the first
+    # setpoints_at; a negative hold ran.
+    "fuel_ramp_rate=0": (
+        lambda config: {"schedule": config.schedule._replace(fuel_inj=ThrottleProfile(
+            config.schedule.fuel_inj.start_pressure,
+            (config.schedule.fuel_inj.segments[0]._replace(ramp_rate=0.0),)))},
+        "setpoints.throttle.fuel.segments[0].ramp_rate_bar_s must be above 0",
+    ),
+    "ox_hold=-1": (
+        lambda config: {"schedule": config.schedule._replace(ox_inj=ThrottleProfile(
+            config.schedule.ox_inj.start_pressure,
+            (config.schedule.ox_inj.segments[0]._replace(hold_duration=-1.0),)))},
+        "setpoints.throttle.ox.segments[0].hold_s must be at least 0",
     ),
 }
 
@@ -574,16 +595,16 @@ def test_replace_rejects_what_the_loader_rejects(blowdown_config, changes, key):
         blowdown_config.replace(**changes(blowdown_config))
 
 
-def test_paired_setpoints_may_equal_ambient(blowdown_config):
-    # A paired setpoint is the chamber pressure plus an orifice drop, so a
-    # vanishing thrust fraction pairs to ambient itself; a file can load one.
-    ambient = ThrottleProfile(blowdown_config.ambient_pressure,
-                              (ProfileSegment(blowdown_config.ambient_pressure, 0.0, 1e5),))
-    schedule = SetpointSchedule(blowdown_config.schedule.ox_tank,
-                                blowdown_config.schedule.fuel_tank, ambient, ambient)
-    assert blowdown_config.replace(schedule=schedule).schedule.throttle_kind == "thrust_fraction"
-    with pytest.raises(ConfigError, match=re.escape("start_bar must be above 1.01325")):
-        blowdown_config.replace(schedule=schedule._replace(throttle_kind="pressure"))
+def test_fraction_that_pairs_to_ambient_is_rejected_at_load():
+    # A paired setpoint is the chamber pressure plus an orifice drop; at a
+    # vanishing thrust fraction the drop is lost and the setpoint is ambient
+    # itself, a zero-drop injector demand that once loaded and ran.
+    data = load_yaml(SCENARIO_DIR / "staticfire_baseline.yaml")
+    data["setpoints"]["throttle"]["segments"][1]["target_fraction"] = 1e-17
+    with pytest.raises(ConfigError, match=re.escape(
+            "setpoints.throttle.segments[1].target_fraction = 1e-17 pairs to an injector "
+            "setpoint at the ambient pressure")):
+        scenario_from_dict(data)
 
 
 _REPLACE_GRID = probe_scenarios.replace_inputs()
