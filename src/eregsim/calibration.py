@@ -42,18 +42,18 @@ class FlowSample(NamedTuple):
 
     def validate(self) -> None:
         """A malformed sample is an error, not a row without Cv information."""
-        if self.phase not in ("gas", "liquid"):
-            raise EregSimError(f"unknown phase {self.phase!r}")
-        if not 0.0 <= self.valve_angle <= FULL_TRAVEL:
-            raise EregSimError(f"valve angle {self.valve_angle} outside [0, {FULL_TRAVEL:g}]")
+        angle, upstream, downstream, flow, density, phase = self
+        if phase not in ("gas", "liquid"):
+            raise EregSimError(f"unknown phase {phase!r}")
+        if not 0.0 <= angle <= FULL_TRAVEL:
+            raise EregSimError(f"valve angle {angle} outside [0, {FULL_TRAVEL:g}]")
         # A finite sum means every field is finite; only otherwise find the one to name.
-        if not math.isfinite(self.upstream_pressure + self.downstream_pressure
-                             + self.flow + self.fluid_density):
+        if not math.isfinite(upstream + downstream + flow + density):
             for name in ("upstream_pressure", "downstream_pressure", "flow", "fluid_density"):
                 if not math.isfinite(getattr(self, name)):
                     raise EregSimError(f"non-finite sample field {name}")
-        if self.phase == "liquid" and not self.fluid_density > 0.0:
-            raise EregSimError(f"liquid sample density {self.fluid_density} is not above 0")
+        if phase == "liquid" and not density > 0.0:
+            raise EregSimError(f"liquid sample density {density} is not above 0")
 
 
 class CvFit(NamedTuple):
@@ -72,18 +72,19 @@ def cv_from_sample(sample: FlowSample, choked_constant: float = 0.0) -> float:
     quotient that underflows to 0 carries no Cv information either.
     """
     sample.validate()
-    if sample.flow == 0.0:
+    _, upstream, downstream, flow, density, phase = sample
+    if flow == 0.0:
         return 0.0
-    if sample.phase == "liquid":
-        dp = sample.upstream_pressure - sample.downstream_pressure
-        if dp <= 0.0 or dp / sample.fluid_density == 0.0:
+    if phase == "liquid":
+        dp = upstream - downstream
+        if dp <= 0.0 or dp / density == 0.0:
             raise ValueError("liquid sample rejected: no positive dp / rho")
-        return sample.flow / math.sqrt(dp / sample.fluid_density)
+        return flow / math.sqrt(dp / density)
     if choked_constant <= 0.0:
         raise ValueError("gas sample needs a positive choked constant")
-    if choked_constant * sample.upstream_pressure <= 0.0:
+    if choked_constant * upstream <= 0.0:
         raise ValueError("gas sample rejected: no positive k * p_up")
-    return sample.flow / (choked_constant * sample.upstream_pressure)
+    return flow / (choked_constant * upstream)
 
 
 def _breakpoint_fit(thetas: np.ndarray, cvs: np.ndarray, theta_zero) -> tuple:
@@ -166,7 +167,9 @@ def fit_gamma(records: list[tuple[float, float, float]], theta_zero: float) -> f
     if len(records) < 2:
         raise DegenerateFitError("need at least 2 steady records to fit gamma")
     ratios = [min(1.0, s / p) for _, s, p in records]
-    if len({round(r, 12) for r in ratios}) < 2:
+    # Rounding is monotone and no ratio is NaN: the rounded ratios differ
+    # somewhere exactly when the rounded extremes differ.
+    if round(min(ratios), 12) == round(max(ratios), 12):
         raise DegenerateFitError("need at least 2 distinct pressure ratios to fit gamma")
     num = sum(r * (angle - theta_zero) for (angle, _, _), r in zip(records, ratios))
     den = sum(r * r for r in ratios)
@@ -182,11 +185,8 @@ def choked_samples(samples: list[FlowSample]) -> list[FlowSample]:
     chosen = []
     for sample in samples:
         sample.validate()
-        if (
-            sample.phase == "gas"
-            and sample.upstream_pressure > 0.0
-            and sample.downstream_pressure / sample.upstream_pressure < CHOKED_PRESSURE_RATIO
-        ):
+        _, upstream, downstream, _, _, phase = sample
+        if phase == "gas" and upstream > 0.0 and downstream / upstream < CHOKED_PRESSURE_RATIO:
             chosen.append(sample)
     return chosen
 
@@ -200,10 +200,9 @@ def fit_choked_constant(
     theta_zero) supplies the Cv of each sample from its angle.
     """
     xs, ys = [], []
-    for sample in choked_samples(samples):
-        cv = max(0.0, alpha * (sample.valve_angle - theta_zero))
-        xs.append(cv * sample.upstream_pressure)
-        ys.append(sample.flow)
+    for angle, upstream, _, flow, _, _ in choked_samples(samples):
+        xs.append(max(0.0, alpha * (angle - theta_zero)) * upstream)
+        ys.append(flow)
     den = sum(x * x for x in xs)
     if den == 0.0:
         raise DegenerateFitError("no choked samples with open valve: k unidentifiable")

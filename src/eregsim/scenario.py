@@ -552,11 +552,13 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             )
     else:
         # Mock elements are sized at load so nominal pressures give nominal
-        # flows when discharging to atmosphere.
+        # flows when discharging to atmosphere, so the key that sets the
+        # upstream pressure must put it above ambient.
         cd = injector.number("cd", 0.7, above=0.0, at_most=1.0)
-        upstream_bar = injector.number("upstream_bar", None)
+        upstream_bar = injector.number("upstream_bar", None, above=ambient / 1e5)
         for side in SIDES:
-            upstream = upstream_bar * 1e5 if upstream_bar is not None else tank_setpoints[side]
+            upstream = (upstream_bar if upstream_bar is not None
+                        else tank_bar.number(side, above=ambient / 1e5)) * 1e5
             area = size_mock_injector(
                 target_mdot=nominal_mdot[side],
                 rho=tanks[side].liquid_density,

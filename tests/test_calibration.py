@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -253,6 +254,34 @@ class TestFitGamma:
         with pytest.raises(DegenerateFitError):
             fit_gamma(records, 10.0)
 
+    # Ratios s / p with p = 1, so each is its s. Distinct means distinct once
+    # rounded to 12 decimals: 4e-13 either side of 0.5 rounds to 0.5, two
+    # ratios 8e-13 apart round alike, and 2e-13 across a half unit do not.
+    @pytest.mark.parametrize("order", ["low_first", "high_first"])
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    @pytest.mark.parametrize(
+        "low, high, distinct",
+        [
+            (0.5 - 4e-13, 0.5 + 4e-13, False),
+            (0.5000000000006, 0.5000000000014, False),
+            (0.5000000000004, 0.5000000000006, True),
+            (0.5, 0.500000000001, True),
+        ],
+    )
+    def test_ratios_are_distinct_at_the_12th_decimal(self, low, high, distinct, position, order):
+        assert (len({round(low, 12), round(high, 12)}) == 2) == distinct  # the set rule
+        extremes = [(15.0, low, 1.0), (25.0, high, 1.0)]
+        if order == "high_first":
+            extremes.reverse()
+        bulk = [(20.0, (low + high) / 2, 1.0)] * 10
+        cut = {"first": 0, "middle": 5, "last": 10}[position]
+        records = bulk[:cut] + extremes + bulk[cut:]
+        if distinct:
+            assert math.isfinite(fit_gamma(records, 10.0))
+        else:
+            with pytest.raises(DegenerateFitError, match="distinct pressure ratios"):
+                fit_gamma(records, 10.0)
+
     def test_closed_loop_recovery_within_five_percent(self, blowdown_config):
         """Simulate with feedback on, fit from the telemetry, compare to the
         plant-consistent gamma the config was built with."""
@@ -302,6 +331,23 @@ class TestFitChokedConstant:
         bogus = [FlowSample(40.0, 100e5, 90e5, 1.0, 0.0, "gas")]
         with pytest.raises(DegenerateFitError):
             fit_choked_constant(bogus, 9.375e-8, 10.0)
+
+    @pytest.mark.parametrize(
+        "bad, fault",
+        [
+            (FlowSample(95.0, 100e5, 10e5, 1.0, 0.0, "gas"), "valve angle 95.0 outside [0, 90]"),
+            (FlowSample(40.0, 100e5, 10e5, 1.0, 0.0, "steam"), "unknown phase 'steam'"),
+            (FlowSample(40.0, 100e5, 10e5, math.nan, 0.0, "gas"), "non-finite sample field flow"),
+        ],
+        ids=["angle_95", "steam", "nan_flow"],
+    )
+    def test_every_sample_is_checked(self, bad, fault):
+        k = 1.6774194e-3
+        samples = self.make_samples(k, 9.375e-8, 10.0, [15, 25, 40, 60], [310e5, 250e5, 180e5, 90e5])
+        with pytest.raises(EregSimError, match=f"^{re.escape(fault)}$"):
+            choked_samples(samples + [bad])
+        with pytest.raises(EregSimError, match=f"^{re.escape(fault)}$"):
+            fit_choked_constant(samples + [bad], 9.375e-8, 10.0)
 
 
 class TestTelemetryAdapters:

@@ -368,7 +368,11 @@ PROBES = {
     "ambient_above_throttle": ({"ambient_pressure_bar": 35.0},
                                "setpoints.throttle.ox.start_bar must be above 35"),
     "mock_injector_below_ambient": ({"injector": {"kind": "mock"}, "ambient_pressure_bar": 45.0},
-                                    "positive pressure drop, got 42 bar to 45 bar"),
+                                    "setpoints.tank_bar.ox must be above 45, got 42.0"),
+    "mock_injector_upstream_below_ambient": (
+        {"injector": {"kind": "mock", "upstream_bar": 0.5}},
+        "injector.upstream_bar must be above 1.01325, got 0.5",
+    ),
     "zero_line_diameter": ({"lines.ox.diameter_m": 0}, "lines.ox.diameter_m"),
     "zero_injector_area": ({"injector.ox.area_m2": 0}, "injector.ox.area_m2"),
     "negative_temperature": ({"pressurant.temperature_k": -10}, "pressurant.temperature_k"),
