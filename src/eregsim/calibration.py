@@ -7,8 +7,6 @@ All fits are exact inverses on noiseless model-generated data. The Cv
 fit screens its breakpoint grid in closed form and confirms only the best.
 """
 
-from __future__ import annotations
-
 import math
 from itertools import compress, count, repeat
 from operator import attrgetter, ge, mul, truediv

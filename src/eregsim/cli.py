@@ -5,8 +5,6 @@ size-injector. Exit code 0 on success; nonzero on a parse or validation failure
 or an over-pressure abort, with a machine-readable JSON error line on stderr.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
@@ -62,10 +60,10 @@ def _metrics_lines(metrics) -> list[str]:
 
 def _cmd_run(args) -> int:
     config = load_scenario(args.scenario)
-    if args.controller:
-        config = config.replace(variant=args.controller)
-    if args.seed is not None:
-        config = config.replace(noise_seed=args.seed)
+    changes = {"variant": args.controller, "noise_seed": args.seed}
+    changes = {field: value for field, value in changes.items() if value is not None}
+    if changes:
+        config = config.replace(**changes)
     frames = run_scenario(config)
     emit_telemetry(frames, args.out)
     print(f"wrote {len(frames)} frames to {args.out}")

@@ -8,8 +8,6 @@ fixed sample period and computes its discrete coefficients once; the
 engine owns the clock and says when a primary tick is due.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

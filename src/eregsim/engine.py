@@ -46,10 +46,7 @@ relative in the telemetry within the first 0.2 s of the baseline static
 fire.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -405,13 +402,13 @@ def _oracle_angles(plant: _Plant, flows: NetworkFlows, setpoints) -> list[float]
     return angles
 
 
-@dataclass
 class RunAudit:
     """Invariant monitor of the plant's stored state, filled in by record."""
 
-    initial_gas_mass: float = 0.0
-    max_gas_law_residual: float = 0.0
-    max_mass_drift: float = 0.0  # relative; conserved while the collapse sink is off
+    def __init__(self):
+        self.initial_gas_mass = 0.0
+        self.max_gas_law_residual = 0.0
+        self.max_mass_drift = 0.0  # relative; conserved while the collapse sink is off
 
     def record(self, plant: _Plant) -> None:
         """Fold in the stored supply and ullage gas: mass drift and p V - m R T."""

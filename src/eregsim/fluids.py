@@ -12,8 +12,6 @@ which gives Cv units of m2 (an effective area); scenario files give the
 slope of that curve in the same units (alpha_si_per_deg).
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -10,12 +10,9 @@ belong to ScenarioConfig, which checks itself on construction and on
 replace(). See docs/scenario_schema.md.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import sys
-from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -188,14 +185,9 @@ class MetricsSettings(NamedTuple):
     settle_threshold: float  # Pa
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """A run's plant, controllers and clock in SI units.
-
-    Every instance, loaded or made by replace(), has passed the one check
-    in __post_init__. The reader holds only what a file can get wrong on
-    its own: missing, unknown and mistyped keys and single-key bounds.
-    """
+class _ScenarioFields(NamedTuple):
+    """ScenarioConfig's fields: a typing.NamedTuple may not define the
+    __new__ that checks them."""
 
     duration: float
     dt_phys: float
@@ -221,9 +213,23 @@ class ScenarioConfig:
     abort_pressure_factor: float
     metrics: MetricsSettings
 
-    def __post_init__(self):
-        """The rules on the stored values: a ConfigError names the YAML key and
-        prints the value in that key's units."""
+
+class ScenarioConfig(_ScenarioFields):
+    """A run's plant, controllers and clock in SI units.
+
+    Every instance has passed the one check in __new__: a direct call,
+    replace(), _replace(), _make(), copy, deepcopy and pickle all build
+    through __new__. The reader holds only what a file can get wrong on
+    its own: missing, unknown and mistyped keys and single-key bounds.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        """The config of these fields if it keeps the rules on the stored
+        values: else a ConfigError that names the YAML key and prints the
+        value in that key's units."""
+        self = super().__new__(cls, *args, **kwargs)
 
         def bar(pascals, key: str, **bounds) -> float:  # a float first: 10**400 / 1e5 overflows
             return checked_number(checked_number(pascals, key) / 1e5, key, **bounds)
@@ -271,13 +277,21 @@ class ScenarioConfig:
                        at_most=RK4_STABILITY_LIMIT / self.dt_phys)
         checked_number(self.abort_pressure_factor, "options.abort_pressure_factor", above=0.0)
         plant_start(self)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through it
+        return cls(*iterable)
 
     def tank_setpoint(self, side: str) -> float:
         return self.schedule.ox_tank if side == "ox" else self.schedule.fuel_tank
 
     def replace(self, **kwargs) -> "ScenarioConfig":
         """This config with the given fields changed, checked as a loaded one is."""
-        return dc_replace(self, **kwargs)
+        unknown = kwargs.keys() - self._fields
+        if unknown:
+            raise TypeError(f"ScenarioConfig has no field {', '.join(sorted(unknown))}")
+        return self._replace(**kwargs)
 
 
 def paired_setpoints_for_of(
@@ -416,7 +430,7 @@ class _Section:
     rejects the keys nothing read, here and in every section read from here.
     """
 
-    def __init__(self, data, path: str, defaults: _Section | None = None):
+    def __init__(self, data, path: str, defaults: "_Section | None" = None):
         if not isinstance(data, dict):
             raise ConfigError(
                 f"{path or 'scenario file'} must be a mapping, got {type(data).__name__}"
@@ -468,7 +482,7 @@ class _Section:
             raise ConfigError(f"{path} must have lo <= hi, got {value!r}")
         return lo, hi
 
-    def section(self, key: str, default=_REQUIRED, defaults: _Section | None = None):
+    def section(self, key: str, default=_REQUIRED, defaults: "_Section | None" = None):
         """The mapping under key; None when the default is None and it is not given."""
         if self._defaults is not None and self._data.get(key) is None:
             self._read.add(key)
@@ -478,7 +492,7 @@ class _Section:
             self._sections[key] = None if value is None else _Section(value, path, defaults)
         return self._sections[key]
 
-    def sections(self, key: str) -> list[_Section]:
+    def sections(self, key: str) -> "list[_Section]":
         """The non-empty list of mappings under key."""
         value, path = self.lookup(key, _REQUIRED)
         if not isinstance(value, list) or not value:

@@ -13,8 +13,6 @@ _frames, in C, a batch at a time, and the metrics and the calibration
 adapters read them by column.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from itertools import compress, repeat
@@ -98,7 +96,7 @@ class TelemetryFrame(namedtuple("TelemetryFrame", [
         return [*self[:_WIDTH]]
 
     @classmethod
-    def from_values(cls, values: list[float], events) -> TelemetryFrame:
+    def from_values(cls, values: list[float], events) -> "TelemetryFrame":
         """The frame whose values() are values; a list not 32 long, or a nan
         or inf value, is a ValueError (naming its CSV column)."""
         _check_values(values)

@@ -151,6 +151,18 @@ class TestRun:
         assert outs["7"].read_bytes() == direct.read_bytes()
         assert outs["8"].read_bytes() != direct.read_bytes()
 
+    def test_controller_and_seed_flags_apply_together(self, tmp_path):
+        data = yaml.safe_load(Path(BLOWDOWN).read_text())
+        data["duration_s"] = 2.0
+        data["sensors"]["noise_sigma_bar"] = 0.02
+        scenario = write_scenario(tmp_path, data)
+        out, direct = tmp_path / "run.csv", tmp_path / "direct.csv"
+        assert main(["run", "--scenario", str(scenario), "--out", str(out),
+                     "--controller", "pid", "--seed", "3"]) == EXIT_OK
+        config = load_scenario(scenario).replace(variant="pid", noise_seed=3)
+        emit_telemetry(run_scenario(config), direct)
+        assert out.read_bytes() == direct.read_bytes()
+
     def test_abort_run_exits_with_abort_code(self, tmp_path, capsys):
         data = small_scenario_dict(options={"abort_pressure_factor": 0.5})
         scenario = write_scenario(tmp_path, data)

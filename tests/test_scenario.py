@@ -1,5 +1,6 @@
 import copy
 import math
+import pickle
 import random
 import re
 from pathlib import Path
@@ -21,6 +22,7 @@ from eregsim.scenario import (
     InjectorOrifice,
     MetricsSettings,
     ProfileSegment,
+    ScenarioConfig,
     SetpointSchedule,
     TankSettings,
     ThrottleProfile,
@@ -593,10 +595,36 @@ REPLACE_BYPASSES = {
 }
 
 
+@pytest.mark.parametrize("method", ["replace", "_replace"])
 @pytest.mark.parametrize("changes, key", REPLACE_BYPASSES.values(), ids=REPLACE_BYPASSES.keys())
-def test_replace_rejects_what_the_loader_rejects(blowdown_config, changes, key):
+def test_replace_rejects_what_the_loader_rejects(blowdown_config, changes, key, method):
     with pytest.raises(ConfigError, match=re.escape(key)):
-        blowdown_config.replace(**changes(blowdown_config))
+        getattr(blowdown_config, method)(**changes(blowdown_config))
+
+
+# Every way of building a config from another: each must run the check.
+REBUILDS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda config: pickle.loads(pickle.dumps(config)),
+    "_make": lambda config: type(config)._make(config),
+    "_replace": lambda config: config._replace(),
+}
+
+
+@pytest.mark.parametrize("rebuild", REBUILDS.values(), ids=REBUILDS.keys())
+def test_rebuilt_config_equals_the_original(blowdown_config, rebuild):
+    rebuilt = rebuild(blowdown_config)
+    assert type(rebuilt) is ScenarioConfig and rebuilt == blowdown_config
+
+
+@pytest.mark.parametrize("rebuild", REBUILDS.values(), ids=REBUILDS.keys())
+def test_rebuilding_runs_the_check(blowdown_config, rebuild):
+    # Built past __new__, as only tuple.__new__ can: noise above the supply.
+    fields = {**blowdown_config._asdict(), "noise_sigma": 1e308}
+    unchecked = tuple.__new__(ScenarioConfig, fields.values())
+    with pytest.raises(ConfigError, match="sensors.noise_sigma_bar"):
+        rebuild(unchecked)
 
 
 def test_fraction_that_pairs_to_ambient_is_rejected_at_load():
