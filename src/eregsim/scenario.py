@@ -283,6 +283,9 @@ class ScenarioConfig(_ScenarioFields):
     def _make(cls, iterable):  # _replace builds through it
         return cls(*iterable)
 
+    def __reduce__(self):  # copy and every pickle protocol build through __new__
+        return type(self), tuple(self)
+
     def tank_setpoint(self, side: str) -> float:
         return self.schedule.ox_tank if side == "ox" else self.schedule.fuel_tank
 

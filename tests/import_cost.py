@@ -5,15 +5,16 @@ process, round after round: odd rounds import the parent first, even
 rounds the change first. Before each import the tool drops every eregsim
 module from ``sys.modules``, so each one compiles and runs its source
 again; numpy, PyYAML and the standard library stay loaded after the
-warm-up rounds, which are not counted. Bytecode must not be written, or
-later rounds would read it: run the tool under ``python -B`` (or with
+WARMUP uncounted rounds, and the ROUNDS after them are counted.
+Bytecode must not be written, or later rounds would read it: run the
+tool under ``python -B`` (or with
 PYTHONDONTWRITEBYTECODE=1), and, as tests.bench_pairs does, it refuses
 a tree whose ``src/`` already holds a ``__pycache__``.
 
 It prints each tree's median and quartiles in ms, the change/parent
 ratio of the medians and the rounds the change imported faster:
 
-    python -B -m tests.import_cost PARENT_TREE CHANGE_TREE --rounds 60
+    python -B -m tests.import_cost PARENT_TREE CHANGE_TREE
 """
 
 import argparse
@@ -25,6 +26,9 @@ import time
 from pathlib import Path
 
 from tests.bench_pairs import SIDES, quartiles
+
+WARMUP = 2
+ROUNDS = 60
 
 
 def summarise(times: dict[str, list[float]]) -> dict:
@@ -69,14 +73,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--rounds", type=int, default=60)
-    parser.add_argument("--warmup", type=int, default=2, help="uncounted rounds first")
     args = parser.parse_args(argv)
     if not sys.dont_write_bytecode:
         parser.error("run under python -B or PYTHONDONTWRITEBYTECODE=1: written bytecode "
                      "would spare later rounds the compile")
-    if args.rounds < 2:
-        parser.error("--rounds must be at least 2 for quartiles")
     srcs = {"parent": args.parent.resolve() / "src", "change": args.change.resolve() / "src"}
     for src in srcs.values():
         if not (src / "eregsim" / "__init__.py").is_file():
@@ -85,10 +85,10 @@ def main(argv=None) -> int:
             parser.error(f"{src} holds a __pycache__; imports would not compile the source")
 
     times = {side: [] for side in SIDES}
-    for round_ in range(args.warmup + args.rounds):
+    for round_ in range(WARMUP + ROUNDS):
         for side in SIDES if round_ % 2 == 0 else SIDES[::-1]:
             seconds = fresh_import(srcs[side])
-            if round_ >= args.warmup:
+            if round_ >= WARMUP:
                 times[side].append(seconds)
     print("\n".join(report(summarise(times))))
     return 0

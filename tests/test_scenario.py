@@ -606,7 +606,8 @@ def test_replace_rejects_what_the_loader_rejects(blowdown_config, changes, key, 
 REBUILDS = {
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
-    "pickle": lambda config: pickle.loads(pickle.dumps(config)),
+    **{f"pickle{protocol}": lambda config, protocol=protocol: pickle.loads(
+        pickle.dumps(config, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)},
     "_make": lambda config: type(config)._make(config),
     "_replace": lambda config: config._replace(),
 }
