@@ -178,6 +178,9 @@ class Actuator:
     time constant; the angle integrates the rate and stops hard at the
     travel limits (rate zeroed). Optional backlash models lost motion
     between the motor shaft (where the encoder sits) and the ball valve.
+    step() leaves the encoder reading of the new shaft angle, quantized to
+    encoder_counts_per_degree when that is above 0, in measured_angle
+    (0.0 before the first step).
     """
 
     def __init__(self, settings: ActuatorSettings, dt: float):
@@ -197,13 +200,7 @@ class Actuator:
         self.command = 0.0
         self.backlash = settings.backlash
         self.encoder_counts_per_degree = settings.encoder_counts_per_degree
-
-    def measured_angle(self) -> float:
-        """Encoder reading (motor shaft), optionally quantized."""
-        if self.encoder_counts_per_degree > 0.0:
-            counts = math.floor(self.angle * self.encoder_counts_per_degree)
-            return counts / self.encoder_counts_per_degree
-        return self.angle
+        self.measured_angle = 0.0  # encoder reading, set by step
 
     def step(self, command: float) -> None:
         if not math.isfinite(command):
@@ -225,6 +222,10 @@ class Actuator:
             rate = 0.0
         self.angle = angle
         self.rate = rate
+        per_degree = self.encoder_counts_per_degree
+        self.measured_angle = (
+            math.floor(angle * per_degree) / per_degree if per_degree > 0.0 else angle
+        )
         # Lost motion: the valve only moves once the motor takes up the lash.
         valve_angle = self.valve_angle
         slack = angle - self.backlash
@@ -301,5 +302,5 @@ class EregController:
             pid_out = self.primary.step(setpoint, downstream_pressure, scale)
             self.u1 = clamp(ff_angle + pid_out, 0.0, FULL_TRAVEL)
             self.last_feedforward = ff_angle
-        self.u2 = self.secondary.step(self.u1, self.actuator.measured_angle())
+        self.u2 = self.secondary.step(self.u1, self.actuator.measured_angle)
         return self.u2

@@ -178,8 +178,19 @@ class _Plant:
     def _back_pressure(self, p0, p1, v0, v1) -> float:
         """Chamber pressure pc consistent with the open branches of the tanks
         that hold liquid: a monotone root-find (Newton with bisection safeguard)
-        of pc - (cstar/At) * sum_i beta_i * sqrt(p_tank_i - pc), floored at ambient.
-        A shut or dry branch enters at p_tank = -inf (see the module notes).
+        of f(pc) = pc - (cstar/At) * S(pc), S(pc) = sum_i beta_i * sqrt(p_tank_i - pc),
+        floored at ambient. A shut or dry branch enters at p_tank = -inf (see
+        the module notes).
+
+        The chamber stays at ambient when the flow is weak, f(ambient) >= 0.
+        The first pass, at the warm start clamped to [ambient, max p_tank],
+        doubles as that test: S cannot rise as pc rises, in floating point
+        too, because the subtraction, the sqrt, the product by beta >= 0 and
+        the sum all round monotonically, so S(ambient) >= S(pc), and with it
+        gain * S(ambient) >= gain * S(pc). A first pass with
+        ambient - gain * S(pc) < 0 thus rules weak flow out; only otherwise
+        does the ambient pass compute S(ambient). The Newton slope is
+        computed only on a pass that takes a step.
         """
         gain = self._gain
         lo = self._ambient
@@ -188,48 +199,54 @@ class _Plant:
         (beta0, gain_beta0, rc0), (beta1, gain_beta1, rc1) = self._branch
         p0 = p0 if rc0 is not None and v0 > 0.0 else -math.inf
         p1 = p1 if rc1 is not None and v1 > 0.0 else -math.inf
-        total = 0.0
-        drop = p0 - lo
-        if drop > 0.0:
-            total += beta0 * math.sqrt(drop)
-        drop = p1 - lo
-        if drop > 0.0:
-            total += beta1 * math.sqrt(drop)
-        if lo - gain * total >= 0.0:
-            return lo  # weak flow (or no open branch): chamber stays at ambient
         hi = p0 if p0 > lo else lo
         hi = p1 if p1 > hi else hi
         pc = self._pc_guess
         pc = lo if lo > pc else pc
         pc = hi if hi < pc else pc
-        for _ in range(ROOT_MAX_ITERATIONS):
+        passes = 0
+        while True:
             total = 0.0
-            slope = 1.0
-            drop = p0 - pc
-            if drop > 0.0:
-                root = math.sqrt(drop)
-                total += beta0 * root
-                slope += gain_beta0 / (2.0 * root)
-            drop = p1 - pc
-            if drop > 0.0:
-                root = math.sqrt(drop)
-                total += beta1 * root
-                slope += gain_beta1 / (2.0 * root)
+            drop0 = p0 - pc
+            if drop0 > 0.0:
+                root0 = math.sqrt(drop0)
+                total += beta0 * root0
+            drop1 = p1 - pc
+            if drop1 > 0.0:
+                root1 = math.sqrt(drop1)
+                total += beta1 * root1
             f = pc - gain * total
+            if not passes and lo - gain * total >= 0.0:
+                total = 0.0  # the ambient pass
+                drop = p0 - lo
+                if drop > 0.0:
+                    total += beta0 * math.sqrt(drop)
+                drop = p1 - lo
+                if drop > 0.0:
+                    total += beta1 * math.sqrt(drop)
+                if lo - gain * total >= 0.0:
+                    return lo  # weak flow (or no open branch): chamber stays at ambient
             if abs(f) < ROOT_TOLERANCE_PA:
                 break
             if f > 0.0:
                 hi = pc
             else:
                 lo = pc
+            slope = 1.0
+            if drop0 > 0.0:
+                slope += gain_beta0 / (2.0 * root0)
+            if drop1 > 0.0:
+                slope += gain_beta1 / (2.0 * root1)
             step = pc - f / slope
             pc = step if lo < step < hi else 0.5 * (lo + hi)
-        else:
-            if math.isnan(f) or hi > math.nextafter(lo, math.inf):
-                raise ModelError(
-                    f"chamber pressure root-find did not converge in {ROOT_MAX_ITERATIONS} "
-                    f"iterations (residual {f:.3g} Pa)"
-                )
+            passes += 1
+            if passes >= ROOT_MAX_ITERATIONS:
+                if math.isnan(f) or hi > math.nextafter(lo, math.inf):
+                    raise ModelError(
+                        f"chamber pressure root-find did not converge in {ROOT_MAX_ITERATIONS} "
+                        f"iterations (residual {f:.3g} Pa)"
+                    )
+                break
         self._pc_guess = pc
         return pc
 
@@ -492,13 +509,14 @@ class Run:
                 flows = plant.snapshot()
                 setpoints = setpoints_at(schedule, t)
                 # Sensor sampling happens at the primary rate; optional zero-mean
-                # Gaussian noise is drawn in a fixed order for determinism: the
-                # supply, then the regulators.
+                # Gaussian noise is one draw per tick, in a fixed order for
+                # determinism: the supply, then the regulators.
                 measured = [*plant.ullage_pressure, *flows.p_injector]
                 measured_supply = plant.supply_pressure
                 if rng is not None:
-                    measured_supply += noise_sigma * rng.standard_normal()
-                    measured = [p + noise_sigma * rng.standard_normal() for p in measured]
+                    noise = rng.standard_normal(1 + len(measured)).tolist()
+                    measured_supply += noise_sigma * noise[0]
+                    measured = [p + noise_sigma * n for p, n in zip(measured, noise[1:])]
             elif warm:
                 plant.warm_start()
 

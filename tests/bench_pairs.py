@@ -10,8 +10,12 @@ every set-up as the benchmark's own runs do; a tree that already holds a
 
 The output holds, per workload, the number of pairs, per end-to-end
 metric of BENCHMARK.json the median and quartiles of each side, the
-change/parent ratio of the medians and the pairs the change read better,
-and every run's result record in pair order:
+change/parent ratio of the medians, the pairs the change read better,
+whether the difference is resolved, and every run's result record in pair
+order. A metric is resolved when the change read better in at least 9 of
+10 pairs and its median is better than the parent's by more than the
+parent's interquartile range; each workload's summary line says which
+metrics are:
 
     python -m tests.bench_pairs PARENT_TREE CHANGE_TREE --workloads calibrate_fits \\
         --pairs 10 --seed 1 --seconds 10 --claim "..." --out BENCH_34.json
@@ -43,19 +47,32 @@ def summarise(records: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     order; end_to_end is BENCHMARK.json's list of metrics, each with its
     name and whether higher or lower is better.
     """
+    pairs = len(records["parent"])
     medians = {}
     for metric in end_to_end:
         name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in records[side]] for side in SIDES}
         sign = 1.0 if metric["better"] == "higher" else -1.0
         stats = {side: quartiles(values[side]) for side in SIDES}
+        better = sum(sign * (c - p) > 0.0 for p, c in zip(values["parent"], values["change"]))
+        gap = sign * (stats["change"]["median"] - stats["parent"]["median"])
         medians[name] = {
             **stats,
             "change_over_parent": stats["change"]["median"] / stats["parent"]["median"],
-            "change_better_pairs": sum(
-                sign * (c - p) > 0.0 for p, c in zip(values["parent"], values["change"])),
+            "change_better_pairs": better,
+            "resolved": 10 * better >= 9 * pairs
+            and gap > stats["parent"]["q3"] - stats["parent"]["q1"],
         }
-    return {"pairs": len(records["parent"]), "medians": medians, "records": records}
+    return {"pairs": pairs, "medians": medians, "records": records}
+
+
+def summary_line(workload: str, entry: dict) -> str:
+    """One workload's pairs: per metric the ratio, the pairs read better and
+    whether the difference is resolved."""
+    return f"{workload}, {entry['pairs']} pairs: " + "; ".join(
+        f"{name} x{m['change_over_parent']:.4f} better {m['change_better_pairs']}/"
+        f"{entry['pairs']} {'resolved' if m['resolved'] else 'unresolved'}"
+        for name, m in entry["medians"].items())
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -99,6 +116,7 @@ def main(argv=None) -> int:
                                       records[side][-1]["metrics"].items())
                 for side in SIDES), file=sys.stderr)
         workloads[workload] = summarise(records, end_to_end)
+        print(summary_line(workload, workloads[workload]), file=sys.stderr)
 
     description = (
         f"Alternating parent/change pairs of `python3 perfbench/run.py --workload <w> "
@@ -107,7 +125,9 @@ def main(argv=None) -> int:
         f"either tree); odd pairs run the parent first, even pairs the change first. "
         f"`records` holds each run's result_seed{args.seed}_trace0.json in pair order; "
         f"`medians` the median and quartiles of each end-to-end metric per side, the "
-        f"change/parent ratio of the medians and the number of pairs the change read better."
+        f"change/parent ratio of the medians, the number of pairs the change read better, "
+        f"and `resolved`: better in at least 9 of 10 pairs with the median better by more "
+        f"than the parent's interquartile range."
     )
     payload = {
         "description": f"{description} {args.note}".strip(),

@@ -226,8 +226,11 @@ class TestActuator:
 
     def test_encoder_quantization(self):
         act = make_actuator(encoder_counts_per_degree=10.0)
+        assert act.measured_angle == 0.0  # no reading before the first step
         act.angle = 12.3456
-        assert act.measured_angle() == pytest.approx(12.3)
+        act.step(0.0)  # at rest with no command the shaft holds its angle
+        assert act.angle == 12.3456
+        assert act.measured_angle == pytest.approx(12.3)
 
 
 
@@ -281,6 +284,7 @@ class TestStepsMatchReference:
     )
     def test_actuator_step(self, actuator, dt, commands):
         act = Actuator(actuator, dt)
+        assert act.measured_angle.hex() == (0.0).hex()
         state = ActuatorState()
         for command in commands:
             act.step(command)
@@ -291,7 +295,7 @@ class TestStepsMatchReference:
             ]
             counts = actuator.encoder_counts_per_degree
             reading = math.floor(state.angle * counts) / counts if counts > 0.0 else state.angle
-            assert act.measured_angle().hex() == reading.hex()
+            assert act.measured_angle.hex() == reading.hex()
 
 
 def controller_settings(ff, primary):

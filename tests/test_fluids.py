@@ -1,9 +1,12 @@
 import functools
+import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eregsim import engine
 from eregsim.engine import RunAudit, _Plant
 from eregsim.errors import ModelError
 from eregsim.fluids import (
@@ -431,6 +434,10 @@ TANK_PRESSURE = st.one_of(
 )
 
 
+# Root-find passes allowed; the examples below lower it to reach exhaustion.
+PASSES = engine.ROOT_MAX_ITERATIONS
+
+
 class TestBackPressureMatchesLoop:
     """_Plant._back_pressure unrolls the two branches; the list-based loop in
     tests/oracles.py is its reference, bit for bit, warm start included."""
@@ -442,24 +449,55 @@ class TestBackPressureMatchesLoop:
         p_tank=st.tuples(TANK_PRESSURE, TANK_PRESSURE),
         wet=st.tuples(st.booleans(), st.booleans()),
         guess=st.one_of(st.just(AMBIENT_PRESSURE), st.floats(0.0, 60e5)),
+        passes=st.just(PASSES),
     )
-    @example(angles=(60.0, 60.0), p_tank=(42e5, 42e5), wet=(True, True), guess=AMBIENT_PRESSURE)
-    @example(angles=(60.0, 0.0), p_tank=(42e5, 42e5), wet=(True, True), guess=20e5)
-    @example(angles=(60.0, 60.0), p_tank=(42e5, 42e5), wet=(False, True), guess=20e5)
-    @example(angles=(0.0, 0.0), p_tank=(42e5, 42e5), wet=(True, True), guess=20e5)
-    @example(angles=(60.0, 60.0), p_tank=(1.02e5, 1.02e5), wet=(True, True), guess=20e5)
-    def test_same_root_and_warm_start(self, dense, angles, p_tank, wet, guess):
+    @example(angles=(60.0, 60.0), p_tank=(42e5, 42e5), wet=(True, True), guess=AMBIENT_PRESSURE,
+             passes=PASSES)
+    @example(angles=(60.0, 0.0), p_tank=(42e5, 42e5), wet=(True, True), guess=20e5,
+             passes=PASSES)
+    @example(angles=(60.0, 60.0), p_tank=(42e5, 42e5), wet=(False, True), guess=20e5,
+             passes=PASSES)
+    @example(angles=(0.0, 0.0), p_tank=(42e5, 42e5), wet=(True, True), guess=20e5,
+             passes=PASSES)
+    @example(angles=(60.0, 60.0), p_tank=(1.02e5, 1.02e5), wet=(True, True), guess=20e5,
+             passes=PASSES)
+    # A warm start above both tanks: the first pass pulls nothing, so the
+    # ambient pass runs, and finds the flow strong.
+    @example(angles=(60.0, 60.0), p_tank=(42e5, 42e5), wet=(True, True), guess=60e5,
+             passes=PASSES)
+    # A warm start between ambient and the tanks that pulls too little: weak
+    # flow that only the ambient pass confirms (baseline).
+    @example(angles=(60.0, 60.0), p_tank=(1.02e5, 1.02e5), wet=(True, True), guess=1.015e5,
+             passes=PASSES)
+    # A nan tank pressure passes nothing; an inf one never converges.
+    @example(angles=(60.0, 60.0), p_tank=(math.nan, 42e5), wet=(True, True), guess=20e5,
+             passes=PASSES)
+    @example(angles=(60.0, 60.0), p_tank=(math.inf, 42e5), wet=(True, True), guess=20e5,
+             passes=PASSES)
+    # Exhaustion after one and two passes. On the baseline these warm starts
+    # converge on pass 2 (27.26e5) and pass 3 (27e5), so each pass limit is
+    # met exactly: one pass short is a model failure with the bracket still
+    # wide. On ox_rho_1e200, a root left in a bracket of adjacent floats.
+    @example(angles=(60.0, 60.0), p_tank=(42e5, 42e5), wet=(True, True), guess=27.26e5, passes=1)
+    @example(angles=(60.0, 60.0), p_tank=(42e5, 42e5), wet=(True, True), guess=27.26e5, passes=2)
+    @example(angles=(60.0, 60.0), p_tank=(42e5, 42e5), wet=(True, True), guess=27e5, passes=2)
+    @example(angles=(60.0, 60.0), p_tank=(math.nextafter(AMBIENT_PRESSURE, math.inf), 42e5),
+             wet=(True, False), guess=AMBIENT_PRESSURE, passes=1)
+    @example(angles=(60.0, 60.0), p_tank=(math.nextafter(AMBIENT_PRESSURE, math.inf), 42e5),
+             wet=(True, False), guess=AMBIENT_PRESSURE, passes=2)
+    def test_same_root_and_warm_start(self, dense, angles, p_tank, wet, guess, passes):
         plant = _Plant(dense_ox_config() if dense else shipped_config("staticfire_baseline"))
         plant.set_angles([0.0, 0.0, *valve_angles(plant.valves[2:], angles)])
         liquid = [1.0 if w else 0.0 for w in wet]
         plant._pc_guess = guess
-        try:
-            pc, warm_start = back_pressure_reference(plant, p_tank, liquid)
-        except ModelError:
-            with pytest.raises(ModelError):
-                plant._back_pressure(*p_tank, *liquid)
-            return
-        assert plant._back_pressure(*p_tank, *liquid).hex() == pc.hex()
+        with mock.patch.object(engine, "ROOT_MAX_ITERATIONS", passes):
+            try:
+                pc, warm_start = back_pressure_reference(plant, p_tank, liquid)
+            except ModelError:
+                with pytest.raises(ModelError):
+                    plant._back_pressure(*p_tank, *liquid)
+                return
+            assert plant._back_pressure(*p_tank, *liquid).hex() == pc.hex()
         assert plant._pc_guess.hex() == warm_start.hex()
 
     @settings(max_examples=200, deadline=None)

@@ -158,6 +158,17 @@ class TestFramePerPrimaryTick:
             assert getattr(first, side + "_tank").pressure_bar == pressure / 1e5
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 2**63 + 5])
+def test_batched_normal_draws_equal_scalar_draws(seed):
+    """Run.advance draws a primary tick's five sensor noises in one call; that
+    is the sequence of scalar draws only while numpy's batched standard_normal
+    gives the scalar draws in order and leaves the generator where they do."""
+    batched = np.random.default_rng(seed)
+    draws = batched.standard_normal(5).tolist() + batched.standard_normal(5).tolist()
+    scalar = np.random.default_rng(seed)
+    assert [x.hex() for x in draws] == [scalar.standard_normal().hex() for _ in range(10)]
+
+
 # A config changed after loading is held to the step grid a loaded one is:
 # replace() rejects 1e303 steps that would never end, and 2.5 steps per 1 ms
 # secondary tick, which the engine would round to 2 and so miss every primary
