@@ -197,7 +197,6 @@ class Actuator:
         self.angle = 0.0  # motor-side angle, degrees
         self.valve_angle = 0.0  # downstream of any backlash
         self.rate = 0.0
-        self.command = 0.0
         self.backlash = settings.backlash
         self.encoder_counts_per_degree = settings.encoder_counts_per_degree
         self.measured_angle = 0.0  # encoder reading, set by step
@@ -207,7 +206,6 @@ class Actuator:
             _require_finite(command=command)
         command = -1.0 if -1.0 > command else command
         command = 1.0 if 1.0 < command else command
-        self.command = command
         target_rate = command * self.rate_max
         decay = self._decay
         rate = self.rate

@@ -56,7 +56,9 @@ from .errors import EregSimError, ModelError
 from .fluids import (
     CHOKED_PRESSURE_RATIO,
     FULL_TRAVEL,
-    GasTankState,  # unused: perfbench traces GasTankState.from_pressure through this namespace
+    # Unused: only test_patch_engine_wraps_imported_names_and_unpatch_restores in
+    # perfbench/tests/test_perfbench.py traces it through here, until ROADMAP item 3.
+    GasTankState,
     chamber_state,
     choked_flow_fade,
 )

@@ -31,11 +31,9 @@ CHOKED_PRESSURE_RATIO = 0.528
 
 
 class GasTankState(NamedTuple):
-    """A lump of ideal gas, for invariant checks on the plant state.
-
-    pressure, volume, gas_mass and temperature should satisfy
-    p * V = m * R * T; gas_law_residual measures how far they are off.
-    """
+    """Ideal gas, p * V = m * R * T, that the program never builds: only
+    test_patch_engine_wraps_imported_names_and_unpatch_restores in
+    perfbench/tests/test_perfbench.py traces it, until ROADMAP item 3."""
 
     pressure: float  # Pa
     volume: float  # m3
@@ -53,13 +51,6 @@ class GasTankState(NamedTuple):
     ) -> "GasTankState":
         mass = pressure * volume / (specific_gas_constant * temperature)
         return cls(pressure, volume, mass, temperature, specific_gas_constant)
-
-    def gas_law_residual(self) -> float:
-        """Relative residual of p*V - m*R*T (0 for a consistent state)."""
-        pv = self.pressure * self.volume
-        if pv == 0.0:
-            return 0.0
-        return abs(pv - self.gas_mass * self.specific_gas_constant * self.temperature) / pv
 
 
 class ValveModel(NamedTuple):

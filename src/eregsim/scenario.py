@@ -242,6 +242,10 @@ class ScenarioConfig(_ScenarioFields):
         ambient_bar = bar(self.ambient_pressure, "ambient_pressure_bar", above=0.0)
         supply_bar = bar(self.supply_pressure, "supply.initial_pressure_bar", above=ambient_bar)
         for side in SIDES:
+            checked_number(self.tanks[side].liquid_density, f"tanks.{side}.liquid_density_kg_m3",
+                           above=0.0)
+            _in_range(f"lines.{side}", "loss coefficient", lambda: self.lines[side].loss_coefficient)
+            _in_range(f"injector.{side}", "orifice coefficient", lambda: self.injectors[side].coeff)
             bar(self.tanks[side].initial_pressure, f"tanks.{side}.initial_pressure_bar",
                 above=ambient_bar)
             # One rule on the schedule, whichever kind of throttle the file wrote.
@@ -252,6 +256,11 @@ class ScenarioConfig(_ScenarioFields):
                 bar(segment.target_pressure, f"{key}.segments[{i}].target_bar", above=ambient_bar)
                 bar(segment.ramp_rate, f"{key}.segments[{i}].ramp_rate_bar_s", above=0.0)
                 checked_number(segment.hold_duration, f"{key}.segments[{i}].hold_s", at_least=0.0)
+        if self.chamber is not None:
+            _in_range("chamber", "c*/At",
+                      lambda: self.chamber.characteristic_velocity / self.chamber.throat_area)
+        checked_number(self.actuator.time_constant, "actuators.time_constant_s", above=0.0)
+        checked_number(self.actuator.rate_max, "actuators.rate_max_deg_s", above=0.0)
         for reg in EREG_NAMES:
             # The supply feeds the tank valves; each tank feeds its injector
             # valve, at the tank's start pressure and later at its setpoint.
@@ -260,9 +269,19 @@ class ScenarioConfig(_ScenarioFields):
                 self.tank_setpoint(side), self.tanks[side].initial_pressure)
             bar(self.valves[reg].rated_pressure, f"valves.{reg}.rated_pressure_bar",
                 at_least=upstream / 1e5)
-        for side in SIDES:
-            settings = self.controllers[side + "_inj"]
-            peak = getattr(self.schedule, side + "_inj").max_pressure()
+            settings, key = self.controllers[reg], f"controllers.{reg}"
+            checked_number(settings.ramp_time, f"{key}.ramp_time_s", above=0.0)
+            if settings.locked_angle is not None:
+                checked_number(settings.locked_angle, f"{key}.locked_angle_deg", at_least=0.0,
+                               at_most=FULL_TRAVEL)
+            for loop, gains, scale in (("primary", settings.primary_gains, 1e5),
+                                       ("secondary", settings.secondary_gains, 1.0)):
+                for name, gain in zip(PidGains._fields, gains):  # primary: per Pa, written per bar
+                    checked_number(gain * scale, f"{key}.{loop}.{name}", at_least=0.0)
+            if kind == "tank":
+                checked_number(settings.feedforward.gamma, f"{key}.feedforward.gamma_deg")
+                continue
+            peak = getattr(self.schedule, reg).max_pressure()
             headroom = self.tank_setpoint(side) - settings.feedforward.min_drop
             if settings.locked_angle is None and peak > headroom:
                 raise InfeasibleThrottleError(f"{side} injector profile peaks at {peak / 1e5:.2f} "
@@ -290,7 +309,7 @@ class ScenarioConfig(_ScenarioFields):
         return self.schedule.ox_tank if side == "ox" else self.schedule.fuel_tank
 
     def replace(self, **kwargs) -> "ScenarioConfig":
-        """This config with the given fields changed, checked as a loaded one is."""
+        """This config with the given fields changed, held to the config's own rules."""
         unknown = kwargs.keys() - self._fields
         if unknown:
             raise TypeError(f"ScenarioConfig has no field {', '.join(sorted(unknown))}")

@@ -91,24 +91,13 @@ class TelemetryFrame(namedtuple("TelemetryFrame", [
     def __reduce__(self):  # copy and pickle: __new__ takes blocks, not the 33 fields
         return self._make, (tuple(self),)
 
-    def values(self) -> list[float]:
-        """The numeric fields in CSV column order."""
-        return [*self[:_WIDTH]]
-
-    @classmethod
-    def from_values(cls, values: list[float], events) -> "TelemetryFrame":
-        """The frame whose values() are values; a list not 32 long, or a nan
-        or inf value, is a ValueError (naming its CSV column)."""
-        _check_values(values)
-        return _new(cls, (*values, tuple(events)))
-
 
 # The repr of the frame as nested blocks, as its constructor takes it.
 _REPR = "TelemetryFrame(%s)" % ", ".join([
     "time_s=%r",
     *(f"{name}=EregFrame({', '.join(f'{f}=%r' for f in EREG_FIELDS)})" for name in EREG_NAMES),
     *(f"{f}=%r" for f in SCALAR_FIELDS), "events=%r"])
-# One data row: the numeric fields of values(), then the events cell.
+# One data row: the 32 numeric fields, then the events cell.
 _ROW_FORMAT = "%.9g," * _WIDTH + "%s\r\n"
 
 

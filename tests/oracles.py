@@ -123,7 +123,7 @@ def grid_cv_fit(samples: list[tuple[float, float]]) -> CvFit:
 
 def emit_telemetry_reference(frames: list[TelemetryFrame], destination) -> None:
     """The telemetry CSV through csv.writer, one f"{v:.9g}" per value read
-    by field name in header order, not through values();
+    by field name in header order, not by position;
     telemetry.emit_telemetry must write the same bytes."""
     with open(destination, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -137,24 +137,28 @@ def emit_telemetry_reference(frames: list[TelemetryFrame], destination) -> None:
 
 
 def read_telemetry_reference(path) -> list[TelemetryFrame]:
-    """The telemetry CSV through one csv.reader loop, float() per cell and
-    from_values per row; for every file telemetry.read_telemetry accepts,
-    it must give the same frames to the bit. The reader sets no cell size
-    limit, so neither does this loop."""
+    """The telemetry CSV through one csv.reader loop, float() per cell and a
+    check per row that it holds 32 finite numbers; for every file
+    telemetry.read_telemetry accepts, it must give the same frames to the
+    bit. The reader sets no cell size limit, so neither does this loop."""
     path = Path(path)
     frames = []
     limit = csv.field_size_limit(1 << 30)
     try:
         with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != csv_header():
+            reader, header = csv.reader(fh), csv_header()
+            if next(reader, None) != header:
                 raise EregSimError(f"unexpected telemetry header in {path}")
             try:
                 for row in reader:
-                    frames.append(TelemetryFrame.from_values(
-                        [*map(float, row[:-1])],
-                        row[-1].split(";") if row[-1] else (),
-                    ))
+                    values = [*map(float, row[:-1])]
+                    if len(values) != 32:
+                        raise ValueError(f"{len(values)} numeric columns, not 32")
+                    for name, value in zip(header, values):
+                        if not math.isfinite(value):
+                            raise ValueError(f"column {name} is {value}")
+                    frames.append(TelemetryFrame._make(
+                        [*values, tuple(row[-1].split(";")) if row[-1] else ()]))
             except (csv.Error, IndexError, ValueError) as exc:
                 raise EregSimError(
                     f"malformed telemetry row in {path} at line {reader.line_num}: {exc}"
@@ -292,7 +296,6 @@ class ActuatorState:
     angle: float = 0.0
     valve_angle: float = 0.0
     rate: float = 0.0
-    command: float = 0.0
 
 
 def actuator_step_reference(state: ActuatorState, settings: ActuatorSettings, dt: float,
@@ -301,8 +304,7 @@ def actuator_step_reference(state: ActuatorState, settings: ActuatorSettings, dt
     the clamped command times rate_max, the angle integrates it and stops at
     the travel limits, and the valve follows through the backlash."""
     decay = math.exp(-dt / settings.time_constant)
-    state.command = min(max(command, -1.0), 1.0)
-    target_rate = state.command * settings.rate_max
+    target_rate = min(max(command, -1.0), 1.0) * settings.rate_max
     state.angle += target_rate * dt + (state.rate - target_rate) * settings.time_constant * (
         1.0 - decay
     )

@@ -119,7 +119,7 @@ def case_config(name: str, noisy: bool = False):
 
 def frames_to_fields(frames) -> np.ndarray:
     """Every numeric telemetry field, one row per frame, in CSV column order."""
-    return np.array([f.values() for f in frames], dtype=np.float64)
+    return np.array([f[:-1] for f in frames], dtype=np.float64)
 
 
 def event_onsets(frames) -> list[str]:

@@ -196,11 +196,17 @@ class TestActuator:
         assert production.angle == pytest.approx(closed, rel=5e-3)
 
     def test_command_clamped(self):
-        act = make_actuator()
-        act.step(7.0)
-        assert act.command == 1.0
-        act.step(-7.0)
-        assert act.command == -1.0
+        # A command beyond [-1, 1] moves the shaft as the bound itself does,
+        # and as the reference does with the command as given.
+        shaft = ActuatorSettings(0.020, 180.0, 0.0, 0.0)
+        act, bound, state = Actuator(shaft, 0.001), Actuator(shaft, 0.001), ActuatorState()
+        for command in (7.0, 7.0, -7.0):
+            act.step(command)
+            bound.step(math.copysign(1.0, command))
+            actuator_step_reference(state, shaft, 0.001, command)
+            got = [(a.angle, a.valve_angle, a.rate) for a in (act, bound)]
+            assert got == [(state.angle, state.valve_angle, state.rate)] * 2
+            assert act.rate != 0.0
 
     def test_backlash_lost_motion(self):
         act = make_actuator(backlash=1.0)
@@ -289,9 +295,9 @@ class TestStepsMatchReference:
         for command in commands:
             act.step(command)
             actuator_step_reference(state, actuator, dt, command)
-            got = (act.angle, act.valve_angle, act.rate, act.command)
+            got = (act.angle, act.valve_angle, act.rate)
             assert [x.hex() for x in got] == [
-                x.hex() for x in (state.angle, state.valve_angle, state.rate, state.command)
+                x.hex() for x in (state.angle, state.valve_angle, state.rate)
             ]
             counts = actuator.encoder_counts_per_degree
             reading = math.floor(state.angle * counts) / counts if counts > 0.0 else state.angle
@@ -444,11 +450,6 @@ class TestClamp:
     @given(SIGNED, SIGNED, SIGNED)
     def test_same_operand_as_min_max(self, x, lo, hi):
         assert repr(clamp(x, lo, hi)) == repr(min(max(x, lo), hi))
-
-    def test_negative_zero_command_keeps_its_sign(self):
-        act = make_actuator()
-        act.step(-0.0)
-        assert math.copysign(1.0, act.command) == -1.0
 
     def test_negative_zero_valve_setpoint_keeps_its_sign(self):
         # ff+dyn at t = 0 (PID scale 0) with a -0.0 feedforward and a -0.0

@@ -525,6 +525,12 @@ def test_bad_ambient_is_named_in_the_mock_injector_scenarios(stem, value):
         scenario_from_dict(data)
 
 
+def with_record(config, field: str, name: str, **changes) -> dict:
+    """The replace() changes that change the record at name in a dict field."""
+    records = getattr(config, field)
+    return {field: {**records, name: records[name]._replace(**changes)}}
+
+
 # Configs changed after loading past a rule the loader holds. Before the
 # config checked itself, each ran: noise above the supply pressure failed
 # mid-run on a non-finite controller input, a physics step of 0 raised a
@@ -592,6 +598,51 @@ REPLACE_BYPASSES = {
             (config.schedule.ox_inj.segments[0]._replace(hold_duration=-1.0),)))},
         "setpoints.throttle.ox.segments[0].hold_s must be at least 0",
     ),
+    # Record fields held only by the reader. Changed on the static fire and
+    # run 0.3 s, a line diameter or an injector area of 1e-200 or a ramp time
+    # of 0 raised a raw ZeroDivisionError; a density of -5, a locked angle of
+    # 120, an actuator time constant of 0 or a rate limit of -1 a raw
+    # ValueError; a throat area of 1e-320 a ModelError with a nan residual; a
+    # kp of -1 a ControllerError at Run; and a gamma of nan a ControllerError
+    # that blamed the setpoint.
+    "ox_line_diameter=1e-200": (
+        lambda config: with_record(config, "lines", "ox", diameter=1e-200),
+        "lines.ox: loss coefficient out of floating-point range"),
+    "fuel_injector_area=1e-200": (
+        lambda config: with_record(config, "injectors", "fuel", area=1e-200),
+        "injector.fuel: orifice coefficient out of floating-point range"),
+    "ox_tank_ramp_time=0": (
+        lambda config: with_record(config, "controllers", "ox_tank", ramp_time=0.0),
+        "controllers.ox_tank.ramp_time_s must be above 0"),
+    "ox_density=-5": (
+        lambda config: with_record(config, "tanks", "ox", liquid_density=-5.0),
+        "tanks.ox.liquid_density_kg_m3 must be above 0"),
+    "fuel_inj_locked_angle=120": (
+        lambda config: with_record(config, "controllers", "fuel_inj", locked_angle=120.0),
+        "controllers.fuel_inj.locked_angle_deg must be at most 90"),
+    "actuator_time_constant=0": (
+        lambda config: {"actuator": config.actuator._replace(time_constant=0.0)},
+        "actuators.time_constant_s must be above 0"),
+    "actuator_rate_max=-1": (
+        lambda config: {"actuator": config.actuator._replace(rate_max=-1.0)},
+        "actuators.rate_max_deg_s must be above 0"),
+    # The blowdown has no chamber: the case adds one.
+    "throat_area=1e-320": (
+        lambda config: {"chamber": ChamberModel(1e-320, 1500.0, 1.5)},
+        "chamber: c*/At out of floating-point range"),
+    # Primary gains are stored per Pa and named per bar, as the file writes them.
+    "fuel_tank_kp=-1": (
+        lambda config: with_record(config, "controllers", "fuel_tank",
+                                   primary_gains=PidGains(-1e-5, 0.0, 0.0)),
+        "controllers.fuel_tank.primary.kp must be at least 0, got -1.0"),
+    "ox_inj_secondary_kd=-1": (
+        lambda config: with_record(config, "controllers", "ox_inj",
+                                   secondary_gains=PidGains(0.0, 0.0, -1.0)),
+        "controllers.ox_inj.secondary.kd must be at least 0, got -1.0"),
+    "ox_tank_gamma=nan": (
+        lambda config: with_record(config, "controllers", "ox_tank", feedforward=(
+            config.controllers["ox_tank"].feedforward._replace(gamma=math.nan))),
+        "controllers.ox_tank.feedforward.gamma_deg must be finite"),
 }
 
 
