@@ -22,28 +22,25 @@ All gas stays at the scenario's gas temperature: the supply is
 isothermal like the ullages. Everything that depends only on the
 scenario is computed once per run, and everything that depends only on
 the valve angles once per physics step for each valve whose angle
-changed (again if the oracle moves the valves before the step), so a
-stage is plain float arithmetic plus the chamber back-pressure
-root-find. The network and the root-find are written out for the two
-sides. A liquid branch that is shut, or whose tank is dry, enters the
-root-find at a tank pressure of -inf: its drop is never positive, so it
-adds nothing to the residual, the slope or the bracket, bit for bit as
-if it were left out.
+changed (again if the oracle moves the valves before the step). A
+liquid branch that is shut, or whose tank is dry, enters the chamber
+back-pressure root-find at a tank pressure of -inf: its drop is never
+positive, so it adds nothing to the residual, the slope or the bracket,
+bit for bit as if it were left out.
 
-Each physics step solves the flow network four times, once per RK4
-stage. Primary ticks also solve it on the stored state (the snapshot)
-for the sensors, the oracle and telemetry, as does an abort between
-primary ticks for its last frame. With a chamber the other steps run
-only the snapshot's back-pressure root-find (warm_start), which moves
-the warm start of the next stage's root-find; without one they run
-nothing: the back-pressure is ambient. The snapshot is not merged with
-the first stage although both see the same masses and angles: the
-snapshot reads the stored pressures (the ullage one from the integrated
-ullage volume) while a stage recomputes them from the masses, on
-V_total - V_liquid for the ullage. The two differ in the last bits, and
-the difference grows through the closed loop to more than 1e-12
-relative in the telemetry within the first 0.2 s of the baseline static
-fire.
+Each physics step evaluates the flow network four times, once per RK4
+stage, written out in step as plain float arithmetic for the two sides
+plus the root-find when a chamber is fitted. Primary ticks also evaluate
+it on the stored state (the snapshot) by the fluids flow laws, for the
+sensors, the oracle and telemetry, as does an abort between primary
+ticks for its last frame. With a chamber the other steps run only the
+snapshot's root-find (warm_start), which moves the warm start of the
+next stage's; without one the back-pressure is ambient. The snapshot is
+not merged with the first stage: it reads the stored pressures (the
+ullage one from the integrated ullage volume) while a stage recomputes
+them from the masses, on V_total - V_liquid, and the last-bit difference
+grows through the closed loop to more than 1e-12 relative in the
+telemetry within the first 0.2 s of the baseline static fire.
 """
 
 import math
@@ -59,8 +56,11 @@ from .fluids import (
     # Unused: only test_patch_engine_wraps_imported_names_and_unpatch_restores in
     # perfbench/tests/test_perfbench.py traces it through here, until ROADMAP item 3.
     GasTankState,
+    branch_flow,
     chamber_state,
     choked_flow_fade,
+    cv_of_angle,
+    gas_valve_mass_flow,
 )
 from .scenario import (
     EREG_NAMES, SIDES, ScenarioConfig, plant_start, setpoints_at, step_grid,
@@ -101,7 +101,8 @@ class NetworkFlows(NamedTuple):
 
 
 class _Plant:
-    """Flat plant state plus the network solver with a warm-started Pc.
+    """Flat plant state, the RK4 step that evaluates the flow network in each
+    stage, and the snapshot by the fluids laws; the Pc root-find is warm-started.
 
     Per-side fields are two-element lists indexed like SIDES; valves and
     angles are in EREG_NAMES order, so side i is fed through valve i and
@@ -252,42 +253,17 @@ class _Plant:
         self._pc_guess = pc
         return pc
 
-    def _network(self, p_sup, p0, p1, v0, v1) -> tuple[float, float, float, float, float]:
-        """(gas inflow to each ullage, liquid Q out of each tank, back pressure)
-        at the given supply and tank pressures and liquid volumes.
-
-        Gas valves pass k*Cv*p_sup with the near-equalized fade, as
-        fluids.gas_valve_mass_flow. Liquid branches are line + valve +
-        injector orifice in series against the back pressure, as
-        fluids.branch_flow; a tank without liquid passes nothing.
-        """
-        back = self._back_pressure(p0, p1, v0, v1)
-        gas0 = gas1 = 0.0
-        if p_sup > 0.0:
-            kcv0, kcv1 = self._kcv
-            r0, r1 = p0 / p_sup, p1 / p_sup
-            gas0 = kcv0 * p_sup * (1.0 if r0 <= CHOKED_PRESSURE_RATIO else 0.0 if r0 >= 1.0
-                                   else (1.0 - r0) / (1.0 - CHOKED_PRESSURE_RATIO))
-            gas1 = kcv1 * p_sup * (1.0 if r1 <= CHOKED_PRESSURE_RATIO else 0.0 if r1 >= 1.0
-                                   else (1.0 - r1) / (1.0 - CHOKED_PRESSURE_RATIO))
-        (_, _, rc0), (_, _, rc1) = self._branch
-        q0 = q1 = 0.0  # a nan drop passes, as in branch_flow
-        if rc0 is not None and v0 > 0.0 and not p0 - back <= 0.0:
-            q0 = math.sqrt((p0 - back) / rc0)
-        if rc1 is not None and v1 > 0.0 and not p1 - back <= 0.0:
-            q1 = math.sqrt((p1 - back) / rc1)
-        return gas0, gas1, q0, q1, back
-
     def snapshot(self) -> NetworkFlows:
-        """Flows on the stored state, for telemetry, sensors and the oracle;
-        the injector node pressure as fluids.branch_flow gives it."""
-        p_tank, v_liquid = self.ullage_pressure, self.liquid_volume
-        gas0, gas1, q0, q1, back = self._network(self.supply_pressure, *p_tank, *v_liquid)
-        q = (q0, q1)
-        p_injector = tuple(
-            p if rc is not None and v > 0.0 and p - back <= 0.0 else back + rho * q_i**2 * c
-            for p, v, q_i, (_, _, rc), rho, c in zip(p_tank, v_liquid, q, self._branch,
-                                                    self._rho, self._orifice))
+        """Flows on the stored state, for telemetry, sensors and the oracle, by
+        the fluids laws at the back pressure; a dry tank passes 0 at it."""
+        p_sup, p_tank, v_liquid = self.supply_pressure, self.ullage_pressure, self.liquid_volume
+        back = self._back_pressure(*p_tank, *v_liquid)
+        angles, valves = self._angles, self.valves
+        gas = tuple(gas_valve_mass_flow(valves[i], angles[i], p_sup, p_tank[i]) for i in (0, 1))
+        (q0, p_inj0), (q1, p_inj1) = (
+            branch_flow(p_tank[i], back, self._rho[i], cv_of_angle(valves[2 + i], angles[2 + i]),
+                        self._line[i], self._orifice[i]) if v_liquid[i] > 0.0 else (0.0, back)
+            for i in (0, 1))
         mdot_liquid = (q0 * self._rho[0], q1 * self._rho[1])
         if self.config.chamber is not None:
             pc, thrust = chamber_state(
@@ -295,7 +271,7 @@ class _Plant:
             )
         else:
             pc, thrust = self._ambient, 0.0
-        return NetworkFlows((gas0, gas1), q, mdot_liquid, p_injector, pc, thrust)
+        return NetworkFlows(gas, (q0, q1), mdot_liquid, (p_inj0, p_inj1), pc, thrust)
 
     def warm_start(self) -> None:
         """On a step whose snapshot nothing reads: only the snapshot's chamber
@@ -304,15 +280,6 @@ class _Plant:
         self._back_pressure(*self.ullage_pressure, *self.liquid_volume)
 
     # -- integration -------------------------------------------------------
-
-    def _flows(self, m_sup, m_ox, v_ox, m_fuel, v_fuel) -> tuple[float, float, float, float, float]:
-        """_network at a stage state (supply and ullage masses, liquid volumes)."""
-        rt = self._rt
-        p_sup = m_sup * rt / self._supply_volume if m_sup > 0.0 else 0.0
-        v_ox = 0.0 if 0.0 > v_ox else v_ox
-        v_fuel = 0.0 if 0.0 > v_fuel else v_fuel
-        return self._network(p_sup, m_ox * rt / (self._total_volume[0] - v_ox),
-                             m_fuel * rt / (self._total_volume[1] - v_fuel), v_ox, v_fuel)
 
     def step(self, dt: float) -> list[str]:
         """Advance tanks one physics step (RK4); returns new event names.
@@ -326,16 +293,61 @@ class _Plant:
         mf, vf = self.ullage_mass[1], self.liquid_volume[1]
         c = self._collapse
         h = 0.5 * dt
-        go1, gf1, qo1, qf1, _ = self._flows(s, mo, vo, mf, vf)
+        # Each stage evaluates the network at its own masses and volumes (module notes).
+        rt, vs, (t0, t1), ambient = self._rt, self._supply_volume, self._total_volume, self._ambient
+        (kcv0, kcv1), rc0, rc1 = self._kcv, self._branch[0][2], self._branch[1][2]
+        open0, open1, chamber = rc0 is not None, rc1 is not None, self._gain is not None
+        cpr, span, sqrt = CHOKED_PRESSURE_RATIO, 1.0 - CHOKED_PRESSURE_RATIO, math.sqrt
+        ps = s * rt / vs if s > 0.0 else 0.0
+        v0, v1 = (0.0 if 0.0 > vo else vo), (0.0 if 0.0 > vf else vf)
+        p0, p1 = mo * rt / (t0 - v0), mf * rt / (t1 - v1)
+        back = self._back_pressure(p0, p1, v0, v1) if chamber else ambient
+        go1 = gf1 = 0.0
+        if ps > 0.0:
+            r0, r1 = p0 / ps, p1 / ps
+            go1 = kcv0 * ps * (1.0 if r0 <= cpr else 0.0 if r0 >= 1.0 else (1.0 - r0) / span)
+            gf1 = kcv1 * ps * (1.0 if r1 <= cpr else 0.0 if r1 >= 1.0 else (1.0 - r1) / span)
+        qo1 = sqrt((p0 - back) / rc0) if open0 and v0 > 0.0 and not p0 - back <= 0.0 else 0.0
+        qf1 = sqrt((p1 - back) / rc1) if open1 and v1 > 0.0 and not p1 - back <= 0.0 else 0.0
         mo2, mf2 = mo + h * (go1 - c * mo), mf + h * (gf1 - c * mf)
-        go2, gf2, qo2, qf2, _ = self._flows(s - h * (go1 + gf1), mo2, vo - h * qo1,
-                                            mf2, vf - h * qf1)
+        m, v0, v1 = s - h * (go1 + gf1), vo - h * qo1, vf - h * qf1
+        ps = m * rt / vs if m > 0.0 else 0.0
+        v0, v1 = (0.0 if 0.0 > v0 else v0), (0.0 if 0.0 > v1 else v1)
+        p0, p1 = mo2 * rt / (t0 - v0), mf2 * rt / (t1 - v1)
+        back = self._back_pressure(p0, p1, v0, v1) if chamber else ambient
+        go2 = gf2 = 0.0
+        if ps > 0.0:
+            r0, r1 = p0 / ps, p1 / ps
+            go2 = kcv0 * ps * (1.0 if r0 <= cpr else 0.0 if r0 >= 1.0 else (1.0 - r0) / span)
+            gf2 = kcv1 * ps * (1.0 if r1 <= cpr else 0.0 if r1 >= 1.0 else (1.0 - r1) / span)
+        qo2 = sqrt((p0 - back) / rc0) if open0 and v0 > 0.0 and not p0 - back <= 0.0 else 0.0
+        qf2 = sqrt((p1 - back) / rc1) if open1 and v1 > 0.0 and not p1 - back <= 0.0 else 0.0
         mo3, mf3 = mo + h * (go2 - c * mo2), mf + h * (gf2 - c * mf2)
-        go3, gf3, qo3, qf3, _ = self._flows(s - h * (go2 + gf2), mo3, vo - h * qo2,
-                                            mf3, vf - h * qf2)
+        m, v0, v1 = s - h * (go2 + gf2), vo - h * qo2, vf - h * qf2
+        ps = m * rt / vs if m > 0.0 else 0.0
+        v0, v1 = (0.0 if 0.0 > v0 else v0), (0.0 if 0.0 > v1 else v1)
+        p0, p1 = mo3 * rt / (t0 - v0), mf3 * rt / (t1 - v1)
+        back = self._back_pressure(p0, p1, v0, v1) if chamber else ambient
+        go3 = gf3 = 0.0
+        if ps > 0.0:
+            r0, r1 = p0 / ps, p1 / ps
+            go3 = kcv0 * ps * (1.0 if r0 <= cpr else 0.0 if r0 >= 1.0 else (1.0 - r0) / span)
+            gf3 = kcv1 * ps * (1.0 if r1 <= cpr else 0.0 if r1 >= 1.0 else (1.0 - r1) / span)
+        qo3 = sqrt((p0 - back) / rc0) if open0 and v0 > 0.0 and not p0 - back <= 0.0 else 0.0
+        qf3 = sqrt((p1 - back) / rc1) if open1 and v1 > 0.0 and not p1 - back <= 0.0 else 0.0
         mo4, mf4 = mo + dt * (go3 - c * mo3), mf + dt * (gf3 - c * mf3)
-        go4, gf4, qo4, qf4, _ = self._flows(s - dt * (go3 + gf3), mo4, vo - dt * qo3,
-                                            mf4, vf - dt * qf3)
+        m, v0, v1 = s - dt * (go3 + gf3), vo - dt * qo3, vf - dt * qf3
+        ps = m * rt / vs if m > 0.0 else 0.0
+        v0, v1 = (0.0 if 0.0 > v0 else v0), (0.0 if 0.0 > v1 else v1)
+        p0, p1 = mo4 * rt / (t0 - v0), mf4 * rt / (t1 - v1)
+        back = self._back_pressure(p0, p1, v0, v1) if chamber else ambient
+        go4 = gf4 = 0.0
+        if ps > 0.0:
+            r0, r1 = p0 / ps, p1 / ps
+            go4 = kcv0 * ps * (1.0 if r0 <= cpr else 0.0 if r0 >= 1.0 else (1.0 - r0) / span)
+            gf4 = kcv1 * ps * (1.0 if r1 <= cpr else 0.0 if r1 >= 1.0 else (1.0 - r1) / span)
+        qo4 = sqrt((p0 - back) / rc0) if open0 and v0 > 0.0 and not p0 - back <= 0.0 else 0.0
+        qf4 = sqrt((p1 - back) / rc1) if open1 and v1 > 0.0 and not p1 - back <= 0.0 else 0.0
         gas_in = [(go1 + 2.0 * go2 + 2.0 * go3 + go4) / 6.0,
                   (gf1 + 2.0 * gf2 + 2.0 * gf3 + gf4) / 6.0]
         sink = (c * (mo + 2.0 * mo2 + 2.0 * mo3 + mo4) / 6.0,
@@ -347,7 +359,7 @@ class _Plant:
         # proportion, so total gas mass is conserved at the clamp too.
         events: list[str] = []
         want = (gas_in[0] + gas_in[1]) * dt
-        drawn = min(want, self.supply_mass)
+        drawn = s if s < want else want
         if drawn < want:
             gas_in = [g * (drawn / want) for g in gas_in]
         mass = self.supply_mass - drawn
@@ -363,9 +375,10 @@ class _Plant:
         for i in (0, 1):
             # Liquid drains at most what is left; the ullage grows by the
             # volume drained, integrated separately from V_total - V_liquid.
-            drained = min(q_out[i] * dt, self.liquid_volume[i])
-            liquid = self.liquid_volume[i] - drained
-            if liquid == 0.0 and self.liquid_volume[i] != 0.0:
+            drained, left = q_out[i] * dt, self.liquid_volume[i]
+            drained = left if left < drained else drained
+            liquid = left - drained
+            if liquid == 0.0 and left != 0.0:
                 events.append(EVENT_LIQUID_DEPLETED[i])
             volume = self.ullage_volume[i] + drained
             mass = self.ullage_mass[i] + (gas_in[i] - sink[i]) * dt

@@ -261,16 +261,27 @@ class ScenarioConfig(_ScenarioFields):
                       lambda: self.chamber.characteristic_velocity / self.chamber.throat_area)
         checked_number(self.actuator.time_constant, "actuators.time_constant_s", above=0.0)
         checked_number(self.actuator.rate_max, "actuators.rate_max_deg_s", above=0.0)
+        checked_number(self.actuator.backlash, "actuators.backlash_deg", at_least=0.0)
+        checked_number(self.actuator.encoder_counts_per_degree,
+                       "actuators.encoder_counts_per_degree", at_least=0.0)
         for reg in EREG_NAMES:
             # The supply feeds the tank valves; each tank feeds its injector
             # valve, at the tank's start pressure and later at its setpoint.
             side, kind = reg.split("_")
+            valve, key = self.valves[reg], f"valves.{reg}"
+            checked_number(valve.alpha, f"{key}.alpha_si_per_deg", above=0.0)
+            checked_number(valve.theta_zero, f"{key}.theta_zero_deg", at_least=0.0,
+                           below=FULL_TRAVEL)
+            if kind == "tank":
+                checked_number(valve.choked_constant, f"{key}.choked_constant", above=0.0)
+            _in_range(key, "Cv^2", lambda: cv_of_angle(valve, FULL_TRAVEL) ** 2)
             upstream = self.supply_pressure if kind == "tank" else max(
                 self.tank_setpoint(side), self.tanks[side].initial_pressure)
-            bar(self.valves[reg].rated_pressure, f"valves.{reg}.rated_pressure_bar",
-                at_least=upstream / 1e5)
+            bar(valve.rated_pressure, f"{key}.rated_pressure_bar", at_least=upstream / 1e5)
             settings, key = self.controllers[reg], f"controllers.{reg}"
             checked_number(settings.ramp_time, f"{key}.ramp_time_s", above=0.0)
+            checked_limits(settings.integral_limits, f"{key}.integral_limits_deg")
+            checked_limits(settings.secondary_integral_limits, f"{key}.secondary_integral_limits")
             if settings.locked_angle is not None:
                 checked_number(settings.locked_angle, f"{key}.locked_angle_deg", at_least=0.0,
                                at_most=FULL_TRAVEL)
@@ -281,8 +292,11 @@ class ScenarioConfig(_ScenarioFields):
             if kind == "tank":
                 checked_number(settings.feedforward.gamma, f"{key}.feedforward.gamma_deg")
                 continue
+            ff = settings.feedforward
+            checked_number(ff.nominal_flow, f"{key}.feedforward.nominal_flow_m3_s", above=0.0)
+            bar(ff.min_drop, f"{key}.feedforward.min_drop_bar", at_least=0.0)
             peak = getattr(self.schedule, reg).max_pressure()
-            headroom = self.tank_setpoint(side) - settings.feedforward.min_drop
+            headroom = self.tank_setpoint(side) - ff.min_drop
             if settings.locked_angle is None and peak > headroom:
                 raise InfeasibleThrottleError(f"{side} injector profile peaks at {peak / 1e5:.2f} "
                                               f"bar, above the feasible {headroom / 1e5:.2f} bar")
@@ -379,6 +393,16 @@ def checked_number(value, key: str, *, above=None, at_least=None, below=None,
         if bound is not None and not holds(number, bound):
             raise ConfigError(f"{key} must be {text} {bound:g}, got {value!r}")
     return number
+
+
+def checked_limits(value, key: str) -> tuple[float, float]:
+    """value as a [lo, hi] pair of finite floats with lo <= hi; errors name it key."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{key} must be a [lo, hi] pair, got {value!r}")
+    lo, hi = (checked_number(v, f"{key}[{i}]") for i, v in enumerate(value))
+    if lo > hi:
+        raise ConfigError(f"{key} must have lo <= hi, got {value!r}")
+    return lo, hi
 
 
 def _in_range(path: str, what: str, derive):
@@ -495,14 +519,7 @@ class _Section:
     def limits(self, key: str, default: tuple[float, float]) -> tuple[float, float]:
         """A [lo, hi] pair with lo <= hi."""
         value, path = self.lookup(key, default)
-        if value is default:
-            return value
-        if not isinstance(value, list) or len(value) != 2:
-            raise ConfigError(f"{path} must be a [lo, hi] pair, got {value!r}")
-        lo, hi = (checked_number(v, f"{path}[{i}]") for i, v in enumerate(value))
-        if lo > hi:
-            raise ConfigError(f"{path} must have lo <= hi, got {value!r}")
-        return lo, hi
+        return value if value is default else checked_limits(value, path)
 
     def section(self, key: str, default=_REQUIRED, defaults: "_Section | None" = None):
         """The mapping under key; None when the default is None and it is not given."""

@@ -4,13 +4,14 @@ None of these is called by the simulator: each restates a textbook law,
 a closed-form steady state or a plain loop so a test can compare the
 package's own arithmetic (line loss coefficients, mock injector sizing,
 paired setpoints, logged setpoints, the Cv grid fit, the chamber
-back-pressure root-find, the PID and actuator updates, the CSV writer
-and reader) with it, or build the calibration logs a fit reads;
+back-pressure root-find, the plant's RK4 step, the PID and actuator
+updates, the CSV writer and reader) with it, or build the calibration logs a fit reads;
 audited_run steps a run under the plant invariant audit.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass
@@ -22,8 +23,15 @@ from eregsim import engine
 from eregsim.calibration import THETA_GRID_STEP, CvFit
 from eregsim.control import DERIVATIVE_FILTER_PERIODS, ActuatorSettings, PidGains
 from eregsim.errors import DegenerateFitError, EregSimError, ModelError
-from eregsim.fluids import CHOKED_PRESSURE_RATIO, FULL_TRAVEL, chamber_state
-from eregsim.scenario import EREG_NAMES, ScenarioConfig, setpoints_at
+from eregsim.fluids import (
+    CHOKED_PRESSURE_RATIO,
+    FULL_TRAVEL,
+    branch_flow,
+    chamber_state,
+    cv_of_angle,
+    gas_valve_mass_flow,
+)
+from eregsim.scenario import EREG_NAMES, SIDES, ScenarioConfig, setpoints_at
 from eregsim.telemetry import EREG_FIELDS, SCALAR_FIELDS, TelemetryFrame, csv_header
 
 
@@ -260,6 +268,89 @@ def back_pressure_reference(plant, p_tank, v_liquid) -> tuple[float, float]:
         if math.isnan(f) or hi > math.nextafter(lo, math.inf):
             raise ModelError("chamber pressure root-find did not converge")
     return pc, pc
+
+
+def plant_step_reference(plant, angles, dt: float):
+    """One RK4 physics step of the plant's stored state at the valve angles
+    (EREG_NAMES order), with each stage's network from the fluids laws:
+    gas_valve_mass_flow, cv_of_angle plus branch_flow (a tank without
+    liquid passes 0) and back_pressure_reference, the warm start chained
+    from stage to stage; the supply and liquid clamps take min().
+
+    Returns ((supply mass, supply pressure, liquid volumes, ullage volumes,
+    ullage masses, ullage pressures), events, warm start after); reads the
+    plant and changes nothing. engine._Plant.step must equal it bit for bit.
+    """
+    config = plant.config
+    view = copy.copy(plant)  # holds the chained warm start; the rest is only read
+    rt = config.gas_constant * config.gas_temperature
+    valves = [config.valves[name] for name in EREG_NAMES]
+    tanks = [config.tanks[side] for side in SIDES]
+    chamber = config.chamber is not None
+
+    def network(m_sup, masses, liquid):
+        liquid = [max(v, 0.0) for v in liquid]  # a nan volume stays nan
+        p_sup = m_sup * rt / config.supply_volume if m_sup > 0.0 else 0.0
+        p_tank = [m * rt / (tank.total_volume - v) for m, tank, v in zip(masses, tanks, liquid)]
+        back = config.ambient_pressure
+        if chamber:
+            back, view._pc_guess = back_pressure_reference(view, p_tank, liquid)
+        gas = [gas_valve_mass_flow(valves[i], angles[i], p_sup, p_tank[i]) for i in (0, 1)]
+        q = [branch_flow(p_tank[i], back, tanks[i].liquid_density,
+                         cv_of_angle(valves[2 + i], angles[2 + i]),
+                         config.lines[side].loss_coefficient, config.injectors[side].coeff)[0]
+             if liquid[i] > 0.0 else 0.0 for i, side in enumerate(SIDES)]
+        return gas, q
+
+    s, m0, v0 = plant.supply_mass, list(plant.ullage_mass), list(plant.liquid_volume)
+    c = config.ullage_collapse_coeff
+    stages = []  # (ullage masses, gas inflows, liquid outflows) per stage
+    m_sup, masses, liquid = s, m0, v0
+    for weight in (0.5 * dt, 0.5 * dt, dt, None):
+        gas, q = network(m_sup, masses, liquid)
+        stages.append((masses, gas, q))
+        if weight is not None:
+            m_sup = s - weight * (gas[0] + gas[1])
+            masses = [m + weight * (g - c * m_k) for m, g, m_k in zip(m0, gas, masses)]
+            liquid = [v - weight * q_i for v, q_i in zip(v0, q)]
+
+    def rk4_sum(j, i):
+        """k1 + 2 k2 + 2 k3 + k4 of entry i of each stage's item j."""
+        k1, k2, k3, k4 = (stage[j][i] for stage in stages)
+        return k1 + 2.0 * k2 + 2.0 * k3 + k4
+
+    gas_in = [rk4_sum(1, i) / 6.0 for i in (0, 1)]
+    sink = [c * rk4_sum(0, i) / 6.0 for i in (0, 1)]
+    q_out = [rk4_sum(2, i) / 6.0 for i in (0, 1)]
+
+    events = []
+    want = (gas_in[0] + gas_in[1]) * dt
+    drawn = min(want, s)
+    if drawn < want:
+        gas_in = [g * (drawn / want) for g in gas_in]
+    supply_mass = s - drawn
+    supply_pressure = 0.0
+    if supply_mass == 0.0:
+        if s != 0.0:
+            events.append(engine.EVENT_SUPPLY_DEPLETED)
+    else:
+        supply_pressure = supply_mass * config.gas_constant * config.gas_temperature / (
+            config.supply_volume)
+    liquid, volume, mass, pressure = [], [], [], []
+    for i in (0, 1):
+        drained = min(q_out[i] * dt, v0[i])
+        liquid.append(v0[i] - drained)
+        if liquid[i] == 0.0 and v0[i] != 0.0:
+            events.append(engine.EVENT_LIQUID_DEPLETED[i])
+        volume.append(plant.ullage_volume[i] + drained)
+        mass.append(m0[i] + (gas_in[i] - sink[i]) * dt)
+        if mass[i] <= 0.0:
+            mass[i] = 0.0
+            pressure.append(0.0)
+        else:
+            pressure.append(mass[i] * config.gas_constant * config.gas_temperature / volume[i])
+    state = (supply_mass, supply_pressure, liquid, volume, mass, pressure)
+    return state, events, view._pc_guess
 
 
 @dataclass

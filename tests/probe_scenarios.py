@@ -24,18 +24,20 @@ REPLACED, on the small test scenario loaded for PROBE_S, is set through
 ScenarioConfig.replace to each value in EXTREMES and to 0, -1 and nan.
 The entries are config fields and, by dotted path, the setpoint
 schedule's tank setpoints, profile starts and one segment's target, ramp
-rate and hold. Such an input must be rejected by replace() itself with a
+rate and hold, and record fields in the config's dicts and its actuator
+(a valve's Cv law and k, an injector regulator's limits and feedforward,
+the actuator's backlash and encoder). Such an input must be rejected by replace() itself with a
 ConfigError, or run clean or aborted as above.
 
 tests/test_scenario.py runs a sample of the first arm and all of the
-second. Both arms (about 3,100 inputs) take some 10-20 s and print each
+second. Both arms (about 3,200 inputs) take some 10-20 s and print each
 failing input, then one line of counts per arm:
 
     PYTHONPATH=src python -m tests.probe_scenarios
 
-It last printed "2912 inputs: 1352 rejected at load, 1494 clean, 66
-aborted, 0 failing" and "170 replace() inputs: 129 rejected at replace,
-37 clean, 4 aborted, 0 failing".
+It last printed "2912 inputs: 1356 rejected at load, 1490 clean, 66
+aborted, 0 failing" and "280 replace() inputs: 170 rejected at replace,
+106 clean, 4 aborted, 0 failing".
 """
 
 from __future__ import annotations
@@ -60,14 +62,24 @@ GAS_LAW_TOLERANCE = 1e-9
 REJECTED, CLEAN, ABORTED = "rejected at load", "clean", "aborted"
 OUTCOMES = (REJECTED, CLEAN, ABORTED)
 # The ScenarioConfig fields whose rules the config's own check holds, and
-# the schedule's entries by dotted path: each tank setpoint, each injector
-# profile's start, and the target, ramp rate and hold of one segment.
+# by dotted path the schedule's entries (each tank setpoint, each injector
+# profile's start, and the target, ramp rate and hold of one segment) and
+# record fields in the dict fields and the actuator: a valve's Cv law and
+# k, an injector regulator's limit pairs and feedforward, and the actuator's
+# backlash and encoder.
 REPLACED = ("duration", "dt_phys", "dt_secondary", "dt_primary", "ambient_pressure",
             "supply_pressure", "noise_sigma", "noise_seed", "abort_pressure_factor",
             "ullage_collapse_coeff", "schedule.ox_tank", "schedule.fuel_tank",
             "schedule.ox_inj.start_pressure", "schedule.fuel_inj.start_pressure",
             "schedule.ox_inj.segments.0.target_pressure", "schedule.ox_inj.segments.0.ramp_rate",
-            "schedule.ox_inj.segments.0.hold_duration")
+            "schedule.ox_inj.segments.0.hold_duration", "valves.ox_inj.alpha",
+            "valves.ox_inj.theta_zero", "valves.ox_tank.choked_constant",
+            "controllers.ox_inj.integral_limits.0", "controllers.ox_inj.integral_limits.1",
+            "controllers.ox_inj.secondary_integral_limits.0",
+            "controllers.ox_inj.secondary_integral_limits.1",
+            "controllers.ox_inj.feedforward.nominal_flow",
+            "controllers.ox_inj.feedforward.min_drop", "actuator.backlash",
+            "actuator.encoder_counts_per_degree")
 REPLACED_VALUES = (*EXTREMES, 0, -1, math.nan)
 REJECTED_AT_REPLACE = "rejected at replace"
 REPLACE_OUTCOMES = (REJECTED_AT_REPLACE, CLEAN, ABORTED)
@@ -138,10 +150,12 @@ def replace_id(field: str, value: float) -> str:
 
 
 def replaced(node, path: list[str], value):
-    """node, a NamedTuple or a tuple, with the entry at path set to value."""
+    """node, a NamedTuple, a tuple or a dict, with the entry at path set to value."""
     if not path:
         return value
     key, *rest = path
+    if isinstance(node, dict):
+        return {**node, key: replaced(node[key], rest, value)}
     if key.isdigit():
         i = int(key)
         return (*node[:i], replaced(node[i], rest, value), *node[i + 1:])

@@ -15,13 +15,12 @@ from eregsim.fluids import (
     ChamberModel,
     LineModel,
     ValveModel,
-    branch_flow,
     chamber_state,
     cv_of_angle,
     gas_valve_mass_flow,
     liquid_volumetric_flow,
 )
-from eregsim.scenario import EREG_NAMES, SIDES, load_scenario, scenario_from_dict
+from eregsim.scenario import EREG_NAMES, load_scenario, scenario_from_dict
 from tests.conftest import (
     SCENARIO_DIR,
     build_small_scenario,
@@ -29,7 +28,12 @@ from tests.conftest import (
     set_key,
     small_scenario_dict,
 )
-from tests.oracles import back_pressure_reference, darcy_weisbach_dp, orifice_mass_flow
+from tests.oracles import (
+    back_pressure_reference,
+    darcy_weisbach_dp,
+    orifice_mass_flow,
+    plant_step_reference,
+)
 
 VALVE = ValveModel(alpha=0.5, theta_zero=10.0, rated_pressure=415e5, choked_constant=1.0)
 
@@ -353,7 +357,6 @@ def shipped_config(name: str):
 
 # A valve angle: a hard stop, the valve's own dead-band edge, or anywhere.
 ANGLE = st.one_of(st.sampled_from((0.0, "theta_zero", FULL_TRAVEL)), st.floats(0.0, FULL_TRAVEL))
-PRESSURE = st.one_of(st.just(0.0), st.floats(0.0, 400e5))
 
 
 def valve_angles(valves, drawn) -> list[float]:
@@ -361,52 +364,59 @@ def valve_angles(valves, drawn) -> list[float]:
     return [v.theta_zero if a == "theta_zero" else a for v, a in zip(valves, drawn)]
 
 
-@st.composite
-def supply_and_tank_pressures(draw):
-    """(p_sup, (p_ox, p_fuel)); a tank pressure is often near the supply's,
-    where the gas valves fade out."""
-    p_sup = draw(PRESSURE)
-    tank = st.one_of(PRESSURE, st.floats(0.5, 1.05).map(lambda ratio: ratio * p_sup))
-    return p_sup, (draw(tank), draw(tank))
+# Fractions of a start mass or volume: 0, just above it, or up to a bit past the start.
+FRACTION = st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 1.2))
+
+
+def hexes(state) -> list:
+    """The floats of a plant state, and of each list in it, as hex strings."""
+    return [[x.hex() for x in v] if isinstance(v, list) else v.hex() for v in state]
+
+
+@functools.cache
+def step_config(name: str):
+    """A shipped config, or with "small_supply" the blowdown with a supply
+    1e4 times smaller, which an open tank valve empties in one step."""
+    if name != "small_supply":
+        return shipped_config(name)
+    config = shipped_config("waterflow_blowdown")
+    return config.replace(supply_volume=config.supply_volume * 1e-4)
 
 
 class TestNetworkMatchesFluidLaws:
-    """_Plant._network and snapshot() restate the fluids flow laws for speed;
-    the laws are their reference, bit for bit, at the back pressure of the
-    open branches."""
+    """_Plant.step writes the network out in each RK4 stage for speed; a step
+    through the fluids laws in tests/oracles.py is its reference, bit for bit,
+    with the supply and the tanks full, nearly empty and empty."""
 
-    @pytest.mark.parametrize("name", ["waterflow_blowdown", "staticfire_baseline"])
+    @pytest.mark.parametrize("name", ["waterflow_blowdown", "staticfire_baseline", "small_supply"])
     @settings(max_examples=300, deadline=None)
     @given(
         angles=st.lists(ANGLE, min_size=4, max_size=4),
-        pressures=supply_and_tank_pressures(),
-        wet=st.tuples(st.booleans(), st.booleans()),
+        supply=FRACTION,
+        ullage=st.tuples(FRACTION, FRACTION),
+        liquid=st.tuples(FRACTION, FRACTION),
+        guess=st.one_of(st.just(AMBIENT_PRESSURE), st.floats(0.0, 60e5)),
     )
-    def test_each_side_equals_the_fluids_laws(self, name, angles, pressures, wet):
-        p_sup, p_tank = pressures
-        config = shipped_config(name)
+    def test_step_equals_the_fluids_laws(self, name, angles, supply, ullage, liquid, guess):
+        config = step_config(name)
         plant = _Plant(config)
         angles = valve_angles(plant.valves, angles)
         plant.set_angles(angles)
-        warm_start = plant._pc_guess
-        liquid = [1.0 if w else 0.0 for w in wet]
-        *flows, back = plant._network(p_sup, *p_tank, *liquid)
-        plant._pc_guess = warm_start  # each solve below starts from the same guess
-        assert back.hex() == plant._back_pressure(*p_tank, *liquid).hex()
-        plant._pc_guess = warm_start
-        plant.supply_pressure, plant.ullage_pressure, plant.liquid_volume = p_sup, p_tank, liquid
-        snapshot = plant.snapshot()
-        for i, side in enumerate(SIDES):
-            gas = gas_valve_mass_flow(plant.valves[i], angles[i], p_sup, p_tank[i])
-            # A dry tank passes no liquid, like a shut valve.
-            cv = cv_of_angle(plant.valves[2 + i], angles[2 + i]) if wet[i] else 0.0
-            q, p_injector = branch_flow(
-                p_tank[i], back, config.tanks[side].liquid_density, cv,
-                config.lines[side].loss_coefficient, config.injectors[side].coeff,
-            )
-            assert [flows[i].hex(), flows[2 + i].hex()] == [gas.hex(), q.hex()]
-            got = (snapshot.mdot_gas[i], snapshot.q_liquid[i], snapshot.p_injector[i])
-            assert [x.hex() for x in got] == [x.hex() for x in (gas, q, p_injector)]
+        plant.supply_mass *= supply
+        plant.ullage_mass = [m * f for m, f in zip(plant.ullage_mass, ullage)]
+        plant.liquid_volume = [v * f for v, f in zip(plant.liquid_volume, liquid)]
+        plant._pc_guess = guess
+        try:
+            state, events, warm_start = plant_step_reference(plant, angles, config.dt_phys)
+        except ModelError:
+            with pytest.raises(ModelError):
+                plant.step(config.dt_phys)
+            return
+        assert plant.step(config.dt_phys) == events
+        got = (plant.supply_mass, plant.supply_pressure, plant.liquid_volume,
+               plant.ullage_volume, plant.ullage_mass, plant.ullage_pressure)
+        assert hexes(got) == hexes(state)
+        assert plant._pc_guess.hex() == warm_start.hex()
 
     @pytest.mark.parametrize("angle", [-1e-9, FULL_TRAVEL + 1e-9])
     @pytest.mark.parametrize("valve", range(4), ids=EREG_NAMES)

@@ -643,6 +643,50 @@ REPLACE_BYPASSES = {
         lambda config: with_record(config, "controllers", "ox_tank", feedforward=(
             config.controllers["ox_tank"].feedforward._replace(gamma=math.nan))),
         "controllers.ox_tank.feedforward.gamma_deg must be finite"),
+    # More record fields held only by the reader. On the static fire, run
+    # 0.3 s, each of these ran all 30 frames with no event.
+    "actuator_backlash=-1": (
+        lambda config: {"actuator": config.actuator._replace(backlash=-1.0)},
+        "actuators.backlash_deg must be at least 0, got -1.0"),
+    "actuator_encoder_counts=-5": (
+        lambda config: {"actuator": config.actuator._replace(encoder_counts_per_degree=-5.0)},
+        "actuators.encoder_counts_per_degree must be at least 0, got -5.0"),
+    "ox_inj_integral_limits=(10, -10)": (
+        lambda config: with_record(config, "controllers", "ox_inj",
+                                   integral_limits=(10.0, -10.0)),
+        "controllers.ox_inj.integral_limits_deg must have lo <= hi"),
+    "ox_inj_secondary_integral_limits=(1, -1)": (
+        lambda config: with_record(config, "controllers", "ox_inj",
+                                   secondary_integral_limits=(1.0, -1.0)),
+        "controllers.ox_inj.secondary_integral_limits must have lo <= hi"),
+    "fuel_tank_integral_limits=(nan, 1)": (
+        lambda config: with_record(config, "controllers", "fuel_tank",
+                                   integral_limits=(math.nan, 1.0)),
+        "controllers.fuel_tank.integral_limits_deg[0] must be finite"),
+    "ox_inj_nominal_flow=0": (
+        lambda config: with_record(config, "controllers", "ox_inj", feedforward=(
+            config.controllers["ox_inj"].feedforward._replace(nominal_flow=0.0))),
+        "controllers.ox_inj.feedforward.nominal_flow_m3_s must be above 0"),
+    # min_drop is stored in Pa and named per bar, as the file writes it.
+    "ox_inj_min_drop=-1e5": (
+        lambda config: with_record(config, "controllers", "ox_inj", feedforward=(
+            config.controllers["ox_inj"].feedforward._replace(min_drop=-1e5))),
+        "controllers.ox_inj.feedforward.min_drop_bar must be at least 0, got -1.0"),
+    "ox_inj_theta_zero=95": (
+        lambda config: with_record(config, "valves", "ox_inj", theta_zero=95.0),
+        "valves.ox_inj.theta_zero_deg must be below 90"),
+    "ox_inj_alpha=0": (
+        lambda config: with_record(config, "valves", "ox_inj", alpha=0.0),
+        "valves.ox_inj.alpha_si_per_deg must be above 0"),
+    "ox_inj_alpha=nan": (
+        lambda config: with_record(config, "valves", "ox_inj", alpha=math.nan),
+        "valves.ox_inj.alpha_si_per_deg must be finite"),
+    "fuel_tank_choked_constant=0": (
+        lambda config: with_record(config, "valves", "fuel_tank", choked_constant=0.0),
+        "valves.fuel_tank.choked_constant must be above 0"),
+    "fuel_inj_alpha=1e200": (
+        lambda config: with_record(config, "valves", "fuel_inj", alpha=1e200),
+        "valves.fuel_inj: Cv^2 out of floating-point range"),
 }
 
 
@@ -688,6 +732,16 @@ def test_fraction_that_pairs_to_ambient_is_rejected_at_load():
     with pytest.raises(ConfigError, match=re.escape(
             "setpoints.throttle.segments[1].target_fraction = 1e-17 pairs to an injector "
             "setpoint at the ambient pressure")):
+        scenario_from_dict(data)
+
+
+def test_derived_nominal_flow_that_underflows_is_rejected_at_load():
+    # The injector feedforward's nominal flow defaults to nominal_flows over
+    # the density; 5e-324 kg/s gives 0 m3/s, held like a written 0.
+    data = load_yaml(SCENARIO_DIR / "staticfire_nominal_hold.yaml")
+    data["nominal_flows"]["ox_kg_s"] = 5e-324
+    with pytest.raises(ConfigError, match=re.escape(
+            "controllers.ox_inj.feedforward.nominal_flow_m3_s must be above 0, got 0.0")):
         scenario_from_dict(data)
 
 
