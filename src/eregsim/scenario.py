@@ -3,13 +3,14 @@ configuration loading.
 
 Scenario files are YAML with pressures in bar, times in seconds and
 angles in degrees; everything is converted to SI at load. A
-schema_version field is mandatory. Loading is a single pass: each key is
-read in one place, checked there for what the file alone can get wrong,
-and a key that nothing reads is rejected. The rules on the built values
-belong to ScenarioConfig, which checks itself on construction and on
-replace(). See docs/scenario_schema.md.
+schema_version field is mandatory. Loading is a single pass that reads
+each key in one place and rejects a key nothing reads. A record read from
+one section is built from its key table and held to that table at once;
+ScenarioConfig holds each stored record to the same table, and the rules
+across keys, on construction and on replace(). See docs/scenario_schema.md.
 """
 
+import functools
 import math
 import operator
 import sys
@@ -219,8 +220,8 @@ class ScenarioConfig(_ScenarioFields):
 
     Every instance has passed the one check in __new__: a direct call,
     replace(), _replace(), _make(), copy, deepcopy and pickle all build
-    through __new__. The reader holds only what a file can get wrong on
-    its own: missing, unknown and mistyped keys and single-key bounds.
+    through __new__, which holds each record to its key table, as the
+    reader does, and keeps the rules across keys.
     """
 
     __slots__ = ()
@@ -230,24 +231,19 @@ class ScenarioConfig(_ScenarioFields):
         values: else a ConfigError that names the YAML key and prints the
         value in that key's units."""
         self = super().__new__(cls, *args, **kwargs)
-
-        def bar(pascals, key: str, **bounds) -> float:  # a float first: 10**400 / 1e5 overflows
-            return checked_number(checked_number(pascals, key) / 1e5, key, **bounds)
-
+        bar = functools.partial(stored_number, factor=1e5)  # a pressure in Pa, named per bar
         for key, dt in (("dt_phys_s", self.dt_phys), ("dt_secondary_s", self.dt_secondary),
                         ("dt_primary_s", self.dt_primary)):
-            checked_number(dt, f"timing.{key}", above=0.0)
-        step_grid(checked_number(self.duration, "duration_s"), self.dt_phys, self.dt_secondary,
+            stored_number(dt, f"timing.{key}", above=0.0)
+        step_grid(stored_number(self.duration, "duration_s"), self.dt_phys, self.dt_secondary,
                   self.dt_primary)
         ambient_bar = bar(self.ambient_pressure, "ambient_pressure_bar", above=0.0)
         supply_bar = bar(self.supply_pressure, "supply.initial_pressure_bar", above=ambient_bar)
         for side in SIDES:
-            checked_number(self.tanks[side].liquid_density, f"tanks.{side}.liquid_density_kg_m3",
-                           above=0.0)
-            _in_range(f"lines.{side}", "loss coefficient", lambda: self.lines[side].loss_coefficient)
-            _in_range(f"injector.{side}", "orifice coefficient", lambda: self.injectors[side].coeff)
-            bar(self.tanks[side].initial_pressure, f"tanks.{side}.initial_pressure_bar",
-                above=ambient_bar)
+            tank = held(self.tanks[side], _TANK, f"tanks.{side}")
+            held(self.lines[side], _LINE, f"lines.{side}")
+            held(self.injectors[side], _ORIFICE, f"injector.{side}")
+            bar(tank.initial_pressure, f"tanks.{side}.initial_pressure_bar", above=ambient_bar)
             # One rule on the schedule, whichever kind of throttle the file wrote.
             bar(self.tank_setpoint(side), f"setpoints.tank_bar.{side}", above=ambient_bar)
             profile, key = getattr(self.schedule, side + "_inj"), f"setpoints.throttle.{side}"
@@ -255,45 +251,34 @@ class ScenarioConfig(_ScenarioFields):
             for i, segment in enumerate(profile.segments):
                 bar(segment.target_pressure, f"{key}.segments[{i}].target_bar", above=ambient_bar)
                 bar(segment.ramp_rate, f"{key}.segments[{i}].ramp_rate_bar_s", above=0.0)
-                checked_number(segment.hold_duration, f"{key}.segments[{i}].hold_s", at_least=0.0)
+                stored_number(segment.hold_duration, f"{key}.segments[{i}].hold_s", at_least=0.0)
         if self.chamber is not None:
-            _in_range("chamber", "c*/At",
-                      lambda: self.chamber.characteristic_velocity / self.chamber.throat_area)
-        checked_number(self.actuator.time_constant, "actuators.time_constant_s", above=0.0)
-        checked_number(self.actuator.rate_max, "actuators.rate_max_deg_s", above=0.0)
-        checked_number(self.actuator.backlash, "actuators.backlash_deg", at_least=0.0)
-        checked_number(self.actuator.encoder_counts_per_degree,
-                       "actuators.encoder_counts_per_degree", at_least=0.0)
+            held(self.chamber, _CHAMBER, "chamber")
+        held(self.actuator, _ACTUATORS, "actuators")
         for reg in EREG_NAMES:
             # The supply feeds the tank valves; each tank feeds its injector
             # valve, at the tank's start pressure and later at its setpoint.
             side, kind = reg.split("_")
             valve, key = self.valves[reg], f"valves.{reg}"
-            checked_number(valve.alpha, f"{key}.alpha_si_per_deg", above=0.0)
-            checked_number(valve.theta_zero, f"{key}.theta_zero_deg", at_least=0.0,
-                           below=FULL_TRAVEL)
-            if kind == "tank":
-                checked_number(valve.choked_constant, f"{key}.choked_constant", above=0.0)
-            _in_range(key, "Cv^2", lambda: cv_of_angle(valve, FULL_TRAVEL) ** 2)
+            held(valve, _GAS_VALVE if kind == "tank" else _LIQUID_VALVE, key)
             upstream = self.supply_pressure if kind == "tank" else max(
                 self.tank_setpoint(side), self.tanks[side].initial_pressure)
             bar(valve.rated_pressure, f"{key}.rated_pressure_bar", at_least=upstream / 1e5)
             settings, key = self.controllers[reg], f"controllers.{reg}"
-            checked_number(settings.ramp_time, f"{key}.ramp_time_s", above=0.0)
-            checked_limits(settings.integral_limits, f"{key}.integral_limits_deg")
-            checked_limits(settings.secondary_integral_limits, f"{key}.secondary_integral_limits")
+            stored_number(settings.ramp_time, f"{key}.ramp_time_s", above=0.0)
+            checked_limits(settings.integral_limits, f"{key}.integral_limits_deg", stored_number)
+            checked_limits(settings.secondary_integral_limits, f"{key}.secondary_integral_limits",
+                           stored_number)
             if settings.locked_angle is not None:
-                checked_number(settings.locked_angle, f"{key}.locked_angle_deg", at_least=0.0,
-                               at_most=FULL_TRAVEL)
-            for loop, gains, scale in (("primary", settings.primary_gains, 1e5),
-                                       ("secondary", settings.secondary_gains, 1.0)):
-                for name, gain in zip(PidGains._fields, gains):  # primary: per Pa, written per bar
-                    checked_number(gain * scale, f"{key}.{loop}.{name}", at_least=0.0)
+                stored_number(settings.locked_angle, f"{key}.locked_angle_deg", at_least=0.0,
+                              at_most=FULL_TRAVEL)
+            held(settings.primary_gains, _PRIMARY, f"{key}.primary")
+            held(settings.secondary_gains, _SECONDARY, f"{key}.secondary")
             if kind == "tank":
-                checked_number(settings.feedforward.gamma, f"{key}.feedforward.gamma_deg")
+                stored_number(settings.feedforward.gamma, f"{key}.feedforward.gamma_deg")
                 continue
             ff = settings.feedforward
-            checked_number(ff.nominal_flow, f"{key}.feedforward.nominal_flow_m3_s", above=0.0)
+            stored_number(ff.nominal_flow, f"{key}.feedforward.nominal_flow_m3_s", above=0.0)
             bar(ff.min_drop, f"{key}.feedforward.min_drop_bar", at_least=0.0)
             peak = getattr(self.schedule, reg).max_pressure()
             headroom = self.tank_setpoint(side) - ff.min_drop
@@ -306,9 +291,10 @@ class ScenarioConfig(_ScenarioFields):
         if (isinstance(self.noise_seed, bool) or not isinstance(self.noise_seed, int)
                 or self.noise_seed < 0):
             raise ConfigError(f"sensors.seed must be an integer >= 0, got {self.noise_seed!r}")
-        checked_number(self.ullage_collapse_coeff, "options.ullage_collapse_coeff", at_least=0.0,
-                       at_most=RK4_STABILITY_LIMIT / self.dt_phys)
-        checked_number(self.abort_pressure_factor, "options.abort_pressure_factor", above=0.0)
+        stored_number(self.ullage_collapse_coeff, "options.ullage_collapse_coeff", at_least=0.0,
+                      at_most=RK4_STABILITY_LIMIT / self.dt_phys)
+        stored_number(self.abort_pressure_factor, "options.abort_pressure_factor", above=0.0)
+        held(self.metrics, _METRICS, "metrics")
         plant_start(self)
         return self
 
@@ -395,11 +381,21 @@ def checked_number(value, key: str, *, above=None, at_least=None, below=None,
     return number
 
 
-def checked_limits(value, key: str) -> tuple[float, float]:
-    """value as a [lo, hi] pair of finite floats with lo <= hi; errors name it key."""
+def stored_number(value, key: str, factor: float = 1.0, **bounds) -> float:
+    """value / factor, a stored value in its YAML key's units, checked like
+    checked_number; but a config keeps numbers, so a string is refused."""
+    if isinstance(value, str):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if factor != 1.0:  # a float first: 10**400 / 1e5 overflows
+        value = checked_number(value, key) / factor
+    return checked_number(value, key, **bounds)
+
+
+def checked_limits(value, key: str, number=checked_number) -> tuple[float, float]:
+    """value as a [lo, hi] pair checked by number, with lo <= hi; errors name it key."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{key} must be a [lo, hi] pair, got {value!r}")
-    lo, hi = (checked_number(v, f"{key}[{i}]") for i, v in enumerate(value))
+    lo, hi = (number(v, f"{key}[{i}]") for i, v in enumerate(value))
     if lo > hi:
         raise ConfigError(f"{key} must have lo <= hi, got {value!r}")
     return lo, hi
@@ -415,6 +411,63 @@ def _in_range(path: str, what: str, derive):
     if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
         raise ConfigError(f"{path}: {what} out of floating-point range")
     return value
+
+
+# Each record read from one section of a scenario file, as (type, derived plant constant
+# or None, keys in field order): the constant is a name and a function of the record, and
+# a key is (YAML key, factor to SI, default, bounds in its units). See held().
+_TANK = (TankSettings, None, (
+    ("total_volume_m3", 1.0, _REQUIRED, {"above": 0.0}),
+    ("initial_ullage_fraction", 1.0, _REQUIRED, {"above": 0.0, "below": 1.0}),
+    ("liquid_density_kg_m3", 1.0, _REQUIRED, {"above": 0.0}),
+    ("initial_pressure_bar", 1e5, _REQUIRED, {}),  # above ambient: a rule across keys
+))
+_LINE = (LineModel, ("loss coefficient", operator.attrgetter("loss_coefficient")), (
+    ("friction_factor", 1.0, _REQUIRED, {"above": 0.0}),
+    ("length_m", 1.0, _REQUIRED, {"at_least": 0.0}),
+    ("diameter_m", 1.0, _REQUIRED, {"above": 0.0}),
+))
+_CHAMBER = (ChamberModel, ("c*/At", lambda c: c.characteristic_velocity / c.throat_area), (
+    ("throat_area_m2", 1.0, _REQUIRED, {"above": 0.0}),
+    ("characteristic_velocity_m_s", 1.0, _REQUIRED, {"above": 0.0}),
+    ("thrust_coefficient", 1.0, _REQUIRED, {"above": 0.0}),
+))
+_ORIFICE = (InjectorOrifice, ("orifice coefficient", operator.attrgetter("coeff")), (
+    ("cd", 1.0, _REQUIRED, {"above": 0.0, "at_most": 1.0}),
+    ("area_m2", 1.0, _REQUIRED, {"above": 0.0}),
+))
+_GAS_VALVE = (ValveModel, ("Cv^2", lambda valve: cv_of_angle(valve, FULL_TRAVEL) ** 2), (
+    ("alpha_si_per_deg", 1.0, _REQUIRED, {"above": 0.0}),
+    ("theta_zero_deg", 1.0, 0.0, {"at_least": 0.0, "below": FULL_TRAVEL}),
+    ("rated_pressure_bar", 1e5, _REQUIRED, {}),  # at least the upstream: a rule across keys
+    ("choked_constant", 1.0, _REQUIRED, {"above": 0.0}),  # the gas valve's choked flow law
+))
+_LIQUID_VALVE = (*_GAS_VALVE[:2], _GAS_VALVE[2][:3])  # reads no choked_constant
+_ACTUATORS = (ActuatorSettings, None, (
+    ("time_constant_s", 1.0, 0.020, {"above": 0.0}),
+    ("rate_max_deg_s", 1.0, 180.0, {"above": 0.0}),
+    ("backlash_deg", 1.0, 0.0, {"at_least": 0.0}),
+    ("encoder_counts_per_degree", 1.0, 0.0, {"at_least": 0.0}),
+))
+# Primary gains are written in degrees per bar in scenario files, and stored per Pa.
+_PRIMARY = (PidGains, None, tuple((k, 1.0 / 1e5, 0.0, {"at_least": 0.0}) for k in PidGains._fields))
+_SECONDARY = (PidGains, None, tuple((k, 1.0, 0.0, {"at_least": 0.0}) for k in PidGains._fields))
+_METRICS = (MetricsSettings, None, (
+    ("startup_window_s", 1.0, 1.0, {"at_least": 0.0}),
+    ("early_window_s", 1.0, 2.0, {"at_least": 0.0}),
+    ("settle_threshold_bar", 1e5, 0.5, {"at_least": 0.0}),
+))
+
+
+def held(record, table: tuple, path: str):
+    """record if each field, in its YAML key's units, keeps the table's bounds
+    and the derived constant is finite; else a ConfigError naming the key."""
+    _, derived, keys = table
+    for value, (key, factor, _, bounds) in zip(record, keys):
+        stored_number(value, f"{path}.{key}", factor, **bounds)
+    if derived is not None:
+        _in_range(path, derived[0], lambda: derived[1](record))
+    return record
 
 
 def step_grid(duration: float, dt_phys: float, dt_secondary: float,
@@ -508,6 +561,12 @@ class _Section:
         value, path = self.lookup(key, default)
         return value if value is default else checked_number(value, path, **bounds)
 
+    def record(self, table: tuple):
+        """The record of table built from this section's keys and held to the table."""
+        build, _, keys = table
+        return held(build(*(self.number(key, default) * factor
+                            for key, factor, default, _ in keys)), table, self._path)
+
     def choice(self, key: str, options: tuple, default=_REQUIRED):
         value, path = self.lookup(key, default)
         if value not in options:
@@ -560,32 +619,10 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     gas_constant = pressurant.number("specific_gas_constant", R_NITROGEN, above=0.0)
     gas_temperature = pressurant.number("temperature_k", DEFAULT_TEMPERATURE, above=0.0)
 
-    tanks, lines = {}, {}
-    for side in SIDES:
-        tank = root.section("tanks").section(side)
-        tanks[side] = TankSettings(
-            total_volume=tank.number("total_volume_m3", above=0.0),
-            initial_ullage_fraction=tank.number("initial_ullage_fraction", above=0.0, below=1.0),
-            liquid_density=tank.number("liquid_density_kg_m3", above=0.0),
-            initial_pressure=tank.number("initial_pressure_bar") * 1e5,
-        )
-        line = root.section("lines").section(side)
-        lines[side] = LineModel(
-            friction_factor=line.number("friction_factor", above=0.0),
-            length=line.number("length_m", at_least=0.0),
-            diameter=line.number("diameter_m", above=0.0),
-        )
-        _in_range(f"lines.{side}", "loss coefficient", lambda: lines[side].loss_coefficient)
-
-    chamber = None
+    tanks = {side: root.section("tanks").section(side).record(_TANK) for side in SIDES}
+    lines = {side: root.section("lines").section(side).record(_LINE) for side in SIDES}
     raw_chamber = root.section("chamber", None)
-    if raw_chamber is not None:
-        chamber = ChamberModel(
-            throat_area=raw_chamber.number("throat_area_m2", above=0.0),
-            characteristic_velocity=raw_chamber.number("characteristic_velocity_m_s", above=0.0),
-            thrust_coefficient=raw_chamber.number("thrust_coefficient", above=0.0),
-        )
-        _in_range("chamber", "c*/At", lambda: chamber.characteristic_velocity / chamber.throat_area)
+    chamber = None if raw_chamber is None else raw_chamber.record(_CHAMBER)
 
     nominal = root.section("nominal_flows")
     nominal_mdot = {side: nominal.number(f"{side}_kg_s", above=0.0) for side in SIDES}
@@ -595,15 +632,10 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     tank_setpoints = {side: tank_bar.number(side, above=0.0) * 1e5 for side in SIDES}
 
     injector = root.section("injector")
-    injectors = {}
     if injector.choice("kind", ("hotfire", "mock"), "hotfire") == "hotfire":
-        for side in SIDES:
-            orifice = injector.section(side)
-            injectors[side] = InjectorOrifice(
-                cd=orifice.number("cd", above=0.0, at_most=1.0),
-                area=orifice.number("area_m2", above=0.0),
-            )
+        injectors = {side: injector.section(side).record(_ORIFICE) for side in SIDES}
     else:
+        injectors = {}
         # Mock elements are sized at load so nominal pressures give nominal
         # flows when discharging to atmosphere, so the key that sets the
         # upstream pressure must put it above ambient.
@@ -619,31 +651,11 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
                 downstream=ambient,
                 cd=cd,
             )
-            injectors[side] = InjectorOrifice(cd=cd, area=area)
-    for side in SIDES:
-        _in_range(f"injector.{side}", "orifice coefficient", lambda: injectors[side].coeff)
+            injectors[side] = held(InjectorOrifice(cd, area), _ORIFICE, f"injector.{side}")
 
-    valves = {}
-    for reg in EREG_NAMES:
-        valve = root.section("valves").section(reg)
-        gas = reg.endswith("_tank")  # the choked flow law of a gas valve needs k
-        valves[reg] = ValveModel(
-            alpha=valve.number("alpha_si_per_deg", above=0.0),
-            theta_zero=valve.number("theta_zero_deg", 0.0, at_least=0.0, below=FULL_TRAVEL),
-            rated_pressure=valve.number("rated_pressure_bar") * 1e5,
-            choked_constant=valve.number("choked_constant", above=0.0) if gas else 0.0,
-        )
-        _in_range(f"valves.{reg}", "Cv^2", lambda: cv_of_angle(valves[reg], FULL_TRAVEL) ** 2)
-
-    raw_actuators = root.section("actuators", {})
-    actuator = ActuatorSettings(
-        time_constant=raw_actuators.number("time_constant_s", 0.020, above=0.0),
-        rate_max=raw_actuators.number("rate_max_deg_s", 180.0, above=0.0),
-        backlash=raw_actuators.number("backlash_deg", 0.0, at_least=0.0),
-        encoder_counts_per_degree=raw_actuators.number(
-            "encoder_counts_per_degree", 0.0, at_least=0.0
-        ),
-    )
+    valves = {reg: root.section("valves").section(reg).record(
+        _GAS_VALVE if reg.endswith("_tank") else _LIQUID_VALVE) for reg in EREG_NAMES}
+    actuator = root.section("actuators", {}).record(_ACTUATORS)
 
     # Throttle: either thrust fractions paired to an OF target, or explicit
     # per-injector pressure profiles.
@@ -742,17 +754,10 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
                 theta_zero=valve.theta_zero,
                 min_drop=raw_ff.number("min_drop_bar", 0.1, at_least=0.0) * 1e5,
             )
-        # Primary gains are written in degrees per bar in scenario files.
-        primary = raw.section("primary", {})
-        scale = 1.0 / 1e5
         secondary = raw.section("secondary", {"kp": 0.5, "ki": 1.0, "kd": 0.01})
         controllers[reg] = ControllerSettings(
-            primary_gains=PidGains(
-                *(primary.number(k, 0.0, at_least=0.0) * scale for k in ("kp", "ki", "kd"))
-            ),
-            secondary_gains=PidGains(
-                *(secondary.number(k, 0.0, at_least=0.0) for k in ("kp", "ki", "kd"))
-            ),
+            primary_gains=raw.section("primary", {}).record(_PRIMARY),
+            secondary_gains=secondary.record(_SECONDARY),
             ramp_time=raw.number("ramp_time_s", 4.0, above=0.0),
             feedforward=feedforward,
             integral_limits=raw.limits("integral_limits_deg", (-45.0, 45.0)),
@@ -764,7 +769,6 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     supply = root.section("supply")
     sensors = root.section("sensors", {})
     options = root.section("options", {})
-    metrics = root.section("metrics", {})
     config = ScenarioConfig(
         duration=root.number("duration_s"),
         dt_phys=timing.number("dt_phys_s"),
@@ -790,11 +794,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         noise_seed=sensors.lookup("seed", 0)[0],
         ullage_collapse_coeff=options.number("ullage_collapse_coeff", 0.0),
         abort_pressure_factor=options.number("abort_pressure_factor", 1.10),
-        metrics=MetricsSettings(
-            startup_window=metrics.number("startup_window_s", 1.0, at_least=0.0),
-            early_window=metrics.number("early_window_s", 2.0, at_least=0.0),
-            settle_threshold=metrics.number("settle_threshold_bar", 0.5, at_least=0.0) * 1e5,
-        ),
+        metrics=root.section("metrics", {}).record(_METRICS),
     )
     root.check_unread()
     return config

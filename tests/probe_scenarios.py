@@ -21,27 +21,34 @@ float cannot.
 
 A second arm changes a built config instead of a file: each entry in
 REPLACED, on the small test scenario loaded for PROBE_S, is set through
-ScenarioConfig.replace to each value in EXTREMES and to 0, -1 and nan.
-The entries are config fields and, by dotted path, the setpoint
-schedule's tank setpoints, profile starts and one segment's target, ramp
-rate and hold, and record fields in the config's dicts and its actuator
-(a valve's Cv law and k, an injector regulator's limits and feedforward,
-the actuator's backlash and encoder). Such an input must be rejected by replace() itself with a
-ConfigError, or run clean or aborted as above.
+ScenarioConfig.replace to each value in EXTREMES, to 0, -1 and nan, and
+to a number given as text. The entries are config fields and, by dotted
+path, the setpoint schedule's tank setpoints, profile starts and one
+segment's target, ramp rate and hold, and record fields in the config's
+dicts, its actuator and its metrics (a tank's volume and ullage, a line,
+an injector orifice, a valve's Cv law and k, an injector regulator's
+limits and feedforward, the actuator's backlash and encoder, the metrics
+windows and threshold). Such an input must be rejected by replace()
+itself with a ConfigError, or run clean or aborted as above.
 
 tests/test_scenario.py runs a sample of the first arm and all of the
-second. Both arms (about 3,200 inputs) take some 10-20 s and print each
+second. Both arms (about 3,300 inputs) take some 10-20 s and print each
 failing input, then one line of counts per arm:
 
     PYTHONPATH=src python -m tests.probe_scenarios
 
 It last printed "2912 inputs: 1356 rejected at load, 1490 clean, 66
-aborted, 0 failing" and "280 replace() inputs: 170 rejected at replace,
-106 clean, 4 aborted, 0 failing".
+aborted, 0 failing" and "418 replace() inputs: 267 rejected at replace,
+147 clean, 4 aborted, 0 failing".
+
+With --messages it runs no scenario and prints each input that either
+arm rejects at load or at replace(), with the error message, one a line,
+so that two trees' rejections can be diffed.
 """
 
 from __future__ import annotations
 
+import argparse
 import copy
 import functools
 import math
@@ -64,9 +71,10 @@ OUTCOMES = (REJECTED, CLEAN, ABORTED)
 # The ScenarioConfig fields whose rules the config's own check holds, and
 # by dotted path the schedule's entries (each tank setpoint, each injector
 # profile's start, and the target, ramp rate and hold of one segment) and
-# record fields in the dict fields and the actuator: a valve's Cv law and
-# k, an injector regulator's limit pairs and feedforward, and the actuator's
-# backlash and encoder.
+# record fields in the dict fields, the actuator and the metrics: a tank's
+# volume and ullage, a line, an injector orifice, a valve's Cv law and k,
+# an injector regulator's limit pairs and feedforward, the actuator's
+# backlash and encoder, and the three metrics settings.
 REPLACED = ("duration", "dt_phys", "dt_secondary", "dt_primary", "ambient_pressure",
             "supply_pressure", "noise_sigma", "noise_seed", "abort_pressure_factor",
             "ullage_collapse_coeff", "schedule.ox_tank", "schedule.fuel_tank",
@@ -79,8 +87,12 @@ REPLACED = ("duration", "dt_phys", "dt_secondary", "dt_primary", "ambient_pressu
             "controllers.ox_inj.secondary_integral_limits.1",
             "controllers.ox_inj.feedforward.nominal_flow",
             "controllers.ox_inj.feedforward.min_drop", "actuator.backlash",
-            "actuator.encoder_counts_per_degree")
-REPLACED_VALUES = (*EXTREMES, 0, -1, math.nan)
+            "actuator.encoder_counts_per_degree", "tanks.ox.total_volume",
+            "tanks.ox.initial_ullage_fraction", "lines.ox.friction_factor", "lines.ox.length",
+            "lines.ox.diameter", "injectors.ox.cd", "injectors.ox.area",
+            "metrics.startup_window", "metrics.early_window", "metrics.settle_threshold")
+# The text is a number the reader would parse; a config keeps numbers.
+REPLACED_VALUES = (*EXTREMES, 0, -1, math.nan, "0.2")
 REJECTED_AT_REPLACE = "rejected at replace"
 REPLACE_OUTCOMES = (REJECTED_AT_REPLACE, CLEAN, ABORTED)
 
@@ -123,16 +135,22 @@ def probe_id(stem: str, path: tuple, value: float) -> str:
     return f"{stem}:{'.'.join(map(str, path))}={shown(value)}"
 
 
-def probe(stem: str, path: tuple, value: float) -> str:
-    """One of OUTCOMES, or what went wrong."""
+def loaded(stem: str, path: tuple, value: float):
+    """The shipped scenario with the key at path set to value, loaded to
+    run for PROBE_S."""
     data = copy.deepcopy(shipped(stem))
     node = data
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
     data["duration_s"] = PROBE_S
+    return scenario_from_dict(data)
+
+
+def probe(stem: str, path: tuple, value: float) -> str:
+    """One of OUTCOMES, or what went wrong."""
     try:
-        config = scenario_from_dict(data)
+        config = loaded(stem, path, value)
     except ConfigError:
         return REJECTED
     except Exception as exc:  # a probe records every escape as a failure
@@ -162,12 +180,17 @@ def replaced(node, path: list[str], value):
     return node._replace(**{key: replaced(getattr(node, key), rest, value)})
 
 
-def probe_replace(field: str, value: float) -> str:
-    """One of REPLACE_OUTCOMES, or what went wrong."""
+def replaced_config(field: str, value: float):
+    """The small test scenario, loaded for PROBE_S, with field replaced by value."""
     config = scenario_from_dict(small_scenario_dict(duration_s=PROBE_S))
     key, *path = field.split(".")
+    return config.replace(**{key: replaced(getattr(config, key), path, value)})
+
+
+def probe_replace(field: str, value: float) -> str:
+    """One of REPLACE_OUTCOMES, or what went wrong."""
     try:
-        config = config.replace(**{key: replaced(getattr(config, key), path, value)})
+        config = replaced_config(field, value)
     except ConfigError:
         return REJECTED_AT_REPLACE
     except Exception as exc:
@@ -199,7 +222,26 @@ def tally(label: str, inputs: list, probe_one, name_one, outcomes: tuple) -> Non
           + ", ".join(f"{counts[name]} {name}" for name in (*outcomes, "failing")))
 
 
+def messages(inputs: list, build, name_one) -> None:
+    """Print each input that build rejects, with its message: a ConfigError's
+    as it is, any other error's after its type, as a failing input."""
+    for args in inputs:
+        try:
+            build(*args)
+        except ConfigError as exc:
+            print(f"{name_one(*args)}: {exc}")
+        except Exception as exc:  # a probe records every escape as a failure
+            print(f"{name_one(*args)}: raw {type(exc).__name__}: {exc}")
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--messages", action="store_true",
+                        help="print each rejected input with its message instead of the tallies")
+    if parser.parse_args().messages:
+        messages(probe_inputs(), loaded, probe_id)
+        messages(replace_inputs(), replaced_config, replace_id)
+        return
     tally("inputs", probe_inputs(), probe, probe_id, OUTCOMES)
     tally("replace() inputs", replace_inputs(), probe_replace, replace_id, REPLACE_OUTCOMES)
 

@@ -697,6 +697,78 @@ def test_replace_rejects_what_the_loader_rejects(blowdown_config, changes, key, 
         getattr(blowdown_config, method)(**changes(blowdown_config))
 
 
+# Record values the loader rejected and replace() took: on the static fire,
+# each ran its 0.3 s to the end (a c* of -1600 m/s at -3,833 N of thrust) or,
+# for the tank keys, was named only under the start liquid volume:
+# (YAML key path, value in the file, the same value as the config stores it).
+RECORD_PARITY = {
+    "tanks.ox.total_volume_m3": (-1.0, lambda c, v: with_record(c, "tanks", "ox", total_volume=v)),
+    "tanks.ox.initial_ullage_fraction": (
+        1.5, lambda c, v: with_record(c, "tanks", "ox", initial_ullage_fraction=v)),
+    "lines.ox.friction_factor": (-0.02, lambda c, v: with_record(c, "lines", "ox",
+                                                                 friction_factor=v)),
+    "lines.ox.length_m": (-1.0, lambda c, v: with_record(c, "lines", "ox", length=v)),
+    "lines.ox.diameter_m": (-0.01, lambda c, v: with_record(c, "lines", "ox", diameter=v)),
+    "injector.ox.cd": (5.0, lambda c, v: with_record(c, "injectors", "ox", cd=v)),
+    "injector.ox.area_m2": (-1e-5, lambda c, v: with_record(c, "injectors", "ox", area=v)),
+    "chamber.throat_area_m2": (-1e-3, lambda c, v: {"chamber": c.chamber._replace(
+        throat_area=v)}),
+    "chamber.characteristic_velocity_m_s": (-1600.0, lambda c, v: {"chamber": c.chamber._replace(
+        characteristic_velocity=v)}),
+    "chamber.thrust_coefficient": (-1.5, lambda c, v: {"chamber": c.chamber._replace(
+        thrust_coefficient=v)}),
+    "metrics.startup_window_s": (-1.0, lambda c, v: {"metrics": c.metrics._replace(
+        startup_window=v)}),
+    "metrics.early_window_s": (-1.0, lambda c, v: {"metrics": c.metrics._replace(
+        early_window=v)}),
+    # Stored in Pa, written and named per bar.
+    "metrics.settle_threshold_bar": (-1.0, lambda c, v: {"metrics": c.metrics._replace(
+        settle_threshold=v * BAR)}),
+}
+
+
+@pytest.mark.parametrize("key, value, changes",
+                         [(key, *case) for key, case in RECORD_PARITY.items()],
+                         ids=RECORD_PARITY.keys())
+def test_replace_names_the_record_key_the_loader_names(baseline_config, key, value, changes):
+    data = load_yaml(SCENARIO_DIR / "staticfire_baseline.yaml")
+    data.setdefault("metrics", {})
+    set_key(data, key, value)
+    named = f"^{re.escape(key)} must be "
+    with pytest.raises(ConfigError, match=named):
+        scenario_from_dict(data)
+    with pytest.raises(ConfigError, match=named):
+        baseline_config.replace(**changes(baseline_config, value))
+
+
+# Numbers given as text: the reader parses a file's text, but a config
+# keeps numbers. Each was stored as a string, then raised a raw TypeError
+# in replace() itself (the step grid, the valve's Cv^2) or mid-run, or ran
+# to the end (the backlash): (replace() changes to the small scenario, the
+# key the error names).
+NUMBERS_AS_TEXT = {
+    "duration": (lambda c: {"duration": "0.2"}, "duration_s"),
+    "noise_sigma": (lambda c: {"noise_sigma": "0"}, "sensors.noise_sigma_bar"),
+    "ambient_pressure": (lambda c: {"ambient_pressure": "101325"}, "ambient_pressure_bar"),
+    "abort_pressure_factor": (lambda c: {"abort_pressure_factor": "1.1"},
+                              "options.abort_pressure_factor"),
+    "ullage_collapse_coeff": (lambda c: {"ullage_collapse_coeff": "0"},
+                              "options.ullage_collapse_coeff"),
+    "dt_primary": (lambda c: {"dt_primary": "0.01"}, "timing.dt_primary_s"),
+    "ox_inj_alpha": (lambda c: with_record(c, "valves", "ox_inj", alpha="4e-6"),
+                     "valves.ox_inj.alpha_si_per_deg"),
+    "actuator_backlash": (lambda c: {"actuator": c.actuator._replace(backlash="1")},
+                          "actuators.backlash_deg"),
+}
+
+
+@pytest.mark.parametrize("changes, key", NUMBERS_AS_TEXT.values(), ids=NUMBERS_AS_TEXT.keys())
+def test_replace_refuses_a_number_given_as_text(changes, key):
+    config = scenario_from_dict(small_scenario_dict(duration_s=0.2))
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be a number, got '"):
+        config.replace(**changes(config))
+
+
 # Every way of building a config from another: each must run the check.
 REBUILDS = {
     "copy": copy.copy,
@@ -755,6 +827,13 @@ def test_replaced_field_runs_or_is_rejected_at_replace(field, value):
     replace() itself, or a 0.2 s run (to its end or to the over-pressure
     abort) that keeps the gas law."""
     assert probe_scenarios.probe_replace(field, value) in probe_scenarios.REPLACE_OUTCOMES
+
+
+def test_probe_messages_print_each_rejection_with_its_message(capsys):
+    probe_scenarios.messages([("duration", "0.2"), ("duration", 0.3)],
+                             probe_scenarios.replaced_config, probe_scenarios.replace_id)
+    assert capsys.readouterr().out == (
+        "replace(duration='0.2'): duration_s must be a number, got '0.2'\n")
 
 
 def test_collapse_coefficient_just_inside_the_rk4_limit_runs():
