@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_size.add_argument("--side", choices=["ox", "fuel"], default="ox")
     for flag in ("--upstream-bar", "--downstream-bar"):
         p_size.add_argument(flag, type=_number(flag, at_least=0.0))
-    p_size.add_argument("--cd", type=_number("--cd"), default=0.7)
+    p_size.add_argument("--cd", type=_number("--cd", above=0.0, at_most=1.0), default=0.7)
     p_size.set_defaults(func=_cmd_size_injector)
     return parser
 

@@ -2,12 +2,11 @@
 configuration loading.
 
 Scenario files are YAML with pressures in bar, times in seconds and
-angles in degrees; everything is converted to SI at load. A
-schema_version field is mandatory. Loading is a single pass that reads
-each key in one place and rejects a key nothing reads. A record read from
-one section is built from its key table and held to that table at once;
-ScenarioConfig holds each stored record to the same table, and the rules
-across keys, on construction and on replace(). See docs/scenario_schema.md.
+angles in degrees; everything is converted to SI at load. A schema_version
+field is mandatory. Loading is a single pass that reads and checks each key
+once and rejects a key nothing reads. ScenarioConfig holds every field it
+stores, each record to its key table, and the rules across keys, on
+construction and on replace(). See docs/scenario_schema.md.
 """
 
 import functools
@@ -232,9 +231,11 @@ class ScenarioConfig(_ScenarioFields):
         value in that key's units."""
         self = super().__new__(cls, *args, **kwargs)
         bar = functools.partial(stored_number, factor=1e5)  # a pressure in Pa, named per bar
-        for key, dt in (("dt_phys_s", self.dt_phys), ("dt_secondary_s", self.dt_secondary),
-                        ("dt_primary_s", self.dt_primary)):
-            stored_number(dt, f"timing.{key}", above=0.0)
+        for k, v in {"timing.dt_phys_s": self.dt_phys, "timing.dt_secondary_s": self.dt_secondary,
+                     "timing.dt_primary_s": self.dt_primary, "supply.volume_m3": self.supply_volume,
+                     "pressurant.specific_gas_constant": self.gas_constant,
+                     "pressurant.temperature_k": self.gas_temperature}.items():
+            stored_number(v, k, above=0.0)
         step_grid(stored_number(self.duration, "duration_s"), self.dt_phys, self.dt_secondary,
                   self.dt_primary)
         ambient_bar = bar(self.ambient_pressure, "ambient_pressure_bar", above=0.0)
@@ -460,9 +461,11 @@ _METRICS = (MetricsSettings, None, (
 
 
 def held(record, table: tuple, path: str):
-    """record if each field, in its YAML key's units, keeps the table's bounds
-    and the derived constant is finite; else a ConfigError naming the key."""
-    _, derived, keys = table
+    """record if it is of the table's type, each field keeps the table's bounds in its
+    YAML key's units and the derived constant is finite; else a ConfigError naming the key."""
+    build, derived, keys = table
+    if not isinstance(record, build):
+        raise ConfigError(f"{path} must be a record of type {build.__name__}, got {record!r}")
     for value, (key, factor, _, bounds) in zip(record, keys):
         stored_number(value, f"{path}.{key}", factor, **bounds)
     if derived is not None:
@@ -562,10 +565,13 @@ class _Section:
         return value if value is default else checked_number(value, path, **bounds)
 
     def record(self, table: tuple):
-        """The record of table built from this section's keys and held to the table."""
-        build, _, keys = table
-        return held(build(*(self.number(key, default) * factor
-                            for key, factor, default, _ in keys)), table, self._path)
+        """The table's record of this section's keys, each read once within its bounds."""
+        build, derived, keys = table
+        record = build(*(self.number(key, default, **bounds) * factor
+                         for key, factor, default, bounds in keys))
+        if derived is not None:
+            _in_range(self._path, derived[0], lambda: derived[1](record))
+        return record
 
     def choice(self, key: str, options: tuple, default=_REQUIRED):
         value, path = self.lookup(key, default)
@@ -777,7 +783,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         ambient_pressure=ambient,
         gas_constant=gas_constant,
         gas_temperature=gas_temperature,
-        supply_volume=supply.number("volume_m3", above=0.0),
+        supply_volume=supply.number("volume_m3"),
         supply_pressure=supply.number("initial_pressure_bar") * 1e5,
         tanks=tanks,
         lines=lines,

@@ -568,10 +568,12 @@ class TestNumericFlags:
             (["size-injector", "--target-mdot", "1.14", "--downstream-bar=-50"],
              "--downstream-bar"),
             (["size-injector", "--target-mdot", "1.14", "--upstream-bar=-5"], "--upstream-bar"),
+            # The loader's injector.cd bounds: the sizing's own check names no flag.
+            (["size-injector", "--target-mdot", "1.14", "--cd", "5"], "--cd"),
         ],
         ids=["density_zero", "density_nan", "choked_constant_inf", "alpha_zero",
              "theta_zero_nan", "theta_zero_90", "target_mdot_nan", "upstream_bar_inf",
-             "downstream_bar_negative", "upstream_bar_negative"],
+             "downstream_bar_negative", "upstream_bar_negative", "cd_above_one"],
     )
     def test_one_json_line_naming_the_flag(self, blowdown_csv, tmp_path, capsys, argv, flag):
         if argv[0] == "calibrate":

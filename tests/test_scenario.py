@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eregsim import scenario
 from eregsim.calibration import CvFit
 from eregsim.control import ActuatorSettings, ControllerSettings, FeedforwardParams, PidGains
 from eregsim.engine import NetworkFlows, run_scenario
@@ -18,7 +20,9 @@ from eregsim.fluids import (
     ChamberModel, GasTankState, LineModel, ValveModel, branch_flow, cv_of_angle,
 )
 from eregsim.scenario import (
+    EREG_NAMES,
     RK4_STABILITY_LIMIT,
+    SIDES,
     InjectorOrifice,
     MetricsSettings,
     ProfileSegment,
@@ -687,6 +691,18 @@ REPLACE_BYPASSES = {
     "fuel_inj_alpha=1e200": (
         lambda config: with_record(config, "valves", "fuel_inj", alpha=1e200),
         "valves.fuel_inj: Cv^2 out of floating-point range"),
+    # Fields the config stored unchecked. A negative gas constant with a
+    # negative temperature keeps R * T and ran all 1,250 frames of the
+    # blowdown; a negative supply volume was named only as the supply's
+    # start gas mass.
+    "negative_gas_constant_and_temperature": (
+        lambda config: {"gas_constant": -1.0, "gas_temperature": -86962.4},
+        "pressurant.specific_gas_constant must be above 0, got -1.0"),
+    "supply_volume=-0.02": (lambda config: {"supply_volume": -0.02},
+                            "supply.volume_m3 must be above 0, got -0.02"),
+    # A record given as a plain tuple built; Run then raised a raw AttributeError.
+    "actuator_as_plain_tuple": (lambda config: {"actuator": (0.02, 180.0, 0.0)},
+                                "actuators must be a record of type ActuatorSettings"),
 }
 
 
@@ -743,9 +759,9 @@ def test_replace_names_the_record_key_the_loader_names(baseline_config, key, val
 
 # Numbers given as text: the reader parses a file's text, but a config
 # keeps numbers. Each was stored as a string, then raised a raw TypeError
-# in replace() itself (the step grid, the valve's Cv^2) or mid-run, or ran
-# to the end (the backlash): (replace() changes to the small scenario, the
-# key the error names).
+# in replace() itself (the step grid, the valve's Cv^2, the start gas
+# masses) or mid-run, or ran to the end (the backlash): (replace() changes
+# to the small scenario, the key the error names).
 NUMBERS_AS_TEXT = {
     "duration": (lambda c: {"duration": "0.2"}, "duration_s"),
     "noise_sigma": (lambda c: {"noise_sigma": "0"}, "sensors.noise_sigma_bar"),
@@ -759,6 +775,9 @@ NUMBERS_AS_TEXT = {
                      "valves.ox_inj.alpha_si_per_deg"),
     "actuator_backlash": (lambda c: {"actuator": c.actuator._replace(backlash="1")},
                           "actuators.backlash_deg"),
+    "gas_constant": (lambda c: {"gas_constant": "296.8"}, "pressurant.specific_gas_constant"),
+    "gas_temperature": (lambda c: {"gas_temperature": "293"}, "pressurant.temperature_k"),
+    "supply_volume": (lambda c: {"supply_volume": "0.02"}, "supply.volume_m3"),
 }
 
 
@@ -767,6 +786,30 @@ def test_replace_refuses_a_number_given_as_text(changes, key):
     config = scenario_from_dict(small_scenario_dict(duration_s=0.2))
     with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be a number, got '"):
         config.replace(**changes(config))
+
+
+@pytest.mark.parametrize("stem", probe_scenarios.SHIPPED)
+def test_load_holds_each_stored_record_once(stem, monkeypatch):
+    # The reader checks each key once, as it reads it; held is the config's
+    # check of each record it stores (21 on the static-fire baseline), plus
+    # the reader's check of a mock-sized orifice, whose area no key gives.
+    paths = []
+    check = scenario.held
+
+    def counted(record, table, path):
+        paths.append(path)
+        return check(record, table, path)
+
+    monkeypatch.setattr(scenario, "held", counted)
+    config = load_scenario(SCENARIO_DIR / f"{stem}.yaml")
+    expected = [*(f"{field}.{side}" for field in ("tanks", "lines", "injector") for side in SIDES),
+                *(f"valves.{reg}" for reg in EREG_NAMES), "actuators", "metrics",
+                *(f"controllers.{reg}.{gains}" for reg in EREG_NAMES
+                  for gains in ("primary", "secondary")),
+                *(["chamber"] if config.chamber is not None else [])]
+    if load_yaml(SCENARIO_DIR / f"{stem}.yaml")["injector"]["kind"] == "mock":
+        expected += [f"injector.{side}" for side in SIDES]
+    assert Counter(paths) == Counter(expected)
 
 
 # Every way of building a config from another: each must run the check.
